@@ -40,7 +40,7 @@ from .graph_core import (
     edge_profile,
     vertex_point,
 )
-from .general_feasibility import FeasibilityTester, trim_witness
+from .general_feasibility import FeasibilityResult, FeasibilityTester, trim_witness
 
 _INT_LIMIT = 1 << 62
 _SEED = 0xC0C5EED
@@ -78,7 +78,8 @@ class LineSet:
     position*2*SL (semicircular points may sit at half-integer grid
     offsets).  int_ok reports whether every pairwise computation fits
     comfortably in int64; when it does not, callers fall back to exact
-    Fraction arithmetic.
+    Fraction arithmetic.  The arrays are int64 only when every coefficient
+    fits; otherwise they hold Python ints and int_ok is False.
     """
 
     def __init__(self, affine: list[Line], vertical: list[Line], sw: int = 1, sl: int = 1):
@@ -91,27 +92,26 @@ class LineSet:
                 raise InternalError(f"scales {sw},{sl} do not make {x} integral")
             return x.numerator
 
-        self.M = np.array(
-            [as_int(ln.slope * self.SW) for ln in affine], dtype=np.int64
-        )
-        self.B = np.array(
-            [as_int(ln.intercept * self.SW * self.SL) for ln in affine], dtype=np.int64
-        )
-        self.A = np.array(
-            [as_int(ln.intercept * 2 * self.SL) for ln in vertical], dtype=np.int64
-        )
+        m = [as_int(ln.slope * self.SW) for ln in affine]
+        b = [as_int(ln.intercept * self.SW * self.SL) for ln in affine]
+        a = [as_int(ln.intercept * 2 * self.SL) for ln in vertical]
         self.n_aff = len(affine)
         self.n_vert = len(vertical)
-        maxM = int(np.max(np.abs(self.M))) if self.n_aff else 0
-        maxB = int(np.max(np.abs(self.B))) if self.n_aff else 0
-        maxA = int(np.max(np.abs(self.A))) if self.n_vert else 0
+        maxM = max(map(abs, m), default=0)
+        maxB = max(map(abs, b), default=0)
+        maxA = max(map(abs, a), default=0)
         self.maxM, self.maxB, self.maxA = maxM, maxB, maxA
+        fits = max(maxM, maxB, maxA) < _INT_LIMIT
+        dtype = np.int64 if fits else object
+        self.M = np.array(m, dtype=dtype)
+        self.B = np.array(b, dtype=dtype)
+        self.A = np.array(a, dtype=dtype)
         big = max(
             2 * maxM * maxB + 1,
             maxM * maxA + 2 * maxB,
             2 * self.SW * self.SL * max(2 * maxM, 2 * self.SL),
         )
-        self.int_ok = big < _INT_LIMIT
+        self.int_ok = fits and big < _INT_LIMIT
 
     def __len__(self) -> int:
         return self.n_aff + self.n_vert
@@ -780,19 +780,20 @@ def solve_weighted_graph(g: Graph, k: int, search: str = "explicit") -> Solution
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     dm = all_pairs_distances(g)
     tester = FeasibilityTester(g, dm)
-    memo: dict[Fraction, bool] = {}
+    memo: dict[Fraction, FeasibilityResult] = {}
 
     def oracle(lam: Fraction) -> bool:
         if lam not in memo:
-            memo[lam] = tester.feasible(k, lam).feasible
-        return memo[lam]
+            memo[lam] = tester.feasible(k, lam)
+        return memo[lam].feasible
 
     ls = candidate_lines(g, dm)
     ans = lowest_feasible_vertex(ls, oracle, strategy=search)
     lam = ans.v1[1]
-    res = tester.feasible(k, lam)
-    if not res.feasible or res.witness is None:
-        raise InternalError(f"search returned infeasible radius {lam}")
+    # every search probes the ordinate it returns
+    res = memo.get(lam)
+    if res is None or not res.feasible or res.witness is None:
+        raise InternalError(f"search returned unprobed or infeasible radius {lam}")
     x, covered = res.witness
     subtree = trim_witness(g, dm, x, covered, k)
     return Solution(lam, x, subtree)

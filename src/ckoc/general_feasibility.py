@@ -120,12 +120,6 @@ def build_predecessor_structure(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> P
     return PredecessorStructure(root, pred)
 
 
-def remove_set_and_descendants(ps: PredecessorStructure, S) -> tuple[frozenset[int], frozenset[int]]:
-    """Public removal op: returns (descendants of S, residual vertex set)."""
-    _, desc = ps.remove(S)
-    return frozenset(desc), frozenset(v for v in ps.alive if v != DUMMY)
-
-
 def covered_subtree(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -> frozenset[int]:
     """All vertices covered from x at radius lam, after heavy-cut removal."""
     if x.edge < 0:
@@ -404,11 +398,9 @@ class FeasibilityTester:
 
 
 def _tester(g: Graph, dm: DistanceMatrix) -> FeasibilityTester:
-    t = g.__dict__.get("_feas_tester")
-    if t is None or t.dm is not dm:
-        t = FeasibilityTester(g, dm)
-        g.__dict__["_feas_tester"] = t
-    return t
+    if dm.tester is None:
+        dm.tester = FeasibilityTester(g, dm)
+    return dm.tester
 
 
 def coverage_profile(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) -> CoverageProfile:

@@ -17,7 +17,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .general_feasibility import FeasibilityTester
 
 ZERO = Fraction(0)
 
@@ -109,9 +112,6 @@ class Graph:
         self.weight_scale: int = math.lcm(*(w.denominator for w in self.weights[1:]))
         self.weights_int: list[int] = [0] + [int(w * self.weight_scale) for w in self.weights[1:]]
 
-        self._avoid_cache: dict[tuple[int, int | None], list[int | None]] = {}
-        self._profile_cache: dict[int, list] = {}
-
     def _reach(self, start: int) -> set[int]:
         seen = {start}
         stack = [start]
@@ -189,22 +189,17 @@ def dijkstra_scaled(g: Graph, source: int, banned: int | None = None) -> list[in
     return dist
 
 
-def distances_avoiding(g: Graph, source: int, banned: int) -> list[int | None]:
-    key = (source, banned)
-    hit = g._avoid_cache.get(key)
-    if hit is None:
-        hit = g._avoid_cache[key] = dijkstra_scaled(g, source, banned)
-    return hit
-
-
 class DistanceMatrix:
-    """All-pairs shortest distances, stored as scaled integers."""
+    """All-pairs shortest distances, stored as scaled integers, plus the
+    per-instance data derived from them: the edge profiles edge_profile
+    builds and the feasibility tester of general_feasibility."""
 
-    def __init__(self, g: Graph, rows: list[list[int]], scale: int):
-        self._g = g
+    def __init__(self, rows: list[list[int]], scale: int):
         self.scale = scale
         self.rows = rows  # rows[u][v] for u,v in 1..n; row/col 0 unused
         self._frac: list[list[Fraction]] | None = None
+        self.profiles: dict[int, list[EdgeDistanceFn | None]] = {}
+        self.tester: FeasibilityTester | None = None
 
     def d(self, u: int, v: int) -> Fraction:
         if self._frac is None:
@@ -221,7 +216,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     for s in range(1, g.n + 1):
         dist = dijkstra_scaled(g, s)
         rows.append([x if x is not None else 0 for x in dist])
-    return DistanceMatrix(g, rows, g.length_scale)
+    return DistanceMatrix(rows, g.length_scale)
 
 
 @dataclass(frozen=True, order=True)
@@ -305,8 +300,9 @@ class EdgeDistanceFn:
 
 
 def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[EdgeDistanceFn | None]:
-    """EdgeDistanceFn for every vertex on one edge, indexed by vertex id."""
-    cached = g._profile_cache.get(edge)
+    """EdgeDistanceFn for every vertex on one edge, indexed by vertex id;
+    built once per edge and kept in dm.profiles."""
+    cached = dm.profiles.get(edge)
     if cached is not None:
         return cached
     e = g.edges[edge]
@@ -315,8 +311,8 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[EdgeDistanceFn
     l_int = g.lengths_int[edge]
     # shortest distances from each endpoint with the other endpoint deleted;
     # equality with the true distance means the far endpoint is avoidable
-    off_s = distances_avoiding(g, r, s)
-    off_r = distances_avoiding(g, s, r)
+    off_s = dijkstra_scaled(g, r, s)
+    off_r = dijkstra_scaled(g, s, r)
     out: list[EdgeDistanceFn | None] = [None] * (g.n + 1)
     for v in range(1, g.n + 1):
         dr_i = dm.d_int(v, r)
@@ -339,38 +335,8 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[EdgeDistanceFn
             case = PEAK
             semi = Fraction(ds_i - dr_i + l_int, 2 * scale)
         out[v] = EdgeDistanceFn(v, edge, case, dr, ds, g.weights[v], l, semi)
-    g._profile_cache[edge] = out
+    dm.profiles[edge] = out
     return out
-
-
-def edge_distance_fn(g: Graph, dm: DistanceMatrix, v: int, edge: int) -> EdgeDistanceFn:
-    fn = edge_profile(g, dm, edge)[v]
-    assert fn is not None
-    return fn
-
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Split of V by which side of an edge point each vertex is nearer to."""
-
-    neutral: frozenset[int]
-    by_r: frozenset[int]
-    by_s: frozenset[int]
-
-
-def classify_at_point(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> VertexPartition:
-    e = g.edges[x.edge]
-    neutral, by_r, by_s = [], [], []
-    for v in range(1, g.n + 1):
-        via_r = dm.d(e.u, v) + x.t
-        via_s = dm.d(e.v, v) + e.length - x.t
-        if via_r == via_s:
-            neutral.append(v)
-        elif via_r < via_s:
-            by_r.append(v)
-        else:
-            by_s.append(v)
-    return VertexPartition(frozenset(neutral), frozenset(by_r), frozenset(by_s))
 
 
 @dataclass(frozen=True)

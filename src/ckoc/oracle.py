@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph_core import (
     ZERO,
@@ -178,17 +178,6 @@ def brute_kth_level(chains: Iterable, k: int, x: Fraction) -> Fraction:
     if not 1 <= k <= len(vals):
         raise ValueError(f"k={k} out of range for {len(vals)} chains")
     return vals[k - 1]
-
-
-def weighted_diameter(g: Graph, dm: DistanceMatrix, vs: Sequence[int]) -> Fraction:
-    """max over pairs of w_u * w_v * d(u,v) / (w_u + w_v); zero for singletons."""
-    best = ZERO
-    for u, v in itertools.combinations(vs, 2):
-        wu, wv = g.weights[u], g.weights[v]
-        val = wu * wv * dm.d(u, v) / (wu + wv)
-        if val > best:
-            best = val
-    return best
 
 
 def brute_min_diameter_ksubtree(

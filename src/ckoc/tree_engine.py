@@ -6,7 +6,8 @@ vertices (a heavy vertex blocks everything behind it).  This module answers
 covered-subtree counting, reporting, and at-least-k queries for arbitrary
 points of a tree in polylogarithmic time after an O(n log n) build:
 
-- an exact rational distance oracle with O(1) vertex-pair queries,
+- exact rational distances on the rooted tree, O(1) per vertex pair via
+  an Euler tour with a sparse table,
 - a binary transformation replacing high-degree vertices by zero-length
   chains of equal-weight copies,
 - a spine decomposition of the binary tree, with a weight-balanced search
@@ -125,51 +126,29 @@ class _RootedDistances:
 
 
 def _rooted_arrays(g: Graph, root: int):
-    """Parent arrays of the tree rooted at root, children in id order."""
+    """The tree rooted at root by breadth-first search: per vertex its
+    parent, parent-edge length and parent-edge id, and children in id
+    order.  The root has parent 0 and edge id -1."""
     n = g.n
     parent = [0] * (n + 1)
     plen: list[Fraction] = [ZERO] * (n + 1)
+    eid = [-1] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]
     seen = [False] * (n + 1)
     seen[root] = True
     queue = [root]
     for v in queue:
-        nbrs = sorted((u, ev) for u, ev in g.adj[v])
-        for u, ev in nbrs:
+        for u, ev in sorted(g.adj[v], key=lambda p: p[0]):
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
                 plen[u] = ev.length
+                eid[u] = ev.id
                 children[v].append(u)
                 queue.append(u)
     if not all(seen[1:]):
-        raise InstanceError("tree distance oracle requires a connected tree")
-    return parent, plen, children
-
-
-class TreeDistanceOracle:
-    """O(1) exact vertex-pair distances on a tree after O(n log n) build."""
-
-    def __init__(self, g: Graph, root: int = 1):
-        if not g.is_tree:
-            raise InstanceError("distance oracle requires a tree")
-        parent, plen, children = _rooted_arrays(g, root)
-        self.g = g
-        self.root = root
-        self._rd = _RootedDistances(g.n, root, parent, plen, children)
-
-    def d(self, u: int, v: int) -> Fraction:
-        return self._rd.d(u, v)
-
-    def lca(self, u: int, v: int) -> int:
-        return self._rd.lca(u, v)
-
-    def depth(self, v: int) -> Fraction:
-        return self._rd.dd[v]
-
-
-def build_distance_oracle(g: Graph, root: int = 1) -> TreeDistanceOracle:
-    return TreeDistanceOracle(g, root)
+        raise InstanceError("rooted tree arrays require a connected tree")
+    return parent, plen, eid, children
 
 
 # ---------------------------------------------------------------- binarize
@@ -212,13 +191,7 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
     if not g.is_tree:
         raise InstanceError("binarization requires a tree")
     n = g.n
-    parent0, _, _ = _rooted_arrays(g, root)
-    # child lists with originating edges, in child-id order
-    kids: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n + 1)]
-    for v in g.vertices():
-        for u, ev in sorted(g.adj[v], key=lambda p: p[0]):
-            if parent0[u] == v:
-                kids[v].append((u, ev.id, ev.length))
+    _, plen0, eid0, children0 = _rooted_arrays(g, root)
     parent = [0] * (n + 1)
     plen: list[Fraction] = [ZERO] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]
@@ -247,20 +220,19 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
             edge_child[eid] = c
 
     for v in g.vertices():
-        ks = kids[v]
-        t = len(ks)
-        if t <= 2:
-            for c, eid, length in ks:
-                attach(v, c, length, eid)
+        ks = children0[v]
+        if len(ks) <= 2:
+            for c in ks:
+                attach(v, c, plen0[c], eid0[c])
             continue
-        attach(v, ks[0][0], ks[0][2], ks[0][1])
+        attach(v, ks[0], plen0[ks[0]], eid0[ks[0]])
         chain = v
-        for c, eid, length in ks[1:-1]:
+        for c in ks[1:-1]:
             a = new_aux(v)
             attach(chain, a, ZERO, None)
-            attach(a, c, length, eid)
+            attach(a, c, plen0[c], eid0[c])
             chain = a
-        attach(chain, ks[-1][0], ks[-1][2], ks[-1][1])
+        attach(chain, ks[-1], plen0[ks[-1]], eid0[ks[-1]])
 
     rd = _RootedDistances(nxt, root, parent, plen, children)
     return BinaryTransform(

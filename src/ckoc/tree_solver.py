@@ -18,9 +18,7 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -58,14 +56,8 @@ class _TreeContext:
         if not g.is_tree:
             raise InstanceError("tree solver requires a tree instance")
         self.g = g
-        parent, plen, children = _rooted_arrays(g, 1)
+        parent, plen, self.eid, children = _rooted_arrays(g, 1)
         self.rd = _RootedDistances(g.n, 1, parent, plen, children)
-        eid = [-1] * (g.n + 1)
-        for v in g.vertices():
-            for u, ev in g.adj[v]:
-                if parent[u] == v:
-                    eid[u] = ev.id
-        self.eid = eid
         up = [parent[:]]
         for _ in range(max(0, g.n.bit_length() - 1)):
             prev = up[-1]
@@ -106,28 +98,6 @@ class _TreeContext:
         return min(x.t + self.rd.d(e.u, u), e.length - x.t + self.rd.d(e.v, u))
 
 
-@dataclass(frozen=True)
-class CriticalPointSet:
-    """One test point per vertex; entry 0 of points is None."""
-
-    lam: Fraction
-    points: tuple
-
-    def __len__(self) -> int:
-        return len(self.points) - 1
-
-
-def critical_points(g: Graph, lam: Fraction) -> CriticalPointSet:
-    if lam < 0:
-        raise ValueError("radius must be nonnegative")
-    return _critical_points(_TreeContext(g), lam)
-
-
-def _critical_points(ctx: _TreeContext, lam: Fraction) -> CriticalPointSet:
-    pts = [None] + [ctx.point(v, lam) for v in ctx.g.vertices()]
-    return CriticalPointSet(lam, tuple(pts))
-
-
 # ---------------------------------------------------------------- feasibility
 
 
@@ -166,137 +136,18 @@ def is_feasible_tree(g: Graph, k: int, lam: Fraction, _ctx=None) -> FeasibilityR
 # ---------------------------------------------------------------- weighted
 
 
-def _centroid_lines(g: Graph) -> LineSet:
-    """Distance lines of every recursive centroid: vertex v in a component
-    with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so the
-    optimal radius of any binding pair appears as an intersection
-    ordinate."""
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n + 1)]
-    for e in g.edges:
-        adj[e.u].append((e.v, e.length))
-        adj[e.v].append((e.u, e.length))
-    alive = [True] * (g.n + 1)
-    aff: dict[tuple[Fraction, Fraction], tuple] = {}
-    stack = [1]
-    while stack:
-        seed = stack.pop()
-        if not alive[seed]:
-            continue
-        comp = [seed]
-        par = {seed: 0}
-        for v in comp:
-            for u, _l in adj[v]:
-                if alive[u] and u not in par:
-                    par[u] = v
-                    comp.append(u)
-        size = dict.fromkeys(comp, 1)
-        heavy = dict.fromkeys(comp, 0)
-        for v in reversed(comp):
-            p = par[v]
-            if p:
-                size[p] += size[v]
-                heavy[p] = max(heavy[p], size[v])
-        total = len(comp)
-        c = min(comp, key=lambda v: (max(heavy[v], total - size[v]), v))
-        dist = {c: ZERO}
-        bfs = [c]
-        for v in bfs:
-            for u, l in adj[v]:
-                if alive[u] and u not in dist:
-                    dist[u] = dist[v] + l
-                    bfs.append(u)
-        for v in bfs:
-            w = g.weights[v]
-            aff.setdefault((w, w * dist[v]), ("rising", v, c))
-            aff.setdefault((-w, w * dist[v]), ("falling", v, c))
-        alive[c] = False
-        for u, _l in adj[c]:
-            if alive[u]:
-                stack.append(u)
-    lines = [Line(m, b, org) for (m, b), org in aff.items()]
-    return LineSet(lines, [], g.weight_scale, g.length_scale)
+def _centroids(n: int, adj):
+    """Recursive centroid decomposition of a tree given as adjacency lists
+    of (neighbor, length), starting from the component of vertex 1.
 
-
-def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
-    """Optimal radius, center point and k-vertex witness block for a
-    weighted tree."""
-    if not g.is_tree:
-        raise InstanceError("weighted tree solver requires a tree")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range for n={g.n}")
-    if k == 1 or g.n == 1:
-        return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
-    ctx = _TreeContext(g)
-    memo: dict[Fraction, bool] = {}
-
-    def accept(lam: Fraction) -> bool:
-        if lam not in memo:
-            memo[lam] = lam >= 0 and _feasible_scan(ctx, k, lam) is not None
-        return memo[lam]
-
-    ls = _centroid_lines(g)
-    ans = lowest_feasible_vertex(ls, accept, strategy=search)
-    lam = ans.v1[1]
-    res = is_feasible_tree(g, k, lam, _ctx=ctx)
-    if not res.feasible or res.witness is None:
-        raise InternalError("lowest candidate radius is not feasible")
-    x, block = res.witness
-    return Solution(lam, x, block)
-
-
-# ---------------------------------------------------------------- unweighted
-
-
-def _int_arrays(g: Graph, sc2: int):
-    """Rooted tree in integer units of 1/sc2: parents, edge ids, depths,
-    children in id order, and entry/exit times."""
-    n = g.n
-    parent = [0] * (n + 1)
-    eid = [-1] * (n + 1)
-    depth = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    order = [1]
-    seen = [False] * (n + 1)
-    seen[1] = True
-    for v in order:
-        for u, ev in sorted(g.adj[v], key=lambda p: p[0]):
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                eid[u] = ev.id
-                depth[u] = depth[v] + int(ev.length * sc2)
-                children[v].append(u)
-                order.append(u)
-    tin = [0] * (n + 1)
-    tout = [0] * (n + 1)
-    timer = 0
-    stack = [(1, 0)]
-    tin[1] = timer
-    timer += 1
-    while stack:
-        v, ci = stack[-1]
-        if ci < len(children[v]):
-            stack[-1] = (v, ci + 1)
-            c = children[v][ci]
-            tin[c] = timer
-            timer += 1
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            tout[v] = timer
-    return parent, eid, depth, children, tin, tout
-
-
-def _centroid_pack(n: int, adj, stride: int):
-    """Recursive centroid decomposition flattened for vectorized ball
-    counts: per-vertex chains (centroid, distance, branch id) plus packed
-    sorted distance arrays per centroid and per branch."""
+    Yields (c, bfs, dist, br) per centroid c: the vertices of c's component
+    in BFS order from c, and vertex-indexed arrays with each one's distance
+    from c and branch id (the subtree of c it lies in, numbered from 1
+    across the whole decomposition; 0 for c itself).  dist and br are
+    scratch arrays, overwritten on the next step.  A component's centroid
+    minimizes its largest remaining part, ties to the smaller id.
+    """
     alive = bytearray([1]) * (n + 1)
-    chains: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    fc: list[int] = []
-    fd: list[int] = []
-    bb: list[int] = []
-    bd: list[int] = []
     par_t = [0] * (n + 1)
     size_t = [0] * (n + 1)
     heavy_t = [0] * (n + 1)
@@ -353,6 +204,97 @@ def _centroid_pack(n: int, adj, stride: int):
                     else:
                         br_t[u] = br_t[v]
                     bfs.append(u)
+        yield c, bfs, dist_t, br_t
+        alive[c] = 0
+        for u, _l in adj[c]:
+            if alive[u]:
+                stack.append(u)
+
+
+def _centroid_lines(g: Graph) -> LineSet:
+    """Distance lines of every recursive centroid: vertex v in a component
+    with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so the
+    optimal radius of any binding pair appears as an intersection
+    ordinate."""
+    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n + 1)]
+    for e in g.edges:
+        adj[e.u].append((e.v, e.length))
+        adj[e.v].append((e.u, e.length))
+    aff: dict[tuple[Fraction, Fraction], tuple] = {}
+    for c, bfs, dist, _br in _centroids(g.n, adj):
+        for v in bfs:
+            w = g.weights[v]
+            aff.setdefault((w, w * dist[v]), ("rising", v, c))
+            aff.setdefault((-w, w * dist[v]), ("falling", v, c))
+    lines = [Line(m, b, org) for (m, b), org in aff.items()]
+    return LineSet(lines, [], g.weight_scale, g.length_scale)
+
+
+def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
+    """Optimal radius, center point and k-vertex witness block for a
+    weighted tree."""
+    if not g.is_tree:
+        raise InstanceError("weighted tree solver requires a tree")
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k={k} out of range for n={g.n}")
+    if k == 1 or g.n == 1:
+        return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
+    ctx = _TreeContext(g)
+    memo: dict[Fraction, bool] = {}
+
+    def accept(lam: Fraction) -> bool:
+        if lam not in memo:
+            memo[lam] = lam >= 0 and _feasible_scan(ctx, k, lam) is not None
+        return memo[lam]
+
+    ls = _centroid_lines(g)
+    ans = lowest_feasible_vertex(ls, accept, strategy=search)
+    lam = ans.v1[1]
+    res = is_feasible_tree(g, k, lam, _ctx=ctx)
+    if not res.feasible or res.witness is None:
+        raise InternalError("lowest candidate radius is not feasible")
+    x, block = res.witness
+    return Solution(lam, x, block)
+
+
+# ---------------------------------------------------------------- unweighted
+
+
+def _dfs_depths(g: Graph, children: list[list[int]], eid: list[int]):
+    """Depths in integer units of 1/(2 * g.length_scale) and DFS entry/exit
+    times of the tree rooted at 1, children visited in list order."""
+    n = g.n
+    li = g.lengths_int
+    depth = [0] * (n + 1)
+    tin = [0] * (n + 1)
+    tout = [0] * (n + 1)
+    timer = 1
+    stack = [(1, 0)]
+    while stack:
+        v, ci = stack[-1]
+        if ci < len(children[v]):
+            stack[-1] = (v, ci + 1)
+            c = children[v][ci]
+            depth[c] = depth[v] + 2 * li[eid[c]]
+            tin[c] = timer
+            timer += 1
+            stack.append((c, 0))
+        else:
+            stack.pop()
+            tout[v] = timer
+    return depth, tin, tout
+
+
+def _centroid_pack(n: int, adj, stride: int):
+    """Recursive centroid decomposition flattened for vectorized ball
+    counts: per-vertex chains (centroid, distance, branch id) plus packed
+    sorted distance arrays per centroid and per branch."""
+    chains: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    fc: list[int] = []
+    fd: list[int] = []
+    bb: list[int] = []
+    bd: list[int] = []
+    for c, bfs, dist_t, br_t in _centroids(n, adj):
         for v in bfs:
             chains[v].append((c, dist_t[v], br_t[v]))
             fc.append(c)
@@ -360,10 +302,6 @@ def _centroid_pack(n: int, adj, stride: int):
             if br_t[v]:
                 bb.append(br_t[v])
                 bd.append(dist_t[v])
-        alive[c] = 0
-        for u, _l in adj[c]:
-            if alive[u]:
-                stack.append(u)
     ch_off = np.zeros(n + 1, dtype=np.int64)
     ch_len = np.zeros(n + 1, dtype=np.int64)
     flat_c: list[int] = []
@@ -383,6 +321,7 @@ def _centroid_pack(n: int, adj, stride: int):
     full_start[1:] = np.cumsum(np.bincount(fcn, minlength=n + 1))
     bbn = np.asarray(bb, dtype=np.int64)
     bdn = np.asarray(bd, dtype=np.int64)
+    nbid = int(bbn.max()) + 1 if bbn.size else 1
     brs = np.sort(bbn * stride + bdn)
     br_start = np.zeros(nbid + 1, dtype=np.int64)
     br_start[1:] = np.cumsum(np.bincount(bbn, minlength=nbid))
@@ -396,7 +335,6 @@ def _centroid_pack(n: int, adj, stride: int):
         full_start,
         brs,
         br_start,
-        nbid,
     )
 
 
@@ -427,7 +365,8 @@ class _UnweightedEngine:
         self.g = g
         self.n = n
         self.sc2 = 2 * g.length_scale
-        parent, eid, depth, children, tin, tout = _int_arrays(g, self.sc2)
+        parent, _, eid, children = _rooted_arrays(g, 1)
+        depth, tin, tout = _dfs_depths(g, children, eid)
         self.parent = parent
         self.eid = eid
         self.depth = depth
@@ -443,7 +382,7 @@ class _UnweightedEngine:
             raise _ScaleOverflow
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         for e in g.edges:
-            l = int(e.length * self.sc2)
+            l = 2 * g.lengths_int[e.id]
             adj[e.u].append((e.v, l))
             adj[e.v].append((e.u, l))
         self.adj = adj
@@ -457,7 +396,6 @@ class _UnweightedEngine:
             self.full_start,
             self.brs,
             self.br_start,
-            self.nbid,
         ) = _centroid_pack(n, adj, self.stride)
         self.depth_np = np.asarray(depth, dtype=np.int64)
         self.tin_np = np.asarray(tin, dtype=np.int64)
@@ -602,172 +540,3 @@ def solve_unweighted_tree(g: Graph, k: int) -> Solution:
     lam = Fraction(radius, eng.sc2)
     subtree = frozenset(int(i) + 1 for i in chosen)
     return Solution(lam, center, subtree)
-
-
-# ---------------------------------------------------------------- subsets
-
-
-class _ShiftedView:
-    """Sorted array plus a constant offset, O(1)-indexable."""
-
-    __slots__ = ("base", "offset")
-
-    def __init__(self, base, offset):
-        self.base = base
-        self.offset = offset
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, i):
-        return self.base[i] + self.offset
-
-
-@dataclass
-class SortedDistanceSubsets:
-    """Per-centroid sorted distance arrays over the degree-bounded copy of
-    the tree; every vertex reads its distances to all other original
-    vertices as O(log n) implicit shifted views."""
-
-    n: int
-    marked: tuple
-    branch_arrays: list[tuple]
-    cent_branches: dict[int, list[int]]
-    chains: list[list[tuple[int, Fraction, int]]]
-
-    def views(self, v: int) -> list:
-        out: list = []
-        for c, dvc, b in self.chains[v]:
-            if c != v and self.marked[c]:
-                out.append((dvc,))
-            for b2 in self.cent_branches[c]:
-                if b2 != b and self.branch_arrays[b2]:
-                    out.append(_ShiftedView(self.branch_arrays[b2], dvc))
-        return out
-
-    def n_v(self, v: int) -> int:
-        return len(self.views(v))
-
-
-def build_distance_subsets(g: Graph) -> SortedDistanceSubsets:
-    if not g.is_tree:
-        raise InstanceError("distance subsets require a tree")
-    bt = binarize(g)
-    m = bt.n_all
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(m + 1)]
-    for v in range(1, m + 1):
-        p = bt.parent[v]
-        if p:
-            adj[p].append((v, bt.plen[v]))
-            adj[v].append((p, bt.plen[v]))
-    alive = [True] * (m + 1)
-    chains: list[list[tuple[int, Fraction, int]]] = [[] for _ in range(m + 1)]
-    branch_arrays: list[tuple] = [()]
-    cent_branches: dict[int, list[int]] = {}
-    stack = [bt.root]
-    while stack:
-        seed = stack.pop()
-        if not alive[seed]:
-            continue
-        comp = [seed]
-        par = {seed: 0}
-        for v in comp:
-            for u, _l in adj[v]:
-                if alive[u] and u not in par:
-                    par[u] = v
-                    comp.append(u)
-        size = dict.fromkeys(comp, 1)
-        heavy = dict.fromkeys(comp, 0)
-        for v in reversed(comp):
-            p = par[v]
-            if p:
-                size[p] += size[v]
-                heavy[p] = max(heavy[p], size[v])
-        total = len(comp)
-        c = min(comp, key=lambda v: (max(heavy[v], total - size[v]), v))
-        dist: dict[int, Fraction] = {c: ZERO}
-        branch = {c: 0}
-        bfs = [c]
-        members: dict[int, list[Fraction]] = {}
-        for v in bfs:
-            for u, l in adj[v]:
-                if alive[u] and u not in dist:
-                    dist[u] = dist[v] + l
-                    if v == c:
-                        branch_arrays.append(())
-                        branch[u] = len(branch_arrays) - 1
-                        members[branch[u]] = []
-                    else:
-                        branch[u] = branch[v]
-                    bfs.append(u)
-        for v in bfs:
-            chains[v].append((c, dist[v], branch[v]))
-            if branch[v] and bt.marked[v]:
-                members[branch[v]].append(dist[v])
-        for b, vals in members.items():
-            branch_arrays[b] = tuple(sorted(vals))
-        cent_branches[c] = sorted(members)
-        alive[c] = False
-        for u, _l in adj[c]:
-            if alive[u]:
-                stack.append(u)
-    return SortedDistanceSubsets(
-        g.n, tuple(bt.marked), branch_arrays, cent_branches, chains
-    )
-
-
-def _view_bisect(a, x, lo: int, hi: int, left: bool) -> int:
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = a[mid]
-        if v < x or (not left and v == x):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def kth_smallest_sorted_arrays(views: Sequence, k: int):
-    """k-th smallest element of the multiset union of sorted
-    O(1)-indexable arrays, by rank-counting value search."""
-    total = sum(len(a) for a in views)
-    if not 1 <= k <= total:
-        raise ValueError(f"k={k} outside 1..{total}")
-    lo = [0] * len(views)
-    hi = [len(a) for a in views]
-    kk = k
-    while True:
-        active = sum(h - l for l, h in zip(lo, hi))
-        if active <= 64:
-            rest = sorted(
-                a[i] for a, l, h in zip(views, lo, hi) for i in range(l, h)
-            )
-            return rest[kk - 1]
-        mids = sorted(
-            (a[(l + h) // 2], h - l)
-            for a, l, h in zip(views, lo, hi)
-            if h > l
-        )
-        acc = 0
-        pivot = mids[-1][0]
-        for val, wt in mids:
-            acc += wt
-            if 2 * acc >= active:
-                pivot = val
-                break
-        pos_l = [_view_bisect(a, pivot, l, h, True) for a, l, h in zip(views, lo, hi)]
-        pos_r = [_view_bisect(a, pivot, l, h, False) for a, l, h in zip(views, lo, hi)]
-        cnt_lt = sum(pl - l for pl, l in zip(pos_l, lo))
-        cnt_le = sum(pr - l for pr, l in zip(pos_r, lo))
-        if kk <= cnt_lt:
-            hi = pos_l
-        elif kk <= cnt_le:
-            return pivot
-        else:
-            kk -= cnt_le
-            lo = pos_r
-
-
-def kth_distance_from(sds: SortedDistanceSubsets, v: int, k: int):
-    """k-th smallest distance from v to the other vertices."""
-    return kth_smallest_sorted_arrays(sds.views(v), k)

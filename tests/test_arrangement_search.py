@@ -368,3 +368,29 @@ def test_solve_counting_strategy(path5, wedge2):
     assert solve_weighted_graph(path5, 4, search="counting").lambda_star == F(3, 2)
     assert solve_weighted_graph(wedge2, 2, search="counting").lambda_star == F(4)
     assert solve_weighted_graph(path5, 3, search="auto").lambda_star == F(1)
+
+
+# lengths 8/p for primes p near 10**6: the scaled intercepts exceed int64
+_BIG_PATH = (
+    "p ckoc 6 5 3 0\ne 1 2 8/999983\ne 2 3 8/1000003\ne 3 4 8/1000033\n"
+    "e 4 5 8/1000037\ne 5 6 8/999983\n"
+)
+_BIG_CYCLE = (
+    "p ckoc 6 6 3 1\nv 1 1\nv 2 2\nv 3 3\nv 4 1\nv 5 1\nv 6 1\n"
+    "e 1 2 8/999983\ne 2 3 8/1000003\ne 3 4 8/1000033\ne 4 5 8/1000037\n"
+    "e 5 6 8/999983\ne 6 1 8/1000037\n"
+)
+
+
+@pytest.mark.parametrize("text", [_BIG_PATH, _BIG_CYCLE], ids=["path", "cycle"])
+def test_coefficients_beyond_int64_take_the_exact_path(text):
+    from ckoc import cli
+    from ckoc.graph_core import parse_instance
+
+    g, _ = parse_instance(text)
+    ls = candidate_lines(g, all_pairs_distances(g))
+    assert not ls.int_ok and ls.maxB >= arrangement_search._INT_LIMIT
+    for k in g.vertices():
+        want = brute_lambda(g, k)
+        for algo in ["auto"] + cli._solvers_for(g):
+            assert cli._dispatch(g, k, cli._pick_algo(g, algo), "auto").lambda_star == want, (algo, k)

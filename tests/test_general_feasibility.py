@@ -10,7 +10,6 @@ from ckoc.general_feasibility import (
     coverage_profile,
     covered_subtree,
     is_feasible_graph,
-    remove_set_and_descendants,
 )
 from ckoc.graph_core import EdgePoint, all_pairs_distances, vertex_point
 from ckoc.oracle import brute_coverage_count, brute_covered_set, candidate_values
@@ -48,42 +47,43 @@ def test_predecessors_interior_dummy(path3):
 def test_remove_cut_vertex(path3):
     dm = all_pairs_distances(path3)
     ps = build_predecessor_structure(path3, dm, vertex_point(path3, 1))
-    desc, residual = remove_set_and_descendants(ps, {2})
-    assert desc == {3}
-    assert residual == {1}
+    removed, desc = ps.remove({2})
+    assert (removed, desc) == ([2, 3], [3])
+    assert set(ps.alive) == {1}
 
 
 def test_remove_survives_alternate_paths(cycle4):
     dm = all_pairs_distances(cycle4)
     ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    desc, residual = remove_set_and_descendants(ps, {2})
-    assert desc == set()
-    assert residual == {1, 3, 4}
+    removed, desc = ps.remove({2})
+    assert (removed, desc) == ([2], [])
+    assert set(ps.alive) == {1, 3, 4}
 
 
 def test_remove_both_predecessors(cycle4):
     dm = all_pairs_distances(cycle4)
     ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    desc, residual = remove_set_and_descendants(ps, {2, 4})
-    assert desc == {3}
-    assert residual == {1}
+    removed, desc = ps.remove({2, 4})
+    assert desc == [3] and set(removed) == {2, 3, 4}
+    assert set(ps.alive) == {1}
 
 
 def test_remove_identity_and_total(cycle4):
     dm = all_pairs_distances(cycle4)
     ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    desc, residual = remove_set_and_descendants(ps, set())
-    assert desc == set() and residual == {1, 2, 3, 4}
-    desc, residual = remove_set_and_descendants(ps, {1, 2, 3, 4})
-    assert desc == set() and residual == set()
+    assert ps.remove(set()) == ([], [])
+    assert set(ps.alive) == {1, 2, 3, 4}
+    removed, desc = ps.remove({1, 2, 3, 4})
+    assert desc == [] and set(removed) == {1, 2, 3, 4}
+    assert not ps.alive
 
 
 def test_remove_root_takes_everything(path3):
     dm = all_pairs_distances(path3)
     ps = build_predecessor_structure(path3, dm, vertex_point(path3, 1))
-    desc, residual = remove_set_and_descendants(ps, {1})
-    assert desc == {2, 3}
-    assert residual == set()
+    removed, desc = ps.remove({1})
+    assert (removed, desc) == ([1, 2, 3], [2, 3])
+    assert not ps.alive
 
 
 def test_profile_path3_small_radius(path3):

@@ -1,9 +1,12 @@
+import copy
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, random_tree
+from ckoc import cli
+from ckoc.general_feasibility import coverage_profile, is_feasible_graph
 from ckoc.graph_core import (
     DECREASING,
     INCREASING,
@@ -13,8 +16,6 @@ from ckoc.graph_core import (
     InstanceError,
     all_pairs_distances,
     canonical_point,
-    classify_at_point,
-    edge_distance_fn,
     edge_profile,
     emit_instance,
     parse_instance,
@@ -121,16 +122,16 @@ def test_distances_certificate_random():
 
 def test_edge_distance_fn_cases(path3, triangle, cycle4):
     dt = all_pairs_distances(triangle)
-    fn = edge_distance_fn(triangle, dt, 3, 0)  # apex vertex vs opposite edge
+    fn = edge_profile(triangle, dt, 0)[3]  # apex vertex vs opposite edge
     assert fn.case == PEAK and fn.semicircular_t == F(1, 2)
 
     dp = all_pairs_distances(path3)
-    fn = edge_distance_fn(path3, dp, 1, 1)  # vertex 1 against edge (2,3)
+    fn = edge_profile(path3, dp, 1)[1]  # vertex 1 against edge (2,3)
     assert fn.case == INCREASING
     assert fn.value_at(F(0)) == 1 and fn.value_at(F(1)) == 2
 
     dc = all_pairs_distances(cycle4)
-    fn = edge_distance_fn(cycle4, dc, 3, 0)  # vertex 3 against edge (1,2)
+    fn = edge_profile(cycle4, dc, 0)[3]  # vertex 3 against edge (1,2)
     assert fn.case == DECREASING
     assert fn.semicircular_t == 0  # two distance-2 paths meet at vertex 1
 
@@ -148,44 +149,6 @@ def test_edge_distance_fn_endpoint_values_random():
                 if fn.case == PEAK:
                     t = fn.semicircular_t
                     assert fn.d_r + t == fn.d_s + fn.length - t
-
-
-def test_classify_fixtures(path3, triangle, cycle4):
-    dt = all_pairs_distances(triangle)
-    p = classify_at_point(triangle, dt, EdgePoint(0, F(1, 2)))
-    assert (set(p.neutral), set(p.by_r), set(p.by_s)) == ({3}, {1}, {2})
-
-    dp = all_pairs_distances(path3)
-    p = classify_at_point(path3, dp, EdgePoint(0, F(1, 2)))
-    assert (set(p.neutral), set(p.by_r), set(p.by_s)) == (set(), {1}, {2, 3})
-
-    # at vertex 1 of the 4-cycle the opposite vertex is neutral (two equal
-    # paths); the far endpoint of the carrying edge is degenerately neutral too
-    dc = all_pairs_distances(cycle4)
-    p = classify_at_point(cycle4, dc, EdgePoint(0, F(0)))
-    assert 3 in p.neutral
-    assert (set(p.neutral), set(p.by_r), set(p.by_s)) == ({2, 3}, {1, 4}, set())
-
-
-def test_classify_partition_and_monotonicity_random():
-    rng = random.Random(13)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(2, 8), extra=rng.randint(0, 4), weighted=True)
-        dm = all_pairs_distances(g)
-        for e in g.edges:
-            t1 = e.length * F(rng.randint(0, 8), 8)
-            t2 = e.length * F(rng.randint(0, 8), 8)
-            if t1 > t2:
-                t1, t2 = t2, t1
-            p1 = classify_at_point(g, dm, EdgePoint(e.id, t1))
-            p2 = classify_at_point(g, dm, EdgePoint(e.id, t2))
-            for p in (p1, p2):
-                assert p.neutral | p.by_r | p.by_s == set(g.vertices())
-                assert not (p.neutral & p.by_r or p.neutral & p.by_s or p.by_r & p.by_s)
-            if t1 < t2:
-                # moving right only sheds r-side vertices
-                assert p2.neutral | p2.by_r <= p1.by_r
-                assert p1.neutral | p1.by_s <= p2.by_s
 
 
 def test_canonical_point(path3, cycle4):
@@ -207,3 +170,17 @@ def test_point_distance(path3, wedge2):
     dw = all_pairs_distances(wedge2)
     assert point_distance(wedge2, dw, EdgePoint(0, F(2)), 1) == 2
     assert point_distance(wedge2, dw, EdgePoint(0, F(2)), 2) == 4
+
+
+def test_solving_leaves_the_graph_unchanged():
+    # Graph is pure input: per-instance caches live on the DistanceMatrix
+    rng = random.Random(17)
+    for g in (random_tree(rng, 7), random_graph(rng, 7, extra=4, weighted=True)):
+        before = copy.deepcopy(vars(g))
+        for algo in cli._solvers_for(g):
+            for k in (2, 4, 7):
+                cli._dispatch(g, k, algo, "auto")
+        dm = all_pairs_distances(g)
+        assert is_feasible_graph(g, dm, 4, F(3)).feasible
+        coverage_profile(g, dm, 0, F(1))
+        assert vars(g) == before

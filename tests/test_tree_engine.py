@@ -1,4 +1,4 @@
-"""Tree coverage engine: distance oracle, binarization, spine
+"""Tree coverage engine: rooted distances, binarization, spine
 decomposition, coverage arrays, and point queries."""
 
 import random
@@ -17,10 +17,11 @@ from ckoc.graph_core import (
     vertex_point,
 )
 from ckoc.tree_engine import (
+    _RootedDistances,
+    _rooted_arrays,
     _vertex_side,
     binarize,
     build_coverage_arrays,
-    build_distance_oracle,
     query_at_least_k,
     query_count,
     spine_decompose,
@@ -49,11 +50,16 @@ def _root_spine_vertices(st):
     return out
 
 
-# ---------------------------------------------------------------- oracle
+def _rooted(g):
+    parent, plen, _eid, children = _rooted_arrays(g, 1)
+    return _RootedDistances(g.n, 1, parent, plen, children)
+
+
+# ---------------------------------------------------------------- distances
 
 
 def test_distance_oracle_path5(path5):
-    to = build_distance_oracle(path5)
+    to = _rooted(path5)
     assert to.d(1, 5) == F(4)
     assert to.d(2, 4) == F(2)
     for v in path5.vertices():
@@ -65,7 +71,7 @@ def test_distance_oracle_path5(path5):
 
 
 def test_distance_oracle_star(star3):
-    to = build_distance_oracle(star3)
+    to = _rooted(star3)
     assert to.d(2, 3) == F(2)
     assert to.d(1, 4) == F(1)
     assert to.lca(2, 3) == 1
@@ -73,14 +79,14 @@ def test_distance_oracle_star(star3):
 
 def test_distance_oracle_rejects_nontree(triangle):
     with pytest.raises(InstanceError):
-        build_distance_oracle(triangle)
+        binarize(triangle)
 
 
 def test_distance_oracle_random_matches_matrix():
     rng = random.Random(710)
     for _ in range(10):
         g = random_tree(rng, rng.randint(2, 20), weighted=rng.random() < 0.5)
-        to = build_distance_oracle(g)
+        to = _rooted(g)
         dm = all_pairs_distances(g)
         for u in g.vertices():
             for v in g.vertices():

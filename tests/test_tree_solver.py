@@ -15,11 +15,8 @@ from ckoc.graph_core import (
     vertex_point,
 )
 from ckoc.tree_solver import (
-    build_distance_subsets,
-    critical_points,
+    _TreeContext,
     is_feasible_tree,
-    kth_distance_from,
-    kth_smallest_sorted_arrays,
     solve_unweighted_tree,
     solve_weighted_tree,
 )
@@ -31,28 +28,23 @@ from conftest import random_tree
 
 
 def test_critical_points_path3(path3):
-    cps = critical_points(path3, F(1, 2))
-    assert cps.points[1] == EdgePoint(0, F(0))
-    assert cps.points[2] == EdgePoint(0, F(1, 2))
+    ctx = _TreeContext(path3)
+    lam = F(1, 2)
+    assert ctx.point(1, lam) == EdgePoint(0, F(0))
+    assert ctx.point(2, lam) == EdgePoint(0, F(1, 2))
     # half a unit from vertex 3 back toward the root
-    assert cps.points[3] == EdgePoint(1, F(1, 2))
-    assert len(cps) == 3
+    assert ctx.point(3, lam) == EdgePoint(1, F(1, 2))
 
 
 def test_critical_points_wedge(wedge2):
-    cps = critical_points(wedge2, F(4))
-    assert cps.points[1] == vertex_point(wedge2, 1)
-    assert cps.points[2] == EdgePoint(0, F(2))
+    ctx = _TreeContext(wedge2)
+    assert ctx.point(1, F(4)) == vertex_point(wedge2, 1)
+    assert ctx.point(2, F(4)) == EdgePoint(0, F(2))
 
 
 def test_critical_points_saturated(path5):
-    cps = critical_points(path5, F(100))
-    assert set(cps.points[1:]) == {vertex_point(path5, 1)}
-
-
-def test_critical_points_rejects_negative(path3):
-    with pytest.raises(ValueError):
-        critical_points(path3, F(-1))
+    ctx = _TreeContext(path5)
+    assert {ctx.point(v, F(100)) for v in path5.vertices()} == {vertex_point(path5, 1)}
 
 
 def test_critical_points_on_root_path():
@@ -62,9 +54,9 @@ def test_critical_points_on_root_path():
         g = random_tree(rng, n, weighted=bool(trial % 2))
         dm = all_pairs_distances(g)
         lam = F(rng.randint(0, 12), rng.randint(1, 4))
-        cps = critical_points(g, lam)
+        ctx = _TreeContext(g)
         for v in g.vertices():
-            x = cps.points[v]
+            x = ctx.point(v, lam)
             dv = point_distance(g, dm, x, v)
             assert g.weights[v] * dv == min(lam, g.weights[v] * dm.d(1, v))
             # x lies on the path between v and the root
@@ -182,7 +174,8 @@ def test_weighted_witness_valid():
         mx = max(g.weights[u] * point_distance(g, dm, s.center, u) for u in s.subtree)
         assert mx == s.lambda_star
         # the center is one of the radius-lam critical points
-        assert s.center in critical_points(g, s.lambda_star).points[1:]
+        ctx = _TreeContext(g)
+        assert s.center in {ctx.point(v, s.lambda_star) for v in g.vertices()}
 
 
 def test_weighted_counting_strategy_agrees():
@@ -286,83 +279,3 @@ def test_unweighted_determinism(path5):
         again.center,
         again.subtree,
     )
-
-
-# ---------------------------------------------------- selection and subsets
-
-
-def test_kth_smallest_examples():
-    assert kth_smallest_sorted_arrays([[1, 3, 5], [2, 4]], 3) == 3
-    assert kth_smallest_sorted_arrays([[1], [1], [1]], 2) == 1
-    assert kth_smallest_sorted_arrays([[2, 4, 6, 8]], 4) == 8
-
-
-def test_kth_smallest_bounds():
-    with pytest.raises(ValueError):
-        kth_smallest_sorted_arrays([[1, 2]], 0)
-    with pytest.raises(ValueError):
-        kth_smallest_sorted_arrays([[1, 2]], 3)
-
-
-def test_kth_smallest_random():
-    rng = random.Random(91)
-    for _ in range(200):
-        arrs = [
-            sorted(rng.randint(0, 30) for _ in range(rng.randint(0, 9)))
-            for _ in range(rng.randint(1, 7))
-        ]
-        total = sum(len(a) for a in arrs)
-        if not total:
-            continue
-        k = rng.randint(1, total)
-        want = sorted(x for a in arrs for x in a)[k - 1]
-        assert kth_smallest_sorted_arrays(arrs, k) == want
-
-
-def test_kth_smallest_fractions():
-    rng = random.Random(92)
-    arrs = [
-        sorted(F(rng.randint(0, 40), rng.randint(1, 6)) for _ in range(20))
-        for _ in range(5)
-    ]
-    merged = sorted(x for a in arrs for x in a)
-    for k in (1, 13, 50, 100):
-        assert kth_smallest_sorted_arrays(arrs, k) == merged[k - 1]
-
-
-def test_subsets_cover_all_distances():
-    rng = random.Random(93)
-    for trial in range(15):
-        n = rng.randint(1, 12)
-        g = random_tree(rng, n)
-        dm = all_pairs_distances(g)
-        sds = build_distance_subsets(g)
-        for v in g.vertices():
-            got = sorted(a[i] for a in sds.views(v) for i in range(len(a)))
-            want = sorted(dm.d(v, u) for u in g.vertices() if u != v)
-            assert got == want, (trial, v)
-
-
-def test_subsets_views_stay_logarithmic():
-    rng = random.Random(94)
-    edges = [(1, v) for v in range(2, 65)]  # 63-leaf star, the worst fan-out
-    g = Graph.unit(64, edges)
-    sds = build_distance_subsets(g)
-    bound = 3 * (2 * 64).bit_length()
-    for v in g.vertices():
-        assert sds.n_v(v) <= bound
-    g2 = random_tree(rng, 60)
-    sds2 = build_distance_subsets(g2)
-    for v in g2.vertices():
-        assert sds2.n_v(v) <= bound
-
-
-def test_kth_distance_from():
-    rng = random.Random(95)
-    g = random_tree(rng, 11)
-    dm = all_pairs_distances(g)
-    sds = build_distance_subsets(g)
-    for v in g.vertices():
-        row = sorted(dm.d(v, u) for u in g.vertices() if u != v)
-        for k in (1, 5, 10):
-            assert kth_distance_from(sds, v, k) == row[k - 1]
