@@ -221,18 +221,15 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
 
     for v in g.vertices():
         ks = children0[v]
-        if len(ks) <= 2:
-            for c in ks:
-                attach(v, c, plen0[c], eid0[c])
-            continue
-        attach(v, ks[0], plen0[ks[0]], eid0[ks[0]])
+        # beyond two children, every middle child hangs off a new copy of
+        # v, chained below v; the last child hangs off the last copy
         chain = v
-        for c in ks[1:-1]:
-            a = new_aux(v)
-            attach(chain, a, ZERO, None)
-            attach(a, c, plen0[c], eid0[c])
-            chain = a
-        attach(chain, ks[-1], plen0[ks[-1]], eid0[ks[-1]])
+        for i, c in enumerate(ks):
+            if 0 < i < len(ks) - 1:
+                a = new_aux(v)
+                attach(chain, a, ZERO, None)
+                chain = a
+            attach(chain, c, plen0[c], eid0[c])
 
     rd = _RootedDistances(nxt, root, parent, plen, children)
     return BinaryTransform(

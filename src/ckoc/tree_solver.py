@@ -289,38 +289,27 @@ def _centroid_pack(n: int, adj, stride: int):
     """Recursive centroid decomposition flattened for vectorized ball
     counts: per-vertex chains (centroid, distance, branch id) plus packed
     sorted distance arrays per centroid and per branch."""
-    chains: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    fv: list[int] = []
     fc: list[int] = []
     fd: list[int] = []
-    bb: list[int] = []
-    bd: list[int] = []
+    fb: list[int] = []
     for c, bfs, dist_t, br_t in _centroids(n, adj):
-        for v in bfs:
-            chains[v].append((c, dist_t[v], br_t[v]))
-            fc.append(c)
-            fd.append(dist_t[v])
-            if br_t[v]:
-                bb.append(br_t[v])
-                bd.append(dist_t[v])
+        fv.extend(bfs)
+        fc.extend([c] * len(bfs))
+        fd.extend([dist_t[v] for v in bfs])
+        fb.extend([br_t[v] for v in bfs])
+    fvn, fcn, fdn, fbn = (np.asarray(a, dtype=np.int64) for a in (fv, fc, fd, fb))
+    # a vertex's chain lists its centroids from the outermost in
+    ch_len = np.bincount(fvn, minlength=n + 1)
     ch_off = np.zeros(n + 1, dtype=np.int64)
-    ch_len = np.zeros(n + 1, dtype=np.int64)
-    flat_c: list[int] = []
-    flat_d: list[int] = []
-    flat_b: list[int] = []
-    for v in range(1, n + 1):
-        ch_off[v] = len(flat_c)
-        ch_len[v] = len(chains[v])
-        for c, d, b in chains[v]:
-            flat_c.append(c)
-            flat_d.append(d)
-            flat_b.append(b)
-    fcn = np.asarray(fc, dtype=np.int64)
-    fdn = np.asarray(fd, dtype=np.int64)
+    ch_off[1:] = np.cumsum(ch_len)[:-1]
+    by_vertex = np.argsort(fvn, kind="stable")
     fulls = np.sort(fcn * stride + fdn)
     full_start = np.zeros(n + 2, dtype=np.int64)
     full_start[1:] = np.cumsum(np.bincount(fcn, minlength=n + 1))
-    bbn = np.asarray(bb, dtype=np.int64)
-    bdn = np.asarray(bd, dtype=np.int64)
+    in_branch = fbn != 0
+    bbn = fbn[in_branch]
+    bdn = fdn[in_branch]
     nbid = int(bbn.max()) + 1 if bbn.size else 1
     brs = np.sort(bbn * stride + bdn)
     br_start = np.zeros(nbid + 1, dtype=np.int64)
@@ -328,9 +317,9 @@ def _centroid_pack(n: int, adj, stride: int):
     return (
         ch_off,
         ch_len,
-        np.asarray(flat_c, dtype=np.int64),
-        np.asarray(flat_d, dtype=np.int64),
-        np.asarray(flat_b, dtype=np.int64),
+        fcn[by_vertex],
+        fdn[by_vertex],
+        fbn[by_vertex],
         fulls,
         full_start,
         brs,
