@@ -151,6 +151,56 @@ def test_edge_distance_fn_endpoint_values_random():
                     assert fn.d_r + t == fn.d_s + fn.length - t
 
 
+def _sides(g, dm, x):
+    """(neutral, by_r, by_s) at x from the edge profile: a vertex is reached
+    through r while its distance function rises, through s once it falls,
+    and through both at its apex."""
+    out = (set(), set(), set())
+    for v in g.vertices():
+        fn = edge_profile(g, dm, x.edge)[v]
+        apex = {PEAK: fn.semicircular_t, INCREASING: fn.length, DECREASING: F(0)}[fn.case]
+        out[0 if x.t == apex else 1 if x.t < apex else 2].add(v)
+    return out
+
+
+def test_classify_fixtures(path3, triangle, cycle4):
+    dt = all_pairs_distances(triangle)
+    assert _sides(triangle, dt, EdgePoint(0, F(1, 2))) == ({3}, {1}, {2})
+
+    dp = all_pairs_distances(path3)
+    assert _sides(path3, dp, EdgePoint(0, F(1, 2))) == (set(), {1}, {2, 3})
+
+    # at vertex 1 of the 4-cycle the opposite vertex is neutral (two equal
+    # paths); the far endpoint of the carrying edge is degenerately neutral too
+    dc = all_pairs_distances(cycle4)
+    assert _sides(cycle4, dc, EdgePoint(0, F(0))) == ({2, 3}, {1, 4}, set())
+
+
+def test_classify_partition_and_monotonicity_random():
+    rng = random.Random(13)
+    for _ in range(15):
+        g = random_graph(rng, rng.randint(2, 8), extra=rng.randint(0, 4), weighted=True)
+        dm = all_pairs_distances(g)
+        for e in g.edges:
+            t1 = e.length * F(rng.randint(0, 8), 8)
+            t2 = e.length * F(rng.randint(0, 8), 8)
+            if t1 > t2:
+                t1, t2 = t2, t1
+            p1 = _sides(g, dm, EdgePoint(e.id, t1))
+            p2 = _sides(g, dm, EdgePoint(e.id, t2))
+            for t, (neutral, by_r, by_s) in ((t1, p1), (t2, p2)):
+                assert neutral | by_r | by_s == set(g.vertices())
+                assert not (neutral & by_r or neutral & by_s or by_r & by_s)
+                for v in g.vertices():
+                    via_r = dm.d(e.u, v) + t
+                    via_s = dm.d(e.v, v) + e.length - t
+                    assert (v in neutral, v in by_r) == (via_r == via_s, via_r < via_s)
+            if t1 < t2:
+                # moving right only sheds r-side vertices
+                assert p2[0] | p2[1] <= p1[1]
+                assert p1[0] | p1[2] <= p2[2]
+
+
 def test_canonical_point(path3, cycle4):
     # interior points pass through
     assert canonical_point(path3, 1, F(1, 3)) == EdgePoint(1, F(1, 3))

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ckoc import oracle
@@ -15,7 +16,9 @@ from ckoc.graph_core import (
     vertex_point,
 )
 from ckoc.tree_solver import (
+    _centroids,
     _TreeContext,
+    _UnweightedEngine,
     is_feasible_tree,
     solve_unweighted_tree,
     solve_weighted_tree,
@@ -45,6 +48,12 @@ def test_critical_points_wedge(wedge2):
 def test_critical_points_saturated(path5):
     ctx = _TreeContext(path5)
     assert {ctx.point(v, F(100)) for v in path5.vertices()} == {vertex_point(path5, 1)}
+
+
+def test_critical_points_rejects_negative(path3):
+    # no point covers anything at a negative radius, not even its own vertex
+    for k in path3.vertices():
+        assert not is_feasible_tree(path3, k, F(-1)).feasible
 
 
 def test_critical_points_on_root_path():
@@ -279,3 +288,63 @@ def test_unweighted_determinism(path5):
         again.center,
         again.subtree,
     )
+
+
+# ------------------------------------------ centroid distance subsets
+
+
+def _centroid_adj(g):
+    adj = [[] for _ in range(g.n + 1)]
+    for e in g.edges:
+        adj[e.u].append((e.v, e.length))
+        adj[e.v].append((e.u, e.length))
+    return adj
+
+
+def test_subsets_cover_all_distances():
+    # each pair is split at exactly one centroid, where it lies in two
+    # different branches (or one of the two is the centroid)
+    rng = random.Random(93)
+    for trial in range(15):
+        n = rng.randint(1, 12)
+        g = random_tree(rng, n)
+        dm = all_pairs_distances(g)
+        got = {v: [] for v in g.vertices()}
+        for c, bfs, dist, br in _centroids(g.n, _centroid_adj(g)):
+            for v in bfs:
+                got[v].extend(dist[v] + dist[u] for u in bfs if br[u] != br[v])
+        for v in g.vertices():
+            want = sorted(dm.d(v, u) for u in g.vertices() if u != v)
+            assert sorted(got[v]) == want, (trial, v)
+
+
+def test_subsets_views_stay_logarithmic():
+    rng = random.Random(94)
+    edges = [(1, v) for v in range(2, 65)]  # 63-leaf star, the worst fan-out
+    bound = 3 * (2 * 64).bit_length()
+    for g in (Graph.unit(64, edges), random_tree(rng, 60)):
+        views = [0] * (g.n + 1)
+        for _c, bfs, _dist, _br in _centroids(g.n, _centroid_adj(g)):
+            for v in bfs:
+                views[v] += 1
+        assert max(views) <= bound
+        # the packed engine keeps one chain entry per view
+        assert list(_UnweightedEngine(g).ch_len[1:]) == views[1:]
+
+
+def test_kth_distance_from():
+    # the k-th distance from v is the least radius whose ball around v,
+    # counted over the packed centroid subsets, holds v and k others
+    rng = random.Random(95)
+    g = random_tree(rng, 11)
+    dm = all_pairs_distances(g)
+    eng = _UnweightedEngine(g)
+
+    def others_within(v, r):
+        rho = np.array([int(r * eng.sc2)], dtype=np.int64)
+        return int(eng._ball(np.array([v], dtype=np.int64), rho)[0]) - 1
+
+    for v in g.vertices():
+        row = sorted(dm.d(v, u) for u in g.vertices() if u != v)
+        for k in (1, 5, 10):
+            assert min(r for r in row if others_within(v, r) >= k) == row[k - 1]
