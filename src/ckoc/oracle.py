@@ -19,43 +19,55 @@ from .graph_core import (
     Graph,
     all_pairs_distances,
     edge_profile,
-    point_distance,
 )
 
 
-def brute_covered_set(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -> frozenset[int]:
-    """Vertices covered from x at radius lam: light vertices reachable from x
-    along some shortest path whose every vertex is itself light.
-
-    Computed as a shrinking fixpoint: start from all light vertices, then
-    repeatedly drop any vertex with no surviving predecessor.
-    """
-    if lam < 0:
-        return frozenset()
-    if x.edge < 0:  # single-vertex graph
-        return frozenset({1})
+def _point_data(g: Graph, dm: DistanceMatrix, x: EdgePoint):
+    """Radius-independent data at x, in integers: w_v * d(x, v) scaled by f
+    times the weight scale (f clears the denominators of x.t and the
+    lengths), whether x's edge reaches v directly, and v's neighbors on
+    shortest paths from x."""
     e = g.edges[x.edge]
-    d_x = [ZERO] * (g.n + 1)
-    for v in g.vertices():
-        d_x[v] = point_distance(g, dm, x, v)
-    alive = {v for v in g.vertices() if g.weights[v] * d_x[v] <= lam}
+    q, sc = x.t.denominator, dm.scale
+    f = q * sc
+    at = x.t.numerator * sc  # x.t * f
+    back = g.lengths_int[e.id] * q - at  # (length - x.t) * f
+    ru, rv = dm.rows[e.u], dm.rows[e.v]
+    d_x = [min(at + q * ru[v], back + q * rv[v]) for v in range(g.n + 1)]
+    wd = [g.weights_int[v] * d_x[v] for v in range(g.n + 1)]
+    direct = [False] * (g.n + 1)
+    direct[e.u] = at == d_x[e.u]
+    direct[e.v] = back == d_x[e.v]
+    li = g.lengths_int
+    preds = [[u for u, ev in g.adj[v] if d_x[u] + q * li[ev.id] == d_x[v]] for v in range(g.n + 1)]
+    return f * g.weight_scale, wd, direct, preds
+
+
+def _covered(g: Graph, data, lam: Fraction) -> frozenset[int]:
+    """Shrinking fixpoint: start from all light vertices, then repeatedly
+    drop any vertex with no surviving predecessor."""
+    unit, wd, direct, preds = data
+    alive = {v for v in g.vertices() if wd[v] * lam.denominator <= lam.numerator * unit}
     changed = True
     while changed:
         changed = False
         for v in sorted(alive):
-            if v == e.u and x.t == d_x[v]:
+            if direct[v]:
                 continue  # reached directly along the edge segment
-            if v == e.v and e.length - x.t == d_x[v]:
-                continue
-            ok = False
-            for u, ev in g.adj[v]:
-                if u in alive and d_x[u] + ev.length == d_x[v]:
-                    ok = True
-                    break
-            if not ok:
+            if not any(u in alive for u in preds[v]):
                 alive.discard(v)
                 changed = True
     return frozenset(alive)
+
+
+def brute_covered_set(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -> frozenset[int]:
+    """Vertices covered from x at radius lam: light vertices reachable from x
+    along some shortest path whose every vertex is itself light."""
+    if lam < 0:
+        return frozenset()
+    if x.edge < 0:  # single-vertex graph
+        return frozenset({1})
+    return _covered(g, _point_data(g, dm, x), lam)
 
 
 def brute_coverage_count(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -> int:
@@ -73,14 +85,11 @@ def _piece_lines(fn) -> list[tuple[Fraction, Fraction]]:
     return lines
 
 
-def edge_probe_points(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) -> list[Fraction]:
-    """Probe offsets on one edge that are guaranteed to include every
-    breakpoint of the coverage-size function at radius lam: endpoints,
-    semicircular points, pairwise crossings of the distance functions,
-    crossings with the horizontal line y = lam, and interval midpoints.
-    """
-    e = g.edges[edge]
-    l = e.length
+def _fixed_probes(g: Graph, dm: DistanceMatrix, edge: int):
+    """Radius-independent probe offsets on one edge (endpoints,
+    semicircular points, pairwise crossings of the distance functions)
+    and the lines of those functions."""
+    l = g.edges[edge].length
     profile = edge_profile(g, dm, edge)
     ts = {ZERO, l}
     all_lines: list[tuple[Fraction, Fraction]] = []
@@ -88,35 +97,62 @@ def edge_probe_points(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) ->
         fn = profile[v]
         if fn.semicircular_t is not None:
             ts.add(fn.semicircular_t)
-        for m, b in _piece_lines(fn):
-            all_lines.append((m, b))
-            if m != 0 and lam >= 0:
-                t = (lam - b) / m
-                if 0 <= t <= l:
-                    ts.add(t)
+        all_lines.extend(_piece_lines(fn))
     for (m1, b1), (m2, b2) in itertools.combinations(all_lines, 2):
         if m1 != m2:
             t = (b2 - b1) / (m1 - m2)
             if 0 <= t <= l:
                 ts.add(t)
+    return ts, all_lines
+
+
+def _probes_at(fixed, l: Fraction, lam: Fraction) -> list[Fraction]:
+    ts, all_lines = fixed
+    ts = set(ts)
+    if lam >= 0:
+        for m, b in all_lines:
+            if m != 0:
+                t = (lam - b) / m
+                if 0 <= t <= l:
+                    ts.add(t)
     out = sorted(ts)
     mids = [(a + b) / 2 for a, b in zip(out, out[1:])]
     return sorted(set(out + mids))
 
 
-def brute_feasible(g: Graph, k: int, lam: Fraction, dm: DistanceMatrix | None = None) -> bool:
-    """True iff some point of the graph covers at least k vertices at radius lam."""
+def edge_probe_points(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) -> list[Fraction]:
+    """Probe offsets on one edge that are guaranteed to include every
+    breakpoint of the coverage-size function at radius lam: endpoints,
+    semicircular points, pairwise crossings of the distance functions,
+    crossings with the horizontal line y = lam, and interval midpoints.
+    """
+    return _probes_at(_fixed_probes(g, dm, edge), g.edges[edge].length, lam)
+
+
+def _feasible(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction, fixed: dict, data: dict) -> bool:
+    """brute_feasible, keeping the radius-independent probe offsets (fixed,
+    by edge) and point data (data, by point) for later radii."""
     if lam < 0:
         return False
     if g.n == 1:
         return k <= 1
-    if dm is None:
-        dm = all_pairs_distances(g)
     for e in g.edges:
-        for t in edge_probe_points(g, dm, e.id, lam):
-            if brute_coverage_count(g, dm, EdgePoint(e.id, t), lam) >= k:
+        if e.id not in fixed:
+            fixed[e.id] = _fixed_probes(g, dm, e.id)
+        for t in _probes_at(fixed[e.id], e.length, lam):
+            x = EdgePoint(e.id, t)
+            if x not in data:
+                data[x] = _point_data(g, dm, x)
+            if len(_covered(g, data[x], lam)) >= k:
                 return True
     return False
+
+
+def brute_feasible(g: Graph, k: int, lam: Fraction, dm: DistanceMatrix | None = None) -> bool:
+    """True iff some point of the graph covers at least k vertices at radius lam."""
+    if dm is None:
+        dm = all_pairs_distances(g)
+    return _feasible(g, dm, k, lam, {}, {})
 
 
 def candidate_values(g: Graph, dm: DistanceMatrix | None = None) -> list[Fraction]:
@@ -160,12 +196,14 @@ def brute_lambda(g: Graph, k: int, n_cap: int = 14) -> Fraction:
         return ZERO
     dm = all_pairs_distances(g)
     vals = candidate_values(g, dm)
+    fixed: dict = {}
+    data: dict = {}
     lo, hi = 0, len(vals) - 1
-    if not brute_feasible(g, k, vals[hi], dm):
+    if not _feasible(g, dm, k, vals[hi], fixed, data):
         raise AssertionError("largest candidate must be feasible")
     while lo < hi:
         mid = (lo + hi) // 2
-        if brute_feasible(g, k, vals[mid], dm):
+        if _feasible(g, dm, k, vals[mid], fixed, data):
             hi = mid
         else:
             lo = mid + 1
