@@ -2,12 +2,16 @@
 
 Instances are undirected, connected, simple graphs with positive vertex
 weights and positive edge lengths.  Points live on edges, distances are
-shortest-path lengths, and every quantity the solvers compare is a
-fractions.Fraction; no correctness-critical path touches floats.
+shortest-path lengths, and every value is exact: parsed weights and
+lengths, radii, centers and the solvers' answers are fractions.Fraction,
+and no correctness-critical path touches floats.
 
 Internally most distance work runs on integers: all edge lengths are
-rescaled by the LCM of their denominators, which keeps Dijkstra and the
-bulk numeric code exact and fast.
+rescaled by the LCM of their denominators (length_scale, SL), which keeps
+Dijkstra and the bulk numeric code exact and fast.  Solvers whose values
+share that scale compare them as ints and convert to Fraction only at
+their boundary; the k-level sweep of klevel_geometry, for one, runs in
+units of 1/(2 * SL).
 """
 
 from __future__ import annotations

@@ -14,15 +14,23 @@ the sweep tracks f, the number of chains not above that line, updating
 it only at intersections with lines of the opposite slope, and turns as
 soon as (falling) continuing would push f below k, or (rising) turning
 keeps at least k chains not above the new line.
+
+The sweep runs on Python ints in units of 1/S.  For a graph's chains
+S = 2 * g.length_scale: chain ends are twice the scaled distances of
+DistanceMatrix.rows, so every line offset and intercept is even and each
+crossing ((c - a)/2, (c + a)/2) is an exact integer.  Fraction appears
+only at the boundary: ChainSet.chains, LevelChain.vertices, lowest(),
+value_at and to_json, and the solver's final radius and center.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graph_core import (
     ZERO,
@@ -60,100 +68,124 @@ class Chain:
         return min(self.left + t, self.right + self.length - t)
 
 
-@dataclass(frozen=True)
 class ChainSet:
-    chains: tuple[Chain, ...]
-    length: Fraction
-    edge: int = -1
+    """The distance chains of one edge in integer units of 1/scale: the
+    chain of vertex ids[i] is min(lefts[i] + t, rights[i] + size - t) for
+    t in [0, size].  scale is even and every left and right is even, so
+    the sweep's crossings are integers.
+
+    ChainSet(chains, length) scales hand-built Fraction chains once, to
+    twice the lcm of their denominators; build_chains makes the integer
+    form directly.  The Fraction Chain objects of .chains are built only
+    when read."""
+
+    def __init__(self, chains: Sequence[Chain], length: Fraction | int, edge: int = -1):
+        length = Fraction(length)
+        dens = [length.denominator]
+        dens += [q.denominator for c in chains for q in (c.left, c.right)]
+        scale = 2 * math.lcm(*dens)
+        self.ids: Sequence[int] = tuple(c.vertex for c in chains)
+        self.lefts = [int(c.left * scale) for c in chains]
+        self.rights = [int(c.right * scale) for c in chains]
+        self.size = int(length * scale)
+        self.scale = scale
+        self.edge = edge
+
+    @classmethod
+    def scaled(cls, ids: Sequence[int], lefts: list[int], rights: list[int],
+               size: int, scale: int, edge: int) -> "ChainSet":
+        cs = cls.__new__(cls)
+        cs.ids, cs.lefts, cs.rights = ids, lefts, rights
+        cs.size, cs.scale, cs.edge = size, scale, edge
+        return cs
+
+    @property
+    def length(self) -> Fraction:
+        return Fraction(self.size, self.scale)
+
+    @cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        S, size, length = self.scale, self.size, self.length
+        out = []
+        for v, a, b in zip(self.ids, self.lefts, self.rights):
+            left, right = Fraction(a, S), Fraction(b, S)
+            if b == a + size:
+                out.append(Chain(v, left, right, length, X_SHAPE))
+            elif a == b + size:
+                out.append(Chain(v, left, right, length, Y_SHAPE))
+            else:
+                apex = Fraction(b + size - a, 2 * S)
+                out.append(Chain(v, left, right, length, PEAK_SHAPE, apex))
+        return tuple(out)
 
 
 def build_chains(g: Graph, dm: DistanceMatrix, edge: int) -> ChainSet:
+    """Chains of every vertex along one edge at scale 2 * g.length_scale,
+    read from dm.rows (distances are symmetric, so row r holds d(v, r))."""
     if not g.unit_weights:
         raise InstanceError("distance chains are defined for unit weights only")
     e = g.edges[edge]
-    l = e.length
-    chains = []
-    for v in g.vertices():
-        dr = dm.d(v, e.u)
-        ds = dm.d(v, e.v)
-        if ds == dr + l:
-            chains.append(Chain(v, dr, ds, l, X_SHAPE))
-        elif dr == ds + l:
-            chains.append(Chain(v, dr, ds, l, Y_SHAPE))
-        else:
-            apex = (ds + l - dr) / 2
-            if not ZERO < apex < l:
-                raise InternalError(f"peak of vertex {v} not interior to edge {edge}")
-            chains.append(Chain(v, dr, ds, l, PEAK_SHAPE, apex))
-    return ChainSet(tuple(chains), l, edge)
-
-
-@dataclass(frozen=True)
-class XSegment:
-    """Rising piece on line y = t + line_offset, from (0, line_offset) to
-    its right endpoint."""
-
-    vertex: int
-    line: Fraction
-    right_x: Fraction
-    right_y: Fraction
-
-
-@dataclass(frozen=True)
-class YSegment:
-    """Falling piece on line y = -t + intercept, from its left endpoint to
-    (length, intercept - length)."""
-
-    vertex: int
-    intercept: Fraction
-    left_x: Fraction
-    left_y: Fraction
+    lefts = [2 * d for d in dm.rows[e.u][1:]]
+    rights = [2 * d for d in dm.rows[e.v][1:]]
+    return ChainSet.scaled(range(1, g.n + 1), lefts, rights,
+                           2 * g.lengths_int[edge], 2 * dm.scale, edge)
 
 
 @dataclass(frozen=True)
 class SegmentSequences:
-    """splus: rising segments grouped by line, groups in ascending
-    x-intercept order (descending offset), each group sorted by descending
-    right-endpoint height.  sminus: falling segments grouped by line in
-    ascending x-intercept order, each sorted by descending left-endpoint
-    height.  The first segment of a group is always its longest."""
+    """Segments in the units of their ChainSet, grouped by line; each
+    group is (line, tops) with tops the negated heights of the group's
+    segments' highest points (a rising piece's right end, a falling
+    piece's left end) in ascending order, so tops[0] is the longest
+    segment and bisect counts the segments above a height.
 
-    splus: tuple[tuple[XSegment, ...], ...]
-    sminus: tuple[tuple[YSegment, ...], ...]
+    splus: rising groups y = t + line, in descending offset (ascending
+    x-intercept) order.  sminus: falling groups y = -t + line, in
+    ascending intercept order."""
+
+    splus: tuple[tuple[int, list[int]], ...]
+    sminus: tuple[tuple[int, list[int]], ...]
 
 
 def segment_sequences(cs: ChainSet) -> SegmentSequences:
-    l = cs.length
-    plus: dict[Fraction, list[XSegment]] = {}
-    minus: dict[Fraction, list[YSegment]] = {}
-    for ch in cs.chains:
-        if ch.shape in (X_SHAPE, PEAK_SHAPE):
-            rx = l if ch.shape == X_SHAPE else ch.apex
-            plus.setdefault(ch.left, []).append(
-                XSegment(ch.vertex, ch.left, rx, ch.left + rx)
-            )
-        if ch.shape in (Y_SHAPE, PEAK_SHAPE):
-            c = ch.right + l
-            lx = ZERO if ch.shape == Y_SHAPE else ch.apex
-            minus.setdefault(c, []).append(YSegment(ch.vertex, c, lx, c - lx))
-    splus = tuple(
-        tuple(sorted(v, key=lambda s: (-s.right_y, s.vertex)))
-        for _, v in sorted(plus.items(), key=lambda kv: -kv[0])
-    )
-    sminus = tuple(
-        tuple(sorted(v, key=lambda s: (-s.left_y, s.vertex)))
-        for _, v in sorted(minus.items())
-    )
+    size = cs.size
+    plus: dict[int, list[int]] = {}
+    minus: dict[int, list[int]] = {}
+    for v, a, b in zip(cs.ids, cs.lefts, cs.rights):
+        c = b + size
+        # the chain's peak is where its two lines meet: offset (c - a)/2,
+        # height (c + a)/2; it is an end of the edge for x and y shapes
+        apex = (c - a) // 2
+        if not 0 <= apex <= size:
+            raise InternalError(f"peak of vertex {v} not interior to edge {cs.edge}")
+        top = -((c + a) // 2)
+        if apex > 0:
+            plus.setdefault(a, []).append(top)
+        if apex < size:
+            minus.setdefault(c, []).append(top)
+    splus = tuple((a, sorted(tops)) for a, tops in sorted(plus.items(), reverse=True))
+    sminus = tuple((c, sorted(tops)) for c, tops in sorted(minus.items()))
     return SegmentSequences(splus, sminus)
 
 
 @dataclass(frozen=True)
 class LevelChain:
-    """x-monotone zigzag; vertices are the turn points plus both edge
-    endpoints, segment slopes alternating between -1 and +1."""
+    """x-monotone zigzag; points are the turn points plus both edge
+    endpoints in integer units of 1/scale, segment slopes alternating
+    between -1 and +1."""
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
-    length: Fraction
+    points: tuple[tuple[int, int], ...]
+    size: int
+    scale: int
+
+    @property
+    def length(self) -> Fraction:
+        return Fraction(self.size, self.scale)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        S = self.scale
+        return tuple((Fraction(x, S), Fraction(y, S)) for x, y in self.points)
 
     @cached_property
     def _xs(self) -> list[Fraction]:
@@ -170,64 +202,53 @@ class LevelChain:
         slope = _ONE if y1 > y0 else -_ONE
         return y0 + slope * (t - x0)
 
-    def lowest(self) -> tuple[Fraction, Fraction]:
-        y, x = min((y, x) for x, y in self.vertices)
+    def lowest_scaled(self) -> tuple[int, int]:
+        """Lowest point in units of 1/scale, ties to the smallest offset."""
+        y, x = min((y, x) for x, y in self.points)
         return x, y
+
+    def lowest(self) -> tuple[Fraction, Fraction]:
+        x, y = self.lowest_scaled()
+        return Fraction(x, self.scale), Fraction(y, self.scale)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x), str(y)] for x, y in self.vertices]
 
 
-def _rights_above(seq: tuple[XSegment, ...], y: Fraction) -> int:
-    """Number of segments whose right endpoint is strictly higher than y
-    (seq sorted by descending right_y)."""
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid].right_y > y:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _lefts_above(seq: tuple[YSegment, ...], y: Fraction) -> int:
-    lo, hi = 0, len(seq)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if seq[mid].left_y > y:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _above(tops: list[int], y: int) -> int:
+    """Number of a group's segments whose highest point is strictly above
+    y (tops holds the negated heights, ascending)."""
+    return bisect_left(tops, -y)
 
 
 def kth_level(cs: ChainSet, k: int) -> LevelChain:
     """k-th level of the chain set: at every offset t its value equals the
     k-th smallest chain value."""
-    n = len(cs.chains)
+    n = len(cs.ids)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    l = cs.length
+    l = cs.size
     seqs = segment_sequences(cs)
-    sp, sm = seqs.splus, seqs.sminus
+    sp_line = [a for a, _ in seqs.splus]  # descending
+    sp_tops = [tops for _, tops in seqs.splus]
+    sm_line = [c for c, _ in seqs.sminus]  # ascending
+    sm_tops = [tops for _, tops in seqs.sminus]
     # line parameters per group, for cursor placement by binary search
-    sp_neg_off = [-grp[0].line for grp in sp]  # ascending
-    sm_int = [grp[0].intercept for grp in sm]  # ascending
-    sp_index = {grp[0].line: i for i, grp in enumerate(sp)}
-    sm_index = {grp[0].intercept: i for i, grp in enumerate(sm)}
+    sp_neg_off = [-a for a in sp_line]  # ascending
+    sp_index = {a: i for i, a in enumerate(sp_line)}
+    sm_index = {c: i for i, c in enumerate(sm_line)}
 
-    at0 = sorted(ch.left for ch in cs.chains)
+    at0 = sorted(cs.lefts)
     y1 = at0[k - 1]
     f0 = bisect_right(at0, y1)
     n_below = bisect_left(at0, y1)
-    n_fall_at = sum(1 for ch in cs.chains if ch.shape == Y_SHAPE and ch.left == y1)
+    n_fall_at = sum(1 for a, b in zip(cs.lefts, cs.rights) if a == y1 and a == b + l)
     ip = sp_index.get(y1)
     im = sm_index.get(y1)
 
-    vertices: list[tuple[Fraction, Fraction]] = [(ZERO, y1)]
+    vertices: list[tuple[int, int]] = [(0, y1)]
     fprime = f0
-    pprime = (ZERO, y1)
+    pprime = (0, y1)
 
     RISING, FALLING = 0, 1
     if n_below + n_fall_at >= k:
@@ -235,8 +256,7 @@ def kth_level(cs: ChainSet, k: int) -> LevelChain:
         if im is None:
             raise InternalError("level starts falling but no falling group at start")
         mode, cur = FALLING, im
-        pend_seq = sp[ip] if ip is not None else None
-        pend_idx = ip
+        pend = ip  # rising group whose crossing the level may turn onto
         sp_cur = (ip + 1) if ip is not None else bisect_right(sp_neg_off, -y1)
         sm_cur = 0  # reassigned at the first turn
         jp = 0
@@ -244,48 +264,44 @@ def kth_level(cs: ChainSet, k: int) -> LevelChain:
         if ip is None:
             raise InternalError("level starts rising but no rising group at start")
         mode, cur = RISING, ip
-        jp = _rights_above(sp[ip], y1)
-        sm_cur = (im + 1) if im is not None else bisect_right(sm_int, y1)
+        jp = _above(sp_tops[ip], y1)
+        sm_cur = (im + 1) if im is not None else bisect_right(sm_line, y1)
         sp_cur = 0
-        pend_seq = None
-        pend_idx = None
+        pend = None
 
     guard = 0
-    limit = 8 * (len(sp) + len(sm) + 4) * (n + 4)
+    limit = 8 * (len(sp_line) + len(sm_line) + 4) * (n + 4)
     while True:
         guard += 1
         if guard > limit:
             raise InternalError("level sweep failed to terminate")
         if mode == RISING:
-            seq = sp[cur]
-            a = seq[0].line
-            xr0 = seq[0].right_x
+            tops = sp_tops[cur]
+            a = sp_line[cur]
+            xr0 = -tops[0] - a
             start_x = vertices[-1][0]
             turned = False
-            while sm_cur < len(sm):
-                cseq = sm[sm_cur]
-                c = cseq[0].intercept
-                x_int = (c - a) / 2
+            while sm_cur < len(sm_line):
+                c = sm_line[sm_cur]
+                ctops = sm_tops[sm_cur]
+                x_int = (c - a) // 2
                 if x_int <= start_x:
                     sm_cur += 1
                     continue
-                if x_int > xr0 or x_int < cseq[0].left_x or x_int > l:
+                if x_int > xr0 or x_int < c + ctops[0] or x_int > l:
                     # even the longest pieces miss each other
                     sm_cur += 1
                     continue
-                y_int = (c + a) / 2
-                adds = _lefts_above(cseq, y_int)
-                f_at = fprime + adds
-                while jp > 0 and seq[jp - 1].right_y <= y_int:
-                    jp -= 1
+                y_int = (c + a) // 2
+                f_at = fprime + _above(ctops, y_int)
+                jp = min(jp, _above(tops, y_int))
                 if f_at - jp >= k:
                     # the falling line through here keeps at least k chains
                     # not above it, so the level turns now
                     vertices.append((x_int, y_int))
                     fprime = f_at
                     pprime = (x_int, y_int)
-                    pend_seq = seq
-                    pend_idx = cur
+                    pend = cur
                     sp_cur = cur + 1
                     mode, cur = FALLING, sm_cur
                     turned = True
@@ -297,47 +313,42 @@ def kth_level(cs: ChainSet, k: int) -> LevelChain:
                 vertices.append((l, a + l))
                 break
         else:
-            cseq = sm[cur]
-            c = cseq[0].intercept
-            xl0 = cseq[0].left_x
+            c = sm_line[cur]
+            xl0 = c + sm_tops[cur][0]
             start_x = vertices[-1][0]
             turned = False
             ran_out = False
             while True:
-                if sp_cur >= len(sp):
+                if sp_cur >= len(sp_line):
                     ran_out = True
                 else:
-                    seq = sp[sp_cur]
-                    a = seq[0].line
-                    x_int = (c - a) / 2
+                    a = sp_line[sp_cur]
+                    x_int = (c - a) // 2
                     if x_int <= start_x:
                         sp_cur += 1
                         continue
-                    if x_int < xl0 or x_int > seq[0].right_x or x_int > l:
+                    if x_int < xl0 or x_int > -sp_tops[sp_cur][0] - a or x_int > l:
                         sp_cur += 1
                         continue
-                drop = (
-                    _rights_above(pend_seq, pprime[1]) if pend_seq is not None else 0
-                )
+                drop = _above(sp_tops[pend], pprime[1]) if pend is not None else 0
                 f_at = fprime - drop
                 if f_at < k:
                     # continuing past the last crossing starves the line;
                     # the level turned there, onto the group that crossed it
-                    if pend_seq is None or pend_idx is None:
+                    if pend is None:
                         raise InternalError("level must turn but has no rising group")
                     vertices.append(pprime)
                     jp = drop
                     sm_cur = cur + 1
-                    sp_cur = pend_idx + 1
-                    mode, cur = RISING, pend_idx
+                    sp_cur = pend + 1
+                    mode, cur = RISING, pend
                     turned = True
                     break
                 if ran_out:
                     break
                 fprime = f_at
-                pprime = ((c - a) / 2, (c + a) / 2)
-                pend_seq = seq
-                pend_idx = sp_cur
+                pprime = (x_int, (c + a) // 2)
+                pend = sp_cur
                 sp_cur += 1
             if not turned and ran_out:
                 vertices.append((l, c - l))
@@ -347,20 +358,19 @@ def kth_level(cs: ChainSet, k: int) -> LevelChain:
     for p in vertices[1:]:
         if p != out[-1]:
             out.append(p)
-    if out[0][0] != ZERO or out[-1][0] != l:
+    if out[0][0] != 0 or out[-1][0] != l:
         raise InternalError("level does not span the edge")
-    slopes = []
+    rising = []
     for (x0, y0), (x1, yv1) in zip(out, out[1:]):
         if x1 <= x0:
             raise InternalError("level vertices not strictly x-monotone")
-        s = (yv1 - y0) / (x1 - x0)
-        if s != _ONE and s != -_ONE:
+        if abs(yv1 - y0) != x1 - x0:
             raise InternalError("level segment with non-unit slope")
-        slopes.append(s)
-    for s0, s1 in zip(slopes, slopes[1:]):
+        rising.append(yv1 > y0)
+    for s0, s1 in zip(rising, rising[1:]):
         if s0 == s1:
             raise InternalError("level alternation violated")
-    return LevelChain(tuple(out), l)
+    return LevelChain(tuple(out), l, cs.scale)
 
 
 def solve_unweighted_graph(g: Graph, k: int) -> Solution:
@@ -374,15 +384,19 @@ def solve_unweighted_graph(g: Graph, k: int) -> Solution:
     if k == 1 or g.n == 1:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     dm = all_pairs_distances(g)
+    # every edge's chains share the scale 2 * g.length_scale, so the
+    # (y, edge id, x) keys compare as ints
     best = None
     for e in g.edges:
         level = kth_level(build_chains(g, dm, e.id), k)
-        x, y = level.lowest()
+        x, y = level.lowest_scaled()
         key = (y, e.id, x)
         if best is None or key < best:
             best = key
-    lam, eid, t = best
-    center = canonical_point(g, eid, t)
+    y, eid, x = best
+    scale = 2 * dm.scale
+    lam = Fraction(y, scale)
+    center = canonical_point(g, eid, Fraction(x, scale))
     covered = covered_subtree(g, dm, center, lam)
     subtree = trim_witness(g, dm, center, covered, k)
     return Solution(lam, center, subtree)

@@ -380,9 +380,18 @@ _BIG_CYCLE = (
     "e 1 2 8/999983\ne 2 3 8/1000003\ne 3 4 8/1000033\ne 4 5 8/1000037\n"
     "e 5 6 8/999983\ne 6 1 8/1000037\n"
 )
+# the same cycle with unit weights: the k-level sweep of unweighted-graph
+# runs on ints at scale 2 * length_scale, far beyond int64
+_BIG_UNIT_CYCLE = (
+    "p ckoc 6 6 3 0\n"
+    "e 1 2 8/999983\ne 2 3 8/1000003\ne 3 4 8/1000033\ne 4 5 8/1000037\n"
+    "e 5 6 8/999983\ne 6 1 8/1000037\n"
+)
 
 
-@pytest.mark.parametrize("text", [_BIG_PATH, _BIG_CYCLE], ids=["path", "cycle"])
+@pytest.mark.parametrize(
+    "text", [_BIG_PATH, _BIG_CYCLE, _BIG_UNIT_CYCLE], ids=["path", "cycle", "unit-cycle"]
+)
 def test_coefficients_beyond_int64_take_the_exact_path(text):
     from ckoc import cli
     from ckoc.graph_core import parse_instance

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckoc.graph_core import (
     EdgePoint,
@@ -84,18 +86,28 @@ def test_chain_values_match_point_distance():
 
 def test_segment_sequences_grouping():
     # two leaves equidistant from r share one rising group
+    # (values in units of 1/cs.scale, twice the unit length scale here)
     g = Graph.unit(4, [(1, 2), (1, 3), (1, 4)])
     dm = all_pairs_distances(g)
-    seqs = segment_sequences(build_chains(g, dm, 0))
-    assert [grp[0].line for grp in seqs.splus] == [1, 0]
-    assert [s.vertex for s in seqs.splus[0]] == [3, 4]
-    assert [grp[0].intercept for grp in seqs.sminus] == [1]
-    assert seqs.sminus[0][0].vertex == 2
-    # longest segment first in every group
-    for grp in seqs.splus:
-        assert all(grp[0].right_y >= s.right_y for s in grp)
-    for grp in seqs.sminus:
-        assert all(grp[0].left_y >= s.left_y for s in grp)
+    cs = build_chains(g, dm, 0)
+    S = cs.scale
+    assert S == 2
+    left = dict(zip(cs.ids, cs.lefts))
+    right = dict(zip(cs.ids, cs.rights))
+    seqs = segment_sequences(cs)
+    assert [a for a, _ in seqs.splus] == [1 * S, 0]
+    # the group on line 1 holds exactly the rising pieces of 3 and 4 (2
+    # also starts at height 1 but only falls), which end at their right ends
+    rising = [v for v in cs.ids if left[v] != right[v] + cs.size]
+    assert [v for v in rising if left[v] == seqs.splus[0][0]] == [3, 4]
+    assert seqs.splus[0][1] == [-right[3], -right[4]]
+    # one falling group, vertex 2's, starting at its left end
+    assert [c for c, _ in seqs.sminus] == [1 * S]
+    assert [v for v in cs.ids if right[v] + cs.size == seqs.sminus[0][0]] == [2]
+    assert seqs.sminus[0][1] == [-left[2]]
+    # longest segment first in every group: highest top, smallest negation
+    for _, tops in seqs.splus + seqs.sminus:
+        assert tops == sorted(tops)
 
 
 # ---------------------------------------------------------------- levels
@@ -172,6 +184,43 @@ def test_level_matches_kth_smallest_everywhere():
                     assert lv.value_at(t) == want
                     not_above = sum(1 for c in cs.chains if c.value_at(t) <= want)
                     assert not_above >= k
+
+
+# denominators a hand-built chain set mixes, up to a prime near 10**6
+_MIXED_DENOMS = (1, 3, 7, 999983)
+
+
+@st.composite
+def _mixed_chain_specs(draw):
+    """(specs, length) of a random hand-built chain set: every left, right
+    and length has a denominator from _MIXED_DENOMS, and |left - right|
+    is at most the length, as for the chains of a real edge."""
+
+    def rational(lo: int, hi: int) -> Fraction:
+        q = draw(st.sampled_from(_MIXED_DENOMS))
+        return F(draw(st.integers(lo * q, hi * q)), q)
+
+    length = rational(0, 3) or F(1, draw(st.sampled_from(_MIXED_DENOMS)))
+    specs = []
+    for v in range(1, draw(st.integers(1, 6)) + 1):
+        left = rational(0, 6)
+        right = min(max(rational(0, 6), left - length), left + length)
+        specs.append((v, left, right))
+    return specs, length
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mixed_chain_specs())
+def test_level_exact_with_mixed_denominators(spec):
+    cs = _chain_set(*spec)
+    for k in range(1, len(cs.chains) + 1):
+        lv = kth_level(cs, k)
+        xs = [x for x, _ in lv.vertices]
+        probes = set(xs) | {F(0), cs.length}
+        probes |= {c.apex for c in cs.chains if c.apex is not None}
+        probes |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+        for t in probes:
+            assert lv.value_at(t) == oracle.brute_kth_level(cs.chains, k, t), (k, t)
 
 
 def test_level_alternation_and_intercepts():
