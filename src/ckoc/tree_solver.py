@@ -125,12 +125,18 @@ def is_feasible_tree(g: Graph, k: int, lam: Fraction, _ctx=None) -> FeasibilityR
     hit = _feasible_scan(ctx, k, lam)
     if hit is None:
         return FeasibilityResult(False)
+    return FeasibilityResult(True, _witness(ctx, k, hit))
+
+
+def _witness(ctx: _TreeContext, k: int, hit) -> tuple[EdgePoint, frozenset[int]]:
+    """The k vertices nearest to a _feasible_scan hit's point, ties to the
+    smaller id."""
     x, st, ca = hit
     covered = query_count(st, ca, x, report=True).reported
     if len(covered) < k:
         raise InternalError("coverage report disagrees with the k test")
     order = sorted(covered, key=lambda u: (ctx.point_distance(x, u), u))
-    return FeasibilityResult(True, (x, frozenset(order[:k])))
+    return x, frozenset(order[:k])
 
 
 # ---------------------------------------------------------------- weighted
@@ -241,19 +247,26 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     ctx = _TreeContext(g)
     memo: dict[Fraction, bool] = {}
+    # the scan hit of the lowest feasible radius probed so far, kept so
+    # the witness needs no second scan; one hit at a time bounds memory
+    best_lam = best_hit = None
 
     def accept(lam: Fraction) -> bool:
+        nonlocal best_lam, best_hit
         if lam not in memo:
-            memo[lam] = lam >= 0 and _feasible_scan(ctx, k, lam) is not None
+            hit = _feasible_scan(ctx, k, lam) if lam >= 0 else None
+            memo[lam] = hit is not None
+            if hit is not None and (best_lam is None or lam < best_lam):
+                best_lam, best_hit = lam, hit
         return memo[lam]
 
     ls = _centroid_lines(g)
     ans = lowest_feasible_vertex(ls, accept, strategy=search)
     lam = ans.v1[1]
-    res = is_feasible_tree(g, k, lam, _ctx=ctx)
-    if not res.feasible or res.witness is None:
+    accept(lam)  # scans only if the search never probed its answer
+    if best_lam != lam:
         raise InternalError("lowest candidate radius is not feasible")
-    x, block = res.witness
+    x, block = _witness(ctx, k, best_hit)
     return Solution(lam, x, block)
 
 
