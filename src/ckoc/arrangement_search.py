@@ -10,7 +10,12 @@ the supplied oracle says yes.
 Two interchangeable strategies:
 
 * explicit: enumerate every pairwise ordinate, sort, binary search.
-  Simple and exact; quadratic in the number of lines.
+  Simple and exact; quadratic in the number of lines.  With int64
+  coefficients the ordinates stay reduced int64 pairs (num, den): they are
+  sorted by float value, duplicates dropped, and every run of neighbours
+  too close to trust as floats re-sorted exactly.  Only the O(log N)
+  ordinates the search probes or returns, and those in such a run, become
+  Fractions.
 * counting: never materializes the full ordinate set.  The number of
   intersections below a height y equals the number of inversions between
   the left-to-right order of the lines at y = -inf and at y, so a window
@@ -258,37 +263,83 @@ def _pair_abscissa(l1: Line, l2: Line) -> Fraction:
     return (l2.intercept - l1.intercept) / (l1.slope - l2.slope)
 
 
-def _explicit_ordinates(ls: LineSet) -> list[Fraction]:
-    """Sorted distinct y-coordinates of all pairwise intersections."""
+def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """num/den in lowest terms with den > 0, computed in place."""
+    neg = den < 0
+    np.negative(num, out=num, where=neg)
+    np.negative(den, out=den, where=neg)
+    gg = np.gcd(num, den)
+    num //= gg
+    den //= gg
+    return num, den
+
+
+def _equal_to(num: np.ndarray, den: np.ndarray, y: Fraction) -> np.ndarray:
+    """Mask of num/den == y (den != 0), exact and free of int64 wrap,
+    which the cross products num*q and den*p are not: with y = p/q in
+    lowest terms, num/den = p/q exactly when den = g*q and num = g*p for
+    one integer g."""
+    p, q = y.numerator, y.denominator
+    if p == 0:
+        return num == 0
+    return (den % q == 0) & (num % p == 0) & (num // p == den // q)
+
+
+def _repair_runs(order: np.ndarray, f: np.ndarray, key: Callable[[int], object]) -> np.ndarray:
+    """Exact fixup of a float sort.  order is sorted by the float values f
+    (f[t] belongs to order[t]); each run of neighbours whose float gaps are
+    too small to trust is re-sorted in place by the exact key."""
+    gap = f[1:] - f[:-1]
+    thr = 1e-12 * np.maximum(np.abs(f[:-1]), np.abs(f[1:])) + 1e-15
+    susp = np.nonzero(gap <= thr)[0]
+    if len(susp):
+        cut = np.nonzero(np.diff(susp) > 1)[0]
+        starts = np.concatenate(([susp[0]], susp[cut + 1]))
+        ends = np.concatenate((susp[cut], [susp[-1]])) + 1
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            order[a : b + 1] = sorted(order[a : b + 1].tolist(), key=key)
+    return order
+
+
+def _int_pair_ordinates(
+    ls: LineSet,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ordinates num/den (den != 0, not reduced) of every crossing of an
+    int_ok line set: first the affine pairs i < j with distinct slopes,
+    listed by the returned i and j, then every (affine, vertical) pair,
+    row-major."""
+    i = j = np.empty(0, dtype=np.int64)
+    nums = [i]
+    dens = [i]
+    if ls.n_aff >= 2:
+        r = np.arange(ls.n_aff)
+        i, j = np.nonzero((ls.M[:, None] != ls.M[None, :]) & (r[:, None] < r[None, :]))
+        nums.append(ls.M[i] * ls.B[j] - ls.M[j] * ls.B[i])
+        dens.append(np.int64(ls.SW * ls.SL) * (ls.M[i] - ls.M[j]))
+    if ls.n_aff and ls.n_vert:
+        num = (ls.M[:, None] * ls.A[None, :] + 2 * ls.B[:, None]).ravel()
+        nums.append(num)
+        dens.append(np.full(num.shape, 2 * ls.SW * ls.SL, dtype=np.int64))
+    return np.concatenate(nums), np.concatenate(dens), i, j
+
+
+def _explicit_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct y-coordinates of all pairwise intersections, ascending, as
+    parallel sequences of reduced numerators and positive denominators."""
     if ls.int_ok:
-        nums = []
-        dens = []
-        if ls.n_aff >= 2:
-            i, j = np.triu_indices(ls.n_aff, k=1)
-            dmm = ls.M[i] - ls.M[j]
-            keep = dmm != 0
-            i, j, dmm = i[keep], j[keep], dmm[keep]
-            nums.append(ls.M[i] * ls.B[j] - ls.M[j] * ls.B[i])
-            dens.append(np.int64(ls.SW * ls.SL) * dmm)
-        if ls.n_aff and ls.n_vert:
-            num = (ls.M[:, None] * ls.A[None, :] + 2 * ls.B[:, None]).ravel()
-            den = np.full(num.shape, 2 * ls.SW * ls.SL, dtype=np.int64)
-            nums.append(num)
-            dens.append(den)
-        if not nums:
-            return []
-        num = np.concatenate(nums)
-        den = np.concatenate(dens)
-        neg = den < 0
-        num = np.where(neg, -num, num)
-        den = np.where(neg, -den, den)
-        gg = np.gcd(np.abs(num), den)
-        gg[gg == 0] = 1
-        num //= gg
-        den //= gg
-        uniq = np.unique(np.stack([num, den], axis=1), axis=0)
-        ys = sorted(Fraction(int(a), int(b)) for a, b in uniq)
-        return ys
+        num, den = _reduce(*_int_pair_ordinates(ls)[:2])
+        f = num / den
+        # equal pairs sit side by side under (float, num, den): drop them
+        # first, so the exact repair only sees distinct near-equal values
+        order = np.lexsort((den, num, f))
+        num, den, f = num[order], den[order], f[order]
+        new = np.ones(len(num), dtype=bool)
+        new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+        num, den, f = num[new], den[new], f[new]
+        order = _repair_runs(
+            np.arange(len(num)), f, key=lambda t: Fraction(int(num[t]), int(den[t]))
+        )
+        return num[order], den[order]
     lines = ls.lines
     seen = set()
     for a in range(len(lines)):
@@ -296,34 +347,29 @@ def _explicit_ordinates(ls: LineSet) -> list[Fraction]:
             y = _pair_ordinate(lines[a], lines[b])
             if y is not None:
                 seen.add(y)
-    return sorted(seen)
+    ys = sorted(seen)
+    return (
+        np.array([y.numerator for y in ys], dtype=object),
+        np.array([y.denominator for y in ys], dtype=object),
+    )
 
 
 def _min_x_at(ls: LineSet, y: Fraction) -> Fraction:
     """Smallest abscissa among intersections whose ordinate equals y."""
     best: Optional[Fraction] = None
     if ls.int_ok:
-        p, q = y.numerator, y.denominator
-        if ls.n_aff >= 2:
-            i, j = np.triu_indices(ls.n_aff, k=1)
-            dmm = ls.M[i] - ls.M[j]
-            keep = dmm != 0
-            i, j, dmm = i[keep], j[keep], dmm[keep]
-            num = ls.M[i] * ls.B[j] - ls.M[j] * ls.B[i]
-            den = np.int64(ls.SW * ls.SL) * dmm
-            hit = num * q == den * p
-            for a, b in zip(i[hit], j[hit]):
-                x = Fraction(int(ls.B[b] - ls.B[a]), int(ls.SL * (ls.M[a] - ls.M[b])))
-                if best is None or x < best:
-                    best = x
-        if ls.n_aff and ls.n_vert:
-            num = ls.M[:, None] * ls.A[None, :] + 2 * ls.B[:, None]
-            hit = num * q == np.int64(2 * ls.SW * ls.SL) * p
-            cols = np.nonzero(hit.any(axis=0))[0]
-            for c in cols:
-                x = Fraction(int(ls.A[c]), 2 * ls.SL)
-                if best is None or x < best:
-                    best = x
+        num, den, i, j = _int_pair_ordinates(ls)
+        hit = np.nonzero(_equal_to(num, den, y))[0]
+        aff = hit[hit < len(i)]
+        xs = [
+            Fraction(int(ls.B[b] - ls.B[a]), int(ls.SL * (ls.M[a] - ls.M[b])))
+            for a, b in zip(i[aff], j[aff])
+        ]
+        vert = hit[hit >= len(i)] - len(i)
+        if len(vert):
+            # a crossing with a vertical line lies on it, at x = A / (2*SL)
+            xs.append(Fraction(int(ls.A[vert % ls.n_vert].min()), 2 * ls.SL))
+        best = min(xs, default=None)
     else:
         lines = ls.lines
         for a in range(len(lines)):
@@ -340,30 +386,33 @@ def _min_x_at(ls: LineSet, y: Fraction) -> Fraction:
 def _search_explicit(
     ls: LineSet, oracle: Callable[[Fraction], bool]
 ) -> ArrangementAnswer:
-    ys = _explicit_ordinates(ls)
-    if not ys:
+    num, den = _explicit_ordinates(ls)
+    if not len(num):
         raise ValueError("candidate lines have no intersection ordinates")
-    memo: dict[Fraction, bool] = {}
+    memo: dict[int, bool] = {}
 
-    def probe(y: Fraction) -> bool:
-        if y not in memo:
-            memo[y] = bool(oracle(y))
-        return memo[y]
+    def ordinate(t: int) -> Fraction:
+        return Fraction(int(num[t]), int(den[t]))
 
-    if not probe(ys[-1]):
+    def probe(t: int) -> bool:
+        if t not in memo:
+            memo[t] = bool(oracle(ordinate(t)))
+        return memo[t]
+
+    if not probe(len(num) - 1):
         raise ValueError("no intersection ordinate is feasible")
-    lo, hi = 0, len(ys) - 1
+    lo, hi = 0, len(num) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if probe(ys[mid]):
+        if probe(mid):
             hi = mid
         else:
             lo = mid + 1
-    y1 = ys[lo]
+    y1 = ordinate(lo)
     v1 = (_min_x_at(ls, y1), y1)
     if lo == 0:
         return ArrangementAnswer(v1, None)
-    y2 = ys[lo - 1]
+    y2 = ordinate(lo - 1)
     return ArrangementAnswer(v1, (_min_x_at(ls, y2), y2))
 
 
@@ -442,34 +491,11 @@ class _CountingSearch:
         f = num.astype(np.float64) / den.astype(np.float64)
         idx = np.arange(self.N, dtype=np.int64)
         order = np.lexsort((idx, tie, f))
-        # exact fixup where float gaps are too small to trust
-        pf = f[order]
-        gap = pf[1:] - pf[:-1]
-        thr = 1e-12 * np.maximum(np.abs(pf[:-1]), np.abs(pf[1:])) + 1e-15
-        susp = np.nonzero(gap <= thr)[0]
-        if len(susp):
-            order = order.copy()
-            runs: list[tuple[int, int]] = []
-            start = int(susp[0])
-            prev = start
-            for s in susp[1:]:
-                s = int(s)
-                if s > prev + 1:
-                    runs.append((start, prev + 1))
-                    start = s
-                prev = s
-            runs.append((start, prev + 1))
-            for a, b in runs:
-                chunk = list(order[a : b + 1])
-                chunk.sort(
-                    key=lambda i: (
-                        Fraction(int(num[i]), int(den[i])),
-                        int(tie[i]),
-                        int(i),
-                    )
-                )
-                order[a : b + 1] = chunk
-        return order
+        return _repair_runs(
+            order,
+            f[order],
+            key=lambda i: (Fraction(int(num[i]), int(den[i])), int(tie[i]), i),
+        )
 
     def _order_exact(self, y: Fraction, strict: bool = False) -> np.ndarray:
         ls = self.ls
@@ -495,7 +521,7 @@ class _CountingSearch:
             self.count_memo[key] = count_inversions(seq)
         return self.count_memo[key]
 
-    # -- ordinates of specific line pairs, as normalized int64 fractions
+    # -- ordinates of specific line pairs, as int64 fractions
 
     def _pair_ordinates(
         self, I: np.ndarray, J: np.ndarray
@@ -525,9 +551,6 @@ class _CountingSearch:
             num[mixed] = ls.M[i] * ls.A[j] + 2 * ls.B[i]
             den[mixed] = 2 * ls.SW * ls.SL
             valid[mixed] = True
-        neg = den < 0
-        num = np.where(neg, -num, num)
-        den = np.where(neg, -den, den)
         return num, den, valid
 
     def _sample_pivot(
@@ -591,10 +614,7 @@ class _CountingSearch:
         num, den, valid = self._pair_ordinates(I, J)
         if not valid.all():
             raise InternalError("swapped pair without a crossing")
-        gg = np.gcd(np.abs(num), den)
-        gg[gg == 0] = 1
-        num //= gg
-        den //= gg
+        num, den = _reduce(num, den)
         out: dict[Fraction, tuple[int, int]] = {}
         for t in range(len(num)):
             y = Fraction(int(num[t]), int(den[t]))
@@ -714,9 +734,7 @@ class _CountingSearch:
             keep = I != J
             I, J = I[keep].astype(np.int64), J[keep].astype(np.int64)
             num, den, valid = self._pair_ordinates(I, J)
-            hit = valid & (
-                num * y.denominator == den * np.int64(y.numerator)
-            )
+            hit = valid & _equal_to(num, den, y)
             if hit.any():
                 t = int(np.nonzero(hit)[0][0])
                 return int(I[t]), int(J[t])

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckoc.arrangement_search import (
     ArrangementAnswer,
@@ -13,6 +16,9 @@ from ckoc.arrangement_search import (
     inversion_pairs,
     lowest_feasible_vertex,
     solve_weighted_graph,
+    _explicit_ordinates,
+    _min_x_at,
+    _pair_abscissa,
     _pair_ordinate,
 )
 from ckoc.graph_core import (
@@ -20,6 +26,7 @@ from ckoc.graph_core import (
     Graph,
     all_pairs_distances,
     edge_profile,
+    parse_instance,
     point_distance,
 )
 from ckoc.oracle import brute_lambda, _piece_lines, edge_probe_points
@@ -222,6 +229,66 @@ def _all_ordinates(ls):
                 out.add(y)
     return out
 
+
+
+def _read(ordinates):
+    num, den = ordinates
+    assert all(b > 0 and math.gcd(int(a), int(b)) == 1 for a, b in zip(num, den))
+    return [F(int(a), int(b)) for a, b in zip(num, den)]
+
+
+@st.composite
+def _tied_line_sets(draw):
+    """Hand-built int_ok line sets whose lines all pass near (0, y0):
+    pairwise ordinates repeat, and for large |y0| distinct ones are equal
+    or one ulp apart as float64 (y0 + 1/3 and y0 + 2/5 round alike at
+    2**52, while 5*y0 + 2 > 2*y0 + 1 orders their numerators wrongly)."""
+    sw = draw(st.sampled_from([1, 2, 3]))
+    sl = draw(st.sampled_from([1, 2, 5]))
+    y0 = draw(st.sampled_from([0, 7, -(2**50), 2**52, -(2**52) - 3, 2**53 + 1]))
+    slopes = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=7))
+    affine = [
+        Line(F(m, sw), F(y0 * sw * sl + draw(st.integers(-5, 5)), sw * sl), ("a", t))
+        for t, m in enumerate(slopes)
+    ]
+    verts = draw(st.lists(st.integers(-6, 6), max_size=3, unique=True))
+    vertical = [Line(None, F(a, 2 * sl), ("v", a)) for a in verts]
+    return LineSet(affine, vertical, sw, sl)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tied_line_sets())
+def test_explicit_ordinates_sort_exactly(ls):
+    assert ls.int_ok
+    assert _read(_explicit_ordinates(ls)) == sorted(_all_ordinates(ls))
+
+
+# two prime denominators near 2**14 keep int_ok, yet the cross products
+# num * q of a pair ordinate num/den and a probe y = p/q exceed int64
+_WIDE = (
+    "p ckoc 6 6 2 1\nv 1 1192\nv 2 2861\nv 3 256\nv 4 1106/5\nv 5 1646/5\n"
+    "v 6 2912/3\ne 1 2 12582/16381\ne 1 3 11959/16369\ne 3 4 9580/16381\n"
+    "e 2 5 8513/16369\ne 5 6 9650/16381\ne 1 6 13079/16369\n"
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_min_x_at_exact_beyond_int64_products():
+    g, _ = parse_instance(_WIDE)
+    ls = candidate_lines(g, all_pairs_distances(g))
+    assert ls.int_ok
+    lines = ls.lines
+    want: dict = {}
+    for a in range(len(lines)):
+        for b in range(a + 1, len(lines)):
+            y = _pair_ordinate(lines[a], lines[b])
+            if y is not None:
+                x = _pair_abscissa(lines[a], lines[b])
+                want[y] = min(want.get(y, x), x)
+    assert max(abs(y.numerator) * y.denominator for y in want) >= 2**63
+    assert _read(_explicit_ordinates(ls)) == sorted(want)
+    for y, x in want.items():
+        assert _min_x_at(ls, y) == x, y
 
 def test_sandwich_and_gap_random():
     rng = random.Random(31)
