@@ -355,12 +355,12 @@ class FeasibilityTester:
         key = (edge, k)
         val = self._kth_bounds.get(key)
         if val is None:
-            g, dm = self.g, self.dm
+            g, rows = self.g, self.dm.rows
             e = g.edges[edge]
             lows = sorted(
-                g.weights[v] * min(dm.d(v, e.u), dm.d(v, e.v)) for v in g.vertices()
+                g.weights_int[v] * min(rows[v][e.u], rows[v][e.v]) for v in g.vertices()
             )
-            val = lows[k - 1]
+            val = Fraction(lows[k - 1], g.weight_scale * self.dm.scale)
             self._kth_bounds[key] = val
         return val
 

@@ -201,15 +201,11 @@ class DistanceMatrix:
     def __init__(self, rows: list[list[int]], scale: int):
         self.scale = scale
         self.rows = rows  # rows[u][v] for u,v in 1..n; row/col 0 unused
-        self._frac: list[list[Fraction]] | None = None
         self.profiles: dict[int, list[EdgeDistanceFn | None]] = {}
         self.tester: FeasibilityTester | None = None
 
     def d(self, u: int, v: int) -> Fraction:
-        if self._frac is None:
-            s = self.scale
-            self._frac = [[Fraction(x, s) for x in row] for row in self.rows]
-        return self._frac[u][v]
+        return Fraction(self.rows[u][v], self.scale)
 
     def d_int(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -271,7 +267,12 @@ def point_distance(g: Graph, dm: DistanceMatrix, x: EdgePoint, v: int) -> Fracti
     if x.edge < 0:
         return ZERO
     e = g.edges[x.edge]
-    return min(x.t + dm.d(e.u, v), e.length - x.t + dm.d(e.v, v))
+    # both routes in units of 1/(scale*q) for x.t = p/q
+    p, q = x.t.numerator, x.t.denominator
+    ps = p * dm.scale
+    via_u = ps + q * dm.rows[e.u][v]
+    via_v = q * (g.lengths_int[e.id] + dm.rows[e.v][v]) - ps
+    return Fraction(min(via_u, via_v), dm.scale * q)
 
 
 @dataclass(frozen=True)
