@@ -354,33 +354,39 @@ def _explicit_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _min_x_at(ls: LineSet, y: Fraction) -> Fraction:
-    """Smallest abscissa among intersections whose ordinate equals y."""
-    best: Optional[Fraction] = None
+def _min_x_at(ls: LineSet, ys: list[Fraction]) -> list[Fraction]:
+    """Smallest abscissa among intersections whose ordinate equals y, for
+    each y of ys, from one pass over the pairs."""
+    best: dict[Fraction, Fraction] = {}
     if ls.int_ok:
         num, den, i, j = _int_pair_ordinates(ls)
-        hit = np.nonzero(_equal_to(num, den, y))[0]
-        aff = hit[hit < len(i)]
-        xs = [
-            Fraction(int(ls.B[b] - ls.B[a]), int(ls.SL * (ls.M[a] - ls.M[b])))
-            for a, b in zip(i[aff], j[aff])
-        ]
-        vert = hit[hit >= len(i)] - len(i)
-        if len(vert):
-            # a crossing with a vertical line lies on it, at x = A / (2*SL)
-            xs.append(Fraction(int(ls.A[vert % ls.n_vert].min()), 2 * ls.SL))
-        best = min(xs, default=None)
+        for y in ys:
+            hit = np.nonzero(_equal_to(num, den, y))[0]
+            aff = hit[hit < len(i)]
+            xs = [
+                Fraction(int(ls.B[b] - ls.B[a]), int(ls.SL * (ls.M[a] - ls.M[b])))
+                for a, b in zip(i[aff], j[aff])
+            ]
+            vert = hit[hit >= len(i)] - len(i)
+            if len(vert):
+                # a crossing with a vertical line lies on it, at x = A / (2*SL)
+                xs.append(Fraction(int(ls.A[vert % ls.n_vert].min()), 2 * ls.SL))
+            if xs:
+                best[y] = min(xs)
     else:
         lines = ls.lines
+        wanted = set(ys)
         for a in range(len(lines)):
             for b in range(a + 1, len(lines)):
-                if _pair_ordinate(lines[a], lines[b]) == y:
+                y = _pair_ordinate(lines[a], lines[b])
+                if y in wanted:
                     x = _pair_abscissa(lines[a], lines[b])
-                    if best is None or x < best:
-                        best = x
-    if best is None:
-        raise InternalError(f"no intersection at ordinate {y}")
-    return best
+                    if y not in best or x < best[y]:
+                        best[y] = x
+    for y in ys:
+        if y not in best:
+            raise InternalError(f"no intersection at ordinate {y}")
+    return [best[y] for y in ys]
 
 
 def _search_explicit(
@@ -408,12 +414,10 @@ def _search_explicit(
             hi = mid
         else:
             lo = mid + 1
-    y1 = ordinate(lo)
-    v1 = (_min_x_at(ls, y1), y1)
-    if lo == 0:
-        return ArrangementAnswer(v1, None)
-    y2 = ordinate(lo - 1)
-    return ArrangementAnswer(v1, (_min_x_at(ls, y2), y2))
+    ys = [ordinate(t) for t in (lo, lo - 1) if t >= 0]
+    xs = _min_x_at(ls, ys)
+    v1 = (xs[0], ys[0])
+    return ArrangementAnswer(v1, (xs[1], ys[1]) if lo else None)
 
 
 # ---------------------------------------------------------------------------

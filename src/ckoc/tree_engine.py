@@ -6,8 +6,9 @@ vertices (a heavy vertex blocks everything behind it).  This module answers
 covered-subtree counting, reporting, and at-least-k queries for arbitrary
 points of a tree in polylogarithmic time after an O(n log n) build:
 
-- exact rational distances on the rooted tree, O(1) per vertex pair via
-  an Euler tour with a sparse table,
+- integer distances on the rooted tree (units of 1/SL, SL the graph's
+  length_scale), O(1) per vertex pair via an Euler tour with a sparse
+  table,
 - a binary transformation replacing high-degree vertices by zero-length
   chains of equal-weight copies,
 - a spine decomposition of the binary tree, with a weight-balanced search
@@ -16,6 +17,16 @@ points of a tree in polylogarithmic time after an O(n log n) build:
   the sizes and marked counts of the largest top-inclusive and
   bottom-inclusive covered subtrees as step functions of the distance to
   an outside point.
+
+Every breakpoint of the arrays at radius lam = p/q has the form
+lam/w_v - d for one vertex v, so it is kept exactly as an integer pair
+(N, D) with D = W_v = g.weights_int[v], worth N/D in units of 1/(q*SL):
+lam/w_v is (p*SW*SL, W_v) with SW the graph's weight_scale, and a shift
+by a length of l/SL gives (N - q*l*D, D).  Pairs compare by
+cross-multiplication.  A common denominator would need the lcm of all
+weights, which grows with every coprime weight; per-vertex denominators
+keep each product at the size of one weight.  Fraction appears only at
+the boundary: the radius argument and the EdgePoint of a query.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Optional
 
 from .graph_core import (
@@ -40,8 +52,10 @@ from .graph_core import (
 class _RootedDistances:
     """Exact distances and ancestry on a rooted tree given as parent arrays.
 
-    Vertices are 1..n with parent[root] = 0.  d(u, v) is O(1) via an Euler
-    tour with a sparse table; subtree tests are O(1) via entry/exit times.
+    Vertices are 1..n with parent[root] = 0.  Parent-edge lengths plen,
+    depths dd and distances d(u, v) are integers in units of 1/SL, SL the
+    graph's length_scale.  d(u, v) is O(1) via an Euler tour with a sparse
+    table; subtree tests are O(1) via entry/exit times.
     """
 
     def __init__(self, n, root, parent, plen, children):
@@ -52,7 +66,7 @@ class _RootedDistances:
         self.children = children
         tin = [0] * (n + 1)
         tout = [0] * (n + 1)
-        dd: list[Fraction] = [ZERO] * (n + 1)
+        dd = [0] * (n + 1)
         dep = [0] * (n + 1)
         euler: list[int] = []
         first = [0] * (n + 1)
@@ -118,7 +132,7 @@ class _RootedDistances:
         best = x if self.dep[e[x]] <= self.dep[e[y]] else y
         return e[best]
 
-    def d(self, u: int, v: int) -> Fraction:
+    def d(self, u: int, v: int) -> int:
         return self.dd[u] + self.dd[v] - 2 * self.dd[self.lca(u, v)]
 
     def in_subtree(self, a: int, v: int) -> bool:
@@ -127,11 +141,12 @@ class _RootedDistances:
 
 def _rooted_arrays(g: Graph, root: int):
     """The tree rooted at root by breadth-first search: per vertex its
-    parent, parent-edge length and parent-edge id, and children in id
-    order.  The root has parent 0 and edge id -1."""
+    parent, parent-edge length (an integer in units of 1/g.length_scale)
+    and parent-edge id, and children in id order.  The root has parent 0
+    and edge id -1."""
     n = g.n
     parent = [0] * (n + 1)
-    plen: list[Fraction] = [ZERO] * (n + 1)
+    plen = [0] * (n + 1)
     eid = [-1] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]
     seen = [False] * (n + 1)
@@ -142,7 +157,7 @@ def _rooted_arrays(g: Graph, root: int):
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
-                plen[u] = ev.length
+                plen[u] = g.lengths_int[ev.id]
                 eid[u] = ev.id
                 children[v].append(u)
                 queue.append(u)
@@ -158,15 +173,17 @@ def _rooted_arrays(g: Graph, root: int):
 class BinaryTransform:
     """Binary version of a rooted tree: vertices of more than two children
     are split by a zero-length chain of copies; original ids are 1..n and
-    marked, copies carry the weight of their original."""
+    marked, copies carry the weight of their original.  Lengths are
+    integers in units of 1/g.length_scale, weights in units of
+    1/g.weight_scale (g.weights_int)."""
 
     g: Graph
     root: int
     n_all: int
     parent: list[int]
-    plen: list[Fraction]
+    plen: list[int]
     children: list[list[int]]
-    weight: list[Fraction]
+    weight: list[int]
     orig: list[int]
     marked: list[bool]
     edge_child: list[int]
@@ -193,9 +210,9 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
     n = g.n
     _, plen0, eid0, children0 = _rooted_arrays(g, root)
     parent = [0] * (n + 1)
-    plen: list[Fraction] = [ZERO] * (n + 1)
+    plen = [0] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]
-    weight: list[Fraction] = [ZERO] + [g.weights[v] for v in g.vertices()]
+    weight = list(g.weights_int)
     orig = list(range(n + 1))
     marked = [False] + [True] * n
     edge_child = [0] * g.m
@@ -205,14 +222,14 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
         nonlocal nxt
         nxt += 1
         parent.append(0)
-        plen.append(ZERO)
+        plen.append(0)
         children.append([])
         weight.append(weight[of])
         orig.append(of)
         marked.append(False)
         return nxt
 
-    def attach(p: int, c: int, length: Fraction, eid: int | None):
+    def attach(p: int, c: int, length: int, eid: int | None):
         parent[c] = p
         plen[c] = length
         children[p].append(c)
@@ -227,7 +244,7 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
         for i, c in enumerate(ks):
             if 0 < i < len(ks) - 1:
                 a = new_aux(v)
-                attach(chain, a, ZERO, None)
+                attach(chain, a, 0, None)
                 chain = a
             attach(chain, c, plen0[c], eid0[c])
 
@@ -388,67 +405,66 @@ def spine_decompose(bt: BinaryTransform) -> SpineTree:
 
 
 class _Side:
-    """Step function of one node and one direction: tuple arrays descending
-    in x (index 0 is the plus-infinity sentinel), y subtree sizes, z marked
+    """Step function of one node and one direction: keys descending in x,
+    key i being xs[i]/xd[i] in units of 1/(q*SL) (index 0 is the
+    plus-infinity sentinel, None in both), y subtree sizes, z marked
     counts, Q deltas as slices qb[qs[i]:qs[i+1]], icov the first index
     covering the whole subspine (0 when none), and the truncated break
-    lists gx/gz for capped counting."""
+    lists gx/gd/gz for capped counting."""
 
-    __slots__ = ("xs", "ys", "zs", "qs", "qb", "icov", "gx", "gz")
+    __slots__ = ("xs", "xd", "ys", "zs", "qs", "qb", "icov", "gx", "gd", "gz")
 
-    def __init__(self, xs, ys, zs, deltas, icov, kmax):
+    def __init__(self, xs, xd, ys, zs, deltas, icov, kmax):
         self.xs = xs
+        self.xd = xd
         self.ys = ys
         self.zs = zs
-        qs = [0]
-        qb: list[int] = []
-        for dlt in deltas:
-            qb.extend(dlt)
-            qs.append(len(qb))
-        self.qs = qs
-        self.qb = qb
+        self.qs = [0, *accumulate(map(len, deltas))]
+        self.qb = list(chain.from_iterable(deltas))
         self.icov = icov
         gx = []
+        gd = []
         gz = []
         for i in range(1, len(xs)):
             if zs[i] > zs[i - 1]:
                 gx.append(xs[i])
+                gd.append(xd[i])
                 gz.append(zs[i])
                 if len(gx) >= kmax:
                     break
         self.gx = gx
+        self.gd = gd
         self.gz = gz
 
 
-def _locate(side: _Side, key: Fraction) -> int:
-    """Largest index with xs[index] >= key; 0 (the sentinel) when none."""
-    xs = side.xs
-    lo, hi = 1, len(xs)
+def _rank(ns: list, ds: list, kn: int, kd: int, lo: int) -> int:
+    """End of the run of keys ns[i]/ds[i] >= kn/kd in the descending keys
+    from index lo on."""
+    hi = len(ns)
     while lo < hi:
         mid = (lo + hi) // 2
-        if xs[mid] >= key:
+        if ns[mid] * kd >= kn * ds[mid]:
             lo = mid + 1
         else:
             hi = mid
-    return lo - 1
+    return lo
 
 
-def _g_value(side: _Side, key: Fraction) -> int:
-    """Marked count at key from the truncated break list; at least the
-    truncation bound whenever the true count reaches it."""
-    gx = side.gx
-    lo, hi = 0, len(gx)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if gx[mid] >= key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return side.gz[lo - 1] if lo else 0
+def _locate(side: _Side, kn: int, kd: int) -> int:
+    """Largest index whose key is >= kn/kd; 0 (the sentinel) when none."""
+    return _rank(side.xs, side.xd, kn, kd, 1) - 1
 
 
-def _covers_spine(side: _Side, key: Fraction) -> bool:
-    return side.icov >= 1 and key <= side.xs[side.icov]
+def _g_value(side: _Side, kn: int, kd: int) -> int:
+    """Marked count at key kn/kd from the truncated break list; at least
+    the truncation bound whenever the true count reaches it."""
+    i = _rank(side.gx, side.gd, kn, kd, 0)
+    return side.gz[i - 1] if i else 0
+
+
+def _covers_spine(side: _Side, kn: int, kd: int) -> bool:
+    i = side.icov
+    return i >= 1 and kn * side.xd[i] <= side.xs[i] * kd
 
 
 class _Builder:
@@ -456,51 +472,50 @@ class _Builder:
     inserts collapse into the existing tuple (its cumulative values win)."""
 
     def __init__(self):
-        self.xs: list[Optional[Fraction]] = [None]
+        self.xs: list[Optional[int]] = [None]
+        self.xd: list[Optional[int]] = [None]
         self.ys = [0]
         self.zs = [0]
         self.deltas: list[list[int]] = [[]]
 
-    def add(self, x, y, z, delta):
-        if self.xs[-1] is not None and x == self.xs[-1]:
+    def add(self, xn, xd, y, z, delta: list[int]):
+        """delta must be a list of the caller's own; it is kept, not copied."""
+        if len(self.xs) > 1 and xn * self.xd[-1] == self.xs[-1] * xd:
             self.ys[-1] = y
             self.zs[-1] = z
-            self.deltas[-1] = self.deltas[-1] + list(delta)
+            self.deltas[-1] = self.deltas[-1] + delta
             return
-        self.xs.append(x)
+        self.xs.append(xn)
+        self.xd.append(xd)
         self.ys.append(y)
         self.zs.append(z)
-        self.deltas.append(list(delta))
+        self.deltas.append(delta)
 
     def close(self):
-        if self.xs[-1] is None or self.xs[-1] > 0:
-            self.add(ZERO, self.ys[-1], self.zs[-1], [])
+        if len(self.xs) == 1 or self.xs[-1] > 0:
+            self.add(0, 1, self.ys[-1], self.zs[-1], [])
 
-    def side(self, icov_x: Optional[Fraction], kmax: int) -> _Side:
-        """icov_x: x-coordinate of the covering breakpoint, None if the
-        subspine is never fully covered."""
+    def side(self, cov: Optional[tuple[int, int]], kmax: int) -> _Side:
+        """cov: key (N, D) of the covering breakpoint, None if the subspine
+        is never fully covered."""
         icov = 0
-        if icov_x is not None:
-            xs = self.xs
-            lo, hi = 1, len(xs)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if xs[mid] >= icov_x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            icov = lo - 1
-            if icov < 1 or xs[icov] != icov_x:
+        if cov is not None:
+            cn, cd = cov
+            xs, xd = self.xs, self.xd
+            icov = _rank(xs, xd, cn, cd, 1) - 1
+            if icov < 1 or xs[icov] * cd != cn * xd[icov]:
                 raise InternalError("covering breakpoint missing from arrays")
-        return _Side(self.xs, self.ys, self.zs, self.deltas, icov, kmax)
+        return _Side(self.xs, self.xd, self.ys, self.zs, self.deltas, icov, kmax)
 
 
-def _vertex_side(bt: BinaryTransform, s: int, lam: Fraction, kmax: int) -> _Side:
-    x0 = lam / bt.weight[s]
+def _vertex_side(bt: BinaryTransform, s: int, lp: int, kmax: int) -> _Side:
+    """Side of a lone spine vertex: lam/w_s is the key (lp, weight[s]),
+    lp = p*SW*SL for lam = p/q."""
+    x0 = (lp, bt.weight[s])
     m = 1 if bt.marked[s] else 0
     own = [s] if bt.marked[s] else []
     b = _Builder()
-    b.add(x0, 1, m, own)
+    b.add(*x0, 1, m, own)
     b.close()
     return b.side(x0, kmax)
 
@@ -511,78 +526,89 @@ def _prefix_q(side: _Side, upto: int) -> list[int]:
 
 
 def _merge_one(
-    bt: BinaryTransform, s: int, child: _Side, d: Fraction, lam: Fraction, kmax: int
+    bt: BinaryTransform, s: int, child: _Side, d: int, lp: int, kmax: int
 ) -> _Side:
     """Side of a spine-vertex node with a hanging subtree: the vertex gates
-    everything at lam/w_s, the child contributes at distance d farther."""
-    x0 = lam / bt.weight[s]
+    everything at lam/w_s, the child contributes at distance d (units of
+    1/(q*SL)) farther."""
+    w = bt.weight[s]
     m = 1 if bt.marked[s] else 0
-    j1 = _locate(child, x0 + d)
+    j1 = _locate(child, lp + d * w, w)
     b = _Builder()
     first = ([s] if bt.marked[s] else []) + _prefix_q(child, j1)
-    b.add(x0, 1 + child.ys[j1], m + child.zs[j1], first)
+    b.add(lp, w, 1 + child.ys[j1], m + child.zs[j1], first)
+    cx, cd = child.xs, child.xd
     j = j1 + 1
-    while j < len(child.xs) and child.xs[j] - d >= 0:
-        b.add(
-            child.xs[j] - d,
-            1 + child.ys[j],
-            m + child.zs[j],
-            child.qb[child.qs[j] : child.qs[j + 1]],
-        )
+    while j < len(cx):
+        xn = cx[j] - d * cd[j]
+        if xn < 0:
+            break
+        b.add(xn, cd[j], 1 + child.ys[j], m + child.zs[j],
+              child.qb[child.qs[j] : child.qs[j + 1]])
         j += 1
     b.close()
-    return b.side(x0, kmax)
+    return b.side((lp, w), kmax)
 
 
-def _merge_two(prim: _Side, sec: _Side, d: Fraction, kmax: int) -> _Side:
+def _merge_two(prim: _Side, sec: _Side, d: int, kmax: int) -> _Side:
     """Side of a search-tree node: prim holds the subspine adjacent to the
-    query anchor; sec joins in, shifted by d, only while prim's subspine is
-    fully covered."""
+    query anchor; sec joins in, shifted by d (units of 1/(q*SL)), only
+    while prim's subspine is fully covered."""
     if prim.icov == 0:
         return prim
-    xr = prim.xs[prim.icov]
-    j1 = _locate(sec, xr + d)
+    px, pd, sx, sd = prim.xs, prim.xd, sec.xs, sec.xd
+    xrn, xrd = px[prim.icov], pd[prim.icov]
+    j1 = _locate(sec, xrn + d * xrd, xrd)
     b = _Builder()
     for i in range(1, prim.icov):
-        b.add(prim.xs[i], prim.ys[i], prim.zs[i], prim.qb[prim.qs[i] : prim.qs[i + 1]])
+        b.add(px[i], pd[i], prim.ys[i], prim.zs[i], prim.qb[prim.qs[i] : prim.qs[i + 1]])
     seam_q = prim.qb[prim.qs[prim.icov] : prim.qs[prim.icov + 1]] + _prefix_q(sec, j1)
-    b.add(xr, prim.ys[prim.icov] + sec.ys[j1], prim.zs[prim.icov] + sec.zs[j1], seam_q)
+    b.add(xrn, xrd, prim.ys[prim.icov] + sec.ys[j1], prim.zs[prim.icov] + sec.zs[j1],
+          seam_q)
     i = prim.icov + 1
     j = j1 + 1
-    np_, ns = len(prim.xs), len(sec.xs)
-    while i < np_ and j < ns and sec.xs[j] - d >= 0:
-        xa = prim.xs[i]
-        xb = sec.xs[j] - d
-        if xa > xb:
-            b.add(xa, prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1],
+    np_, ns = len(px), len(sx)
+    while i < np_ and j < ns:
+        xbn = sx[j] - d * sd[j]
+        if xbn < 0:
+            break
+        xan, xad, xbd = px[i], pd[i], sd[j]
+        lhs = xan * xbd
+        rhs = xbn * xad
+        if lhs > rhs:
+            b.add(xan, xad, prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1],
                   prim.qb[prim.qs[i] : prim.qs[i + 1]])
             i += 1
-        elif xb > xa:
-            b.add(xb, prim.ys[i - 1] + sec.ys[j], prim.zs[i - 1] + sec.zs[j],
+        elif rhs > lhs:
+            b.add(xbn, xbd, prim.ys[i - 1] + sec.ys[j], prim.zs[i - 1] + sec.zs[j],
                   sec.qb[sec.qs[j] : sec.qs[j + 1]])
             j += 1
         else:
-            b.add(xa, prim.ys[i] + sec.ys[j], prim.zs[i] + sec.zs[j],
+            b.add(xan, xad, prim.ys[i] + sec.ys[j], prim.zs[i] + sec.zs[j],
                   prim.qb[prim.qs[i] : prim.qs[i + 1]]
                   + sec.qb[sec.qs[j] : sec.qs[j + 1]])
             i += 1
             j += 1
     while i < np_:
-        b.add(prim.xs[i], prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1],
+        b.add(px[i], pd[i], prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1],
               prim.qb[prim.qs[i] : prim.qs[i + 1]])
         i += 1
-    while j < ns and sec.xs[j] - d >= 0:
-        b.add(sec.xs[j] - d, prim.ys[np_ - 1] + sec.ys[j], prim.zs[np_ - 1] + sec.zs[j],
+    while j < ns:
+        xbn = sx[j] - d * sd[j]
+        if xbn < 0:
+            break
+        b.add(xbn, sd[j], prim.ys[np_ - 1] + sec.ys[j], prim.zs[np_ - 1] + sec.zs[j],
               sec.qb[sec.qs[j] : sec.qs[j + 1]])
         j += 1
     b.close()
-    if sec.icov == 0:
-        cov_x = None
-    else:
-        cov_x = min(xr, sec.xs[sec.icov] - d)
-        if cov_x < 0:
-            cov_x = None
-    return b.side(cov_x, kmax)
+    cov = None
+    if sec.icov:
+        cn, cd = sx[sec.icov] - d * sd[sec.icov], sd[sec.icov]
+        if cn * xrd > xrn * cd:
+            cn, cd = xrn, xrd
+        if cn >= 0:
+            cov = (cn, cd)
+    return b.side(cov, kmax)
 
 
 @dataclass
@@ -599,6 +625,9 @@ def build_coverage_arrays(
     if lam < 0:
         raise ValueError("radius must be nonnegative")
     bt = st.bt
+    g = bt.g
+    q = lam.denominator
+    lp = lam.numerator * g.weight_scale * g.length_scale
     dd = bt.rd.dd
     kmax = bt.n_all if kmax is None else max(1, kmax)
     ft: list[Optional[_Side]] = [None] * len(st.nodes)
@@ -607,16 +636,16 @@ def build_coverage_arrays(
         if node.leaf_kind:
             s = node.vertex
             if node.left is None:
-                side = _vertex_side(bt, s, lam, kmax)
+                side = _vertex_side(bt, s, lp, kmax)
             else:
-                d = bt.plen[node.echild]
-                side = _merge_one(bt, s, ft[node.left.idx], d, lam, kmax)
+                d = q * bt.plen[node.echild]
+                side = _merge_one(bt, s, ft[node.left.idx], d, lp, kmax)
             ft[node.idx] = side
             fb[node.idx] = side
         else:
             lc, rc = node.left, node.right
-            d_t = dd[lc.vt] - dd[rc.vt]
-            d_b = dd[lc.vb] - dd[rc.vb]
+            d_t = q * (dd[lc.vt] - dd[rc.vt])
+            d_b = q * (dd[lc.vb] - dd[rc.vb])
             ft[node.idx] = _merge_two(ft[rc.idx], ft[lc.idx], d_t, kmax)
             fb[node.idx] = _merge_two(fb[lc.idx], fb[rc.idx], d_b, kmax)
     return CoverageArrays(lam, kmax, ft, fb)
@@ -631,31 +660,43 @@ class CoverageAnswer:
     reported: Optional[tuple[int, ...]] = None
 
 
-def _walk(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: Optional[int],
-          collect: bool):
+def _position(bt: BinaryTransform, x: EdgePoint) -> tuple[int, int, int]:
+    """x as (s, tn, td): the point at distance tn/(td*SL) from vertex s of
+    the transformed tree toward its parent (tn = 0 at s itself)."""
+    s, _, ds = bt.map_point(x)
+    return s, ds.numerator * bt.g.length_scale, ds.denominator
+
+
+def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
+          k: Optional[int], collect: bool):
     bt = st.bt
     rd = bt.rd
-    lam = ca.lam
-    s, r, ds = bt.map_point(x)
-    elen = bt.plen[s] if r is not None else ZERO
+    g = bt.g
+    q = ca.lam.denominator
+    # w_v * dist(v) <= lam  <=>  weight[v] * dist(v) * q <= gate
+    gate = ca.lam.numerator * g.weight_scale * g.length_scale * td
+    r = bt.parent[s] if tn else None
+    far = td * bt.plen[s] - tn
 
-    def dist(v: int) -> Fraction:
+    def dist(v: int) -> int:
+        """Distance from the point to v in units of 1/(td*SL)."""
         if r is None:
-            return rd.d(s, v)
+            return td * rd.d(s, v)
         if rd.in_subtree(s, v):
-            return ds + rd.d(s, v)
-        return (elen - ds) + rd.d(r, v)
+            return tn + td * rd.d(s, v)
+        return far + td * rd.d(r, v)
 
     count = 0
     out: list[int] = [] if collect else None
     use_g = k is not None
 
-    def contrib(side: _Side, key: Fraction):
+    # a distance dist is the array key (dist * q, td)
+    def contrib(side: _Side, kn: int):
         nonlocal count
         if use_g:
-            count += _g_value(side, key)
+            count += _g_value(side, kn, td)
         else:
-            idx = _locate(side, key)
+            idx = _locate(side, kn, td)
             count += side.zs[idx]
             if collect:
                 out.extend(side.qb[: side.qs[idx + 1]])
@@ -668,13 +709,13 @@ def _walk(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: Optional[int],
         if u.leaf_kind:
             sv = u.vertex
             if prev is None:
-                if bt.weight[sv] * ds <= lam:
+                if bt.weight[sv] * tn * q <= gate:
                     flag_b = True
-                    contrib(ca.ft[u.idx], ds)
+                    contrib(ca.ft[u.idx], tn * q)
             else:
                 if flag_a:
                     break
-                if bt.weight[sv] * dist(sv) > lam:
+                if bt.weight[sv] * dist(sv) * q > gate:
                     break
                 flag_b = True
                 if bt.marked[sv]:
@@ -685,18 +726,18 @@ def _walk(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: Optional[int],
             if prev is u.right:
                 if flag_b:
                     lc = u.left
-                    key = dist(lc.vt)
+                    key = dist(lc.vt) * q
                     side = ca.ft[lc.idx]
                     contrib(side, key)
-                    if not _covers_spine(side, key):
+                    if not _covers_spine(side, key, td):
                         flag_b = False
             else:
                 if not flag_a:
                     rc = u.right
-                    key = dist(rc.vb)
+                    key = dist(rc.vb) * q
                     side = ca.fb[rc.idx]
                     contrib(side, key)
-                    if not _covers_spine(side, key):
+                    if not _covers_spine(side, key, td):
                         flag_a = True
         if use_g and count >= k:
             return count, out
@@ -707,14 +748,21 @@ def _walk(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: Optional[int],
 
 def query_count(st: SpineTree, ca: CoverageArrays, x: EdgePoint,
                 report: bool = False) -> CoverageAnswer:
-    count, out = _walk(st, ca, x, None, report)
+    count, out = _walk(st, ca, *_position(st.bt, x), None, report)
     return CoverageAnswer(count, tuple(sorted(out)) if report else None)
 
 
 def query_at_least_k(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: int) -> bool:
+    return query_at_least_k_at(st, ca, *_position(st.bt, x), k)
+
+
+def query_at_least_k_at(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
+                        k: int) -> bool:
+    """query_at_least_k at the point at distance tn/(td*SL) from vertex s
+    of the transformed tree toward its parent (tn = 0 at s itself)."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > ca.kmax:
         raise ValueError(f"arrays truncated at {ca.kmax}, cannot answer k={k}")
-    count, _ = _walk(st, ca, x, k, False)
+    count, _ = _walk(st, ca, s, tn, td, k, False)
     return count >= k

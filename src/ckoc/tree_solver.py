@@ -18,6 +18,7 @@ budget.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from .tree_engine import (
     _rooted_arrays,
     binarize,
     build_coverage_arrays,
-    query_at_least_k,
+    query_at_least_k_at,
     query_count,
     spine_decompose,
 )
@@ -70,32 +71,56 @@ class _TreeContext:
             self._st = spine_decompose(binarize(self.g))
         return self._st
 
-    def point(self, v: int, lam: Fraction) -> EdgePoint:
-        """Critical point of v: on v's root path at distance lam/w_v."""
-        g, rd = self.g, self.rd
-        rem = lam / g.weights[v]
-        if rem == 0:
-            return vertex_point(g, v)
-        if rem >= rd.dd[v]:
-            return vertex_point(g, 1)
-        target = rd.dd[v] - rem
+    def point(self, v: int, lam: Fraction) -> tuple[int, int, int]:
+        """Critical point of v: on v's root path at distance lam/w_v.
+
+        Returned as (c, n, d) in lowest terms, the point at distance
+        n/(d*SL) from vertex c toward its parent, so equal points compare
+        equal: (c, 0, 1) is vertex c itself.
+        """
+        g, dd = self.g, self.rd.dd
+        # lam/w_v is rn/qw in units of 1/SL
+        rn = lam.numerator * g.weight_scale * g.length_scale
+        if rn == 0:
+            return v, 0, 1
+        qw = lam.denominator * g.weights_int[v]
+        target = dd[v] * qw - rn  # depth of the point, in units of 1/(qw*SL)
+        if target <= 0:
+            return 1, 0, 1
+        # dd[a] * qw > target exactly when dd[a] > floor(target / qw)
+        lim = target // qw
         c = v
         for row in reversed(self.up):
             a = row[c]
-            if a and rd.dd[a] > target:
+            if a and dd[a] > lim:
                 c = a
-        p = rd.parent[c]
+        p = self.rd.parent[c]
+        if dd[p] * qw == target:
+            return p, 0, 1
+        n = dd[c] * qw - target
+        h = math.gcd(n, qw)
+        return c, n // h, qw // h
+
+    def edge_point(self, pt: tuple[int, int, int]) -> EdgePoint:
+        """The EdgePoint of a point given as point() returns it."""
+        c, n, d = pt
+        g = self.g
+        if n == 0:
+            return vertex_point(g, c)
         e = g.edges[self.eid[c]]
-        t = target - rd.dd[p]
-        if e.u != p:
-            t = e.length - t
-        return canonical_point(g, e.id, t)
+        ds = Fraction(n, d * g.length_scale)
+        return canonical_point(g, e.id, ds if e.u == c else e.length - ds)
 
     def point_distance(self, x: EdgePoint, u: int) -> Fraction:
+        sl = self.g.length_scale
         if x.edge < 0:
-            return self.rd.d(1, u)
+            return Fraction(self.rd.d(1, u), sl)
         e = self.g.edges[x.edge]
-        return min(x.t + self.rd.d(e.u, u), e.length - x.t + self.rd.d(e.v, u))
+        # both routes in units of 1/(b*SL) for x.t = a/b
+        a, b = x.t.numerator * sl, x.t.denominator
+        via_u = a + b * self.rd.d(e.u, u)
+        via_v = b * (self.g.lengths_int[e.id] + self.rd.d(e.v, u)) - a
+        return Fraction(min(via_u, via_v), b * sl)
 
 
 # ---------------------------------------------------------------- feasibility
@@ -107,12 +132,13 @@ def _feasible_scan(ctx: _TreeContext, k: int, lam: Fraction):
     ca = build_coverage_arrays(st, lam, kmax=k)
     seen = set()
     for v in ctx.g.vertices():
-        x = ctx.point(v, lam)
-        if x in seen:
+        pt = ctx.point(v, lam)
+        if pt in seen:
             continue
-        seen.add(x)
-        if query_at_least_k(st, ca, x, k):
-            return x, st, ca
+        seen.add(pt)
+        # the tree's edge child c is also the transformed tree's vertex c
+        if query_at_least_k_at(st, ca, *pt, k):
+            return ctx.edge_point(pt), st, ca
     return None
 
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ckoc import oracle
 from ckoc.graph_core import (
@@ -26,6 +28,7 @@ from ckoc.tree_engine import (
     query_count,
     spine_decompose,
 )
+from ckoc.tree_solver import solve_weighted_tree
 
 from conftest import random_tree
 
@@ -55,6 +58,13 @@ def _rooted(g):
     return _RootedDistances(g.n, 1, parent, plen, children)
 
 
+def _keys(g, ca, nums, dens):
+    """Array keys as Fractions: the pair (N, D) is N/(D*q*SL) at lam = p/q;
+    the sentinel stays None."""
+    scale = ca.lam.denominator * g.length_scale
+    return [None if n is None else F(n, d * scale) for n, d in zip(nums, dens)]
+
+
 # ---------------------------------------------------------------- distances
 
 
@@ -67,7 +77,7 @@ def test_distance_oracle_path5(path5):
     dm = all_pairs_distances(path5)
     for u in path5.vertices():
         for v in path5.vertices():
-            assert to.d(u, v) == dm.d(u, v)
+            assert to.d(u, v) == dm.d_int(u, v)
 
 
 def test_distance_oracle_star(star3):
@@ -90,7 +100,7 @@ def test_distance_oracle_random_matches_matrix():
         dm = all_pairs_distances(g)
         for u in g.vertices():
             for v in g.vertices():
-                assert to.d(u, v) == dm.d(u, v)
+                assert to.d(u, v) == dm.d_int(u, v)
 
 
 # ---------------------------------------------------------------- binarize
@@ -101,7 +111,7 @@ def test_binarize_star3(star3):
     assert bt.n_all == 5
     assert bt.parent[5] == 1 and bt.plen[5] == 0
     assert bt.orig[5] == 1 and not bt.marked[5]
-    assert bt.weight[5] == star3.weights[1]
+    assert bt.weight[5] == star3.weights_int[1]
     assert bt.children[1] == [2, 5]
     assert bt.children[5] == [3, 4]
     for e in star3.edges:
@@ -141,10 +151,10 @@ def test_binarize_preserves_distances_and_weights():
         bt = binarize(g)
         for u in g.vertices():
             for v in g.vertices():
-                assert bt.rd.d(u, v) == dm.d(u, v)
+                assert bt.rd.d(u, v) == dm.d_int(u, v)
         for a in range(g.n + 1, bt.n_all + 1):
             assert not bt.marked[a]
-            assert bt.weight[a] == g.weights[bt.orig[a]]
+            assert bt.weight[a] == g.weights_int[bt.orig[a]]
 
 
 # ---------------------------------------------------------------- spines
@@ -190,7 +200,7 @@ def test_leaf_arrays_frozen_single_vertex():
     g = Graph(1, [3], [])
     st, ca = _engine(g, lam=F(2))
     side = ca.ft[st.root.idx]
-    assert side.xs == [None, F(2, 3), 0]
+    assert _keys(g, ca, side.xs, side.xd) == [None, F(2, 3), 0]
     assert side.ys == [0, 1, 1]
     assert side.zs == [0, 1, 1]
     assert side.qb[: side.qs[2]] == [1]
@@ -200,7 +210,8 @@ def test_leaf_arrays_frozen_single_vertex():
 
 def test_vertex_side_aux_unmarked(star3):
     bt = binarize(star3)
-    side = _vertex_side(bt, 5, F(1), 99)
+    # radius 1: the key numerator is p * SW * SL with p = 1
+    side = _vertex_side(bt, 5, star3.weight_scale * star3.length_scale, 99)
     assert side.ys == [0, 1, 1]
     assert side.zs == [0, 0, 0]
     assert side.qb == []
@@ -212,8 +223,9 @@ def test_arrays_path5_midspine(path5):
         u for u in st.nodes if not u.leaf_kind and u.vt == 3 and u.vb == 5
     )
     side = ca.ft[node.idx]
+    xs = _keys(path5, ca, side.xs, side.xd)
     # standing at vertex 3 with unit radius covers {3, 4}; 5 stays out
-    i = max(j for j in range(1, len(side.xs)) if side.xs[j] >= 0)
+    i = max(j for j in range(1, len(xs)) if xs[j] >= 0)
     assert side.ys[i] == 2
     assert side.zs[i] == 2
 
@@ -225,7 +237,7 @@ def test_arrays_shape_invariants():
         lam = F(rng.randint(0, 40), rng.randint(1, 8))
         st, ca = _engine(g, lam=lam)
         for side in list(ca.ft) + list(ca.fb):
-            xs, ys, zs = side.xs, side.ys, side.zs
+            xs, ys, zs = _keys(g, ca, side.xs, side.xd), side.ys, side.zs
             assert xs[0] is None and xs[-1] == 0
             for i in range(2, len(xs)):
                 assert xs[i] < xs[i - 1]
@@ -350,9 +362,68 @@ def test_build_determinism():
         st, ca = _engine(g, lam=F(7, 3))
         shape = [(u.leaf_kind, u.vertex, u.vt, u.vb, u.tsize) for u in st.nodes]
         sides = [
-            (s.xs, s.ys, s.zs, s.qs, s.qb, s.icov, s.gx, s.gz)
+            (_keys(g, ca, s.xs, s.xd), s.ys, s.zs, s.qs, s.qb, s.icov,
+             _keys(g, ca, s.gx, s.gd), s.gz)
             for s in list(ca.ft) + list(ca.fb)
         ]
         return shape, sides
 
     assert dump() == dump()
+
+
+# ---------------------------------------------------------------- wide scales
+
+# primes near 10**6 and near 2**61: lengths and weights built from them
+# have pairwise coprime numerators and denominators, so the integer keys
+# carry per-vertex denominators of up to ~120 bits and no common scale
+_PRIMES = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037) + tuple(
+    2**61 + o for o in (-105, -91, -1, 15, 21, 57, 65, 135)
+)
+
+
+@hs.composite
+def _wide_trees(draw):
+    prime = hs.sampled_from(_PRIMES)
+
+    def rat():
+        return F(draw(prime) * draw(hs.integers(1, 9)), draw(prime))
+
+    n = draw(hs.integers(2, 8))
+    edges = [(draw(hs.integers(1, v - 1)), v, rat()) for v in range(2, n + 1)]
+    return Graph(n, [rat() for _ in range(n)], edges)
+
+
+@hs.composite
+def _wide_cases(draw):
+    """A tree, query points anywhere on its edges, and for each point a
+    radius: an exact coverage boundary w_v * d(x, v), or that boundary
+    times an arbitrary fraction."""
+    g = draw(_wide_trees())
+    dm = all_pairs_distances(g)
+    queries = []
+    for _ in range(draw(hs.integers(1, 4))):
+        e = g.edges[draw(hs.integers(0, g.m - 1))]
+        den = draw(hs.sampled_from((1, 2, 3) + _PRIMES))
+        x = canonical_point(g, e.id, e.length * F(draw(hs.integers(0, den)), den))
+        lam = g.weights[draw(hs.integers(1, g.n))] * point_distance(
+            g, dm, x, draw(hs.integers(1, g.n)))
+        if draw(hs.booleans()):
+            lam *= F(draw(hs.integers(0, 3 * den)), den)
+        queries.append((x, lam))
+    return g, dm, queries, draw(hs.integers(2, g.n))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_wide_cases())
+def test_integer_keys_match_brute_at_wide_scales(case):
+    g, dm, queries, k = case
+    st, _ = _engine(g)
+    for x, lam in queries:
+        ca = build_coverage_arrays(st, lam)
+        want = sorted(oracle.brute_covered_set(g, dm, x, lam))
+        ans = query_count(st, ca, x, report=True)
+        assert ans.count == len(want)
+        assert ans.reported == tuple(want)
+        for kk in range(1, g.n + 1):
+            assert query_at_least_k(st, ca, x, kk) == (len(want) >= kk)
+    assert solve_weighted_tree(g, k).lambda_star == oracle.brute_lambda(g, k)

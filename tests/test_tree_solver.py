@@ -30,24 +30,28 @@ from conftest import random_tree
 # ---------------------------------------------------------- critical points
 
 
+def _crit(ctx, v, lam):
+    return ctx.edge_point(ctx.point(v, lam))
+
+
 def test_critical_points_path3(path3):
     ctx = _TreeContext(path3)
     lam = F(1, 2)
-    assert ctx.point(1, lam) == EdgePoint(0, F(0))
-    assert ctx.point(2, lam) == EdgePoint(0, F(1, 2))
+    assert _crit(ctx, 1, lam) == EdgePoint(0, F(0))
+    assert _crit(ctx, 2, lam) == EdgePoint(0, F(1, 2))
     # half a unit from vertex 3 back toward the root
-    assert ctx.point(3, lam) == EdgePoint(1, F(1, 2))
+    assert _crit(ctx, 3, lam) == EdgePoint(1, F(1, 2))
 
 
 def test_critical_points_wedge(wedge2):
     ctx = _TreeContext(wedge2)
-    assert ctx.point(1, F(4)) == vertex_point(wedge2, 1)
-    assert ctx.point(2, F(4)) == EdgePoint(0, F(2))
+    assert _crit(ctx, 1, F(4)) == vertex_point(wedge2, 1)
+    assert _crit(ctx, 2, F(4)) == EdgePoint(0, F(2))
 
 
 def test_critical_points_saturated(path5):
     ctx = _TreeContext(path5)
-    assert {ctx.point(v, F(100)) for v in path5.vertices()} == {vertex_point(path5, 1)}
+    assert {_crit(ctx, v, F(100)) for v in path5.vertices()} == {vertex_point(path5, 1)}
 
 
 def test_critical_points_rejects_negative(path3):
@@ -65,7 +69,7 @@ def test_critical_points_on_root_path():
         lam = F(rng.randint(0, 12), rng.randint(1, 4))
         ctx = _TreeContext(g)
         for v in g.vertices():
-            x = ctx.point(v, lam)
+            x = _crit(ctx, v, lam)
             dv = point_distance(g, dm, x, v)
             assert g.weights[v] * dv == min(lam, g.weights[v] * dm.d(1, v))
             # x lies on the path between v and the root
@@ -184,7 +188,7 @@ def test_weighted_witness_valid():
         assert mx == s.lambda_star
         # the center is one of the radius-lam critical points
         ctx = _TreeContext(g)
-        assert s.center in {ctx.point(v, s.lambda_star) for v in g.vertices()}
+        assert s.center in {_crit(ctx, v, s.lambda_star) for v in g.vertices()}
 
 
 def test_weighted_counting_strategy_agrees():
