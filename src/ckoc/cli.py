@@ -232,7 +232,7 @@ def _cmd_klevel(args) -> int:
         payload = {
             "edge": [e.u, e.v],
             "k": k,
-            "chains": len(cs.chains),
+            "chains": len(cs.ids),
             "lowest": [str(x), str(y)],
         }
     print(json.dumps(payload))

@@ -10,10 +10,13 @@ distance lines generated by a recursive centroid decomposition and runs
 the arrangement search over the tree feasibility test.
 
 The unweighted solver (unit vertex weights, rational lengths) binary
-searches the optimal radius on an integer grid; each probe counts
-coverage at all n critical points with vectorized subtree and centroid
-ball counts, which keeps trees with a hundred thousand vertices in
-budget.
+searches the optimal radius on an integer grid, between 0 and the k-th
+distance from the outermost centroid.  A probe counts coverage with
+vectorized subtree and centroid ball counts, at the critical points of
+only those vertices that covered k at every feasible probe so far: with
+unit weights each vertex's count is monotone in the radius, so the rest
+cannot cover k at any lower probe.  This keeps trees with a hundred
+thousand vertices in budget.
 """
 
 from __future__ import annotations
@@ -248,17 +251,25 @@ def _centroid_lines(g: Graph) -> LineSet:
     with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so the
     optimal radius of any binding pair appears as an intersection
     ordinate."""
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.n + 1)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
     for e in g.edges:
-        adj[e.u].append((e.v, e.length))
-        adj[e.v].append((e.u, e.length))
-    aff: dict[tuple[Fraction, Fraction], tuple] = {}
+        l = g.lengths_int[e.id]
+        adj[e.u].append((e.v, l))
+        adj[e.v].append((e.u, l))
+    # keyed on (slope, intercept) in integer units of 1/SW and 1/(SW*SL)
+    wi = g.weights_int
+    aff: dict[tuple[int, int], tuple] = {}
     for c, bfs, dist, _br in _centroids(g.n, adj):
         for v in bfs:
-            w = g.weights[v]
-            aff.setdefault((w, w * dist[v]), ("rising", v, c))
-            aff.setdefault((-w, w * dist[v]), ("falling", v, c))
-    lines = [Line(m, b, org) for (m, b), org in aff.items()]
+            w = wi[v]
+            b = w * dist[v]
+            aff.setdefault((w, b), ("rising", v, c))
+            aff.setdefault((-w, b), ("falling", v, c))
+    ws, swl = g.weights, g.weight_scale * g.length_scale
+    lines = [
+        Line(ws[org[1]] if m > 0 else -ws[org[1]], Fraction(b, swl), org)
+        for (m, b), org in aff.items()
+    ]
     return LineSet(lines, [], g.weight_scale, g.length_scale)
 
 
@@ -386,7 +397,7 @@ class _ScaleOverflow(Exception):
 
 
 class _UnweightedEngine:
-    """Integer-scaled coverage counting at all critical points at once."""
+    """Integer-scaled coverage counting at many critical points at once."""
 
     def __init__(self, g: Graph):
         n = g.n
@@ -395,7 +406,7 @@ class _UnweightedEngine:
         self.sc2 = 2 * g.length_scale
         parent, _, eid, children = _rooted_arrays(g, 1)
         depth, tin, tout = _dfs_depths(g, children, eid)
-        self.parent = parent
+        self.parent = np.asarray(parent, dtype=np.int64)
         self.eid = eid
         self.depth = depth
         self.children = children
@@ -430,7 +441,7 @@ class _UnweightedEngine:
         self.tout_np = np.asarray(tout, dtype=np.int64)
         self.liftdep = self.depth_np.copy()
         self.liftdep[0] = -1
-        ups = [np.asarray(parent, dtype=np.int64)]
+        ups = [self.parent]
         for _ in range(max(0, n.bit_length() - 1)):
             ups.append(ups[-1][ups[-1]])
         self.ups = ups
@@ -468,30 +479,35 @@ class _UnweightedEngine:
         out = np.bincount(owner, weights=(f - br).astype(np.float64), minlength=p.size)
         return out.astype(np.int64)
 
-    def locate(self, radius: int):
-        """Edge child and target depth of every vertex's critical point."""
-        td = np.maximum(self.depth_np[1:] - radius, 0)
-        cur = self.verts.copy()
+    def locate(self, radius: int, verts: np.ndarray):
+        """Edge child and target depth of the critical points of the
+        vertices in verts, an int64 array of ids."""
+        td = np.maximum(self.depth_np[verts] - radius, 0)
+        cur = verts.copy()
         for row in reversed(self.ups):
             anc = row[cur]
             ok = self.liftdep[anc] > td
             cur = np.where(ok, anc, cur)
-        cur[0] = self.children[1][0]  # root: any child, its terms cancel
+        cur[verts == 1] = self.children[1][0]  # root: any child, its terms cancel
         return cur, td
 
-    def counts(self, radius: int) -> np.ndarray:
-        """Coverage count of every vertex's critical point at the radius."""
-        n = self.n
-        ch, td = self.locate(radius)
-        p = np.asarray(self.parent, dtype=np.int64)[ch]
+    def counts(self, radius: int, verts: np.ndarray | None = None) -> np.ndarray:
+        """Coverage count at the radius of the critical point of each vertex
+        in verts, an int64 array of ids (all vertices in id order when
+        omitted)."""
+        if verts is None:
+            verts = self.verts
+        m = verts.size
+        ch, td = self.locate(radius, verts)
+        p = self.parent[ch]
         dp = self.depth_np[p]
         b1 = radius + td
         b3 = radius + 2 * dp - td
         tq = np.concatenate([self.tout_np[ch], self.tin_np[ch]] * 2)
         xq = np.concatenate([b1, b1, b3, b3])
         pr = _prefix_counts(self.levels, self.stride, tq, xq)
-        e1 = pr[0:n] - pr[n : 2 * n]
-        e3 = pr[2 * n : 3 * n] - pr[3 * n : 4 * n]
+        e1 = pr[0:m] - pr[m : 2 * m]
+        e3 = pr[2 * m : 3 * m] - pr[3 * m : 4 * m]
         ball = self._ball(p, radius - (td - dp))
         return e1 + ball - e3
 
@@ -529,18 +545,42 @@ def solve_unweighted_tree(g: Graph, k: int) -> Solution:
         raise InstanceError(
             "edge length denominators too large for the scaled solver"
         ) from None
-    lo, hi = 0, eng.maxdepth
-    if not (eng.counts(hi) >= k).any():
-        raise InternalError("maximum radius probe found no k-point cover")
+    radius, v_star = _least_radius(eng, k)
+    return _unweighted_solution(g, eng, k, radius, v_star)
+
+
+def _least_radius(eng: _UnweightedEngine, k: int) -> tuple[int, int]:
+    """Least grid radius at which some critical point covers k vertices
+    (k >= 2), and the least vertex id whose critical point does."""
+    # The ball around the outermost centroid c, whose component is the
+    # whole tree, holds k vertices at its k-th distance, so some critical
+    # point covers k there too.
+    c = int(eng.ch_c[eng.ch_off[1]])
+    kth = int(eng.fulls[eng.full_start[c] + k - 1]) - c * eng.stride
+    lo, hi = 0, min(eng.maxdepth, kth)
+    alive = eng.verts[eng.counts(hi) >= k]
+    if not alive.size:
+        raise InternalError("upper bracket probe found no k-point cover")
+    # With unit weights, x_v(r') lies at most r' - r above x_v(r) on v's
+    # root path for r < r', so B(x_v(r), r) lies in B(x_v(r'), r') and v's
+    # count never falls as the radius grows.  A vertex below k at hi is
+    # below k at every lower probe, and every probe after hi is lower:
+    # alive, the vertices covering k at hi, is all a probe needs to count.
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (eng.counts(mid) >= k).any():
-            hi = mid
+        ok = eng.counts(mid, alive) >= k
+        if ok.any():
+            hi, alive = mid, alive[ok]
         else:
             lo = mid
-    radius = hi
-    cnt = eng.counts(radius)
-    v_star = int(np.nonzero(cnt >= k)[0][0]) + 1
+    return hi, int(alive[0])
+
+
+def _unweighted_solution(
+    g: Graph, eng: _UnweightedEngine, k: int, radius: int, v_star: int
+) -> Solution:
+    """The solution centered at v_star's critical point at the radius, with
+    the k vertices nearest to it, ties to the smaller id."""
     td = max(eng.depth[v_star] - radius, 0)
     n = g.n
     if td == 0:
@@ -552,7 +592,7 @@ def solve_unweighted_tree(g: Graph, k: int) -> Solution:
             a = int(row[c])
             if a and eng.depth[a] > td:
                 c = a
-        p = eng.parent[c]
+        p = int(eng.parent[c])
         off_p = td - eng.depth[p]
         e = g.edges[eng.eid[c]]
         tfp = Fraction(off_p, eng.sc2)

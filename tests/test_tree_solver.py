@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ckoc import oracle
 from ckoc.graph_core import (
@@ -19,6 +21,8 @@ from ckoc.tree_solver import (
     _centroids,
     _TreeContext,
     _UnweightedEngine,
+    _least_radius,
+    _unweighted_solution,
     is_feasible_tree,
     solve_unweighted_tree,
     solve_weighted_tree,
@@ -294,6 +298,46 @@ def test_unweighted_determinism(path5):
     )
 
 
+def _full_grid_least_radius(eng, k):
+    """Bisection over the whole grid [0, maxdepth], counting every
+    vertex's critical point at every probe."""
+    lo, hi = 0, eng.maxdepth
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (eng.counts(mid) >= k).any():
+            hi = mid
+        else:
+            lo = mid
+    return hi, int(np.nonzero(eng.counts(hi) >= k)[0][0]) + 1
+
+
+def _clamped_spider():
+    # root 1 sits mid-length between a heavy leg 1-2 and the unit path
+    # 1-3-...-12, so the outermost centroid lies on the path and its
+    # farthest vertex, 2, lies beyond the root's maximum depth
+    edges = [(1, 2, F(10)), (1, 3, F(1))] + [(v, v + 1, F(1)) for v in range(3, 12)]
+    return Graph(12, [F(1)] * 12, edges)
+
+
+def test_pruned_search_matches_full_grid_bisection():
+    rng = random.Random(87)
+    clamped = _clamped_spider()
+    c = next(_centroids(clamped.n, _centroid_adj(clamped)))[0]
+    dm = all_pairs_distances(clamped)
+    eng = _UnweightedEngine(clamped)
+    kth = sorted(dm.d(c, u) for u in clamped.vertices())[clamped.n - 1]
+    assert kth * eng.sc2 > eng.maxdepth  # the bracket is clamped at k = n
+    trees = [clamped] + [random_tree(rng, rng.randint(2, 12)) for _ in range(20)]
+    for trial, g in enumerate(trees):
+        eng = _UnweightedEngine(g)
+        for k in range(2, g.n + 1):
+            radius, v_star = _full_grid_least_radius(eng, k)
+            assert _least_radius(eng, k) == (radius, v_star), (trial, k)
+            got = solve_unweighted_tree(g, k)
+            assert got == _unweighted_solution(g, eng, k, radius, v_star), (trial, k)
+            assert got.lambda_star == oracle.brute_lambda(g, k), (trial, k)
+
+
 # ------------------------------------------ centroid distance subsets
 
 
@@ -352,3 +396,48 @@ def test_kth_distance_from():
         row = sorted(dm.d(v, u) for u in g.vertices() if u != v)
         for k in (1, 5, 10):
             assert min(r for r in row if others_within(v, r) >= k) == row[k - 1]
+
+
+# ------------------------------------------------------ unweighted engine
+
+
+@hs.composite
+def _unit_trees(draw):
+    """Unit-weight trees with n <= 40: random, paths and stars, labels
+    shuffled so vertex 1 may sit anywhere, lengths all equal or mixed."""
+    n = draw(hs.integers(2, 40))
+    shape = draw(hs.sampled_from(("random", "path", "star")))
+    if shape == "random":
+        pairs = [(draw(hs.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    elif shape == "path":
+        pairs = [(v - 1, v) for v in range(2, n + 1)]
+    else:
+        pairs = [(1, v) for v in range(2, n + 1)]
+    label = [0] + draw(hs.permutations(range(1, n + 1)))
+    lengths = hs.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 4), F(5, 8)))
+    if draw(hs.booleans()):
+        same = draw(lengths)
+        lengths = hs.just(same)
+    edges = [(label[u], label[v], draw(lengths)) for u, v in pairs]
+    return Graph(n, [F(1)] * n, edges)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_unit_trees(), hs.data())
+def test_engine_counts_subsets_and_monotone(g, data):
+    eng = _UnweightedEngine(g)
+    top = eng.maxdepth
+    drawn = data.draw(hs.lists(hs.integers(0, top), max_size=10))
+    radii = sorted(set(drawn) | {0, top})
+    full = [eng.counts(r) for r in radii]
+    # each vertex's count is nondecreasing in the radius, and at maxdepth
+    # every critical point is the root, which covers the whole tree
+    for lower, upper in zip(full, full[1:]):
+        assert (lower <= upper).all()
+    assert (full[-1] == g.n).all()
+    others = data.draw(hs.lists(hs.integers(2, g.n), unique=True, max_size=g.n - 1))
+    at = data.draw(hs.integers(0, len(others)))
+    for subset in (others, others[:at] + [1] + others[at:]):
+        sub = np.array(subset, dtype=np.int64)
+        for r, cnt in zip(radii, full):
+            assert (eng.counts(r, sub) == cnt[sub - 1]).all(), (subset, r)
