@@ -92,14 +92,17 @@ class LineSet:
         self.vertical = vertical
         self.SW = sw
         self.SL = sl
-        def as_int(x: Fraction) -> int:
-            if x.denominator != 1:
+        def as_int(x: Fraction, scale: int) -> int:
+            """x * scale, which must be an integer."""
+            q, r = divmod(scale, x.denominator)
+            if r:
                 raise InternalError(f"scales {sw},{sl} do not make {x} integral")
-            return x.numerator
+            return x.numerator * q
 
-        m = [as_int(ln.slope * self.SW) for ln in affine]
-        b = [as_int(ln.intercept * self.SW * self.SL) for ln in affine]
-        a = [as_int(ln.intercept * 2 * self.SL) for ln in vertical]
+        swl = sw * sl
+        m = [as_int(ln.slope, sw) for ln in affine]
+        b = [as_int(ln.intercept, swl) for ln in affine]
+        a = [as_int(ln.intercept, 2 * sl) for ln in vertical]
         self.n_aff = len(affine)
         self.n_vert = len(vertical)
         maxM = max(map(abs, m), default=0)

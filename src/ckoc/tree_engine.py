@@ -409,12 +409,11 @@ class _Side:
     key i being xs[i]/xd[i] in units of 1/(q*SL) (index 0 is the
     plus-infinity sentinel, None in both), y subtree sizes, z marked
     counts, Q deltas as slices qb[qs[i]:qs[i+1]], icov the first index
-    covering the whole subspine (0 when none), and the truncated break
-    lists gx/gd/gz for capped counting."""
+    covering the whole subspine (0 when none)."""
 
-    __slots__ = ("xs", "xd", "ys", "zs", "qs", "qb", "icov", "gx", "gd", "gz")
+    __slots__ = ("xs", "xd", "ys", "zs", "qs", "qb", "icov")
 
-    def __init__(self, xs, xd, ys, zs, deltas, icov, kmax):
+    def __init__(self, xs, xd, ys, zs, deltas, icov):
         self.xs = xs
         self.xd = xd
         self.ys = ys
@@ -422,19 +421,6 @@ class _Side:
         self.qs = [0, *accumulate(map(len, deltas))]
         self.qb = list(chain.from_iterable(deltas))
         self.icov = icov
-        gx = []
-        gd = []
-        gz = []
-        for i in range(1, len(xs)):
-            if zs[i] > zs[i - 1]:
-                gx.append(xs[i])
-                gd.append(xd[i])
-                gz.append(zs[i])
-                if len(gx) >= kmax:
-                    break
-        self.gx = gx
-        self.gd = gd
-        self.gz = gz
 
 
 def _rank(ns: list, ds: list, kn: int, kd: int, lo: int) -> int:
@@ -453,13 +439,6 @@ def _rank(ns: list, ds: list, kn: int, kd: int, lo: int) -> int:
 def _locate(side: _Side, kn: int, kd: int) -> int:
     """Largest index whose key is >= kn/kd; 0 (the sentinel) when none."""
     return _rank(side.xs, side.xd, kn, kd, 1) - 1
-
-
-def _g_value(side: _Side, kn: int, kd: int) -> int:
-    """Marked count at key kn/kd from the truncated break list; at least
-    the truncation bound whenever the true count reaches it."""
-    i = _rank(side.gx, side.gd, kn, kd, 0)
-    return side.gz[i - 1] if i else 0
 
 
 def _covers_spine(side: _Side, kn: int, kd: int) -> bool:
@@ -495,7 +474,7 @@ class _Builder:
         if len(self.xs) == 1 or self.xs[-1] > 0:
             self.add(0, 1, self.ys[-1], self.zs[-1], [])
 
-    def side(self, cov: Optional[tuple[int, int]], kmax: int) -> _Side:
+    def side(self, cov: Optional[tuple[int, int]]) -> _Side:
         """cov: key (N, D) of the covering breakpoint, None if the subspine
         is never fully covered."""
         icov = 0
@@ -505,10 +484,10 @@ class _Builder:
             icov = _rank(xs, xd, cn, cd, 1) - 1
             if icov < 1 or xs[icov] * cd != cn * xd[icov]:
                 raise InternalError("covering breakpoint missing from arrays")
-        return _Side(self.xs, self.xd, self.ys, self.zs, self.deltas, icov, kmax)
+        return _Side(self.xs, self.xd, self.ys, self.zs, self.deltas, icov)
 
 
-def _vertex_side(bt: BinaryTransform, s: int, lp: int, kmax: int) -> _Side:
+def _vertex_side(bt: BinaryTransform, s: int, lp: int) -> _Side:
     """Side of a lone spine vertex: lam/w_s is the key (lp, weight[s]),
     lp = p*SW*SL for lam = p/q."""
     x0 = (lp, bt.weight[s])
@@ -517,7 +496,7 @@ def _vertex_side(bt: BinaryTransform, s: int, lp: int, kmax: int) -> _Side:
     b = _Builder()
     b.add(*x0, 1, m, own)
     b.close()
-    return b.side(x0, kmax)
+    return b.side(x0)
 
 
 def _prefix_q(side: _Side, upto: int) -> list[int]:
@@ -525,9 +504,7 @@ def _prefix_q(side: _Side, upto: int) -> list[int]:
     return side.qb[: side.qs[upto + 1]]
 
 
-def _merge_one(
-    bt: BinaryTransform, s: int, child: _Side, d: int, lp: int, kmax: int
-) -> _Side:
+def _merge_one(bt: BinaryTransform, s: int, child: _Side, d: int, lp: int) -> _Side:
     """Side of a spine-vertex node with a hanging subtree: the vertex gates
     everything at lam/w_s, the child contributes at distance d (units of
     1/(q*SL)) farther."""
@@ -547,10 +524,10 @@ def _merge_one(
               child.qb[child.qs[j] : child.qs[j + 1]])
         j += 1
     b.close()
-    return b.side((lp, w), kmax)
+    return b.side((lp, w))
 
 
-def _merge_two(prim: _Side, sec: _Side, d: int, kmax: int) -> _Side:
+def _merge_two(prim: _Side, sec: _Side, d: int) -> _Side:
     """Side of a search-tree node: prim holds the subspine adjacent to the
     query anchor; sec joins in, shifted by d (units of 1/(q*SL)), only
     while prim's subspine is fully covered."""
@@ -608,11 +585,14 @@ def _merge_two(prim: _Side, sec: _Side, d: int, kmax: int) -> _Side:
             cn, cd = xrn, xrd
         if cn >= 0:
             cov = (cn, cd)
-    return b.side(cov, kmax)
+    return b.side(cov)
 
 
 @dataclass
 class CoverageArrays:
+    """The arrays of every node at radius lam; at-least-k queries accept
+    k up to kmax."""
+
     lam: Fraction
     kmax: int
     ft: list[_Side]
@@ -636,18 +616,18 @@ def build_coverage_arrays(
         if node.leaf_kind:
             s = node.vertex
             if node.left is None:
-                side = _vertex_side(bt, s, lp, kmax)
+                side = _vertex_side(bt, s, lp)
             else:
                 d = q * bt.plen[node.echild]
-                side = _merge_one(bt, s, ft[node.left.idx], d, lp, kmax)
+                side = _merge_one(bt, s, ft[node.left.idx], d, lp)
             ft[node.idx] = side
             fb[node.idx] = side
         else:
             lc, rc = node.left, node.right
             d_t = q * (dd[lc.vt] - dd[rc.vt])
             d_b = q * (dd[lc.vb] - dd[rc.vb])
-            ft[node.idx] = _merge_two(ft[rc.idx], ft[lc.idx], d_t, kmax)
-            fb[node.idx] = _merge_two(fb[lc.idx], fb[rc.idx], d_b, kmax)
+            ft[node.idx] = _merge_two(ft[rc.idx], ft[lc.idx], d_t)
+            fb[node.idx] = _merge_two(fb[lc.idx], fb[rc.idx], d_b)
     return CoverageArrays(lam, kmax, ft, fb)
 
 
@@ -688,18 +668,14 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
 
     count = 0
     out: list[int] = [] if collect else None
-    use_g = k is not None
 
     # a distance dist is the array key (dist * q, td)
     def contrib(side: _Side, kn: int):
         nonlocal count
-        if use_g:
-            count += _g_value(side, kn, td)
-        else:
-            idx = _locate(side, kn, td)
-            count += side.zs[idx]
-            if collect:
-                out.extend(side.qb[: side.qs[idx + 1]])
+        idx = _locate(side, kn, td)
+        count += side.zs[idx]
+        if collect:
+            out.extend(side.qb[: side.qs[idx + 1]])
 
     u = st.leaf_of[s]
     flag_a = False
@@ -739,7 +715,7 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
                     contrib(side, key)
                     if not _covers_spine(side, key, td):
                         flag_a = True
-        if use_g and count >= k:
+        if k is not None and count >= k:
             return count, out
         prev = u
         u = u.parent
@@ -763,6 +739,6 @@ def query_at_least_k_at(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: 
     if k < 1:
         raise ValueError("k must be positive")
     if k > ca.kmax:
-        raise ValueError(f"arrays truncated at {ca.kmax}, cannot answer k={k}")
+        raise ValueError(f"arrays built for k <= {ca.kmax}, cannot answer k={k}")
     count, _ = _walk(st, ca, s, tn, td, k, False)
     return count >= k

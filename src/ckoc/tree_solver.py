@@ -15,8 +15,11 @@ distance from the outermost centroid.  A probe counts coverage with
 vectorized subtree and centroid ball counts, at the critical points of
 only those vertices that covered k at every feasible probe so far: with
 unit weights each vertex's count is monotone in the radius, so the rest
-cannot cover k at any lower probe.  This keeps trees with a hundred
-thousand vertices in budget.
+cannot cover k at any lower probe.  Its engine builds the centroid
+decomposition level by level in numpy (all components of one level at
+once, from the rooted tree's shape) and takes each centroid distance from
+depths and one lowest common ancestor in int64.  This keeps trees with a
+hundred thousand vertices in budget.
 """
 
 from __future__ import annotations
@@ -251,6 +254,10 @@ def _centroid_lines(g: Graph) -> LineSet:
     with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so the
     optimal radius of any binding pair appears as an intersection
     ordinate."""
+    # The Python generator, not the engine's _centroid_levels: it keeps
+    # distances as Python ints at any length scale, where int64 would
+    # overflow, and on trees with n <= 10, which this solver mostly sees,
+    # it costs ~30 us per tree against ~440 us for the array version.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
     for e in g.edges:
         l = g.lengths_int[e.id]
@@ -311,11 +318,13 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
 
 
 def _dfs_depths(g: Graph, children: list[list[int]], eid: list[int]):
-    """Depths in integer units of 1/(2 * g.length_scale) and DFS entry/exit
-    times of the tree rooted at 1, children visited in list order."""
+    """Depths in integer units of 1/(2 * g.length_scale), depths in edges,
+    and DFS entry/exit times of the tree rooted at 1, children visited in
+    list order."""
     n = g.n
     li = g.lengths_int
     depth = [0] * (n + 1)
+    udepth = [0] * (n + 1)
     tin = [0] * (n + 1)
     tout = [0] * (n + 1)
     timer = 1
@@ -326,40 +335,108 @@ def _dfs_depths(g: Graph, children: list[list[int]], eid: list[int]):
             stack[-1] = (v, ci + 1)
             c = children[v][ci]
             depth[c] = depth[v] + 2 * li[eid[c]]
+            udepth[c] = udepth[v] + 1
             tin[c] = timer
             timer += 1
             stack.append((c, 0))
         else:
             stack.pop()
             tout[v] = timer
-    return depth, tin, tout
+    return depth, udepth, tin, tout
 
 
-def _centroid_pack(n: int, adj, stride: int):
-    """Recursive centroid decomposition flattened for vectorized ball
-    counts: per-vertex chains (centroid, distance, branch id) plus packed
-    sorted distance arrays per centroid and per branch."""
-    fv: list[int] = []
-    fc: list[int] = []
-    fd: list[int] = []
-    fb: list[int] = []
-    for c, bfs, dist_t, br_t in _centroids(n, adj):
-        fv.extend(bfs)
-        fc.extend([c] * len(bfs))
-        fd.extend([dist_t[v] for v in bfs])
-        fb.extend([br_t[v] for v in bfs])
-    fvn, fcn, fdn, fbn = (np.asarray(a, dtype=np.int64) for a in (fv, fc, fd, fb))
+def _centroid_levels(parent, udepth, tin, tout):
+    """The centroid decomposition of _centroids, one level at a time, on
+    int64 arrays of the tree rooted at 1: parent (parent[1] = 0), depths
+    in edges, and DFS entry/exit times (tin[1] = 0).
+
+    Returns int64 arrays (v, c, b, a) with one row per vertex v of the
+    component of each centroid c, outermost level first: b is v's branch
+    id (the part of the component without c that holds v, numbered from 1
+    across the whole decomposition; 0 for c itself) and a = lca(c, v).
+    It reads no length: the centroids, chosen from the components alone,
+    are those of _centroids; only the branch ids are numbered differently.
+    """
+    n = parent.size - 1
+    big = n + 1
+    # For tin[u] < tin[v], lca(u, v) is the shallowest parent of the
+    # vertices at DFS positions tin[u]+1 .. tin[v]: a range minimum of
+    # udepth[p] * big + p over their parents p, from a sparse table.
+    order = np.empty(n, dtype=np.int64)
+    order[tin[1:]] = np.arange(1, n + 1, dtype=np.int64)
+    up = parent[order]
+    table = np.zeros((max(1, n.bit_length()), n), dtype=np.int64)
+    table[0] = udepth[up] * big + up
+    for j in range(1, table.shape[0]):
+        h = 1 << (j - 1)
+        table[j, : n - 2 * h + 1] = np.minimum(
+            table[j - 1, : n - 2 * h + 1], table[j - 1, h : n - h + 1]
+        )
+    verts = np.arange(1, n + 1, dtype=np.int64)
+    # each component is labelled by its top vertex, the one nearest the root
+    top = np.ones(n + 1, dtype=np.int64)
+    seen = np.zeros(n + 1, dtype=bool)
+    nb = 0
+    out = []
+    while verts.size:
+        m = verts.size
+        pos = np.arange(m, dtype=np.int64)
+        key = top[verts] * big + tin[verts]
+        o = np.argsort(key)
+        sv, sk = verts[o], key[o]
+        st = top[sv]
+        # each component is a run of equal tops in DFS order, so v's own
+        # subtree within it runs from v to the first key >= top*big + tout[v]
+        size = np.searchsorted(sk, st * big + tout[sv]) - pos
+        heavy = np.zeros(n + 1, dtype=np.int64)
+        inner = sv != st
+        np.maximum.at(heavy, parent[sv[inner]], size[inner])
+        first = np.flatnonzero(np.concatenate(([True], st[1:] != st[:-1])))
+        sizes = np.diff(np.append(first, m))
+        grp = np.repeat(np.arange(first.size), sizes)
+        # the centroid minimizes its largest remaining part, whatever the
+        # rooting, ties to the smaller id
+        score = np.maximum(heavy[sv], sizes[grp] - size)
+        c = (np.minimum.reduceat(score * big + sv, first) % big)[grp]
+        # the parts below c are the runs that start at c's children; the
+        # part above c keeps the old top
+        below = (tin[sv] > tin[c]) & (tin[sv] < tout[c])
+        run = np.maximum.accumulate(np.where(parent[sv] == c, pos, 0))
+        newtop = np.where(below, sv[run], st)
+        rest = sv != c
+        seen[:] = False
+        seen[newtop[rest]] = True
+        rank = np.cumsum(seen)
+        b = np.where(rest, nb + rank[newtop], 0)
+        nb += int(rank[-1])
+        a = c.copy()
+        tv, tc = tin[sv[rest]], tin[c[rest]]
+        lo = np.minimum(tv, tc) + 1
+        hi = np.maximum(tv, tc)
+        j = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
+        a[rest] = np.minimum(table[j, lo], table[j, hi - (1 << j) + 1]) % big
+        out.append((sv, c, b, a))
+        verts = sv[rest]
+        top[verts] = newtop[rest]
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
+def _centroid_pack(n: int, fv, fc, fd, fb, stride: int):
+    """Centroid decomposition rows (vertex, centroid, distance, branch id)
+    flattened for vectorized ball counts: per-vertex chains (centroid,
+    distance, branch id) plus packed sorted distance arrays per centroid
+    and per branch."""
     # a vertex's chain lists its centroids from the outermost in
-    ch_len = np.bincount(fvn, minlength=n + 1)
+    ch_len = np.bincount(fv, minlength=n + 1)
     ch_off = np.zeros(n + 1, dtype=np.int64)
     ch_off[1:] = np.cumsum(ch_len)[:-1]
-    by_vertex = np.argsort(fvn, kind="stable")
-    fulls = np.sort(fcn * stride + fdn)
+    by_vertex = np.argsort(fv, kind="stable")
+    fulls = np.sort(fc * stride + fd)
     full_start = np.zeros(n + 2, dtype=np.int64)
-    full_start[1:] = np.cumsum(np.bincount(fcn, minlength=n + 1))
-    in_branch = fbn != 0
-    bbn = fbn[in_branch]
-    bdn = fdn[in_branch]
+    full_start[1:] = np.cumsum(np.bincount(fc, minlength=n + 1))
+    in_branch = fb != 0
+    bbn = fb[in_branch]
+    bdn = fd[in_branch]
     nbid = int(bbn.max()) + 1 if bbn.size else 1
     brs = np.sort(bbn * stride + bdn)
     br_start = np.zeros(nbid + 1, dtype=np.int64)
@@ -367,9 +444,9 @@ def _centroid_pack(n: int, adj, stride: int):
     return (
         ch_off,
         ch_len,
-        fcn[by_vertex],
-        fdn[by_vertex],
-        fbn[by_vertex],
+        fc[by_vertex],
+        fd[by_vertex],
+        fb[by_vertex],
         fulls,
         full_start,
         brs,
@@ -405,7 +482,7 @@ class _UnweightedEngine:
         self.n = n
         self.sc2 = 2 * g.length_scale
         parent, _, eid, children = _rooted_arrays(g, 1)
-        depth, tin, tout = _dfs_depths(g, children, eid)
+        depth, udepth, tin, tout = _dfs_depths(g, children, eid)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.eid = eid
         self.depth = depth
@@ -425,6 +502,14 @@ class _UnweightedEngine:
             adj[e.u].append((e.v, l))
             adj[e.v].append((e.u, l))
         self.adj = adj
+        self.depth_np = np.asarray(depth, dtype=np.int64)
+        self.tin_np = np.asarray(tin, dtype=np.int64)
+        self.tout_np = np.asarray(tout, dtype=np.int64)
+        fv, fc, fb, fa = _centroid_levels(
+            self.parent, np.asarray(udepth, dtype=np.int64), self.tin_np, self.tout_np
+        )
+        dn = self.depth_np
+        fd = dn[fv] + dn[fc] - 2 * dn[fa]
         (
             self.ch_off,
             self.ch_len,
@@ -435,10 +520,7 @@ class _UnweightedEngine:
             self.full_start,
             self.brs,
             self.br_start,
-        ) = _centroid_pack(n, adj, self.stride)
-        self.depth_np = np.asarray(depth, dtype=np.int64)
-        self.tin_np = np.asarray(tin, dtype=np.int64)
-        self.tout_np = np.asarray(tout, dtype=np.int64)
+        ) = _centroid_pack(n, fv, fc, fd, fb, self.stride)
         self.liftdep = self.depth_np.copy()
         self.liftdep[0] = -1
         ups = [self.parent]

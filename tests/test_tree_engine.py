@@ -211,7 +211,7 @@ def test_leaf_arrays_frozen_single_vertex():
 def test_vertex_side_aux_unmarked(star3):
     bt = binarize(star3)
     # radius 1: the key numerator is p * SW * SL with p = 1
-    side = _vertex_side(bt, 5, star3.weight_scale * star3.length_scale, 99)
+    side = _vertex_side(bt, 5, star3.weight_scale * star3.length_scale)
     assert side.ys == [0, 1, 1]
     assert side.zs == [0, 0, 0]
     assert side.qb == []
@@ -362,8 +362,7 @@ def test_build_determinism():
         st, ca = _engine(g, lam=F(7, 3))
         shape = [(u.leaf_kind, u.vertex, u.vt, u.vb, u.tsize) for u in st.nodes]
         sides = [
-            (_keys(g, ca, s.xs, s.xd), s.ys, s.zs, s.qs, s.qb, s.icov,
-             _keys(g, ca, s.gx, s.gd), s.gz)
+            (_keys(g, ca, s.xs, s.xd), s.ys, s.zs, s.qs, s.qb, s.icov)
             for s in list(ca.ft) + list(ca.fb)
         ]
         return shape, sides

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from ckoc import oracle
@@ -402,17 +402,22 @@ def test_kth_distance_from():
 
 
 @hs.composite
-def _unit_trees(draw):
-    """Unit-weight trees with n <= 40: random, paths and stars, labels
-    shuffled so vertex 1 may sit anywhere, lengths all equal or mixed."""
-    n = draw(hs.integers(2, 40))
-    shape = draw(hs.sampled_from(("random", "path", "star")))
+def _unit_trees(draw, min_n=2, max_n=40, shapes=("random", "path", "star")):
+    """Unit-weight trees with min_n <= n <= max_n: random, paths, stars
+    and caterpillars (a path with leaves hung on it), labels shuffled so
+    vertex 1 may sit anywhere, lengths all equal or mixed."""
+    n = draw(hs.integers(min_n, max_n))
+    shape = draw(hs.sampled_from(shapes))
     if shape == "random":
         pairs = [(draw(hs.integers(1, v - 1)), v) for v in range(2, n + 1)]
     elif shape == "path":
         pairs = [(v - 1, v) for v in range(2, n + 1)]
-    else:
+    elif shape == "star":
         pairs = [(1, v) for v in range(2, n + 1)]
+    else:
+        spine = draw(hs.integers(1, n))
+        pairs = [(v - 1, v) for v in range(2, spine + 1)]
+        pairs += [(draw(hs.integers(1, spine)), v) for v in range(spine + 1, n + 1)]
     label = [0] + draw(hs.permutations(range(1, n + 1)))
     lengths = hs.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 4), F(5, 8)))
     if draw(hs.booleans()):
@@ -441,3 +446,37 @@ def test_engine_counts_subsets_and_monotone(g, data):
         sub = np.array(subset, dtype=np.int64)
         for r, cnt in zip(radii, full):
             assert (eng.counts(r, sub) == cnt[sub - 1]).all(), (subset, r)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_unit_trees(1, 60, ("random", "path", "star", "caterpillar")))
+@example(Graph.unit(1, []))
+@example(Graph.unit(2, [(1, 2)]))
+def test_level_decomposition_matches_generator(g):
+    # the engine's level-by-level decomposition has the generator's
+    # centroids, chains and distances, and splits each component into the
+    # same branches; only the branch ids may differ
+    eng = _UnweightedEngine(g)
+    want_chain = {v: [] for v in g.vertices()}
+    want_parts = {}
+    for c, bfs, dist, br in _centroids(g.n, _centroid_adj(g)):
+        for v in bfs:
+            want_chain[v].append((c, dist[v] * eng.sc2))
+        want_parts[c] = _partition((br[v], v) for v in bfs if v != c)
+    got_rows = {c: [] for c in eng.ch_c.tolist()}
+    for v in g.vertices():
+        at = slice(eng.ch_off[v], eng.ch_off[v] + eng.ch_len[v])
+        cs, ds, bs = (a[at].tolist() for a in (eng.ch_c, eng.ch_d, eng.ch_b))
+        assert list(zip(cs, ds)) == want_chain[v], v
+        for c, b in zip(cs, bs):
+            if c != v:
+                got_rows[c].append((b, v))
+    assert {c: _partition(rows) for c, rows in got_rows.items()} == want_parts
+
+
+def _partition(labelled):
+    """The sets of vertices sharing a label, from (label, vertex) pairs."""
+    groups = {}
+    for label, v in labelled:
+        groups.setdefault(label, set()).add(v)
+    return {frozenset(s) for s in groups.values()}
