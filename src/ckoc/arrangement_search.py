@@ -5,22 +5,24 @@ candidate lines drawn in a shared (t, y) plane: per edge, the rising and
 falling pieces of each vertex distance function, plus vertical lines at
 the edge endpoints and at semicircular points.  Feasibility of a radius
 is monotone, so the answer is the lowest intersection ordinate at which
-the supplied oracle says yes.
+the supplied oracle says yes; the center comes from the oracle's own
+witness, so the search returns that ordinate alone.
 
 Two interchangeable strategies:
 
 * explicit: enumerate every pairwise ordinate, sort, binary search.
-  Simple and exact; quadratic in the number of lines.  With int64
-  coefficients the ordinates stay reduced int64 pairs (num, den): they are
-  sorted by float value, duplicates dropped, and every run of neighbours
-  too close to trust as floats re-sorted exactly.  Only the O(log N)
-  ordinates the search probes or returns, and those in such a run, become
-  Fractions.
+  Simple and exact; quadratic in the number of lines.
 * counting: never materializes the full ordinate set.  The number of
   intersections below a height y equals the number of inversions between
   the left-to-right order of the lines at y = -inf and at y, so a window
   (y_lo, y_hi] around the answer is narrowed by probing sampled in-window
   ordinates until few enough intersections remain to enumerate directly.
+
+With int64 coefficients both strategies end the same way: the ordinates
+(all of them, or the window's) stay reduced int64 pairs (num, den), sorted
+by float value with duplicates dropped and every run of neighbours too
+close to trust as floats re-sorted exactly, and one binary search over
+them builds a Fraction only for the O(log N) ordinates it probes.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class Line:
     @property
     def vertical(self) -> bool:
         return self.slope is None
-
-
-@dataclass(frozen=True)
-class ArrangementAnswer:
-    """v1 is the lowest intersection point with a feasible ordinate, v2 the
-    highest one strictly below it (None when no ordinate lies below)."""
-
-    v1: tuple[Fraction, Fraction]
-    v2: Optional[tuple[Fraction, Fraction]]
 
 
 class LineSet:
@@ -123,11 +116,6 @@ class LineSet:
 
     def __len__(self) -> int:
         return self.n_aff + self.n_vert
-
-    def line(self, i: int) -> Line:
-        if i < self.n_aff:
-            return self.affine[i]
-        return self.vertical[i - self.n_aff]
 
     @property
     def lines(self) -> list[Line]:
@@ -258,14 +246,6 @@ def _pair_ordinate(l1: Line, l2: Line) -> Optional[Fraction]:
     return (l1.slope * l2.intercept - l2.slope * l1.intercept) / (l1.slope - l2.slope)
 
 
-def _pair_abscissa(l1: Line, l2: Line) -> Fraction:
-    if l1.vertical:
-        return l1.intercept
-    if l2.vertical:
-        return l2.intercept
-    return (l2.intercept - l1.intercept) / (l1.slope - l2.slope)
-
-
 def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """num/den in lowest terms with den > 0, computed in place."""
     neg = den < 0
@@ -275,17 +255,6 @@ def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num //= gg
     den //= gg
     return num, den
-
-
-def _equal_to(num: np.ndarray, den: np.ndarray, y: Fraction) -> np.ndarray:
-    """Mask of num/den == y (den != 0), exact and free of int64 wrap,
-    which the cross products num*q and den*p are not: with y = p/q in
-    lowest terms, num/den = p/q exactly when den = g*q and num = g*p for
-    one integer g."""
-    p, q = y.numerator, y.denominator
-    if p == 0:
-        return num == 0
-    return (den % q == 0) & (num % p == 0) & (num // p == den // q)
 
 
 def _repair_runs(order: np.ndarray, f: np.ndarray, key: Callable[[int], object]) -> np.ndarray:
@@ -304,16 +273,51 @@ def _repair_runs(order: np.ndarray, f: np.ndarray, key: Callable[[int], object])
     return order
 
 
-def _int_pair_ordinates(
-    ls: LineSet,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values num/den (int64, den != 0, reduced in place),
+    ascending, as reduced numerators and positive denominators."""
+    num, den = _reduce(num, den)
+    f = num / den
+    # equal pairs sit side by side under (float, num, den): drop them
+    # first, so the exact repair only sees distinct near-equal values
+    order = np.lexsort((den, num, f))
+    num, den, f = num[order], den[order], f[order]
+    new = np.ones(len(num), dtype=bool)
+    new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+    num, den, f = num[new], den[new], f[new]
+    order = _repair_runs(
+        np.arange(len(num)), f, key=lambda t: Fraction(int(num[t]), int(den[t]))
+    )
+    return num[order], den[order]
+
+
+def _lowest_accepted(
+    num: np.ndarray, den: np.ndarray, probe: Callable[[Fraction], bool]
+) -> Optional[Fraction]:
+    """Lowest of the ascending ordinates num/den that the monotone probe
+    accepts, or None when it rejects the highest.  Only probed ordinates
+    become Fractions, and the one returned has been probed."""
+
+    def at(t: int) -> Fraction:
+        return Fraction(int(num[t]), int(den[t]))
+
+    lo, hi = 0, len(num) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe(at(mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    y = at(lo)
+    return y if probe(y) else None
+
+
+def _int_pair_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
     """Ordinates num/den (den != 0, not reduced) of every crossing of an
-    int_ok line set: first the affine pairs i < j with distinct slopes,
-    listed by the returned i and j, then every (affine, vertical) pair,
-    row-major."""
-    i = j = np.empty(0, dtype=np.int64)
-    nums = [i]
-    dens = [i]
+    int_ok line set: the affine pairs with distinct slopes, then every
+    (affine, vertical) pair."""
+    nums = [np.empty(0, dtype=np.int64)]
+    dens = [np.empty(0, dtype=np.int64)]
     if ls.n_aff >= 2:
         r = np.arange(ls.n_aff)
         i, j = np.nonzero((ls.M[:, None] != ls.M[None, :]) & (r[:, None] < r[None, :]))
@@ -323,26 +327,14 @@ def _int_pair_ordinates(
         num = (ls.M[:, None] * ls.A[None, :] + 2 * ls.B[:, None]).ravel()
         nums.append(num)
         dens.append(np.full(num.shape, 2 * ls.SW * ls.SL, dtype=np.int64))
-    return np.concatenate(nums), np.concatenate(dens), i, j
+    return np.concatenate(nums), np.concatenate(dens)
 
 
 def _explicit_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
     """Distinct y-coordinates of all pairwise intersections, ascending, as
     parallel sequences of reduced numerators and positive denominators."""
     if ls.int_ok:
-        num, den = _reduce(*_int_pair_ordinates(ls)[:2])
-        f = num / den
-        # equal pairs sit side by side under (float, num, den): drop them
-        # first, so the exact repair only sees distinct near-equal values
-        order = np.lexsort((den, num, f))
-        num, den, f = num[order], den[order], f[order]
-        new = np.ones(len(num), dtype=bool)
-        new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
-        num, den, f = num[new], den[new], f[new]
-        order = _repair_runs(
-            np.arange(len(num)), f, key=lambda t: Fraction(int(num[t]), int(den[t]))
-        )
-        return num[order], den[order]
+        return _sorted_ordinates(*_int_pair_ordinates(ls))
     lines = ls.lines
     seen = set()
     for a in range(len(lines)):
@@ -357,70 +349,20 @@ def _explicit_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _min_x_at(ls: LineSet, ys: list[Fraction]) -> list[Fraction]:
-    """Smallest abscissa among intersections whose ordinate equals y, for
-    each y of ys, from one pass over the pairs."""
-    best: dict[Fraction, Fraction] = {}
-    if ls.int_ok:
-        num, den, i, j = _int_pair_ordinates(ls)
-        for y in ys:
-            hit = np.nonzero(_equal_to(num, den, y))[0]
-            aff = hit[hit < len(i)]
-            xs = [
-                Fraction(int(ls.B[b] - ls.B[a]), int(ls.SL * (ls.M[a] - ls.M[b])))
-                for a, b in zip(i[aff], j[aff])
-            ]
-            vert = hit[hit >= len(i)] - len(i)
-            if len(vert):
-                # a crossing with a vertical line lies on it, at x = A / (2*SL)
-                xs.append(Fraction(int(ls.A[vert % ls.n_vert].min()), 2 * ls.SL))
-            if xs:
-                best[y] = min(xs)
-    else:
-        lines = ls.lines
-        wanted = set(ys)
-        for a in range(len(lines)):
-            for b in range(a + 1, len(lines)):
-                y = _pair_ordinate(lines[a], lines[b])
-                if y in wanted:
-                    x = _pair_abscissa(lines[a], lines[b])
-                    if y not in best or x < best[y]:
-                        best[y] = x
-    for y in ys:
-        if y not in best:
-            raise InternalError(f"no intersection at ordinate {y}")
-    return [best[y] for y in ys]
-
-
-def _search_explicit(
-    ls: LineSet, oracle: Callable[[Fraction], bool]
-) -> ArrangementAnswer:
+def _search_explicit(ls: LineSet, oracle: Callable[[Fraction], bool]) -> Fraction:
     num, den = _explicit_ordinates(ls)
     if not len(num):
         raise ValueError("candidate lines have no intersection ordinates")
-    memo: dict[int, bool] = {}
+    memo: dict[Fraction, bool] = {}
 
-    def ordinate(t: int) -> Fraction:
-        return Fraction(int(num[t]), int(den[t]))
+    def probe(y: Fraction) -> bool:
+        if y not in memo:
+            memo[y] = bool(oracle(y))
+        return memo[y]
 
-    def probe(t: int) -> bool:
-        if t not in memo:
-            memo[t] = bool(oracle(ordinate(t)))
-        return memo[t]
-
-    if not probe(len(num) - 1):
+    if not probe(Fraction(int(num[-1]), int(den[-1]))):
         raise ValueError("no intersection ordinate is feasible")
-    lo, hi = 0, len(num) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    ys = [ordinate(t) for t in (lo, lo - 1) if t >= 0]
-    xs = _min_x_at(ls, ys)
-    v1 = (xs[0], ys[0])
-    return ArrangementAnswer(v1, (xs[1], ys[1]) if lo else None)
+    return _lowest_accepted(num, den, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +392,11 @@ class _CountingSearch:
         sec = np.concatenate(
             [np.where(ls.M > 0, -ls.B, ls.B), ls.A]
         ).astype(np.int64)
-        self.sec = sec
         idx = np.arange(n, dtype=np.int64)
         sigma_inf = np.lexsort((idx, sec, rank_desc))
         self.rank_inf = np.empty(n, dtype=np.int64)
         self.rank_inf[sigma_inf] = idx
         self.count_memo: dict[tuple[Fraction, bool], int] = {}
-        self.pivot_pair: dict[Fraction, tuple[int, int]] = {}
         self.rng = np.random.default_rng(_SEED)
 
     def probe(self, y: Fraction) -> bool:
@@ -560,9 +500,7 @@ class _CountingSearch:
             valid[mixed] = True
         return num, den, valid
 
-    def _sample_pivot(
-        self, y_lo: Optional[Fraction], y_hi: Fraction
-    ) -> Optional[tuple[Fraction, tuple[int, int]]]:
+    def _sample_pivot(self, y_lo: Optional[Fraction], y_hi: Fraction) -> Optional[Fraction]:
         """Roughly the median of sampled pairwise ordinates strictly inside
         (y_lo, y_hi).  Floats prefilter; the returned pivot is verified
         exactly so a probe at it always shrinks the window."""
@@ -581,7 +519,6 @@ class _CountingSearch:
             if not mask.any():
                 continue
             num, den = num[mask], den[mask]
-            I, J = I[mask], J[mask]
             order = np.argsort(
                 num.astype(np.float64) / den.astype(np.float64), kind="stable"
             )
@@ -594,42 +531,33 @@ class _CountingSearch:
                     t = int(order[pos])
                     y = Fraction(int(num[t]), int(den[t]))
                     if (y_lo is None or y > y_lo) and y < y_hi:
-                        return y, (int(I[t]), int(J[t]))
+                        return y
                 if step > 64:
                     break
         return None
 
     def _window_ordinates(
         self, y_lo: Optional[Fraction], y_hi: Fraction, open_top: bool = False
-    ) -> dict[Fraction, tuple[int, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """All distinct ordinates in (y_lo, y_hi] (or (y_lo, y_hi) when
-        open_top), each with one crossing pair.  y_lo None means a window
-        floor below every intersection."""
+        open_top), ascending, as reduced int64 numerators and positive
+        denominators.  y_lo None means a window floor below every
+        intersection."""
         order_hi = self.order_at(y_hi, strict=open_top)
         if y_lo is None:
             seq = self.rank_inf[order_hi]
-            ids = order_hi
         else:
             order_lo = self.order_at(y_lo)
             rank_lo = np.empty(self.N, dtype=np.int64)
             rank_lo[order_lo] = np.arange(self.N, dtype=np.int64)
             seq = rank_lo[order_hi]
-            ids = order_hi
-        I, J = inversion_pairs(seq, ids)
-        if not len(I):
-            return {}
+        I, J = inversion_pairs(seq, order_hi)
         num, den, valid = self._pair_ordinates(I, J)
         if not valid.all():
             raise InternalError("swapped pair without a crossing")
-        num, den = _reduce(num, den)
-        out: dict[Fraction, tuple[int, int]] = {}
-        for t in range(len(num)):
-            y = Fraction(int(num[t]), int(den[t]))
-            if y not in out:
-                out[y] = (int(I[t]), int(J[t]))
-        return out
+        return _sorted_ordinates(num, den)
 
-    def run(self) -> ArrangementAnswer:
+    def run(self) -> Fraction:
         ls = self.ls
         if not len(ls) or (ls.n_aff == 0):
             raise ValueError("candidate lines have no intersection ordinates")
@@ -650,14 +578,13 @@ class _CountingSearch:
             c_lo = self.count(y_lo) if y_lo is not None else 0
             if c_hi - c_lo <= _ENUM_THRESHOLD:
                 return self._finish(y_lo, y_hi)
-            picked = self._sample_pivot(y_lo, y_hi)
-            if picked is None:
-                picked = self._interior_pivot(y_lo, y_hi, c_lo)
-                if picked is None:
-                    # every in-window crossing sits exactly at y_hi
-                    return self._finish_at(y_lo, y_hi)
-            y_p, pair = picked
-            self.pivot_pair[y_p] = pair
+            y_p = self._sample_pivot(y_lo, y_hi)
+            if y_p is None:
+                y_p = self._interior_pivot(y_lo, y_hi, c_lo)
+                if y_p is None:
+                    # every in-window crossing sits exactly at y_hi, which
+                    # was probed feasible and is the answer
+                    return y_hi
             if self.probe(y_p):
                 y_hi = y_p
             else:
@@ -666,11 +593,11 @@ class _CountingSearch:
 
     def _interior_pivot(
         self, y_lo: Optional[Fraction], y_hi: Fraction, c_lo: int
-    ) -> Optional[tuple[Fraction, tuple[int, int]]]:
+    ) -> Optional[Fraction]:
         """Exact fallback when sampling finds nothing strictly inside the
-        window.  Returns an ordinate strictly between y_lo and y_hi with a
-        crossing pair, or None when every in-window crossing is at y_hi.
-        Uses only counting, never the oracle."""
+        window.  Returns an ordinate strictly between y_lo and y_hi, or None
+        when every in-window crossing is at y_hi.  Uses only counting, never
+        the oracle."""
         top = y_hi
         for _ in range(500):
             w_strict = self.count(y_hi, strict=True) - c_lo
@@ -679,14 +606,13 @@ class _CountingSearch:
                     return None
                 # all inner mass sits exactly at the bisected ceiling, which
                 # therefore is an ordinate strictly inside the real window
-                return y_hi, self._pair_at(y_hi)
+                return y_hi
             if w_strict <= 4 * _ENUM_THRESHOLD:
-                ords = self._window_ordinates(y_lo, y_hi, open_top=True)
-                if not ords:
+                num, den = self._window_ordinates(y_lo, y_hi, open_top=True)
+                if not len(num):
                     raise InternalError("interior crossings exist but none found")
-                ys = sorted(ords)
-                y_p = ys[len(ys) // 2]
-                return y_p, ords[y_p]
+                t = len(num) // 2
+                return Fraction(int(num[t]), int(den[t]))
             floor = y_lo if y_lo is not None else min(ZERO, y_hi - 1)
             mid = (floor + y_hi) / 2
             if self.count(mid) == c_lo:
@@ -695,98 +621,25 @@ class _CountingSearch:
                 y_hi = mid
         raise InternalError("interior pivot search failed to converge")
 
-    def _pair_at(self, y: Fraction) -> tuple[int, int]:
-        """One crossing pair whose ordinate is exactly y, smallest abscissa
-        first when the at-y crossings are few enough to enumerate."""
-        at_count = self.count(y) - self.count(y, strict=True)
-        if at_count == 0:
-            raise InternalError(f"no crossing at ordinate {y}")
-        if at_count > 4 * _ENUM_THRESHOLD:
-            return self._sample_at(y)
-        order_strict = self.order_at(y, strict=True)
-        rank_s = np.empty(self.N, dtype=np.int64)
-        rank_s[order_strict] = np.arange(self.N, dtype=np.int64)
-        order_cross = self.order_at(y)
-        I, J = inversion_pairs(rank_s[order_cross], order_cross)
-        if not len(I):
-            raise InternalError(f"no crossing found at ordinate {y}")
-        best = None
-        for a, b in zip(I, J):
-            pair = (int(a), int(b))
-            x = self._pair_x(pair)
-            if best is None or x < best[0]:
-                best = (x, pair)
-        return best[1]
-
-    def _finish_at(
-        self, y_lo: Optional[Fraction], y_hi: Fraction
-    ) -> ArrangementAnswer:
-        """The lowest feasible ordinate is exactly y_hi; recover one crossing
-        pair at it for the representative point."""
-        pair = self.pivot_pair.get(y_hi)
-        if pair is None:
-            pair = self._pair_at(y_hi)
-        v1 = (self._pair_x(pair), y_hi)
-        if y_lo is None:
-            return ArrangementAnswer(v1, None)
-        low_pair = self.pivot_pair.get(y_lo)
-        if low_pair is None:
-            raise InternalError("window floor is not a known ordinate")
-        return ArrangementAnswer(v1, (self._pair_x(low_pair), y_lo))
-
-    def _sample_at(self, y: Fraction) -> tuple[int, int]:
-        for _ in range(64):
-            I = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
-            J = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
-            keep = I != J
-            I, J = I[keep].astype(np.int64), J[keep].astype(np.int64)
-            num, den, valid = self._pair_ordinates(I, J)
-            hit = valid & _equal_to(num, den, y)
-            if hit.any():
-                t = int(np.nonzero(hit)[0][0])
-                return int(I[t]), int(J[t])
-        raise InternalError("failed to sample a crossing at the answer ordinate")
-
-    def _finish(self, y_lo: Optional[Fraction], y_hi: Fraction) -> ArrangementAnswer:
-        ords = self._window_ordinates(y_lo, y_hi)
-        for y, pair in self.pivot_pair.items():
-            if (y_lo is None or y > y_lo) and y <= y_hi:
-                ords.setdefault(y, pair)
-        ys = sorted(ords)
-        if not ys:
+    def _finish(self, y_lo: Optional[Fraction], y_hi: Fraction) -> Fraction:
+        num, den = self._window_ordinates(y_lo, y_hi)
+        if not len(num):
             raise InternalError("empty ordinate window at finish")
-        lo, hi = 0, len(ys) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.probe(ys[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        if not self.probe(ys[lo]):
+        y = _lowest_accepted(num, den, self.probe)
+        if y is None:
             raise InternalError("window lost the lowest feasible ordinate")
-        y1 = ys[lo]
-        v1 = (self._pair_x(ords[y1]), y1)
-        if lo > 0:
-            y2 = ys[lo - 1]
-            return ArrangementAnswer(v1, (self._pair_x(ords[y2]), y2))
-        if y_lo is not None:
-            pair = self.pivot_pair.get(y_lo)
-            if pair is None:
-                raise InternalError("window floor is not a known ordinate")
-            return ArrangementAnswer(v1, (self._pair_x(pair), y_lo))
-        return ArrangementAnswer(v1, None)
-
-    def _pair_x(self, pair: tuple[int, int]) -> Fraction:
-        return _pair_abscissa(self.ls.line(pair[0]), self.ls.line(pair[1]))
+        return y
 
 
 def lowest_feasible_vertex(
     ls: LineSet,
     oracle: Callable[[Fraction], bool],
     strategy: str = "explicit",
-) -> ArrangementAnswer:
-    """Lowest intersection of the line set whose ordinate the monotone
-    oracle accepts, plus the highest intersection strictly below it."""
+) -> Fraction:
+    """Lowest intersection ordinate of the line set that the monotone oracle
+    accepts, always one the oracle was asked about.  The name, kept from
+    when the intersection point itself was returned, is one that
+    perfbench's tracer rebinds."""
     if strategy == "auto":
         strategy = "counting" if len(ls) > 3000 else "explicit"
     if strategy == "explicit" or not ls.int_ok:
@@ -813,8 +666,7 @@ def solve_weighted_graph(g: Graph, k: int, search: str = "explicit") -> Solution
         return memo[lam].feasible
 
     ls = candidate_lines(g, dm)
-    ans = lowest_feasible_vertex(ls, oracle, strategy=search)
-    lam = ans.v1[1]
+    lam = lowest_feasible_vertex(ls, oracle, strategy=search)
     # every search probes the ordinate it returns
     res = memo.get(lam)
     if res is None or not res.feasible or res.witness is None:

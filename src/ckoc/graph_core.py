@@ -77,19 +77,19 @@ class Graph:
                 raise InstanceError(f"vertex {i} has nonpositive weight {w}")
 
         self.edges: list[Edge] = []
-        self._pair_index: dict[tuple[int, int], int] = {}
+        pairs: set[tuple[int, int]] = set()
         for u, v, length in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InstanceError(f"edge ({u},{v}) has endpoint out of range")
             if u == v:
                 raise InstanceError(f"self-loop at vertex {u}")
             a, b = (u, v) if u < v else (v, u)
-            if (a, b) in self._pair_index:
+            if (a, b) in pairs:
                 raise InstanceError(f"duplicate edge ({a},{b})")
             length = Fraction(length)
             if length <= 0:
                 raise InstanceError(f"edge ({a},{b}) has nonpositive length {length}")
-            self._pair_index[(a, b)] = len(self.edges)
+            pairs.add((a, b))
             self.edges.append(Edge(len(self.edges), a, b, length))
         self.m = len(self.edges)
 
@@ -143,11 +143,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def edge_between(self, u: int, v: int) -> Edge | None:
-        a, b = (u, v) if u < v else (v, u)
-        idx = self._pair_index.get((a, b))
-        return None if idx is None else self.edges[idx]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -305,8 +305,7 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
         return memo[lam]
 
     ls = _centroid_lines(g)
-    ans = lowest_feasible_vertex(ls, accept, strategy=search)
-    lam = ans.v1[1]
+    lam = lowest_feasible_vertex(ls, accept, strategy=search)
     accept(lam)  # scans only if the search never probed its answer
     if best_lam != lam:
         raise InternalError("lowest candidate radius is not feasible")
@@ -496,12 +495,6 @@ class _UnweightedEngine:
         big = max(n2, n * (n.bit_length() + 2)) + 4
         if big * self.stride >= 2**62:
             raise _ScaleOverflow
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for e in g.edges:
-            l = 2 * g.lengths_int[e.id]
-            adj[e.u].append((e.v, l))
-            adj[e.v].append((e.u, l))
-        self.adj = adj
         self.depth_np = np.asarray(depth, dtype=np.int64)
         self.tin_np = np.asarray(tin, dtype=np.int64)
         self.tout_np = np.asarray(tout, dtype=np.int64)
@@ -594,16 +587,18 @@ class _UnweightedEngine:
         return e1 + ball - e3
 
 
-def _int_bfs(adj, src: int, n: int) -> np.ndarray:
-    dist = np.zeros(n + 1, dtype=np.int64)
-    seen = [False] * (n + 1)
+def _int_bfs(g: Graph, src: int) -> np.ndarray:
+    """Distances from src in integer units of 1/(2 * g.length_scale)."""
+    li = g.lengths_int
+    dist = np.zeros(g.n + 1, dtype=np.int64)
+    seen = [False] * (g.n + 1)
     seen[src] = True
     queue = [src]
     for v in queue:
-        for u, l in adj[v]:
+        for u, e in g.adj[v]:
             if not seen[u]:
                 seen[u] = True
-                dist[u] = dist[v] + l
+                dist[u] = dist[v] + 2 * li[e.id]
                 queue.append(u)
     return dist
 
@@ -664,7 +659,6 @@ def _unweighted_solution(
     """The solution centered at v_star's critical point at the radius, with
     the k vertices nearest to it, ties to the smaller id."""
     td = max(eng.depth[v_star] - radius, 0)
-    n = g.n
     if td == 0:
         center = vertex_point(g, 1)
         dist_np = eng.depth_np[1:]
@@ -680,7 +674,7 @@ def _unweighted_solution(
         tfp = Fraction(off_p, eng.sc2)
         t = tfp if e.u == p else e.length - tfp
         center = canonical_point(g, e.id, t)
-        dp = _int_bfs(eng.adj, p, n)
+        dp = _int_bfs(g, p)
         in_sub = (eng.tin_np[1:] >= eng.tin[c]) & (eng.tin_np[1:] < eng.tout[c])
         dist_np = np.where(in_sub, eng.depth_np[1:] - td, off_p + dp[1:])
     order = np.lexsort((eng.verts, dist_np))

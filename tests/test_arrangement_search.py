@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckoc.arrangement_search import (
-    ArrangementAnswer,
     Line,
     LineSet,
     candidate_lines,
@@ -16,9 +15,8 @@ from ckoc.arrangement_search import (
     inversion_pairs,
     lowest_feasible_vertex,
     solve_weighted_graph,
+    _CountingSearch,
     _explicit_ordinates,
-    _min_x_at,
-    _pair_abscissa,
     _pair_ordinate,
 )
 from ckoc.graph_core import (
@@ -156,9 +154,8 @@ def _toy_lineset():
 @pytest.mark.parametrize("strategy", ["explicit", "counting"])
 def test_constructed_lineset_search(strategy):
     ls = _toy_lineset()
-    ans = lowest_feasible_vertex(ls, lambda lam: lam >= 1, strategy=strategy)
-    assert ans.v1 == (F(1), F(1))
-    assert ans.v2 is not None and ans.v2[1] == F(0)
+    lam = lowest_feasible_vertex(ls, lambda lam: lam >= 1, strategy=strategy)
+    assert lam == F(1)
 
 
 @pytest.mark.parametrize("strategy", ["explicit", "counting"])
@@ -168,11 +165,9 @@ def test_no_feasible_ordinate_raises(strategy):
         lowest_feasible_vertex(ls, lambda lam: False, strategy=strategy)
 
 
-def test_lowest_ordinate_has_no_v2():
+def test_lowest_ordinate_when_all_feasible():
     ls = _toy_lineset()
-    ans = lowest_feasible_vertex(ls, lambda lam: True, strategy="explicit")
-    assert ans.v1[1] == F(0)
-    assert ans.v2 is None
+    assert lowest_feasible_vertex(ls, lambda lam: True, strategy="explicit") == F(0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +178,7 @@ def test_wedge_answer(wedge2):
     oracle = _real_oracle(wedge2, 2)
     dm = all_pairs_distances(wedge2)
     ls = candidate_lines(wedge2, dm)
-    ans = lowest_feasible_vertex(ls, oracle)
-    assert ans.v1 == (F(2), F(4))
-    assert ans.v2 is not None and ans.v2[1] < F(4)
+    assert lowest_feasible_vertex(ls, oracle) == F(4)
     sol = solve_weighted_graph(wedge2, 2)
     assert sol.lambda_star == F(4)
     assert sol.center == EdgePoint(0, F(2))
@@ -263,6 +256,18 @@ def test_explicit_ordinates_sort_exactly(ls):
     assert _read(_explicit_ordinates(ls)) == sorted(_all_ordinates(ls))
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tied_line_sets())
+def test_window_of_everything_is_explicit(ls):
+    # a counting window from below every crossing to above every one
+    # enumerates the same sorted ordinates as the explicit strategy
+    top = max(_all_ordinates(ls), default=F(0)) + 1
+    num, den = _CountingSearch(ls, lambda lam: True)._window_ordinates(None, top)
+    want_num, want_den = _explicit_ordinates(ls)
+    assert num.tolist() == want_num.tolist() and den.tolist() == want_den.tolist()
+    assert _read((num, den)) == sorted(_all_ordinates(ls))
+
+
 # two prime denominators near 2**14 keep int_ok, yet the cross products
 # num * q of a pair ordinate num/den and a probe y = p/q exceed int64
 _WIDE = (
@@ -273,21 +278,14 @@ _WIDE = (
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_min_x_at_exact_beyond_int64_products():
+def test_explicit_ordinates_exact_beyond_int64_products():
     g, _ = parse_instance(_WIDE)
     ls = candidate_lines(g, all_pairs_distances(g))
     assert ls.int_ok
-    lines = ls.lines
-    want: dict = {}
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            y = _pair_ordinate(lines[a], lines[b])
-            if y is not None:
-                x = _pair_abscissa(lines[a], lines[b])
-                want[y] = min(want.get(y, x), x)
+    want = _all_ordinates(ls)
     assert max(abs(y.numerator) * y.denominator for y in want) >= 2**63
     assert _read(_explicit_ordinates(ls)) == sorted(want)
-    assert _min_x_at(ls, list(want)) == list(want.values())
+
 
 def test_sandwich_and_gap_random():
     rng = random.Random(31)
@@ -300,14 +298,14 @@ def test_sandwich_and_gap_random():
         ls = candidate_lines(g, dm)
         if len(ls) > 40:
             continue
-        ans = lowest_feasible_vertex(ls, _real_oracle(g, k))
-        assert ans.v1[1] == lam_true
+        oracle = _real_oracle(g, k)
+        lam = lowest_feasible_vertex(ls, oracle)
+        assert lam == lam_true
         ys = _all_ordinates(ls)
-        if ans.v2 is None:
-            assert not any(y < ans.v1[1] for y in ys)
-        else:
-            assert ans.v2[1] < lam_true
-            assert not any(ans.v2[1] < y < ans.v1[1] for y in ys)
+        assert lam in ys
+        below = [y for y in ys if y < lam]
+        if below:
+            assert not oracle(max(below))
 
 
 def _check_solution(g, k, sol):
@@ -410,10 +408,7 @@ def test_counting_agrees_with_explicit_random():
         ls = candidate_lines(g, dm)
         a = lowest_feasible_vertex(ls, _real_oracle(g, k), strategy="explicit")
         b = lowest_feasible_vertex(ls, _real_oracle(g, k), strategy="counting")
-        assert a.v1[1] == b.v1[1]
-        assert (a.v2 is None) == (b.v2 is None)
-        if a.v2 is not None:
-            assert a.v2[1] == b.v2[1]
+        assert a == b
 
 
 def test_counting_forced_pivoting(monkeypatch):
@@ -426,8 +421,8 @@ def test_counting_forced_pivoting(monkeypatch):
         k = rng.randrange(2, n + 1)
         dm = all_pairs_distances(g)
         ls = candidate_lines(g, dm)
-        ans = lowest_feasible_vertex(ls, _real_oracle(g, k), strategy="counting")
-        assert ans.v1[1] == brute_lambda(g, k)
+        lam = lowest_feasible_vertex(ls, _real_oracle(g, k), strategy="counting")
+        assert lam == brute_lambda(g, k)
 
 
 def test_solve_counting_strategy(path5, wedge2):
