@@ -18,17 +18,18 @@ Two interchangeable strategies:
   (y_lo, y_hi] around the answer is narrowed by probing sampled in-window
   ordinates until few enough intersections remain to enumerate directly.
 
-With int64 coefficients both strategies end the same way: the ordinates
-(all of them, or the window's) stay reduced int64 pairs (num, den), sorted
-by float value with duplicates dropped and every run of neighbours too
-close to trust as floats re-sorted exactly, and one binary search over
-them builds a Fraction only for the O(log N) ordinates it probes.
+The lines are integer coefficient arrays (LineSet): int64 when every
+pairwise product fits, Python ints in object arrays otherwise, through the
+same code.  Both strategies end the same way: the ordinates (all of them,
+or the window's) stay reduced integer pairs (num, den), sorted by float
+value with duplicates dropped and every run of neighbours too close to
+trust as floats re-sorted exactly, and one binary search over them builds
+a Fraction only for the O(log N) ordinates it probes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -55,99 +56,70 @@ _ENUM_THRESHOLD = 50_000
 _SAMPLE_BATCH = 1 << 17
 
 
-@dataclass(frozen=True)
-class Line:
-    """A candidate line.  slope None means a vertical line at x = intercept;
-    otherwise y = slope * x + intercept."""
-
-    slope: Optional[Fraction]
-    intercept: Fraction
-    origin: tuple
-
-    @property
-    def vertical(self) -> bool:
-        return self.slope is None
-
-
 class LineSet:
-    """Candidate lines with integer-scaled coefficient arrays.
+    """Candidate lines as integer coefficient arrays.
 
-    Affine lines store slope*SW and intercept*SW*SL; verticals store
-    position*2*SL (semicircular points may sit at half-integer grid
-    offsets).  int_ok reports whether every pairwise computation fits
-    comfortably in int64; when it does not, callers fall back to exact
-    Fraction arithmetic.  The arrays are int64 only when every coefficient
-    fits; otherwise they hold Python ints and int_ok is False.
+    Affine line i is y = M[i]/SW * x + B[i]/(SW*SL), so M holds slope*SW
+    and B intercept*SW*SL; vertical line j is x = A[j]/(2*SL), since
+    semicircular points may sit at half-integer grid offsets.  int_ok
+    reports whether every pairwise product the searches form fits in
+    int64.  The arrays are int64 exactly when it does and numpy object
+    arrays of Python ints otherwise, so int_ok picks a dtype, and every
+    computation on the set is the same at any scale.
     """
 
-    def __init__(self, affine: list[Line], vertical: list[Line], sw: int = 1, sl: int = 1):
-        self.affine = affine
-        self.vertical = vertical
+    def __init__(self, m: list[int], b: list[int], a: list[int], sw: int = 1, sl: int = 1):
         self.SW = sw
         self.SL = sl
-        def as_int(x: Fraction, scale: int) -> int:
-            """x * scale, which must be an integer."""
-            q, r = divmod(scale, x.denominator)
-            if r:
-                raise InternalError(f"scales {sw},{sl} do not make {x} integral")
-            return x.numerator * q
-
-        swl = sw * sl
-        m = [as_int(ln.slope, sw) for ln in affine]
-        b = [as_int(ln.intercept, swl) for ln in affine]
-        a = [as_int(ln.intercept, 2 * sl) for ln in vertical]
-        self.n_aff = len(affine)
-        self.n_vert = len(vertical)
+        self.n_aff = len(m)
+        self.n_vert = len(a)
         maxM = max(map(abs, m), default=0)
         maxB = max(map(abs, b), default=0)
         maxA = max(map(abs, a), default=0)
         self.maxM, self.maxB, self.maxA = maxM, maxB, maxA
-        fits = max(maxM, maxB, maxA) < _INT_LIMIT
-        dtype = np.int64 if fits else object
-        self.M = np.array(m, dtype=dtype)
-        self.B = np.array(b, dtype=dtype)
-        self.A = np.array(a, dtype=dtype)
         big = max(
             2 * maxM * maxB + 1,
             maxM * maxA + 2 * maxB,
-            2 * self.SW * self.SL * max(2 * maxM, 2 * self.SL),
+            2 * sw * sl * max(2 * maxM, 2 * sl),
         )
-        self.int_ok = fits and big < _INT_LIMIT
+        self.int_ok = max(maxM, maxB, maxA, big) < _INT_LIMIT
+        dtype = np.int64 if self.int_ok else object
+        self.M = np.array(m, dtype=dtype)
+        self.B = np.array(b, dtype=dtype)
+        self.A = np.array(a, dtype=dtype)
 
     def __len__(self) -> int:
         return self.n_aff + self.n_vert
-
-    @property
-    def lines(self) -> list[Line]:
-        return list(self.affine) + list(self.vertical)
 
 
 def candidate_lines(g: Graph, dm: DistanceMatrix) -> LineSet:
     """Collect the candidate lines of every edge, deduplicated globally.
 
     Coinciding lines from different (edge, vertex) pairs produce the same
-    intersections, so only the first origin is kept.  Insertion order is
-    edges ascending, then vertices ascending, which keeps the arrays
-    deterministic.
+    intersections, so each is kept once, keyed on its integer
+    coefficients.  Insertion order is edges ascending, then vertices
+    ascending, which keeps the arrays deterministic.
     """
-    aff_seen: dict[tuple[Fraction, Fraction], tuple] = {}
-    vert_seen: dict[Fraction, tuple] = {}
+    aff: dict[tuple[int, int], None] = {}
+    vert: dict[int, None] = {}
+    rows, wi = dm.rows, g.weights_int
     for e in g.edges:
-        vert_seen.setdefault(ZERO, ("endpoint", e.id, e.u))
-        vert_seen.setdefault(e.length, ("endpoint", e.id, e.v))
+        r, s, l = e.u, e.v, g.lengths_int[e.id]
+        vert[0] = vert[2 * l] = None
         profile = edge_profile(g, dm, e.id)
         for v in g.vertices():
             fn = profile[v]
-            w = g.weights[v]
+            w, dr, ds = wi[v], rows[v][r], rows[v][s]
             if fn.case in (INCREASING, PEAK):
-                aff_seen.setdefault((w, w * fn.d_r), ("rising", v, e.id))
+                aff[(w, w * dr)] = None
             if fn.case in (DECREASING, PEAK):
-                aff_seen.setdefault((-w, w * (fn.d_s + e.length)), ("falling", v, e.id))
+                aff[(-w, w * (ds + l))] = None
             if fn.semicircular_t is not None:
-                vert_seen.setdefault(fn.semicircular_t, ("semicircular", v, e.id))
-    affine = [Line(m, b, org) for (m, b), org in aff_seen.items()]
-    vertical = [Line(None, a, org) for a, org in vert_seen.items()]
-    return LineSet(affine, vertical, g.weight_scale, g.length_scale)
+                # the apex, or the endpoint s (ds = dr + l) or r (dr = ds + l)
+                vert[ds - dr + l] = None
+    return LineSet(
+        [m for m, _ in aff], [b for _, b in aff], list(vert), g.weight_scale, g.length_scale
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +207,6 @@ def inversion_pairs(values: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np
 # explicit strategy
 
 
-def _pair_ordinate(l1: Line, l2: Line) -> Optional[Fraction]:
-    if l1.vertical and l2.vertical:
-        return None
-    if l1.vertical or l2.vertical:
-        vert, aff = (l1, l2) if l1.vertical else (l2, l1)
-        return aff.slope * vert.intercept + aff.intercept
-    if l1.slope == l2.slope:
-        return None
-    return (l1.slope * l2.intercept - l2.slope * l1.intercept) / (l1.slope - l2.slope)
-
-
 def _reduce(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """num/den in lowest terms with den > 0, computed in place."""
     neg = den < 0
@@ -273,11 +234,16 @@ def _repair_runs(order: np.ndarray, f: np.ndarray, key: Callable[[int], object])
     return order
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den as float64; Python-int entries divide correctly rounded."""
+    return np.asarray(num / den, dtype=np.float64)
+
+
 def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values num/den (int64, den != 0, reduced in place),
-    ascending, as reduced numerators and positive denominators."""
+    """The distinct values num/den (den != 0, reduced in place), ascending,
+    as reduced numerators and positive denominators."""
     num, den = _reduce(num, den)
-    f = num / den
+    f = _ratio(num, den)
     # equal pairs sit side by side under (float, num, den): drop them
     # first, so the exact repair only sees distinct near-equal values
     order = np.lexsort((den, num, f))
@@ -313,40 +279,28 @@ def _lowest_accepted(
 
 
 def _int_pair_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinates num/den (den != 0, not reduced) of every crossing of an
-    int_ok line set: the affine pairs with distinct slopes, then every
-    (affine, vertical) pair."""
-    nums = [np.empty(0, dtype=np.int64)]
-    dens = [np.empty(0, dtype=np.int64)]
+    """Ordinates num/den (den != 0, not reduced) of every crossing: the
+    affine pairs with distinct slopes, then every (affine, vertical) pair.
+    Its own function, so the parts and pair indices are freed before the
+    sort."""
+    nums = [np.empty(0, dtype=ls.M.dtype)]
+    dens = [np.empty(0, dtype=ls.M.dtype)]
     if ls.n_aff >= 2:
         r = np.arange(ls.n_aff)
         i, j = np.nonzero((ls.M[:, None] != ls.M[None, :]) & (r[:, None] < r[None, :]))
         nums.append(ls.M[i] * ls.B[j] - ls.M[j] * ls.B[i])
-        dens.append(np.int64(ls.SW * ls.SL) * (ls.M[i] - ls.M[j]))
+        dens.append(ls.SW * ls.SL * (ls.M[i] - ls.M[j]))
     if ls.n_aff and ls.n_vert:
         num = (ls.M[:, None] * ls.A[None, :] + 2 * ls.B[:, None]).ravel()
         nums.append(num)
-        dens.append(np.full(num.shape, 2 * ls.SW * ls.SL, dtype=np.int64))
+        dens.append(np.full(num.shape, 2 * ls.SW * ls.SL, dtype=ls.M.dtype))
     return np.concatenate(nums), np.concatenate(dens)
 
 
 def _explicit_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
     """Distinct y-coordinates of all pairwise intersections, ascending, as
-    parallel sequences of reduced numerators and positive denominators."""
-    if ls.int_ok:
-        return _sorted_ordinates(*_int_pair_ordinates(ls))
-    lines = ls.lines
-    seen = set()
-    for a in range(len(lines)):
-        for b in range(a + 1, len(lines)):
-            y = _pair_ordinate(lines[a], lines[b])
-            if y is not None:
-                seen.add(y)
-    ys = sorted(seen)
-    return (
-        np.array([y.numerator for y in ys], dtype=object),
-        np.array([y.denominator for y in ys], dtype=object),
-    )
+    reduced numerators and positive denominators."""
+    return _sorted_ordinates(*_int_pair_ordinates(ls))
 
 
 def _search_explicit(ls: LineSet, oracle: Callable[[Fraction], bool]) -> Fraction:
@@ -379,19 +333,21 @@ class _CountingSearch:
         self.oracle_memo: dict[Fraction, bool] = {}
         n = len(ls)
         self.N = n
-        # per-line dx/dy: affine 1/m = SW/M, verticals 0
-        inv_slopes: list[Fraction] = [
-            Fraction(ls.SW, int(m)) for m in ls.M
-        ] + [ZERO] * ls.n_vert
-        distinct = sorted(set(inv_slopes))
-        rank_of = {s: r for r, s in enumerate(distinct)}
-        self.rank_asc = np.array([rank_of[s] for s in inv_slopes], dtype=np.int64)
-        rank_desc = np.int64(len(distinct) - 1) - self.rank_asc
+        # rank of each line's dx/dy (affine SW/M, verticals 0) among the
+        # distinct values: negative slopes, verticals, then positive
+        # slopes, each group ascending in -M
+        group = np.concatenate([np.where(ls.M > 0, 2, 0), np.ones(ls.n_vert, dtype=np.int64)])
+        neg_m = np.concatenate([-ls.M, np.zeros(ls.n_vert, dtype=ls.M.dtype)])
+        by_slope = np.lexsort((neg_m, group))
+        g_s, m_s = group[by_slope], neg_m[by_slope]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (g_s[1:] != g_s[:-1]) | (m_s[1:] != m_s[:-1])
+        self.rank_asc = np.empty(n, dtype=np.int64)
+        self.rank_asc[by_slope] = np.cumsum(new) - 1
+        rank_desc = np.int64(new.sum() - 1) - self.rank_asc
         # order at y = -inf: 1/m descending; parallel lines by their fixed
         # left-to-right order (consistent at every height); verticals by x
-        sec = np.concatenate(
-            [np.where(ls.M > 0, -ls.B, ls.B), ls.A]
-        ).astype(np.int64)
+        sec = np.concatenate([np.where(ls.M > 0, -ls.B, ls.B), ls.A])
         idx = np.arange(n, dtype=np.int64)
         sigma_inf = np.lexsort((idx, sec, rank_desc))
         self.rank_inf = np.empty(n, dtype=np.int64)
@@ -407,35 +363,31 @@ class _CountingSearch:
     # -- exact left-to-right order of all lines at height y (ties = crossed)
 
     def _positions(self, y: Fraction) -> tuple[np.ndarray, np.ndarray]:
+        """Every line's x at height y as num/den, den > 0: int64 when
+        every product fits, Python ints otherwise."""
         ls = self.ls
         p, q = y.numerator, y.denominator
-        lim = _INT_LIMIT
+        M, B, A = ls.M, ls.B, ls.A
         if (
-            abs(p) * ls.SW * ls.SL + q * ls.maxB >= lim
-            or q * ls.SL * max(ls.maxM, 1) >= lim
+            abs(p) * ls.SW * ls.SL + q * ls.maxB >= _INT_LIMIT
+            or q * ls.SL * max(ls.maxM, 1) >= _INT_LIMIT
         ):
-            raise OverflowError
-        num_aff = np.int64(p * ls.SW * ls.SL) - np.int64(q) * ls.B
-        den_aff = np.int64(q * ls.SL) * ls.M
+            M, B, A = M.astype(object), B.astype(object), A.astype(object)
+        num_aff = p * ls.SW * ls.SL - q * B
+        den_aff = q * ls.SL * M
         neg = den_aff < 0
-        num_aff = np.where(neg, -num_aff, num_aff)
-        den_aff = np.where(neg, -den_aff, den_aff)
-        num = np.concatenate([num_aff, ls.A])
-        den = np.concatenate(
-            [den_aff, np.full(ls.n_vert, 2 * ls.SL, dtype=np.int64)]
-        )
+        vert_den = np.full(ls.n_vert, 2 * ls.SL, dtype=A.dtype)
+        num = np.concatenate([np.where(neg, -num_aff, num_aff), A])
+        den = np.concatenate([np.where(neg, -den_aff, den_aff), vert_den])
         return num, den
 
     def order_at(self, y: Fraction, strict: bool = False) -> np.ndarray:
         """Left-to-right line order at height y.  Lines meeting exactly at y
         are ordered as just above the meeting point (their crossing counts as
         passed) unless strict, which orders them as just below it."""
-        try:
-            num, den = self._positions(y)
-        except OverflowError:
-            return self._order_exact(y, strict)
+        num, den = self._positions(y)
         tie = -self.rank_asc if strict else self.rank_asc
-        f = num.astype(np.float64) / den.astype(np.float64)
+        f = _ratio(num, den)
         idx = np.arange(self.N, dtype=np.int64)
         order = np.lexsort((idx, tie, f))
         return _repair_runs(
@@ -443,22 +395,6 @@ class _CountingSearch:
             f[order],
             key=lambda i: (Fraction(int(num[i]), int(den[i])), int(tie[i]), i),
         )
-
-    def _order_exact(self, y: Fraction, strict: bool = False) -> np.ndarray:
-        ls = self.ls
-        sign = -1 if strict else 1
-        pos: list[Fraction] = []
-        for i in range(ls.n_aff):
-            m = Fraction(int(ls.M[i]), ls.SW)
-            b = Fraction(int(ls.B[i]), ls.SW * ls.SL)
-            pos.append((y - b) / m)
-        for j in range(ls.n_vert):
-            pos.append(Fraction(int(ls.A[j]), 2 * ls.SL))
-        order = sorted(
-            range(self.N),
-            key=lambda i: (pos[i], sign * int(self.rank_asc[i]), i),
-        )
-        return np.array(order, dtype=np.int64)
 
     def count(self, y: Fraction, strict: bool = False) -> int:
         """Crossings with ordinate <= y, or < y when strict."""
@@ -468,7 +404,7 @@ class _CountingSearch:
             self.count_memo[key] = count_inversions(seq)
         return self.count_memo[key]
 
-    # -- ordinates of specific line pairs, as int64 fractions
+    # -- ordinates of specific line pairs, as integer fractions
 
     def _pair_ordinates(
         self, I: np.ndarray, J: np.ndarray
@@ -476,8 +412,8 @@ class _CountingSearch:
         ls = self.ls
         na = ls.n_aff
         n = len(I)
-        num = np.zeros(n, dtype=np.int64)
-        den = np.ones(n, dtype=np.int64)
+        num = np.zeros(n, dtype=ls.M.dtype)
+        den = np.ones(n, dtype=ls.M.dtype)
         valid = np.zeros(n, dtype=bool)
         ai = I < na
         aj = J < na
@@ -489,7 +425,7 @@ class _CountingSearch:
             ok = dmm != 0
             nb = ls.M[i] * ls.B[j] - ls.M[j] * ls.B[i]
             num[both] = np.where(ok, nb, 0)
-            den[both] = np.where(ok, np.int64(ls.SW * ls.SL) * dmm, 1)
+            den[both] = np.where(ok, ls.SW * ls.SL * dmm, 1)
             valid[both] = ok
         mixed = ai ^ aj
         if mixed.any():
@@ -512,16 +448,14 @@ class _CountingSearch:
             keep = I != J
             I, J = I[keep].astype(np.int64), J[keep].astype(np.int64)
             num, den, valid = self._pair_ordinates(I, J)
-            f = num.astype(np.float64) / den.astype(np.float64)
+            f = _ratio(num, den)
             mask = valid & (f >= np.nextafter(fl_lo, -math.inf)) & (
                 f <= np.nextafter(fl_hi, math.inf)
             )
             if not mask.any():
                 continue
             num, den = num[mask], den[mask]
-            order = np.argsort(
-                num.astype(np.float64) / den.astype(np.float64), kind="stable"
-            )
+            order = np.argsort(f[mask], kind="stable")
             mid = len(order) // 2
             # walk outward from the median until a candidate verifies exactly
             for step in range(len(order)):
@@ -540,7 +474,7 @@ class _CountingSearch:
         self, y_lo: Optional[Fraction], y_hi: Fraction, open_top: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """All distinct ordinates in (y_lo, y_hi] (or (y_lo, y_hi) when
-        open_top), ascending, as reduced int64 numerators and positive
+        open_top), ascending, as reduced numerators and positive
         denominators.  y_lo None means a window floor below every
         intersection."""
         order_hi = self.order_at(y_hi, strict=open_top)
@@ -561,13 +495,18 @@ class _CountingSearch:
         ls = self.ls
         if not len(ls) or (ls.n_aff == 0):
             raise ValueError("candidate lines have no intersection ordinates")
-        # loose upper bound on every ordinate magnitude
+        # upper bound on every ordinate magnitude; two affine lines with
+        # distinct slopes differ in M by at least the least gap, which
+        # keeps the bound, and every float taken below it, in range at
+        # any scale
+        ms = np.unique(ls.M)
+        gap = int((ms[1:] - ms[:-1]).min()) if len(ms) > 1 else 1
         yb = Fraction(
             max(
                 2 * ls.maxM * ls.maxB,
-                ls.maxM * ls.maxA + 2 * ls.maxB,
+                (ls.maxM * ls.maxA + 2 * ls.maxB) * gap,
             ),
-            ls.SW * ls.SL,
+            ls.SW * ls.SL * gap,
         ) + 1
         if not self.probe(yb):
             raise ValueError("no intersection ordinate is feasible")
@@ -637,12 +576,13 @@ def lowest_feasible_vertex(
     strategy: str = "explicit",
 ) -> Fraction:
     """Lowest intersection ordinate of the line set that the monotone oracle
-    accepts, always one the oracle was asked about.  The name, kept from
-    when the intersection point itself was returned, is one that
-    perfbench's tracer rebinds."""
+    accepts, always one the oracle was asked about.  Either strategy serves
+    every coefficient scale; "auto" picks counting above 3000 lines.  The
+    name, kept from when the intersection point itself was returned, is
+    one that perfbench's tracer rebinds."""
     if strategy == "auto":
         strategy = "counting" if len(ls) > 3000 else "explicit"
-    if strategy == "explicit" or not ls.int_ok:
+    if strategy == "explicit":
         return _search_explicit(ls, oracle)
     if strategy == "counting":
         return _CountingSearch(ls, oracle).run()

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .arrangement_search import solve_weighted_graph
 from .general_feasibility import is_feasible_graph
 from .graph_core import (
-    EdgePoint,
     Graph,
     InstanceError,
     InternalError,
@@ -26,6 +25,7 @@ from .graph_core import (
     emit_instance,
     parse_instance,
     parse_rational,
+    point_json,
 )
 from .klevel_geometry import build_chains, kth_level, solve_unweighted_graph
 from .oracle import brute_lambda
@@ -67,13 +67,6 @@ def _dispatch(g: Graph, k: int, algo: str, search: str):
     if algo == "weighted-tree":
         return solve_weighted_tree(g, k, search=search)
     return solve_unweighted_tree(g, k)
-
-
-def _center_json(g: Graph, x: EdgePoint) -> dict:
-    if x.edge < 0:
-        return {"edge": [1, 1], "t": "0"}
-    e = g.edges[x.edge]
-    return {"edge": [e.u, e.v], "t": str(x.t)}
 
 
 def generate_instance(
@@ -132,7 +125,7 @@ def _cmd_feasible(args) -> int:
     if res.witness is not None:
         x, block = res.witness
         payload["witness"] = {
-            "center": _center_json(g, x),
+            "center": point_json(g, x),
             "subtree": sorted(block),
         }
     print(json.dumps(payload))

@@ -50,12 +50,6 @@ class Edge:
     v: int
     length: Fraction
 
-    def other(self, a: int) -> int:
-        return self.v if a == self.u else self.u
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 class Graph:
     """Vertex-weighted graph with vertices 1..n and edges indexed 0..m-1."""
@@ -339,6 +333,14 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[EdgeDistanceFn
     return out
 
 
+def point_json(g: Graph, x: EdgePoint) -> dict:
+    """The JSON form of a point: its edge's endpoints and the offset."""
+    if x.edge < 0:
+        return {"edge": [1, 1], "t": "0"}
+    e = g.edges[x.edge]
+    return {"edge": [e.u, e.v], "t": str(x.t)}
+
+
 @dataclass(frozen=True)
 class Solution:
     lambda_star: Fraction
@@ -346,15 +348,10 @@ class Solution:
     subtree: frozenset[int]
 
     def to_json(self, g: Graph) -> str:
-        if self.center.edge < 0:
-            center = {"edge": [1, 1], "t": "0"}
-        else:
-            e = g.edges[self.center.edge]
-            center = {"edge": [e.u, e.v], "t": str(self.center.t)}
         return json.dumps(
             {
                 "lambda_star": str(self.lambda_star),
-                "center": center,
+                "center": point_json(g, self.center),
                 "subtree": sorted(self.subtree),
             }
         )
@@ -425,10 +422,7 @@ def parse_instance(text: str) -> tuple[Graph, int]:
         wlist = [weights[v] for v in range(1, n + 1)]
     else:
         wlist = [Fraction(1)] * n
-    try:
-        g = Graph(n, wlist, edges)
-    except InstanceError:
-        raise
+    g = Graph(n, wlist, edges)
     if not 1 <= k <= n:
         raise InstanceError(f"k={k} out of range 1..{n}")
     return g, k

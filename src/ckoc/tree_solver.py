@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement_search import Line, LineSet, lowest_feasible_vertex
+from .arrangement_search import LineSet, lowest_feasible_vertex
 from .general_feasibility import FeasibilityResult
 from .graph_core import (
     ZERO,
@@ -263,21 +263,15 @@ def _centroid_lines(g: Graph) -> LineSet:
         l = g.lengths_int[e.id]
         adj[e.u].append((e.v, l))
         adj[e.v].append((e.u, l))
-    # keyed on (slope, intercept) in integer units of 1/SW and 1/(SW*SL)
+    # (slope, intercept) in integer units of 1/SW and 1/(SW*SL), each once
     wi = g.weights_int
-    aff: dict[tuple[int, int], tuple] = {}
-    for c, bfs, dist, _br in _centroids(g.n, adj):
+    aff: dict[tuple[int, int], None] = {}
+    for _c, bfs, dist, _br in _centroids(g.n, adj):
         for v in bfs:
             w = wi[v]
             b = w * dist[v]
-            aff.setdefault((w, b), ("rising", v, c))
-            aff.setdefault((-w, b), ("falling", v, c))
-    ws, swl = g.weights, g.weight_scale * g.length_scale
-    lines = [
-        Line(ws[org[1]] if m > 0 else -ws[org[1]], Fraction(b, swl), org)
-        for (m, b), org in aff.items()
-    ]
-    return LineSet(lines, [], g.weight_scale, g.length_scale)
+            aff[(w, b)] = aff[(-w, b)] = None
+    return LineSet([m for m, _ in aff], [b for _, b in aff], [], g.weight_scale, g.length_scale)
 
 
 def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckoc.arrangement_search import (
-    Line,
     LineSet,
     candidate_lines,
     count_inversions,
@@ -17,13 +16,13 @@ from ckoc.arrangement_search import (
     solve_weighted_graph,
     _CountingSearch,
     _explicit_ordinates,
-    _pair_ordinate,
 )
 from ckoc.graph_core import (
     EdgePoint,
     Graph,
     all_pairs_distances,
     edge_profile,
+    emit_instance,
     parse_instance,
     point_distance,
 )
@@ -51,29 +50,36 @@ def _real_oracle(g, k):
 # candidate line construction
 
 
+def _affine(ls):
+    """(slope, intercept) of every affine line, read off the integer arrays."""
+    return [(F(int(m), ls.SW), F(int(b), ls.SW * ls.SL)) for m, b in zip(ls.M, ls.B)]
+
+
+def _verticals(ls):
+    return [F(int(a), 2 * ls.SL) for a in ls.A]
+
+
 def test_candidate_lines_wedge(wedge2):
     dm = all_pairs_distances(wedge2)
     ls = candidate_lines(wedge2, dm)
-    affine = {(l.slope, l.intercept) for l in ls.affine}
-    vertical = {l.intercept for l in ls.vertical}
-    assert affine == {(F(2), F(0)), (F(-1), F(6))}
-    assert vertical == {F(0), F(6)}
+    assert set(_affine(ls)) == {(F(2), F(0)), (F(-1), F(6))}
+    assert set(_verticals(ls)) == {F(0), F(6)}
     assert len(ls) == 4
 
 
 def test_candidate_lines_path3(path3):
     dm = all_pairs_distances(path3)
     ls = candidate_lines(path3, dm)
-    affine = {(l.slope, l.intercept) for l in ls.affine}
+    affine = set(_affine(ls))
     assert affine == {(F(1), F(0)), (F(-1), F(1)), (F(-1), F(2)), (F(1), F(1))}
-    assert {l.intercept for l in ls.vertical} == {F(0), F(1)}
+    assert set(_verticals(ls)) == {F(0), F(1)}
 
 
 def test_candidate_lines_triangle_peak(triangle):
     # vertex 3 seen from edge (1,2) contributes both a rising and a falling line
     dm = all_pairs_distances(triangle)
     ls = candidate_lines(triangle, dm)
-    affine = {(l.slope, l.intercept) for l in ls.affine}
+    affine = set(_affine(ls))
     assert (F(1), F(1)) in affine
     assert (F(-1), F(2)) in affine
 
@@ -84,9 +90,15 @@ def test_candidate_lines_semicircular_vertical():
     g = Graph.unit(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     dm = all_pairs_distances(g)
     ls = candidate_lines(g, dm)
-    semis = [l for l in ls.vertical if l.origin[0] == "semicircular"]
-    assert semis
-    assert any(0 < l.intercept < F(1) for l in semis)
+    semis = {
+        fn.semicircular_t
+        for e in g.edges
+        for fn in edge_profile(g, dm, e.id)[1:]
+        if fn.semicircular_t is not None
+    }
+    assert any(0 < t < F(1) for t in semis)
+    assert semis <= set(_verticals(ls))
+    assert len(_verticals(ls)) == len(set(_verticals(ls)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +155,8 @@ def test_inversion_pairs_random():
 
 
 def _toy_lineset():
-    affine = [
-        Line(F(1), F(0), ("a",)),
-        Line(F(-1), F(2), ("b",)),
-    ]
-    vertical = [Line(None, F(0), ("v0",)), Line(None, F(2), ("v2",))]
-    return LineSet(affine, vertical, 1, 1)
+    # y = x, y = 2 - x, and verticals at x = 0 and x = 2
+    return LineSet([1, -1], [0, 2], [0, 4], 1, 1)
 
 
 @pytest.mark.parametrize("strategy", ["explicit", "counting"])
@@ -213,15 +221,14 @@ def test_frozen_values_fixtures(cycle4, path5):
 
 
 def _all_ordinates(ls):
-    lines = ls.lines
-    out = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            y = _pair_ordinate(lines[i], lines[j])
-            if y is not None:
-                out.add(y)
+    """Every crossing ordinate, in Fraction arithmetic on the coefficients."""
+    aff = _affine(ls)
+    out = {m * x + b for m, b in aff for x in _verticals(ls)}
+    for i, (m1, b1) in enumerate(aff):
+        for m2, b2 in aff[i + 1 :]:
+            if m1 != m2:
+                out.add((m1 * b2 - m2 * b1) / (m1 - m2))
     return out
-
 
 
 def _read(ordinates):
@@ -232,28 +239,36 @@ def _read(ordinates):
 
 @st.composite
 def _tied_line_sets(draw):
-    """Hand-built int_ok line sets whose lines all pass near (0, y0):
-    pairwise ordinates repeat, and for large |y0| distinct ones are equal
-    or one ulp apart as float64 (y0 + 1/3 and y0 + 2/5 round alike at
-    2**52, while 5*y0 + 2 > 2*y0 + 1 orders their numerators wrongly)."""
-    sw = draw(st.sampled_from([1, 2, 3]))
-    sl = draw(st.sampled_from([1, 2, 5]))
+    """Hand-built line sets whose lines all pass near (0, y0): pairwise
+    ordinates repeat, and for large |y0| distinct ones are equal or one ulp
+    apart as float64 (y0 + 1/3 and y0 + 2/5 round alike at 2**52, while
+    5*y0 + 2 > 2*y0 + 1 orders their numerators wrongly).  The wide
+    scales, beyond 2**62, give object-dtype sets (int_ok False)."""
+    sw = draw(st.sampled_from([1, 2, 3, 3**41]))
+    sl = draw(st.sampled_from([1, 2, 5, 2**63 + 29]))
     y0 = draw(st.sampled_from([0, 7, -(2**50), 2**52, -(2**52) - 3, 2**53 + 1]))
     slopes = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=7))
-    affine = [
-        Line(F(m, sw), F(y0 * sw * sl + draw(st.integers(-5, 5)), sw * sl), ("a", t))
-        for t, m in enumerate(slopes)
-    ]
+    b = [y0 * sw * sl + draw(st.integers(-5, 5)) for _ in slopes]
     verts = draw(st.lists(st.integers(-6, 6), max_size=3, unique=True))
-    vertical = [Line(None, F(a, 2 * sl), ("v", a)) for a in verts]
-    return LineSet(affine, vertical, sw, sl)
+    return LineSet(slopes, b, verts, sw, sl)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_tied_line_sets())
 def test_explicit_ordinates_sort_exactly(ls):
-    assert ls.int_ok
+    assert ls.M.dtype == (np.int64 if ls.int_ok else object)
     assert _read(_explicit_ordinates(ls)) == sorted(_all_ordinates(ls))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_tied_line_sets())
+def test_slope_ranks_order_inverse_slopes(ls):
+    # the counting search ranks lines by dx/dy among its distinct values:
+    # SW/M for affine lines, 0 for verticals
+    inv = [F(ls.SW, int(m)) for m in ls.M] + [F(0)] * ls.n_vert
+    rank = {s: r for r, s in enumerate(sorted(set(inv)))}
+    got = _CountingSearch(ls, lambda lam: True).rank_asc
+    assert got.tolist() == [rank[s] for s in inv]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -450,8 +465,23 @@ _BIG_UNIT_CYCLE = (
 )
 
 
+# weights 1/(2**115 + i): their lcm, the weight scale, passes 2**1024, so
+# an ordinate bound taken without the least slope gap, and the floats
+# below it, would overflow
+_THOUSAND_BIT_TREE = emit_instance(
+    Graph(
+        10,
+        [F(1, 2**115 + i) for i in range(10)],
+        [(v // 2, v, 1 + v % 3) for v in range(2, 11)],
+    ),
+    5,
+)
+
+
 @pytest.mark.parametrize(
-    "text", [_BIG_PATH, _BIG_CYCLE, _BIG_UNIT_CYCLE], ids=["path", "cycle", "unit-cycle"]
+    "text",
+    [_BIG_PATH, _BIG_CYCLE, _BIG_UNIT_CYCLE, _THOUSAND_BIT_TREE],
+    ids=["path", "cycle", "unit-cycle", "thousand-bit-tree"],
 )
 def test_coefficients_beyond_int64_take_the_exact_path(text):
     from ckoc import cli
@@ -460,7 +490,10 @@ def test_coefficients_beyond_int64_take_the_exact_path(text):
     g, _ = parse_instance(text)
     ls = candidate_lines(g, all_pairs_distances(g))
     assert not ls.int_ok and ls.maxB >= arrangement_search._INT_LIMIT
+    assert ls.M.dtype == object
     for k in g.vertices():
         want = brute_lambda(g, k)
         for algo in ["auto"] + cli._solvers_for(g):
-            assert cli._dispatch(g, k, cli._pick_algo(g, algo), "auto").lambda_star == want, (algo, k)
+            for search in ("auto", "explicit", "counting"):
+                got = cli._dispatch(g, k, cli._pick_algo(g, algo), search).lambda_star
+                assert got == want, (algo, search, k)

@@ -66,7 +66,8 @@ def test_feasible_wedge(tmp_path, capsys):
     assert code == 0
     got = json.loads(out)
     assert got["feasible"] is True
-    assert got["witness"]["subtree"] == [1, 2]
+    # 2 * t <= 4 and 1 * (6 - t) <= 4 leave the single center t = 2
+    assert got["witness"] == {"center": {"edge": [1, 2], "t": "2"}, "subtree": [1, 2]}
     code, out, _ = run(capsys, ["feasible", str(f), "--lambda", "3"])
     assert json.loads(out)["feasible"] is False
 
