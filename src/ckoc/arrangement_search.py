@@ -22,9 +22,10 @@ The lines are integer coefficient arrays (LineSet): int64 when every
 pairwise product fits, Python ints in object arrays otherwise, through the
 same code.  Both strategies end the same way: the ordinates (all of them,
 or the window's) stay reduced integer pairs (num, den), sorted by float
-value with duplicates dropped and every run of neighbours too close to
-trust as floats re-sorted exactly, and one binary search over them builds
-a Fraction only for the O(log N) ordinates it probes.
+value (saturated to +-inf past the float range) with duplicates dropped
+and every run of neighbours too close to trust as floats re-sorted
+exactly, and one binary search over them builds a Fraction only for the
+O(log N) ordinates it probes.
 """
 
 from __future__ import annotations
@@ -222,9 +223,11 @@ def _repair_runs(order: np.ndarray, f: np.ndarray, key: Callable[[int], object])
     """Exact fixup of a float sort.  order is sorted by the float values f
     (f[t] belongs to order[t]); each run of neighbours whose float gaps are
     too small to trust is re-sorted in place by the exact key."""
-    gap = f[1:] - f[:-1]
+    with np.errstate(invalid="ignore"):
+        gap = f[1:] - f[:-1]
     thr = 1e-12 * np.maximum(np.abs(f[:-1]), np.abs(f[1:])) + 1e-15
-    susp = np.nonzero(gap <= thr)[0]
+    # the NaN gap between two equal saturated infinities is suspect too
+    susp = np.nonzero(~(gap > thr))[0]
     if len(susp):
         cut = np.nonzero(np.diff(susp) > 1)[0]
         starts = np.concatenate(([susp[0]], susp[cut + 1]))
@@ -234,9 +237,22 @@ def _repair_runs(order: np.ndarray, f: np.ndarray, key: Callable[[int], object])
     return order
 
 
+def _div(num: int, den: int) -> float:
+    """num/den correctly rounded, saturating to +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
+
+
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den as float64; Python-int entries divide correctly rounded."""
-    return np.asarray(num / den, dtype=np.float64)
+    """num/den as float64.  Python-int entries divide correctly rounded,
+    and quotients past the float range saturate to +-inf, which
+    _repair_runs then orders exactly."""
+    try:
+        return np.asarray(num / den, dtype=np.float64)
+    except OverflowError:
+        return np.fromiter(map(_div, num.tolist(), den.tolist()), np.float64, len(num))
 
 
 def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,8 +456,8 @@ class _CountingSearch:
         """Roughly the median of sampled pairwise ordinates strictly inside
         (y_lo, y_hi).  Floats prefilter; the returned pivot is verified
         exactly so a probe at it always shrinks the window."""
-        fl_lo = float(y_lo) if y_lo is not None else -math.inf
-        fl_hi = float(y_hi)
+        fl_lo = _div(y_lo.numerator, y_lo.denominator) if y_lo is not None else -math.inf
+        fl_hi = _div(y_hi.numerator, y_hi.denominator)
         for _ in range(4):
             I = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
             J = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
@@ -497,8 +513,7 @@ class _CountingSearch:
             raise ValueError("candidate lines have no intersection ordinates")
         # upper bound on every ordinate magnitude; two affine lines with
         # distinct slopes differ in M by at least the least gap, which
-        # keeps the bound, and every float taken below it, in range at
-        # any scale
+        # keeps the bound near the largest ordinate at any scale
         ms = np.unique(ls.M)
         gap = int((ms[1:] - ms[:-1]).min()) if len(ms) > 1 else 1
         yb = Fraction(
@@ -577,11 +592,13 @@ def lowest_feasible_vertex(
 ) -> Fraction:
     """Lowest intersection ordinate of the line set that the monotone oracle
     accepts, always one the oracle was asked about.  Either strategy serves
-    every coefficient scale; "auto" picks counting above 3000 lines.  The
-    name, kept from when the intersection point itself was returned, is
-    one that perfbench's tracer rebinds."""
+    every coefficient scale; "auto" picks counting above 3000 lines, or
+    above 500 on object-dtype sets, whose quadratic Python-int enumeration
+    costs more.  The name, kept from when the intersection point itself
+    was returned, is one that perfbench's tracer rebinds."""
     if strategy == "auto":
-        strategy = "counting" if len(ls) > 3000 else "explicit"
+        limit = 3000 if ls.int_ok else 500
+        strategy = "counting" if len(ls) > limit else "explicit"
     if strategy == "explicit":
         return _search_explicit(ls, oracle)
     if strategy == "counting":

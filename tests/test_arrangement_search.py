@@ -243,10 +243,15 @@ def _tied_line_sets(draw):
     ordinates repeat, and for large |y0| distinct ones are equal or one ulp
     apart as float64 (y0 + 1/3 and y0 + 2/5 round alike at 2**52, while
     5*y0 + 2 > 2*y0 + 1 orders their numerators wrongly).  The wide
-    scales, beyond 2**62, give object-dtype sets (int_ok False)."""
+    scales, beyond 2**62, give object-dtype sets (int_ok False), and
+    |y0| = 2**1100 puts every ordinate past the float range."""
     sw = draw(st.sampled_from([1, 2, 3, 3**41]))
     sl = draw(st.sampled_from([1, 2, 5, 2**63 + 29]))
-    y0 = draw(st.sampled_from([0, 7, -(2**50), 2**52, -(2**52) - 3, 2**53 + 1]))
+    y0 = draw(
+        st.sampled_from(
+            [0, 7, -(2**50), 2**52, -(2**52) - 3, 2**53 + 1, 2**1100, -(2**1100) - 1]
+        )
+    )
     slopes = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=7))
     b = [y0 * sw * sl + draw(st.integers(-5, 5)) for _ in slopes]
     verts = draw(st.lists(st.integers(-6, 6), max_size=3, unique=True))
@@ -478,10 +483,28 @@ _THOUSAND_BIT_TREE = emit_instance(
 )
 
 
+# integer weights W and W + 1 for W = 10**160: the lines (W+1)x and
+# Wx + W cross at y = W(W+1), past the float range, so every float the
+# searches take of such an ordinate saturates
+_W = 10**160
+_HUGE_ORDINATE_TREE = emit_instance(Graph(3, [_W, _W + 1, 1], [(1, 2, 1), (2, 3, 1)]), 2)
+_HUGE_ORDINATE_CYCLE = emit_instance(
+    Graph(5, [_W, _W + 1, _W + 3, 2, 1], [(1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 5, 3), (5, 1, 1)]),
+    3,
+)
+
+
 @pytest.mark.parametrize(
     "text",
-    [_BIG_PATH, _BIG_CYCLE, _BIG_UNIT_CYCLE, _THOUSAND_BIT_TREE],
-    ids=["path", "cycle", "unit-cycle", "thousand-bit-tree"],
+    [
+        _BIG_PATH,
+        _BIG_CYCLE,
+        _BIG_UNIT_CYCLE,
+        _THOUSAND_BIT_TREE,
+        _HUGE_ORDINATE_TREE,
+        _HUGE_ORDINATE_CYCLE,
+    ],
+    ids=["path", "cycle", "unit-cycle", "thousand-bit-tree", "huge-tree", "huge-cycle"],
 )
 def test_coefficients_beyond_int64_take_the_exact_path(text):
     from ckoc import cli
@@ -497,3 +520,33 @@ def test_coefficients_beyond_int64_take_the_exact_path(text):
             for search in ("auto", "explicit", "counting"):
                 got = cli._dispatch(g, k, cli._pick_algo(g, algo), search).lambda_star
                 assert got == want, (algo, search, k)
+
+
+@pytest.mark.parametrize("text", [_HUGE_ORDINATE_TREE, _HUGE_ORDINATE_CYCLE], ids=["tree", "cycle"])
+def test_ordinates_past_the_float_range(text, monkeypatch):
+    g, _ = parse_instance(text)
+    ls = candidate_lines(g, all_pairs_distances(g))
+    want = _all_ordinates(ls)
+    assert max(abs(y) for y in want) > 2**1024
+    assert _read(_explicit_ordinates(ls)) == sorted(want)
+    # a tiny enumeration threshold sends the counting search through its
+    # sampled pivots and exact narrowing at these heights
+    monkeypatch.setattr(arrangement_search, "_ENUM_THRESHOLD", 2)
+    for k in range(2, g.n + 1):
+        lam = lowest_feasible_vertex(ls, _real_oracle(g, k), strategy="counting")
+        assert lam == brute_lambda(g, k)
+
+
+def test_auto_counts_on_large_object_dtype_sets(monkeypatch):
+    # 501 lines through (0, b): explicit under auto as an int64 set,
+    # counting once the same lines need Python ints
+    slopes, verts = list(range(1, 302)), list(range(200))
+    small = LineSet(slopes, [3] * 301, verts)
+    wide = LineSet(slopes, [2**70 + 3] * 301, verts)
+    assert small.int_ok and not wide.int_ok and len(wide) == 501
+    ran = []
+    real = arrangement_search._search_explicit
+    monkeypatch.setattr(arrangement_search, "_search_explicit", lambda *a: ran.append(a) or real(*a))
+    assert lowest_feasible_vertex(small, lambda y: y > 1, "auto") == 3
+    assert lowest_feasible_vertex(wide, lambda y: y > 1, "auto") == 2**70 + 3
+    assert [a[0] for a in ran] == [small]
