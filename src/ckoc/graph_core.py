@@ -109,6 +109,8 @@ class Graph:
         self.lengths_int: list[int] = [int(e.length * self.length_scale) for e in self.edges]
         self.weight_scale: int = math.lcm(*(w.denominator for w in self.weights[1:]))
         self.weights_int: list[int] = [0] + [int(w * self.weight_scale) for w in self.weights[1:]]
+        # w_v == 1 exactly when its scaled weight equals the scale
+        self.unit_weights: bool = self.weights_int.count(self.weight_scale) == n
 
     def _reach(self, start: int) -> set[int]:
         seen = {start}
@@ -126,10 +128,6 @@ class Graph:
         """Unit-weight graph; edges may omit lengths (default 1)."""
         full = [(e[0], e[1], e[2] if len(e) == 3 else 1) for e in edges]
         return cls(n, [1] * n, full)
-
-    @property
-    def unit_weights(self) -> bool:
-        return all(w == 1 for w in self.weights[1:])
 
     @property
     def is_tree(self) -> bool:

@@ -18,8 +18,10 @@ unit weights each vertex's count is monotone in the radius, so the rest
 cannot cover k at any lower probe.  Its engine builds the centroid
 decomposition level by level in numpy (all components of one level at
 once, from the rooted tree's shape) and takes each centroid distance from
-depths and one lowest common ancestor in int64.  This keeps trees with a
-hundred thousand vertices in budget.
+depths and one lowest common ancestor.  This keeps trees with a hundred
+thousand vertices in budget.  The engine works at any length scale: its
+depths and packed keys are int64 when the largest key fits, and Python
+ints in numpy object arrays otherwise, through the same code.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement_search import LineSet, lowest_feasible_vertex
+from .arrangement_search import _INT_LIMIT, LineSet, lowest_feasible_vertex
 from .general_feasibility import FeasibilityResult
 from .graph_core import (
     ZERO,
@@ -42,7 +44,6 @@ from .graph_core import (
     vertex_point,
 )
 from .tree_engine import (
-    _RootedDistances,
     _rooted_arrays,
     binarize,
     build_coverage_arrays,
@@ -57,25 +58,25 @@ from .tree_engine import (
 
 class _TreeContext:
     """Rooted arrays, ancestor jumps and the coverage engine for one tree,
-    shared across repeated feasibility probes."""
+    shared across repeated feasibility probes.  All come from the binary
+    transform rooted at 1, whose copies hang by zero-length edges."""
 
     def __init__(self, g: Graph):
         if not g.is_tree:
             raise InstanceError("tree solver requires a tree instance")
         self.g = g
-        parent, plen, self.eid, children = _rooted_arrays(g, 1)
-        self.rd = _RootedDistances(g.n, 1, parent, plen, children)
-        up = [parent[:]]
+        bt = binarize(g)
+        self.rd = bt.rd
+        self.parent = parent = [bt.orig[p] for p in bt.parent[: g.n + 1]]
+        self.eid = [-1] * (g.n + 1)
+        for e, c in enumerate(bt.edge_child):
+            self.eid[c] = e
+        up = [parent]
         for _ in range(max(0, g.n.bit_length() - 1)):
             prev = up[-1]
             up.append([prev[prev[v]] for v in range(g.n + 1)])
         self.up = up
-        self._st = None
-
-    def spine(self):
-        if self._st is None:
-            self._st = spine_decompose(binarize(self.g))
-        return self._st
+        self.st = spine_decompose(bt)
 
     def point(self, v: int, lam: Fraction) -> tuple[int, int, int]:
         """Critical point of v: on v's root path at distance lam/w_v.
@@ -100,7 +101,7 @@ class _TreeContext:
             a = row[c]
             if a and dd[a] > lim:
                 c = a
-        p = self.rd.parent[c]
+        p = self.parent[c]
         if dd[p] * qw == target:
             return p, 0, 1
         n = dd[c] * qw - target
@@ -134,7 +135,7 @@ class _TreeContext:
 
 def _feasible_scan(ctx: _TreeContext, k: int, lam: Fraction):
     """First critical point covering k vertices, with the engine state."""
-    st = ctx.spine()
+    st = ctx.st
     ca = build_coverage_arrays(st, lam, kmax=k)
     seen = set()
     for v in ctx.g.vertices():
@@ -148,12 +149,12 @@ def _feasible_scan(ctx: _TreeContext, k: int, lam: Fraction):
     return None
 
 
-def is_feasible_tree(g: Graph, k: int, lam: Fraction, _ctx=None) -> FeasibilityResult:
+def is_feasible_tree(g: Graph, k: int, lam: Fraction) -> FeasibilityResult:
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     if lam < 0:
         return FeasibilityResult(False)
-    ctx = _ctx if _ctx is not None else _TreeContext(g)
+    ctx = _TreeContext(g)
     hit = _feasible_scan(ctx, k, lam)
     if hit is None:
         return FeasibilityResult(False)
@@ -418,20 +419,21 @@ def _centroid_pack(n: int, fv, fc, fd, fb, stride: int):
     """Centroid decomposition rows (vertex, centroid, distance, branch id)
     flattened for vectorized ball counts: per-vertex chains (centroid,
     distance, branch id) plus packed sorted distance arrays per centroid
-    and per branch."""
+    and per branch, in the dtype of the distances fd."""
     # a vertex's chain lists its centroids from the outermost in
     ch_len = np.bincount(fv, minlength=n + 1)
     ch_off = np.zeros(n + 1, dtype=np.int64)
     ch_off[1:] = np.cumsum(ch_len)[:-1]
     by_vertex = np.argsort(fv, kind="stable")
-    fulls = np.sort(fc * stride + fd)
+    dt = fd.dtype
+    fulls = np.sort(fc.astype(dt, copy=False) * stride + fd)
     full_start = np.zeros(n + 2, dtype=np.int64)
     full_start[1:] = np.cumsum(np.bincount(fc, minlength=n + 1))
     in_branch = fb != 0
     bbn = fb[in_branch]
     bdn = fd[in_branch]
     nbid = int(bbn.max()) + 1 if bbn.size else 1
-    brs = np.sort(bbn * stride + bdn)
+    brs = np.sort(bbn.astype(dt, copy=False) * stride + bdn)
     br_start = np.zeros(nbid + 1, dtype=np.int64)
     br_start[1:] = np.cumsum(np.bincount(bbn, minlength=nbid))
     return (
@@ -450,6 +452,7 @@ def _centroid_pack(n: int, fv, fc, fd, fb, stride: int):
 def _prefix_counts(levels, stride: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """For each query: number of tree positions i < t[q] whose depth is at
     most x[q], via the per-level sorted blocks."""
+    dt = levels[0].dtype
     res = np.zeros(t.size, dtype=np.int64)
     xk = np.clip(x, -1, stride - 2)
     for b in range(len(levels)):
@@ -457,17 +460,16 @@ def _prefix_counts(levels, stride: int, t: np.ndarray, x: np.ndarray) -> np.ndar
         if not sel.any():
             continue
         j = (t[sel] >> b) - 1
-        pos = np.searchsorted(levels[b], j * stride + xk[sel], side="right")
+        pos = np.searchsorted(
+            levels[b], j.astype(dt, copy=False) * stride + xk[sel], side="right"
+        )
         res[sel] += pos - (j << b)
     return res
 
 
-class _ScaleOverflow(Exception):
-    """Raised when scaled coordinates would not fit 64-bit packing."""
-
-
 class _UnweightedEngine:
-    """Integer-scaled coverage counting at many critical points at once."""
+    """Integer-scaled coverage counting at many critical points at once, on
+    int64 arrays when the largest packed key fits and Python ints otherwise."""
 
     def __init__(self, g: Graph):
         n = g.n
@@ -487,9 +489,8 @@ class _UnweightedEngine:
         n2 = 1 << max(1, (n - 1).bit_length())
         # block ids reach n2 and branch ids roughly n log n
         big = max(n2, n * (n.bit_length() + 2)) + 4
-        if big * self.stride >= 2**62:
-            raise _ScaleOverflow
-        self.depth_np = np.asarray(depth, dtype=np.int64)
+        self.dt = dt = np.dtype(np.int64 if big * self.stride < _INT_LIMIT else object)
+        self.depth_np = np.asarray(depth, dtype=dt)
         self.tin_np = np.asarray(tin, dtype=np.int64)
         self.tout_np = np.asarray(tout, dtype=np.int64)
         fv, fc, fb, fa = _centroid_levels(
@@ -514,13 +515,13 @@ class _UnweightedEngine:
         for _ in range(max(0, n.bit_length() - 1)):
             ups.append(ups[-1][ups[-1]])
         self.ups = ups
-        base = np.full(n2, self.stride - 1, dtype=np.int64)
+        base = np.full(n2, self.stride - 1, dtype=dt)
         base[self.tin_np[1:]] = self.depth_np[1:]
         levels = []
         width = 1
         while width <= n2:
             blocks = np.sort(base.reshape(-1, width), axis=1)
-            offs = np.arange(blocks.shape[0], dtype=np.int64) * self.stride
+            offs = np.arange(blocks.shape[0], dtype=dt) * self.stride
             levels.append((blocks + offs[:, None]).ravel())
             width *= 2
         self.levels = levels
@@ -534,15 +535,16 @@ class _UnweightedEngine:
         at = np.repeat(self.ch_off[p], ln) + (
             np.arange(total, dtype=np.int64) - np.repeat(csum - ln, ln)
         )
+        dt, stride = self.dt, self.stride
         cc = self.ch_c[at]
-        bound = np.clip(rho[owner] - self.ch_d[at], -1, self.stride - 2)
+        bound = np.clip(rho[owner] - self.ch_d[at], -1, stride - 2)
         f = (
-            np.searchsorted(self.fulls, cc * self.stride + bound, side="right")
+            np.searchsorted(self.fulls, cc.astype(dt, copy=False) * stride + bound, side="right")
             - self.full_start[cc]
         )
         bbid = self.ch_b[at]
         br = (
-            np.searchsorted(self.brs, bbid * self.stride + bound, side="right")
+            np.searchsorted(self.brs, bbid.astype(dt, copy=False) * stride + bound, side="right")
             - self.br_start[bbid]
         )
         out = np.bincount(owner, weights=(f - br).astype(np.float64), minlength=p.size)
@@ -581,10 +583,11 @@ class _UnweightedEngine:
         return e1 + ball - e3
 
 
-def _int_bfs(g: Graph, src: int) -> np.ndarray:
-    """Distances from src in integer units of 1/(2 * g.length_scale)."""
+def _int_bfs(g: Graph, src: int, dt: np.dtype) -> np.ndarray:
+    """Distances from src in integer units of 1/(2 * g.length_scale), an
+    array of dtype dt."""
     li = g.lengths_int
-    dist = np.zeros(g.n + 1, dtype=np.int64)
+    dist = np.zeros(g.n + 1, dtype=dt)
     seen = [False] * (g.n + 1)
     seen[src] = True
     queue = [src]
@@ -608,14 +611,7 @@ def solve_unweighted_tree(g: Graph, k: int) -> Solution:
         raise ValueError(f"k={k} out of range for n={g.n}")
     if k == 1 or g.n == 1:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
-    try:
-        eng = _UnweightedEngine(g)
-    except _ScaleOverflow:
-        if g.n <= 1500:
-            return solve_weighted_tree(g, k)
-        raise InstanceError(
-            "edge length denominators too large for the scaled solver"
-        ) from None
+    eng = _UnweightedEngine(g)
     radius, v_star = _least_radius(eng, k)
     return _unweighted_solution(g, eng, k, radius, v_star)
 
@@ -668,7 +664,7 @@ def _unweighted_solution(
         tfp = Fraction(off_p, eng.sc2)
         t = tfp if e.u == p else e.length - tfp
         center = canonical_point(g, e.id, t)
-        dp = _int_bfs(g, p)
+        dp = _int_bfs(g, p, eng.dt)
         in_sub = (eng.tin_np[1:] >= eng.tin[c]) & (eng.tin_np[1:] < eng.tout[c])
         dist_np = np.where(in_sub, eng.depth_np[1:] - td, off_p + dp[1:])
     order = np.lexsort((eng.verts, dist_np))

@@ -17,6 +17,7 @@ from ckoc.graph_core import (
     point_distance,
     vertex_point,
 )
+from ckoc.tree_engine import _RootedDistances, _rooted_arrays
 from ckoc.tree_solver import (
     _centroids,
     _TreeContext,
@@ -78,6 +79,22 @@ def test_critical_points_on_root_path():
             assert g.weights[v] * dv == min(lam, g.weights[v] * dm.d(1, v))
             # x lies on the path between v and the root
             assert point_distance(g, dm, x, 1) + dv == dm.d(1, v)
+
+
+def test_context_matches_rooted_tree():
+    # the context reads the tree rooted at 1 off its binary transform
+    rng = random.Random(32)
+    for trial in range(60):
+        g = random_tree(rng, rng.randint(1, 40), weighted=True)
+        parent, plen, eid, children = _rooted_arrays(g, 1)
+        rd = _RootedDistances(g.n, 1, parent, plen, children)
+        ctx = _TreeContext(g)
+        assert (ctx.parent, ctx.eid) == (parent, eid), trial
+        assert ctx.rd.dd[: g.n + 1] == rd.dd, trial
+        for u in g.vertices():
+            assert [ctx.rd.d(u, v) for v in g.vertices()] == [
+                rd.d(u, v) for v in g.vertices()
+            ], (trial, u)
 
 
 # ------------------------------------------------------------- feasibility
@@ -257,8 +274,8 @@ def test_unweighted_matches_brute():
 
 
 def test_unweighted_scale_fallback():
-    # astronomically long edges overflow the packed 64-bit grid and drop
-    # to the exact route
+    # astronomically long edges overflow the packed 64-bit grid, so the
+    # engine runs on Python ints
     g = Graph(
         5,
         [F(1)] * 5,
@@ -271,6 +288,24 @@ def test_unweighted_scale_fallback():
     )
     for k in range(1, 6):
         assert solve_unweighted_tree(g, k).lambda_star == oracle.brute_lambda(g, k)
+
+
+def test_unweighted_prime_denominator_path():
+    # lengths 1/p for three primes near 10**6 put the packed keys past
+    # int64; the same engine answers on Python ints.  On a path the best
+    # k vertices are k consecutive ones, centered on their window.
+    primes = (999961, 999979, 999983)
+    n = 2000
+    g = Graph(n, [F(1)] * n, [(v, v + 1, F(1, primes[v % 3])) for v in range(1, n)])
+    eng = _UnweightedEngine(g)
+    assert all(a.dtype == object for a in (eng.depth_np, eng.fulls, eng.brs, *eng.levels))
+    pre = [F(0)]
+    for e in g.edges:
+        pre.append(pre[-1] + e.length)
+    for k in (2, n // 3, n // 2, n):
+        s = solve_unweighted_tree(g, k)
+        assert s.lambda_star == min(pre[i + k - 1] - pre[i] for i in range(n - k + 1)) / 2, k
+        assert len(s.subtree) == k
 
 
 def test_unweighted_medium_consistency():
@@ -389,7 +424,7 @@ def test_kth_distance_from():
     eng = _UnweightedEngine(g)
 
     def others_within(v, r):
-        rho = np.array([int(r * eng.sc2)], dtype=np.int64)
+        rho = np.array([int(r * eng.sc2)], dtype=eng.dt)
         return int(eng._ball(np.array([v], dtype=np.int64), rho)[0]) - 1
 
     for v in g.vertices():
@@ -419,7 +454,8 @@ def _unit_trees(draw, min_n=2, max_n=40, shapes=("random", "path", "star")):
         pairs = [(v - 1, v) for v in range(2, spine + 1)]
         pairs += [(draw(hs.integers(1, spine)), v) for v in range(spine + 1, n + 1)]
     label = [0] + draw(hs.permutations(range(1, n + 1)))
-    lengths = hs.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 4), F(5, 8)))
+    # 10**17 overflows the int64 packing, so the engine runs on Python ints
+    lengths = hs.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 4), F(5, 8), F(10**17)))
     if draw(hs.booleans()):
         same = draw(lengths)
         lengths = hs.just(same)
