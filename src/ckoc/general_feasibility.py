@@ -366,12 +366,12 @@ class FeasibilityTester:
 
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:
         g, dm = self.g, self.dm
+        if not 1 <= k <= g.n:
+            raise ValueError(f"k={k} out of range")
         if lam < 0:
             return FeasibilityResult(False)
         if g.n == 1:
-            return FeasibilityResult(k <= 1, (EdgePoint(-1, ZERO), frozenset({1})) if k <= 1 else None)
-        if not 1 <= k <= g.n:
-            raise ValueError(f"k={k} out of range")
+            return FeasibilityResult(True, (EdgePoint(-1, ZERO), frozenset({1})))
         for e in g.edges:
             # cheap lower bound: even ignoring connectivity, fewer than k
             # vertices can ever be within lam of any point of this edge

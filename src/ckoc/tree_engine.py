@@ -2,9 +2,9 @@
 
 A point x covers vertex v at radius lam when w_v * d(x, v) <= lam, and the
 covered subtree of x is the largest x-inclusive connected piece of covered
-vertices (a heavy vertex blocks everything behind it).  This module answers
-covered-subtree counting, reporting, and at-least-k queries for arbitrary
-points of a tree in polylogarithmic time after an O(n log n) build:
+vertices (a heavy vertex blocks everything behind it).  This module counts
+covered subtrees, and answers at-least-k queries, for arbitrary points of a
+tree in polylogarithmic time after an O(n log n) build:
 
 - integer distances on the rooted tree (units of 1/SL, SL the graph's
   length_scale), O(1) per vertex pair via an Euler tour with a sparse
@@ -27,6 +27,10 @@ cross-multiplication.  A common denominator would need the lcm of all
 weights, which grows with every coprime weight; per-vertex denominators
 keep each product at the size of one weight.  Fraction appears only at
 the boundary: the radius argument and the EdgePoint of a query.
+
+The arrays only count.  A witness is never read from them: tree_solver
+walks the covered subtree directly and checks its size against
+query_count.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
 from typing import Optional
 
 from .graph_core import (
@@ -408,19 +411,45 @@ class _Side:
     """Step function of one node and one direction: keys descending in x,
     key i being xs[i]/xd[i] in units of 1/(q*SL) (index 0 is the
     plus-infinity sentinel, None in both), y subtree sizes, z marked
-    counts, Q deltas as slices qb[qs[i]:qs[i+1]], icov the first index
-    covering the whole subspine (0 when none)."""
+    counts, icov the first index covering the whole subspine (0 when
+    none).  Built by add() calls with strictly descending x, an equal-x
+    add collapsing into the last tuple (its cumulative values win), then
+    close() and finish()."""
 
-    __slots__ = ("xs", "xd", "ys", "zs", "qs", "qb", "icov")
+    __slots__ = ("xs", "xd", "ys", "zs", "icov")
 
-    def __init__(self, xs, xd, ys, zs, deltas, icov):
-        self.xs = xs
-        self.xd = xd
-        self.ys = ys
-        self.zs = zs
-        self.qs = [0, *accumulate(map(len, deltas))]
-        self.qb = list(chain.from_iterable(deltas))
-        self.icov = icov
+    def __init__(self):
+        self.xs: list[Optional[int]] = [None]
+        self.xd: list[Optional[int]] = [None]
+        self.ys = [0]
+        self.zs = [0]
+        self.icov = 0
+
+    def add(self, xn, xd, y, z):
+        if len(self.xs) > 1 and xn * self.xd[-1] == self.xs[-1] * xd:
+            self.ys[-1] = y
+            self.zs[-1] = z
+            return
+        self.xs.append(xn)
+        self.xd.append(xd)
+        self.ys.append(y)
+        self.zs.append(z)
+
+    def close(self):
+        if len(self.xs) == 1 or self.xs[-1] > 0:
+            self.add(0, 1, self.ys[-1], self.zs[-1])
+
+    def finish(self, cov: Optional[tuple[int, int]]) -> _Side:
+        """cov: key (N, D) of the covering breakpoint, None if the subspine
+        is never fully covered."""
+        if cov is not None:
+            cn, cd = cov
+            xs, xd = self.xs, self.xd
+            icov = _rank(xs, xd, cn, cd, 1) - 1
+            if icov < 1 or xs[icov] * cd != cn * xd[icov]:
+                raise InternalError("covering breakpoint missing from arrays")
+            self.icov = icov
+        return self
 
 
 def _rank(ns: list, ds: list, kn: int, kd: int, lo: int) -> int:
@@ -446,62 +475,15 @@ def _covers_spine(side: _Side, kn: int, kd: int) -> bool:
     return i >= 1 and kn * side.xd[i] <= side.xs[i] * kd
 
 
-class _Builder:
-    """Accumulates one side's tuples with strictly descending x; equal-x
-    inserts collapse into the existing tuple (its cumulative values win)."""
-
-    def __init__(self):
-        self.xs: list[Optional[int]] = [None]
-        self.xd: list[Optional[int]] = [None]
-        self.ys = [0]
-        self.zs = [0]
-        self.deltas: list[list[int]] = [[]]
-
-    def add(self, xn, xd, y, z, delta: list[int]):
-        """delta must be a list of the caller's own; it is kept, not copied."""
-        if len(self.xs) > 1 and xn * self.xd[-1] == self.xs[-1] * xd:
-            self.ys[-1] = y
-            self.zs[-1] = z
-            self.deltas[-1] = self.deltas[-1] + delta
-            return
-        self.xs.append(xn)
-        self.xd.append(xd)
-        self.ys.append(y)
-        self.zs.append(z)
-        self.deltas.append(delta)
-
-    def close(self):
-        if len(self.xs) == 1 or self.xs[-1] > 0:
-            self.add(0, 1, self.ys[-1], self.zs[-1], [])
-
-    def side(self, cov: Optional[tuple[int, int]]) -> _Side:
-        """cov: key (N, D) of the covering breakpoint, None if the subspine
-        is never fully covered."""
-        icov = 0
-        if cov is not None:
-            cn, cd = cov
-            xs, xd = self.xs, self.xd
-            icov = _rank(xs, xd, cn, cd, 1) - 1
-            if icov < 1 or xs[icov] * cd != cn * xd[icov]:
-                raise InternalError("covering breakpoint missing from arrays")
-        return _Side(self.xs, self.xd, self.ys, self.zs, self.deltas, icov)
-
-
 def _vertex_side(bt: BinaryTransform, s: int, lp: int) -> _Side:
     """Side of a lone spine vertex: lam/w_s is the key (lp, weight[s]),
     lp = p*SW*SL for lam = p/q."""
     x0 = (lp, bt.weight[s])
     m = 1 if bt.marked[s] else 0
-    own = [s] if bt.marked[s] else []
-    b = _Builder()
-    b.add(*x0, 1, m, own)
+    b = _Side()
+    b.add(*x0, 1, m)
     b.close()
-    return b.side(x0)
-
-
-def _prefix_q(side: _Side, upto: int) -> list[int]:
-    """Union of Q deltas of tuples 0..upto."""
-    return side.qb[: side.qs[upto + 1]]
+    return b.finish(x0)
 
 
 def _merge_one(bt: BinaryTransform, s: int, child: _Side, d: int, lp: int) -> _Side:
@@ -511,20 +493,18 @@ def _merge_one(bt: BinaryTransform, s: int, child: _Side, d: int, lp: int) -> _S
     w = bt.weight[s]
     m = 1 if bt.marked[s] else 0
     j1 = _locate(child, lp + d * w, w)
-    b = _Builder()
-    first = ([s] if bt.marked[s] else []) + _prefix_q(child, j1)
-    b.add(lp, w, 1 + child.ys[j1], m + child.zs[j1], first)
+    b = _Side()
+    b.add(lp, w, 1 + child.ys[j1], m + child.zs[j1])
     cx, cd = child.xs, child.xd
     j = j1 + 1
     while j < len(cx):
         xn = cx[j] - d * cd[j]
         if xn < 0:
             break
-        b.add(xn, cd[j], 1 + child.ys[j], m + child.zs[j],
-              child.qb[child.qs[j] : child.qs[j + 1]])
+        b.add(xn, cd[j], 1 + child.ys[j], m + child.zs[j])
         j += 1
     b.close()
-    return b.side((lp, w))
+    return b.finish((lp, w))
 
 
 def _merge_two(prim: _Side, sec: _Side, d: int) -> _Side:
@@ -536,12 +516,10 @@ def _merge_two(prim: _Side, sec: _Side, d: int) -> _Side:
     px, pd, sx, sd = prim.xs, prim.xd, sec.xs, sec.xd
     xrn, xrd = px[prim.icov], pd[prim.icov]
     j1 = _locate(sec, xrn + d * xrd, xrd)
-    b = _Builder()
+    b = _Side()
     for i in range(1, prim.icov):
-        b.add(px[i], pd[i], prim.ys[i], prim.zs[i], prim.qb[prim.qs[i] : prim.qs[i + 1]])
-    seam_q = prim.qb[prim.qs[prim.icov] : prim.qs[prim.icov + 1]] + _prefix_q(sec, j1)
-    b.add(xrn, xrd, prim.ys[prim.icov] + sec.ys[j1], prim.zs[prim.icov] + sec.zs[j1],
-          seam_q)
+        b.add(px[i], pd[i], prim.ys[i], prim.zs[i])
+    b.add(xrn, xrd, prim.ys[prim.icov] + sec.ys[j1], prim.zs[prim.icov] + sec.zs[j1])
     i = prim.icov + 1
     j = j1 + 1
     np_, ns = len(px), len(sx)
@@ -553,29 +531,23 @@ def _merge_two(prim: _Side, sec: _Side, d: int) -> _Side:
         lhs = xan * xbd
         rhs = xbn * xad
         if lhs > rhs:
-            b.add(xan, xad, prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1],
-                  prim.qb[prim.qs[i] : prim.qs[i + 1]])
+            b.add(xan, xad, prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1])
             i += 1
         elif rhs > lhs:
-            b.add(xbn, xbd, prim.ys[i - 1] + sec.ys[j], prim.zs[i - 1] + sec.zs[j],
-                  sec.qb[sec.qs[j] : sec.qs[j + 1]])
+            b.add(xbn, xbd, prim.ys[i - 1] + sec.ys[j], prim.zs[i - 1] + sec.zs[j])
             j += 1
         else:
-            b.add(xan, xad, prim.ys[i] + sec.ys[j], prim.zs[i] + sec.zs[j],
-                  prim.qb[prim.qs[i] : prim.qs[i + 1]]
-                  + sec.qb[sec.qs[j] : sec.qs[j + 1]])
+            b.add(xan, xad, prim.ys[i] + sec.ys[j], prim.zs[i] + sec.zs[j])
             i += 1
             j += 1
     while i < np_:
-        b.add(px[i], pd[i], prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1],
-              prim.qb[prim.qs[i] : prim.qs[i + 1]])
+        b.add(px[i], pd[i], prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1])
         i += 1
     while j < ns:
         xbn = sx[j] - d * sd[j]
         if xbn < 0:
             break
-        b.add(xbn, sd[j], prim.ys[np_ - 1] + sec.ys[j], prim.zs[np_ - 1] + sec.zs[j],
-              sec.qb[sec.qs[j] : sec.qs[j + 1]])
+        b.add(xbn, sd[j], prim.ys[np_ - 1] + sec.ys[j], prim.zs[np_ - 1] + sec.zs[j])
         j += 1
     b.close()
     cov = None
@@ -585,23 +557,19 @@ def _merge_two(prim: _Side, sec: _Side, d: int) -> _Side:
             cn, cd = xrn, xrd
         if cn >= 0:
             cov = (cn, cd)
-    return b.side(cov)
+    return b.finish(cov)
 
 
 @dataclass
 class CoverageArrays:
-    """The arrays of every node at radius lam; at-least-k queries accept
-    k up to kmax."""
+    """The arrays of every node at radius lam."""
 
     lam: Fraction
-    kmax: int
     ft: list[_Side]
     fb: list[_Side]
 
 
-def build_coverage_arrays(
-    st: SpineTree, lam: Fraction, kmax: Optional[int] = None
-) -> CoverageArrays:
+def build_coverage_arrays(st: SpineTree, lam: Fraction) -> CoverageArrays:
     if lam < 0:
         raise ValueError("radius must be nonnegative")
     bt = st.bt
@@ -609,7 +577,6 @@ def build_coverage_arrays(
     q = lam.denominator
     lp = lam.numerator * g.weight_scale * g.length_scale
     dd = bt.rd.dd
-    kmax = bt.n_all if kmax is None else max(1, kmax)
     ft: list[Optional[_Side]] = [None] * len(st.nodes)
     fb: list[Optional[_Side]] = [None] * len(st.nodes)
     for node in st.post_order():
@@ -628,16 +595,10 @@ def build_coverage_arrays(
             d_b = q * (dd[lc.vb] - dd[rc.vb])
             ft[node.idx] = _merge_two(ft[rc.idx], ft[lc.idx], d_t)
             fb[node.idx] = _merge_two(fb[lc.idx], fb[rc.idx], d_b)
-    return CoverageArrays(lam, kmax, ft, fb)
+    return CoverageArrays(lam, ft, fb)
 
 
 # ---------------------------------------------------------------- queries
-
-
-@dataclass(frozen=True)
-class CoverageAnswer:
-    count: int
-    reported: Optional[tuple[int, ...]] = None
 
 
 def _position(bt: BinaryTransform, x: EdgePoint) -> tuple[int, int, int]:
@@ -648,7 +609,9 @@ def _position(bt: BinaryTransform, x: EdgePoint) -> tuple[int, int, int]:
 
 
 def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
-          k: Optional[int], collect: bool):
+          k: Optional[int]) -> int:
+    """Covered marked vertices of the point at distance tn/(td*SL) from
+    vertex s toward its parent, counted until k when k is given."""
     bt = st.bt
     rd = bt.rd
     g = bt.g
@@ -667,15 +630,11 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
         return far + td * rd.d(r, v)
 
     count = 0
-    out: list[int] = [] if collect else None
 
     # a distance dist is the array key (dist * q, td)
     def contrib(side: _Side, kn: int):
         nonlocal count
-        idx = _locate(side, kn, td)
-        count += side.zs[idx]
-        if collect:
-            out.extend(side.qb[: side.qs[idx + 1]])
+        count += side.zs[_locate(side, kn, td)]
 
     u = st.leaf_of[s]
     flag_a = False
@@ -696,8 +655,6 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
                 flag_b = True
                 if bt.marked[sv]:
                     count += 1
-                    if collect:
-                        out.append(sv)
         else:
             if prev is u.right:
                 if flag_b:
@@ -716,16 +673,14 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
                     if not _covers_spine(side, key, td):
                         flag_a = True
         if k is not None and count >= k:
-            return count, out
+            return count
         prev = u
         u = u.parent
-    return count, out
+    return count
 
 
-def query_count(st: SpineTree, ca: CoverageArrays, x: EdgePoint,
-                report: bool = False) -> CoverageAnswer:
-    count, out = _walk(st, ca, *_position(st.bt, x), None, report)
-    return CoverageAnswer(count, tuple(sorted(out)) if report else None)
+def query_count(st: SpineTree, ca: CoverageArrays, x: EdgePoint) -> int:
+    return _walk(st, ca, *_position(st.bt, x), None)
 
 
 def query_at_least_k(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: int) -> bool:
@@ -738,7 +693,4 @@ def query_at_least_k_at(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: 
     of the transformed tree toward its parent (tn = 0 at s itself)."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k > ca.kmax:
-        raise ValueError(f"arrays built for k <= {ca.kmax}, cannot answer k={k}")
-    count, _ = _walk(st, ca, s, tn, td, k, False)
-    return count >= k
+    return _walk(st, ca, s, tn, td, k) >= k

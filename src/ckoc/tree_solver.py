@@ -118,17 +118,6 @@ class _TreeContext:
         ds = Fraction(n, d * g.length_scale)
         return canonical_point(g, e.id, ds if e.u == c else e.length - ds)
 
-    def point_distance(self, x: EdgePoint, u: int) -> Fraction:
-        sl = self.g.length_scale
-        if x.edge < 0:
-            return Fraction(self.rd.d(1, u), sl)
-        e = self.g.edges[x.edge]
-        # both routes in units of 1/(b*SL) for x.t = a/b
-        a, b = x.t.numerator * sl, x.t.denominator
-        via_u = a + b * self.rd.d(e.u, u)
-        via_v = b * (self.g.lengths_int[e.id] + self.rd.d(e.v, u)) - a
-        return Fraction(min(via_u, via_v), b * sl)
-
 
 # ---------------------------------------------------------------- feasibility
 
@@ -136,7 +125,7 @@ class _TreeContext:
 def _feasible_scan(ctx: _TreeContext, k: int, lam: Fraction):
     """First critical point covering k vertices, with the engine state."""
     st = ctx.st
-    ca = build_coverage_arrays(st, lam, kmax=k)
+    ca = build_coverage_arrays(st, lam)
     seen = set()
     for v in ctx.g.vertices():
         pt = ctx.point(v, lam)
@@ -158,18 +147,49 @@ def is_feasible_tree(g: Graph, k: int, lam: Fraction) -> FeasibilityResult:
     hit = _feasible_scan(ctx, k, lam)
     if hit is None:
         return FeasibilityResult(False)
-    return FeasibilityResult(True, _witness(ctx, k, hit))
+    x, dist = _covered(hit)
+    return FeasibilityResult(True, (x, frozenset(dist)))
 
 
-def _witness(ctx: _TreeContext, k: int, hit) -> tuple[EdgePoint, frozenset[int]]:
-    """The k vertices nearest to a _feasible_scan hit's point, ties to the
-    smaller id."""
+def covered_walk(g: Graph, x: EdgePoint, lam: Fraction) -> dict[int, int]:
+    """The covered subtree of the point x at radius lam >= 0 on a tree,
+    each vertex with its distance from x in units of 1/(q*SL) for x.t =
+    p/q: a walk from the ends of x's edge through the light vertices."""
+    if x.edge < 0:
+        return {1: 0}
+    e = g.edges[x.edge]
+    q = x.t.denominator
+    a = x.t.numerator * g.length_scale
+    li, wi, lq = g.lengths_int, g.weights_int, lam.denominator
+    # w_v * d(x, v) <= lam  <=>  wi[v] * dist * lq <= gate
+    gate = lam.numerator * g.weight_scale * q * g.length_scale
+    dist: dict[int, int] = {}
+    seen = {e.u, e.v}
+    stack = []
+    for v, dv in ((e.u, a), (e.v, q * li[e.id] - a)):
+        if wi[v] * dv * lq <= gate:
+            dist[v] = dv
+            stack.append(v)
+    while stack:
+        v = stack.pop()
+        for u, ev in g.adj[v]:
+            if u not in seen:
+                seen.add(u)
+                du = dist[v] + q * li[ev.id]
+                if wi[u] * du * lq <= gate:
+                    dist[u] = du
+                    stack.append(u)
+    return dist
+
+
+def _covered(hit) -> tuple[EdgePoint, dict[int, int]]:
+    """A _feasible_scan hit's point and its covered_walk, checked against
+    the engine's count."""
     x, st, ca = hit
-    covered = query_count(st, ca, x, report=True).reported
-    if len(covered) < k:
-        raise InternalError("coverage report disagrees with the k test")
-    order = sorted(covered, key=lambda u: (ctx.point_distance(x, u), u))
-    return x, frozenset(order[:k])
+    dist = covered_walk(st.bt.g, x, ca.lam)
+    if query_count(st, ca, x) != len(dist):
+        raise InternalError("coverage walk disagrees with the engine count")
+    return x, dist
 
 
 # ---------------------------------------------------------------- weighted
@@ -286,8 +306,9 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     ctx = _TreeContext(g)
     memo: dict[Fraction, bool] = {}
-    # the scan hit of the lowest feasible radius probed so far, kept so
-    # the witness needs no second scan; one hit at a time bounds memory
+    # the scan hit (point and count arrays) of the lowest feasible radius
+    # probed so far, kept so the witness needs no second scan or build;
+    # one set of arrays is kept at a time
     best_lam = best_hit = None
 
     def accept(lam: Fraction) -> bool:
@@ -304,8 +325,9 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
     accept(lam)  # scans only if the search never probed its answer
     if best_lam != lam:
         raise InternalError("lowest candidate radius is not feasible")
-    x, block = _witness(ctx, k, best_hit)
-    return Solution(lam, x, block)
+    # the k covered vertices nearest to the center, ties to the smaller id
+    x, dist = _covered(best_hit)
+    return Solution(lam, x, frozenset(sorted(dist, key=lambda v: (dist[v], v))[:k]))
 
 
 # ---------------------------------------------------------------- unweighted

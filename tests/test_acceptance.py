@@ -269,7 +269,7 @@ def test_criterion_8_tree_query_structure():
             else:
                 lam = F(rng.randint(0, 32), rng.choice((1, 2, 4)))
             ca = build_coverage_arrays(st, lam)
-            count = query_count(st, ca, x).count
+            count = query_count(st, ca, x)
             assert count == oracle.brute_coverage_count(g, dm, x, lam), (case, x, lam)
             for k in {1, max(1, count), min(n, count + 1), n}:
                 assert query_at_least_k(st, ca, x, k) == (count >= k)

@@ -72,6 +72,27 @@ def test_feasible_wedge(tmp_path, capsys):
     assert json.loads(out)["feasible"] is False
 
 
+def test_feasible_tree_reports_whole_covered_subtree(tmp_path, capsys):
+    _, text, _ = run(capsys, ["gen", "--seed", "7", "--n", "6", "--tree"])
+    f = tmp_path / "t.ckoc"
+    f.write_text(text)
+    code, out, _ = run(capsys, ["feasible", str(f), "--lambda", "100", "--k", "2"])
+    assert code == 0
+    # every vertex is covered at this radius, not only the k nearest
+    assert json.loads(out)["witness"]["subtree"] == [1, 2, 3, 4, 5, 6]
+
+
+def test_feasible_rejects_k_out_of_range_below_zero_radius(tmp_path, capsys):
+    _, text, _ = run(capsys, ["gen", "--seed", "7", "--n", "6", "--density", "0.4"])
+    assert not parse_instance(text)[0].is_tree
+    f = tmp_path / "g.ckoc"
+    f.write_text(text)
+    for lam in ("-1", "1"):
+        code, out, err = run(capsys, ["feasible", str(f), "--k", "0", "--lambda=" + lam])
+        assert code == 1 and out == ""
+        assert "out of range" in err
+
+
 def test_gen_deterministic(capsys):
     a = run(capsys, ["gen", "--seed", "1", "--n", "5", "--tree"])
     b = run(capsys, ["gen", "--seed", "1", "--n", "5", "--tree"])

@@ -28,14 +28,14 @@ from ckoc.tree_engine import (
     query_count,
     spine_decompose,
 )
-from ckoc.tree_solver import solve_weighted_tree
+from ckoc.tree_solver import covered_walk, solve_weighted_tree
 
 from conftest import random_tree
 
 
-def _engine(g, kmax=None, lam=None):
+def _engine(g, lam=None):
     st = spine_decompose(binarize(g))
-    ca = build_coverage_arrays(st, lam, kmax) if lam is not None else None
+    ca = build_coverage_arrays(st, lam) if lam is not None else None
     return st, ca
 
 
@@ -203,7 +203,6 @@ def test_leaf_arrays_frozen_single_vertex():
     assert _keys(g, ca, side.xs, side.xd) == [None, F(2, 3), 0]
     assert side.ys == [0, 1, 1]
     assert side.zs == [0, 1, 1]
-    assert side.qb[: side.qs[2]] == [1]
     assert side.icov == 1
     assert ca.fb[st.root.idx] is side
 
@@ -214,7 +213,6 @@ def test_vertex_side_aux_unmarked(star3):
     side = _vertex_side(bt, 5, star3.weight_scale * star3.length_scale)
     assert side.ys == [0, 1, 1]
     assert side.zs == [0, 0, 0]
-    assert side.qb == []
 
 
 def test_arrays_path5_midspine(path5):
@@ -243,9 +241,6 @@ def test_arrays_shape_invariants():
                 assert xs[i] < xs[i - 1]
             for i in range(1, len(xs)):
                 assert ys[i] >= ys[i - 1] and zs[i] >= zs[i - 1]
-                seen = side.qb[: side.qs[i + 1]]
-                assert len(seen) == len(set(seen))
-                assert zs[i] == len(seen)
             if side.icov:
                 assert xs[side.icov] >= 0
 
@@ -255,24 +250,23 @@ def test_arrays_shape_invariants():
 
 def test_query_count_path5_frozen(path5):
     st, ca = _engine(path5, lam=F(3, 2))
-    ans = query_count(st, ca, vertex_point(path5, 3), report=True)
-    assert ans.count == 3
-    assert ans.reported == (2, 3, 4)
+    x = vertex_point(path5, 3)
+    assert query_count(st, ca, x) == 3
+    assert covered_walk(path5, x, F(3, 2)).keys() == {2, 3, 4}
 
 
 def test_query_count_star_hub(star3):
     st, ca = _engine(star3, lam=F(1))
-    ans = query_count(st, ca, vertex_point(star3, 1), report=True)
-    assert ans.count == 4
-    assert ans.reported == (1, 2, 3, 4)
+    x = vertex_point(star3, 1)
+    assert query_count(st, ca, x) == 4
+    assert covered_walk(star3, x, F(1)).keys() == {1, 2, 3, 4}
 
 
 def test_query_count_small_radius(path5):
     st, ca = _engine(path5, lam=F(1, 4))
     x = EdgePoint(path5.edges[0].id, F(1, 2))
-    ans = query_count(st, ca, x, report=True)
-    assert ans.count == 0
-    assert ans.reported == ()
+    assert query_count(st, ca, x) == 0
+    assert covered_walk(path5, x, F(1, 4)) == {}
 
 
 def test_query_at_least_k_frozen(path5):
@@ -283,9 +277,6 @@ def test_query_at_least_k_frozen(path5):
     assert not query_at_least_k(st, ca, mid, 4)
     with pytest.raises(ValueError):
         query_at_least_k(st, ca, mid, 0)
-    ca2 = build_coverage_arrays(st, F(3, 2), kmax=2)
-    with pytest.raises(ValueError):
-        query_at_least_k(st, ca2, mid, 3)
 
 
 def _random_points(rng, g, count):
@@ -309,6 +300,12 @@ def _random_radius(rng, g, dm, x):
     return F(num, rng.randint(1, 6))
 
 
+def _walk_distances(g, x, lam):
+    """covered_walk with its integer distances read as Fractions."""
+    unit = x.t.denominator * g.length_scale
+    return {v: F(d, unit) for v, d in covered_walk(g, x, lam).items()}
+
+
 def test_query_matches_brute_random():
     rng = random.Random(714)
     for _ in range(12):
@@ -318,10 +315,9 @@ def test_query_matches_brute_random():
         for x in _random_points(rng, g, 25):
             lam = _random_radius(rng, g, dm, x)
             ca = build_coverage_arrays(st, lam)
-            want = sorted(oracle.brute_covered_set(g, dm, x, lam))
-            ans = query_count(st, ca, x, report=True)
-            assert ans.count == len(want)
-            assert ans.reported == tuple(want)
+            want = oracle.brute_covered_set(g, dm, x, lam)
+            assert query_count(st, ca, x) == len(want)
+            assert _walk_distances(g, x, lam) == {v: point_distance(g, dm, x, v) for v in want}
             for k in range(1, g.n + 1):
                 assert query_at_least_k(st, ca, x, k) == (len(want) >= k)
 
@@ -334,7 +330,7 @@ def test_query_truncated_agrees():
         st, _ = _engine(g)
         for x in _random_points(rng, g, 12):
             lam = _random_radius(rng, g, dm, x)
-            ca = build_coverage_arrays(st, lam, kmax=3)
+            ca = build_coverage_arrays(st, lam)
             got = len(oracle.brute_covered_set(g, dm, x, lam))
             for k in (1, 2, 3):
                 assert query_at_least_k(st, ca, x, k) == (got >= k)
@@ -349,9 +345,7 @@ def test_query_reports_only_original_vertices():
     for x in _random_points(rng, g, 15):
         lam = _random_radius(rng, g, dm, x)
         ca = build_coverage_arrays(st, lam)
-        ans = query_count(st, ca, x, report=True)
-        assert all(1 <= v <= g.n for v in ans.reported)
-        assert ans.count == len(ans.reported)
+        assert query_count(st, ca, x) == oracle.brute_coverage_count(g, dm, x, lam)
 
 
 def test_build_determinism():
@@ -362,7 +356,7 @@ def test_build_determinism():
         st, ca = _engine(g, lam=F(7, 3))
         shape = [(u.leaf_kind, u.vertex, u.vt, u.vb, u.tsize) for u in st.nodes]
         sides = [
-            (_keys(g, ca, s.xs, s.xd), s.ys, s.zs, s.qs, s.qb, s.icov)
+            (_keys(g, ca, s.xs, s.xd), s.ys, s.zs, s.icov)
             for s in list(ca.ft) + list(ca.fb)
         ]
         return shape, sides
@@ -419,10 +413,9 @@ def test_integer_keys_match_brute_at_wide_scales(case):
     st, _ = _engine(g)
     for x, lam in queries:
         ca = build_coverage_arrays(st, lam)
-        want = sorted(oracle.brute_covered_set(g, dm, x, lam))
-        ans = query_count(st, ca, x, report=True)
-        assert ans.count == len(want)
-        assert ans.reported == tuple(want)
+        want = oracle.brute_covered_set(g, dm, x, lam)
+        assert query_count(st, ca, x) == len(want)
+        assert _walk_distances(g, x, lam) == {v: point_distance(g, dm, x, v) for v in want}
         for kk in range(1, g.n + 1):
             assert query_at_least_k(st, ca, x, kk) == (len(want) >= kk)
     assert solve_weighted_tree(g, k).lambda_star == oracle.brute_lambda(g, k)

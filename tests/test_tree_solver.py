@@ -146,6 +146,7 @@ def test_feasible_witness_tight_at_optimum():
         k = rng.randint(2, n)
         lam = oracle.brute_lambda(g, k)
         x, block = is_feasible_tree(g, k, lam).witness
+        assert block == oracle.brute_covered_set(g, dm, x, lam)
         assert len(block) == k
         mx = max(g.weights[u] * point_distance(g, dm, x, u) for u in block)
         assert mx == lam
