@@ -606,7 +606,7 @@ def lowest_feasible_vertex(
     raise ValueError(f"unknown search strategy {strategy!r}")
 
 
-def solve_weighted_graph(g: Graph, k: int, search: str = "explicit") -> Solution:
+def solve_weighted_graph(g: Graph, k: int, search: str = "auto") -> Solution:
     """Optimal radius, center point and k-vertex witness block for a
     weighted graph."""
     if not 1 <= k <= g.n:

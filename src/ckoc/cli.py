@@ -150,6 +150,10 @@ def _solvers_for(g: Graph) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
     rng = random.Random(args.seed)
     solves = 0
     for case in range(args.count):

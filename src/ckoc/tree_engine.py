@@ -6,11 +6,9 @@ vertices (a heavy vertex blocks everything behind it).  This module counts
 covered subtrees, and answers at-least-k queries, for arbitrary points of a
 tree in polylogarithmic time after an O(n log n) build:
 
-- integer distances on the rooted tree (units of 1/SL, SL the graph's
-  length_scale), O(1) per vertex pair via an Euler tour with a sparse
-  table,
 - a binary transformation replacing high-degree vertices by zero-length
-  chains of equal-weight copies,
+  chains of equal-weight copies, with integer depths (units of 1/SL, SL
+  the graph's length_scale),
 - a spine decomposition of the binary tree, with a weight-balanced search
   tree over every spine, all linked into one decomposition tree,
 - per-radius coverage arrays over the decomposition tree: for each node,
@@ -27,6 +25,12 @@ cross-multiplication.  A common denominator would need the lcm of all
 weights, which grows with every coprime weight; per-vertex denominators
 keep each product at the size of one weight.  Fraction appears only at
 the boundary: the radius argument and the EdgePoint of a query.
+
+A query climbs the decomposition tree from its point's spine, and every
+distance it needs runs from the point to a spine vertex whose lowest
+common ancestor with the point the climb already knows: the vertex itself
+when it lies above, else the spine vertex the point lies on or hangs
+from.  So depths alone give each distance.
 
 The arrays only count.  A witness is never read from them: tree_solver
 walks the covered subtree directly and checks its size against
@@ -49,97 +53,7 @@ from .graph_core import (
 )
 
 
-# ---------------------------------------------------------------- distances
-
-
-class _RootedDistances:
-    """Exact distances and ancestry on a rooted tree given as parent arrays.
-
-    Vertices are 1..n with parent[root] = 0.  Parent-edge lengths plen,
-    depths dd and distances d(u, v) are integers in units of 1/SL, SL the
-    graph's length_scale.  d(u, v) is O(1) via an Euler tour with a sparse
-    table; subtree tests are O(1) via entry/exit times.
-    """
-
-    def __init__(self, n, root, parent, plen, children):
-        self.n = n
-        self.root = root
-        self.parent = parent
-        self.plen = plen
-        self.children = children
-        tin = [0] * (n + 1)
-        tout = [0] * (n + 1)
-        dd = [0] * (n + 1)
-        dep = [0] * (n + 1)
-        euler: list[int] = []
-        first = [0] * (n + 1)
-        order: list[int] = []
-        timer = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
-        tin[root] = timer
-        timer += 1
-        first[root] = 0
-        euler.append(root)
-        order.append(root)
-        while stack:
-            v, ci = stack[-1]
-            if ci < len(children[v]):
-                stack[-1] = (v, ci + 1)
-                c = children[v][ci]
-                dd[c] = dd[v] + plen[c]
-                dep[c] = dep[v] + 1
-                tin[c] = timer
-                timer += 1
-                first[c] = len(euler)
-                euler.append(c)
-                order.append(c)
-                stack.append((c, 0))
-            else:
-                stack.pop()
-                tout[v] = timer
-                if stack:
-                    euler.append(stack[-1][0])
-        self.tin = tin
-        self.tout = tout
-        self.dd = dd
-        self.dep = dep
-        self.order = order
-        self._first = first
-        self._euler = euler
-        m = len(euler)
-        logs = [0] * (m + 1)
-        for i in range(2, m + 1):
-            logs[i] = logs[i // 2] + 1
-        self._logs = logs
-        table = [list(range(m))]
-        j = 1
-        while (1 << j) <= m:
-            prev = table[-1]
-            half = 1 << (j - 1)
-            row = []
-            for i in range(m - (1 << j) + 1):
-                a, bpos = prev[i], prev[i + half]
-                row.append(a if dep[euler[a]] <= dep[euler[bpos]] else bpos)
-            table.append(row)
-            j += 1
-        self._table = table
-
-    def lca(self, u: int, v: int) -> int:
-        a, bpos = self._first[u], self._first[v]
-        if a > bpos:
-            a, bpos = bpos, a
-        j = self._logs[bpos - a + 1]
-        row = self._table[j]
-        x, y = row[a], row[bpos - (1 << j) + 1]
-        e = self._euler
-        best = x if self.dep[e[x]] <= self.dep[e[y]] else y
-        return e[best]
-
-    def d(self, u: int, v: int) -> int:
-        return self.dd[u] + self.dd[v] - 2 * self.dd[self.lca(u, v)]
-
-    def in_subtree(self, a: int, v: int) -> bool:
-        return self.tin[a] <= self.tin[v] < self.tout[a]
+# ---------------------------------------------------------------- rooting
 
 
 def _rooted_arrays(g: Graph, root: int):
@@ -176,9 +90,10 @@ def _rooted_arrays(g: Graph, root: int):
 class BinaryTransform:
     """Binary version of a rooted tree: vertices of more than two children
     are split by a zero-length chain of copies; original ids are 1..n and
-    marked, copies carry the weight of their original.  Lengths are
-    integers in units of 1/g.length_scale, weights in units of
-    1/g.weight_scale (g.weights_int)."""
+    marked, copies carry the weight of their original.  Lengths and depths
+    dd are integers in units of 1/g.length_scale, weights in units of
+    1/g.weight_scale (g.weights_int); order lists the vertices breadth
+    first, parents before children."""
 
     g: Graph
     root: int
@@ -190,7 +105,8 @@ class BinaryTransform:
     orig: list[int]
     marked: list[bool]
     edge_child: list[int]
-    rd: _RootedDistances
+    dd: list[int]
+    order: list[int]
 
     def map_point(self, x: EdgePoint) -> tuple[int, Optional[int], Fraction]:
         """Locate x on the transformed tree: (s, r, dist to s) with r the
@@ -251,9 +167,14 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
                 chain = a
             attach(chain, c, plen0[c], eid0[c])
 
-    rd = _RootedDistances(nxt, root, parent, plen, children)
+    dd = [0] * (nxt + 1)
+    order = [root]
+    for v in order:
+        for c in children[v]:
+            dd[c] = dd[v] + plen[c]
+            order.append(c)
     return BinaryTransform(
-        g, root, nxt, parent, plen, children, weight, orig, marked, edge_child, rd
+        g, root, nxt, parent, plen, children, weight, orig, marked, edge_child, dd, order
     )
 
 
@@ -296,7 +217,7 @@ class SpineTree:
         self.bt = bt
         n = bt.n_all
         size = [1] * (n + 1)
-        for v in reversed(bt.rd.order):
+        for v in reversed(bt.order):
             for c in bt.children[v]:
                 size[v] += size[c]
         self.size = size
@@ -576,7 +497,7 @@ def build_coverage_arrays(st: SpineTree, lam: Fraction) -> CoverageArrays:
     g = bt.g
     q = lam.denominator
     lp = lam.numerator * g.weight_scale * g.length_scale
-    dd = bt.rd.dd
+    dd = bt.dd
     ft: list[Optional[_Side]] = [None] * len(st.nodes)
     fb: list[Optional[_Side]] = [None] * len(st.nodes)
     for node in st.post_order():
@@ -611,9 +532,15 @@ def _position(bt: BinaryTransform, x: EdgePoint) -> tuple[int, int, int]:
 def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
           k: Optional[int]) -> int:
     """Covered marked vertices of the point at distance tn/(td*SL) from
-    vertex s toward its parent, counted until k when k is given."""
+    vertex s toward its parent, counted until k when k is given.
+
+    The walk climbs from s's leaf, keeping anchor: the vertex of the
+    current spine that s is or hangs from.  Each distance it reads is to a
+    spine vertex v whose lowest common ancestor a with s is known: v
+    itself on entering v's spine from its hanging subtree or for the
+    upper part of a subspine, the anchor for the lower part."""
     bt = st.bt
-    rd = bt.rd
+    dd = bt.dd
     g = bt.g
     q = ca.lam.denominator
     # w_v * dist(v) <= lam  <=>  weight[v] * dist(v) * q <= gate
@@ -621,13 +548,14 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
     r = bt.parent[s] if tn else None
     far = td * bt.plen[s] - tn
 
-    def dist(v: int) -> int:
-        """Distance from the point to v in units of 1/(td*SL)."""
+    def dist(v: int, a: int) -> int:
+        """Distance from the point to v, a = lca(s, v), in units of
+        1/(td*SL)."""
         if r is None:
-            return td * rd.d(s, v)
-        if rd.in_subtree(s, v):
-            return tn + td * rd.d(s, v)
-        return far + td * rd.d(r, v)
+            return td * (dd[s] + dd[v] - 2 * dd[a])
+        if a == s:
+            return tn + td * (dd[v] - dd[s])
+        return far + td * (dd[r] + dd[v] - 2 * dd[a])
 
     count = 0
 
@@ -637,6 +565,7 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
         count += side.zs[_locate(side, kn, td)]
 
     u = st.leaf_of[s]
+    anchor = s
     flag_a = False
     flag_b = False
     prev: Optional[GNode] = None
@@ -648,9 +577,10 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
                     flag_b = True
                     contrib(ca.ft[u.idx], tn * q)
             else:
+                anchor = sv
                 if flag_a:
                     break
-                if bt.weight[sv] * dist(sv) * q > gate:
+                if bt.weight[sv] * dist(sv, sv) * q > gate:
                     break
                 flag_b = True
                 if bt.marked[sv]:
@@ -659,7 +589,7 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
             if prev is u.right:
                 if flag_b:
                     lc = u.left
-                    key = dist(lc.vt) * q
+                    key = dist(lc.vt, anchor) * q
                     side = ca.ft[lc.idx]
                     contrib(side, key)
                     if not _covers_spine(side, key, td):
@@ -667,7 +597,7 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
             else:
                 if not flag_a:
                     rc = u.right
-                    key = dist(rc.vb) * q
+                    key = dist(rc.vb, rc.vb) * q
                     side = ca.fb[rc.idx]
                     contrib(side, key)
                     if not _covers_spine(side, key, td):

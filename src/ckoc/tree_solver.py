@@ -22,6 +22,9 @@ depths and one lowest common ancestor.  This keeps trees with a hundred
 thousand vertices in budget.  The engine works at any length scale: its
 depths and packed keys are int64 when the largest key fits, and Python
 ints in numpy object arrays otherwise, through the same code.
+
+Both solvers take their witness, the k covered vertices nearest to the
+center, from one walk of the center's covered subtree.
 """
 
 from __future__ import annotations
@@ -57,16 +60,17 @@ from .tree_engine import (
 
 
 class _TreeContext:
-    """Rooted arrays, ancestor jumps and the coverage engine for one tree,
-    shared across repeated feasibility probes.  All come from the binary
-    transform rooted at 1, whose copies hang by zero-length edges."""
+    """Rooted arrays, depths, ancestor jumps and the coverage engine for
+    one tree, shared across repeated feasibility probes.  All come from
+    the binary transform rooted at 1, whose copies hang by zero-length
+    edges."""
 
     def __init__(self, g: Graph):
         if not g.is_tree:
             raise InstanceError("tree solver requires a tree instance")
         self.g = g
         bt = binarize(g)
-        self.rd = bt.rd
+        self.dd = bt.dd
         self.parent = parent = [bt.orig[p] for p in bt.parent[: g.n + 1]]
         self.eid = [-1] * (g.n + 1)
         for e, c in enumerate(bt.edge_child):
@@ -85,7 +89,7 @@ class _TreeContext:
         n/(d*SL) from vertex c toward its parent, so equal points compare
         equal: (c, 0, 1) is vertex c itself.
         """
-        g, dd = self.g, self.rd.dd
+        g, dd = self.g, self.dd
         # lam/w_v is rn/qw in units of 1/SL
         rn = lam.numerator * g.weight_scale * g.length_scale
         if rn == 0:
@@ -192,6 +196,12 @@ def _covered(hit) -> tuple[EdgePoint, dict[int, int]]:
     return x, dist
 
 
+def _nearest(dist: dict[int, int], k: int) -> list[int]:
+    """The k vertices of a covered_walk nearest to its point, ties to the
+    smaller id, nearest first."""
+    return sorted(dist, key=lambda v: (dist[v], v))[:k]
+
+
 # ---------------------------------------------------------------- weighted
 
 
@@ -295,7 +305,7 @@ def _centroid_lines(g: Graph) -> LineSet:
     return LineSet([m for m, _ in aff], [b for _, b in aff], [], g.weight_scale, g.length_scale)
 
 
-def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
+def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
     """Optimal radius, center point and k-vertex witness block for a
     weighted tree."""
     if not g.is_tree:
@@ -325,9 +335,8 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "explicit") -> Solution:
     accept(lam)  # scans only if the search never probed its answer
     if best_lam != lam:
         raise InternalError("lowest candidate radius is not feasible")
-    # the k covered vertices nearest to the center, ties to the smaller id
     x, dist = _covered(best_hit)
-    return Solution(lam, x, frozenset(sorted(dist, key=lambda v: (dist[v], v))[:k]))
+    return Solution(lam, x, frozenset(_nearest(dist, k)))
 
 
 # ---------------------------------------------------------------- unweighted
@@ -504,8 +513,6 @@ class _UnweightedEngine:
         self.eid = eid
         self.depth = depth
         self.children = children
-        self.tin = tin
-        self.tout = tout
         self.maxdepth = max(depth)
         self.stride = 2 * self.maxdepth + 3
         n2 = 1 << max(1, (n - 1).bit_length())
@@ -605,23 +612,6 @@ class _UnweightedEngine:
         return e1 + ball - e3
 
 
-def _int_bfs(g: Graph, src: int, dt: np.dtype) -> np.ndarray:
-    """Distances from src in integer units of 1/(2 * g.length_scale), an
-    array of dtype dt."""
-    li = g.lengths_int
-    dist = np.zeros(g.n + 1, dtype=dt)
-    seen = [False] * (g.n + 1)
-    seen[src] = True
-    queue = [src]
-    for v in queue:
-        for u, e in g.adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                dist[u] = dist[v] + 2 * li[e.id]
-                queue.append(u)
-    return dist
-
-
 def solve_unweighted_tree(g: Graph, k: int) -> Solution:
     """Optimal radius, center point and k-vertex witness block for a tree
     with unit vertex weights."""
@@ -673,7 +663,6 @@ def _unweighted_solution(
     td = max(eng.depth[v_star] - radius, 0)
     if td == 0:
         center = vertex_point(g, 1)
-        dist_np = eng.depth_np[1:]
     else:
         c = v_star
         for row in reversed(eng.ups):
@@ -686,13 +675,11 @@ def _unweighted_solution(
         tfp = Fraction(off_p, eng.sc2)
         t = tfp if e.u == p else e.length - tfp
         center = canonical_point(g, e.id, t)
-        dp = _int_bfs(g, p, eng.dt)
-        in_sub = (eng.tin_np[1:] >= eng.tin[c]) & (eng.tin_np[1:] < eng.tout[c])
-        dist_np = np.where(in_sub, eng.depth_np[1:] - td, off_p + dp[1:])
-    order = np.lexsort((eng.verts, dist_np))
-    chosen = order[:k]
-    if int(dist_np[chosen].max()) != radius:
-        raise InternalError("witness selection does not realize the radius")
     lam = Fraction(radius, eng.sc2)
-    subtree = frozenset(int(i) + 1 for i in chosen)
-    return Solution(lam, center, subtree)
+    # with unit weights the covered subtree is the lam-ball, which holds
+    # the k nearest vertices; its distances are in units of 1/(q*SL)
+    dist = covered_walk(g, center, lam)
+    chosen = _nearest(dist, k)
+    if len(chosen) < k or 2 * dist[chosen[-1]] != radius * center.t.denominator:
+        raise InternalError("witness selection does not realize the radius")
+    return Solution(lam, center, frozenset(chosen))

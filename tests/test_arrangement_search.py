@@ -27,7 +27,7 @@ from ckoc.graph_core import (
     point_distance,
 )
 from ckoc.oracle import brute_lambda, _piece_lines, edge_probe_points
-from ckoc import arrangement_search
+from ckoc import arrangement_search, tree_solver
 
 from conftest import random_graph
 
@@ -550,3 +550,19 @@ def test_auto_counts_on_large_object_dtype_sets(monkeypatch):
     assert lowest_feasible_vertex(small, lambda y: y > 1, "auto") == 3
     assert lowest_feasible_vertex(wide, lambda y: y > 1, "auto") == 2**70 + 3
     assert [a[0] for a in ran] == [small]
+
+
+def test_library_solvers_default_to_auto_search(path5, monkeypatch):
+    # the library entry points search as the CLI does unless told otherwise
+    seen = []
+    real = arrangement_search.lowest_feasible_vertex
+
+    def spy(ls, oracle, strategy="explicit"):
+        seen.append(strategy)
+        return real(ls, oracle, strategy)
+
+    monkeypatch.setattr(arrangement_search, "lowest_feasible_vertex", spy)
+    monkeypatch.setattr(tree_solver, "lowest_feasible_vertex", spy)
+    assert solve_weighted_graph(path5, 3).lambda_star == F(1)
+    assert tree_solver.solve_weighted_tree(path5, 3).lambda_star == F(1)
+    assert seen == ["auto", "auto"]

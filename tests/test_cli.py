@@ -133,6 +133,22 @@ def test_verify_clean(capsys):
     assert out.startswith("verified 6 instances")
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--count", "0"], "--count"),
+        (["--count", "-3"], "--count"),
+        (["--n-max", "1"], "--n-max"),
+    ],
+)
+def test_verify_rejects_empty_runs(capsys, flags, name):
+    # a run that checks no instance, or draws n from an empty range, is
+    # a bad flag, not a success
+    code, out, err = run(capsys, ["verify", "--seed", "1", *flags])
+    assert code == 1 and out == ""
+    assert name in err
+
+
 def test_verify_reports_divergence(capsys, monkeypatch):
     from fractions import Fraction
     from ckoc.graph_core import Solution, vertex_point

@@ -1,5 +1,5 @@
-"""Tree coverage engine: rooted distances, binarization, spine
-decomposition, coverage arrays, and point queries."""
+"""Tree coverage engine: binarization and depths, spine decomposition,
+coverage arrays, and point queries."""
 
 import random
 from fractions import Fraction as F
@@ -19,8 +19,6 @@ from ckoc.graph_core import (
     vertex_point,
 )
 from ckoc.tree_engine import (
-    _RootedDistances,
-    _rooted_arrays,
     _vertex_side,
     binarize,
     build_coverage_arrays,
@@ -53,11 +51,6 @@ def _root_spine_vertices(st):
     return out
 
 
-def _rooted(g):
-    parent, plen, _eid, children = _rooted_arrays(g, 1)
-    return _RootedDistances(g.n, 1, parent, plen, children)
-
-
 def _keys(g, ca, nums, dens):
     """Array keys as Fractions: the pair (N, D) is N/(D*q*SL) at lam = p/q;
     the sentinel stays None."""
@@ -65,45 +58,12 @@ def _keys(g, ca, nums, dens):
     return [None if n is None else F(n, d * scale) for n, d in zip(nums, dens)]
 
 
-# ---------------------------------------------------------------- distances
-
-
-def test_distance_oracle_path5(path5):
-    to = _rooted(path5)
-    assert to.d(1, 5) == F(4)
-    assert to.d(2, 4) == F(2)
-    for v in path5.vertices():
-        assert to.d(v, v) == 0
-    dm = all_pairs_distances(path5)
-    for u in path5.vertices():
-        for v in path5.vertices():
-            assert to.d(u, v) == dm.d_int(u, v)
-
-
-def test_distance_oracle_star(star3):
-    to = _rooted(star3)
-    assert to.d(2, 3) == F(2)
-    assert to.d(1, 4) == F(1)
-    assert to.lca(2, 3) == 1
+# ---------------------------------------------------------------- binarize
 
 
 def test_distance_oracle_rejects_nontree(triangle):
     with pytest.raises(InstanceError):
         binarize(triangle)
-
-
-def test_distance_oracle_random_matches_matrix():
-    rng = random.Random(710)
-    for _ in range(10):
-        g = random_tree(rng, rng.randint(2, 20), weighted=rng.random() < 0.5)
-        to = _rooted(g)
-        dm = all_pairs_distances(g)
-        for u in g.vertices():
-            for v in g.vertices():
-                assert to.d(u, v) == dm.d_int(u, v)
-
-
-# ---------------------------------------------------------------- binarize
 
 
 def test_binarize_star3(star3):
@@ -149,12 +109,17 @@ def test_binarize_preserves_distances_and_weights():
         g = random_tree(rng, rng.randint(2, 14), weighted=True)
         dm = all_pairs_distances(g)
         bt = binarize(g)
-        for u in g.vertices():
-            for v in g.vertices():
-                assert bt.rd.d(u, v) == dm.d_int(u, v)
+        for v in g.vertices():
+            assert bt.dd[v] == dm.d_int(1, v)
         for a in range(g.n + 1, bt.n_all + 1):
             assert not bt.marked[a]
             assert bt.weight[a] == g.weights_int[bt.orig[a]]
+            assert bt.dd[a] == bt.dd[bt.orig[a]]
+        # breadth-first order: every vertex once, parents first
+        assert sorted(bt.order) == list(range(1, bt.n_all + 1))
+        pos = {v: i for i, v in enumerate(bt.order)}
+        for v in bt.order[1:]:
+            assert pos[bt.parent[v]] < pos[v]
 
 
 # ---------------------------------------------------------------- spines

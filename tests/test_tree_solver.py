@@ -17,7 +17,7 @@ from ckoc.graph_core import (
     point_distance,
     vertex_point,
 )
-from ckoc.tree_engine import _RootedDistances, _rooted_arrays
+from ckoc.tree_engine import _rooted_arrays
 from ckoc.tree_solver import (
     _centroids,
     _TreeContext,
@@ -86,15 +86,11 @@ def test_context_matches_rooted_tree():
     rng = random.Random(32)
     for trial in range(60):
         g = random_tree(rng, rng.randint(1, 40), weighted=True)
-        parent, plen, eid, children = _rooted_arrays(g, 1)
-        rd = _RootedDistances(g.n, 1, parent, plen, children)
+        parent, _plen, eid, _children = _rooted_arrays(g, 1)
+        dm = all_pairs_distances(g)
         ctx = _TreeContext(g)
         assert (ctx.parent, ctx.eid) == (parent, eid), trial
-        assert ctx.rd.dd[: g.n + 1] == rd.dd, trial
-        for u in g.vertices():
-            assert [ctx.rd.d(u, v) for v in g.vertices()] == [
-                rd.d(u, v) for v in g.vertices()
-            ], (trial, u)
+        assert ctx.dd[1 : g.n + 1] == [dm.d_int(1, v) for v in g.vertices()], trial
 
 
 # ------------------------------------------------------------- feasibility
