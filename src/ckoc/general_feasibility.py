@@ -28,6 +28,7 @@ from .graph_core import (
     InternalError,
     canonical_point,
     edge_profile,
+    kth_bounds,
     point_distance,
     vertex_of_point,
 )
@@ -217,7 +218,7 @@ class FeasibilityTester:
         self.dm = dm
         self._templates: dict[tuple[int, bool], _SideTemplate] = {}
         self._semi_maps: dict[int, dict[Fraction, list[int]]] = {}
-        self._kth_bounds: dict[tuple[int, int], Fraction] = {}
+        self._kth_bounds: dict[int, list[Fraction]] = {}
 
     # side templates ----------------------------------------------------
 
@@ -352,17 +353,17 @@ class FeasibilityTester:
     # feasibility -------------------------------------------------------
 
     def _kth_bound(self, edge: int, k: int) -> Fraction:
-        key = (edge, k)
-        val = self._kth_bounds.get(key)
-        if val is None:
-            g, rows = self.g, self.dm.rows
-            e = g.edges[edge]
-            lows = sorted(
-                g.weights_int[v] * min(rows[v][e.u], rows[v][e.v]) for v in g.vertices()
-            )
-            val = Fraction(lows[k - 1], g.weight_scale * self.dm.scale)
-            self._kth_bounds[key] = val
-        return val
+        """graph_core.kth_bounds of this edge, taken for all edges at once
+        per k."""
+        bounds = self._kth_bounds.get(k)
+        if bounds is None:
+            g = self.g
+            unit = g.weight_scale * self.dm.scale
+            bounds = [ZERO] * g.m
+            for b, eid in kth_bounds(g, self.dm, k):
+                bounds[eid] = Fraction(b, unit)
+            self._kth_bounds[k] = bounds
+        return bounds[edge]
 
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:
         g, dm = self.g, self.dm

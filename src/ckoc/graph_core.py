@@ -8,10 +8,13 @@ and no correctness-critical path touches floats.
 
 Internally most distance work runs on integers: all edge lengths are
 rescaled by the LCM of their denominators (length_scale, SL), which keeps
-Dijkstra and the bulk numeric code exact and fast.  Solvers whose values
-share that scale compare them as ints and convert to Fraction only at
-their boundary; the k-level sweep of klevel_geometry, for one, runs in
-units of 1/(2 * SL).
+shortest paths and the bulk numeric code exact and fast.  All-pairs
+distances come from an int64 Floyd-Warshall whenever the scaled lengths
+sum below 2**62 (every partial sum then fits), and from one exact
+Python-int Dijkstra per source otherwise.  Solvers whose values share
+that scale compare them as ints and convert to Fraction only at their
+boundary; the k-level sweep of klevel_geometry, for one, runs in units
+of 1/(2 * SL).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .general_feasibility import FeasibilityTester
@@ -198,12 +203,71 @@ class DistanceMatrix:
         return self.rows[u][v]
 
 
+_INT64_SUM_LIMIT = 2**62  # two distances below this add without overflow
+_INT64_LIMIT = 2**63
+_BOUND_BLOCK = 1 << 14
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    rows: list[list[int]] = [[0] * (g.n + 1)]
-    for s in range(1, g.n + 1):
-        dist = dijkstra_scaled(g, s)
-        rows.append([x if x is not None else 0 for x in dist])
-    return DistanceMatrix(rows, g.length_scale)
+    """Shortest distances between every pair of vertices, in units of
+    1/g.length_scale."""
+    total = sum(g.lengths_int)
+    if total >= _INT64_SUM_LIMIT:
+        rows: list[list[int]] = [[0] * (g.n + 1)]
+        for s in range(1, g.n + 1):
+            dist = dijkstra_scaled(g, s)
+            rows.append([x if x is not None else 0 for x in dist])
+        return DistanceMatrix(rows, g.length_scale)
+    # Floyd-Warshall from "total" off the diagonal: the graph is connected
+    # and no shortest path is longer than all edges together, so that is
+    # an upper bound on every distance, and each sum stays below 2**63
+    n = g.n
+    d = np.full((n, n), total, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    u = np.array([e.u - 1 for e in g.edges], dtype=np.int64)
+    v = np.array([e.v - 1 for e in g.edges], dtype=np.int64)
+    d[u, v] = d[v, u] = g.lengths_int
+    for w in range(n):
+        # row and column w do not change in round w, so d updates in place
+        np.minimum(d, d[:, w, None] + d[w], out=d)
+    return DistanceMatrix([[0] * (n + 1)] + [[0] + r for r in d.tolist()], g.length_scale)
+
+
+def kth_bounds(g: Graph, dm: DistanceMatrix, k: int) -> list[tuple[int, int]]:
+    """(bound, edge id) for every edge, ascending, in units of
+    1/(g.weight_scale * dm.scale).
+
+    An edge's bound is the k-th smallest w_v * min(d(v, a), d(v, b)) over
+    the vertices v, a and b being its endpoints.  Every point of the edge
+    is at least that far from v, so below the bound fewer than k vertices
+    lie within the radius of any point of the edge.
+    """
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k={k} outside 1..{g.n}")
+    rows, wi = dm.rows, g.weights_int
+    top = max(map(max, rows)) * max(wi)
+    if top >= _INT64_LIMIT:
+        bounds = [
+            sorted(wi[v] * min(rows[v][e.u], rows[v][e.v]) for v in g.vertices())[k - 1]
+            for e in g.edges
+        ]
+        return sorted(zip(bounds, range(g.m)))
+    # rows are symmetric, so row u holds every d(v, u); the edges go in
+    # blocks of about _BOUND_BLOCK values, which caps the memory at large m
+    d = np.array(rows, dtype=np.int64)[:, 1:]
+    w = np.array(wi[1:], dtype=np.int64)
+    u = [e.u for e in g.edges]
+    v = [e.v for e in g.edges]
+    bounds = np.empty(g.m, dtype=np.int64)
+    step = max(1, _BOUND_BLOCK // g.n)
+    for lo in range(0, g.m, step):
+        lows = d[u[lo:lo + step]]
+        np.minimum(lows, d[v[lo:lo + step]], out=lows)
+        lows *= w
+        lows.partition(k - 1, axis=1)
+        bounds[lo:lo + step] = lows[:, k - 1]
+    order = np.argsort(bounds, kind="stable")  # ties keep edge-id order
+    return list(zip(bounds[order].tolist(), order.tolist()))
 
 
 @dataclass(frozen=True, order=True)

@@ -21,6 +21,17 @@ DistanceMatrix.rows, so every line offset and intercept is even and each
 crossing ((c - a)/2, (c + a)/2) is an exact integer.  Fraction appears
 only at the boundary: ChainSet.chains, LevelChain.vertices, lowest(),
 value_at and to_json, and the solver's final radius and center.
+
+The solver need not build every edge's level.  Every chain of edge
+(u, w) is at least min(d(v,u), d(v,w)), the chain's value at the nearer
+endpoint, so the k-th smallest of these values (graph_core.kth_bounds)
+bounds the edge's whole k-th level from below.  The solver visits edges
+in ascending (bound, edge id) and stops at the first edge whose bound,
+2b in chain units, is strictly greater than the best level minimum so
+far: neither it nor any later edge can reach that height.  An edge whose
+bound equals the best is still visited, since its level may tie the best
+height at a smaller edge id, so the answer is the same (y, edge id, x)
+minimum as over all edges.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .graph_core import (
     Solution,
     all_pairs_distances,
     canonical_point,
+    kth_bounds,
     vertex_point,
 )
 from .general_feasibility import covered_subtree, trim_witness
@@ -376,7 +388,13 @@ def kth_level(cs: ChainSet, k: int) -> LevelChain:
 def solve_unweighted_graph(g: Graph, k: int) -> Solution:
     """Optimal radius over all k-vertex connected subtrees of an
     unweighted graph, by taking each edge's k-th level at its lowest
-    point.  Ties go to the smallest edge id, then the smallest offset."""
+    point.  Ties go to the smallest edge id, then the smallest offset.
+
+    Edges are visited in ascending order of their k-th bound b, which no
+    point of the edge's level lies below; the visit stops at the first
+    edge with 2b (the bound in chain units) strictly above the lowest
+    level point found so far.  The stop is strict because an edge whose
+    bound equals that height may still tie it at a smaller edge id."""
     if not g.unit_weights:
         raise InstanceError("unweighted solver requires unit vertex weights")
     if not 1 <= k <= g.n:
@@ -385,12 +403,15 @@ def solve_unweighted_graph(g: Graph, k: int) -> Solution:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     dm = all_pairs_distances(g)
     # every edge's chains share the scale 2 * g.length_scale, so the
-    # (y, edge id, x) keys compare as ints
+    # (y, edge id, x) keys compare as ints; bounds are in units of
+    # 1/g.length_scale, as unit weights have weight_scale 1
     best = None
-    for e in g.edges:
-        level = kth_level(build_chains(g, dm, e.id), k)
+    for b, eid in kth_bounds(g, dm, k):
+        if best is not None and 2 * b > best[0]:
+            break
+        level = kth_level(build_chains(g, dm, eid), k)
         x, y = level.lowest_scaled()
-        key = (y, e.id, x)
+        key = (y, eid, x)
         if best is None or key < best:
             best = key
     y, eid, x = best

@@ -1,9 +1,12 @@
 """Brute-force reference implementations.
 
 Everything here recomputes answers from first principles with naive
-algorithms and shares no code with the production solvers, so tests can
-compare the two sides.  Caps keep runtimes sane; these are not meant to
-scale.
+algorithms, so tests can compare the two sides.  It shares one piece of
+production code: graph_core.edge_profile, whose per-vertex distance
+functions give the candidate offsets and lines on each edge.  Its
+distances come from its own Floyd-Warshall (distances), not
+graph_core.all_pairs_distances.  Caps keep runtimes sane; these are not
+meant to scale.
 """
 
 from __future__ import annotations
@@ -17,9 +20,37 @@ from .graph_core import (
     DistanceMatrix,
     EdgePoint,
     Graph,
-    all_pairs_distances,
     edge_profile,
 )
+
+
+def distances(g: Graph) -> DistanceMatrix:
+    """All-pairs shortest distances by Floyd-Warshall on Python ints: each
+    parsed edge length times the graph's length scale."""
+    n, scale = g.n, g.length_scale
+    d: list[list[int | None]] = [[0 if i == j else None for j in range(n + 1)]
+                                 for i in range(n + 1)]
+    for e in g.edges:
+        q = e.length * scale
+        if q.denominator != 1:
+            raise AssertionError(f"length {e.length} off the length scale {scale}")
+        d[e.u][e.v] = d[e.v][e.u] = q.numerator
+    r = range(1, n + 1)
+    for w in r:
+        dw = d[w]
+        for i in r:
+            di = d[i]
+            a = di[w]
+            if a is None:
+                continue
+            for j in r:
+                b = dw[j]
+                if b is not None and (di[j] is None or a + b < di[j]):
+                    di[j] = a + b
+    d[0] = [0] * (n + 1)
+    for row in d:
+        row[0] = 0
+    return DistanceMatrix(d, scale)
 
 
 def _point_data(g: Graph, dm: DistanceMatrix, x: EdgePoint):
@@ -151,7 +182,7 @@ def _feasible(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction, fixed: dict, 
 def brute_feasible(g: Graph, k: int, lam: Fraction, dm: DistanceMatrix | None = None) -> bool:
     """True iff some point of the graph covers at least k vertices at radius lam."""
     if dm is None:
-        dm = all_pairs_distances(g)
+        dm = distances(g)
     return _feasible(g, dm, k, lam, {}, {})
 
 
@@ -161,7 +192,7 @@ def candidate_values(g: Graph, dm: DistanceMatrix | None = None) -> list[Fractio
     endpoints and semicircular points).  The optimum is always in this set.
     """
     if dm is None:
-        dm = all_pairs_distances(g)
+        dm = distances(g)
     vals: set[Fraction] = {ZERO}
     for e in g.edges:
         l = e.length
@@ -194,7 +225,7 @@ def brute_lambda(g: Graph, k: int, n_cap: int = 14) -> Fraction:
         raise ValueError(f"brute_lambda capped at n={n_cap}, got {g.n}")
     if k == 1 or g.n == 1:
         return ZERO
-    dm = all_pairs_distances(g)
+    dm = distances(g)
     vals = candidate_values(g, dm)
     fixed: dict = {}
     data: dict = {}

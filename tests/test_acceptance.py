@@ -165,7 +165,7 @@ def test_criterion_5_feasibility_sandwich(graph_pool, graph_lams, tree_pool, tre
     for pool, lams, tree in ((graph_pool, graph_lams, False), (tree_pool, tree_lams, True)):
         for i, g in enumerate(pool):
             dm = all_pairs_distances(g)
-            cands = sorted(set(oracle.candidate_values(g, dm)))
+            cands = sorted(set(oracle.candidate_values(g)))
             for k in range(1, g.n + 1):
                 lam = lams.get((i, k))
                 if lam is None:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_graph, random_tree
-from ckoc import cli
+from ckoc import cli, oracle
 from ckoc.general_feasibility import coverage_profile, is_feasible_graph
 from ckoc.graph_core import (
     DECREASING,
@@ -16,6 +16,7 @@ from ckoc.graph_core import (
     InstanceError,
     all_pairs_distances,
     canonical_point,
+    dijkstra_scaled,
     edge_profile,
     emit_instance,
     parse_instance,
@@ -23,6 +24,7 @@ from ckoc.graph_core import (
     vertex_of_point,
     vertex_point,
 )
+from ckoc.klevel_geometry import solve_unweighted_graph
 
 PATH3_TEXT = "p ckoc 3 2 2 0\ne 1 2 1\ne 2 3 1\n"
 WEDGE2_TEXT = "p ckoc 2 1 2 1\nv 1 2\nv 2 1\ne 1 2 6\n"
@@ -100,6 +102,43 @@ def test_distances_fixtures(path3, triangle, cycle4):
     assert all(dt.d(u, v) == 1 for u in (1, 2, 3) for v in (1, 2, 3) if u != v)
     dc = all_pairs_distances(cycle4)
     assert dc.d(1, 3) == 2 and dc.d(2, 4) == 2
+
+
+def _dijkstra_rows(g):
+    return [[0] * (g.n + 1)] + [
+        [d if d is not None else 0 for d in dijkstra_scaled(g, s)] for s in g.vertices()
+    ]
+
+
+def test_distances_match_per_source_dijkstra():
+    rng = random.Random(29)
+    for i in range(60):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, extra=rng.randint(0, 2 * n), weighted=bool(i % 2))
+        dm = all_pairs_distances(g)
+        assert dm.scale == g.length_scale
+        assert dm.rows == _dijkstra_rows(g) == oracle.distances(g).rows, i
+        assert all(type(d) is int for row in dm.rows for d in row)
+
+
+def _wide_unit_graph():
+    """Unit-weight graph whose scaled lengths sum past 2**62: lengths
+    q + a/p over three primes p near 10**6 make the length scale ~10**18."""
+    primes = (999983, 1000003, 999979)
+    rng = random.Random(31)
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5), (1, 4)]
+    return Graph.unit(6, [(u, v, rng.randint(4, 9) + F(rng.randint(1, 9), primes[i % 3]))
+                          for i, (u, v) in enumerate(edges)])
+
+
+def test_distances_past_int64_take_exact_path():
+    g = _wide_unit_graph()
+    assert sum(g.lengths_int) >= 2**62
+    dm = all_pairs_distances(g)
+    assert dm.rows == _dijkstra_rows(g) == oracle.distances(g).rows
+    assert max(map(max, dm.rows)) >= 2**63  # no int64 could hold them
+    for k in range(1, g.n + 1):
+        assert solve_unweighted_graph(g, k).lambda_star == oracle.brute_lambda(g, k), k
 
 
 def test_distances_certificate_random():

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckoc.general_feasibility import FeasibilityTester, covered_subtree, trim_witness
 from ckoc.graph_core import (
     EdgePoint,
     Graph,
     InstanceError,
+    Solution,
     all_pairs_distances,
+    canonical_point,
+    kth_bounds,
     point_distance,
+    vertex_point,
 )
 from ckoc.klevel_geometry import (
     Chain,
@@ -326,3 +331,85 @@ def test_solve_agrees_with_weighted_solver():
             a = solve_unweighted_graph(g, k)
             b = solve_weighted_graph(g, k)
             assert a.lambda_star == b.lambda_star
+
+
+# ------------------------------------------------- bounded edge order
+
+
+def _every_edge_json(g, k):
+    """solve_unweighted_graph's answer as the least (y, edge id, x) over the
+    lowest level points of every edge, with no bound and no early stop."""
+    if k == 1 or g.n == 1:
+        return Solution(F(0), vertex_point(g, 1), frozenset({1})).to_json(g)
+    dm = all_pairs_distances(g)
+    keys = []
+    for e in g.edges:
+        x, y = kth_level(build_chains(g, dm, e.id), k).lowest_scaled()
+        keys.append((y, e.id, x))
+    y, eid, x = min(keys)
+    scale = 2 * dm.scale
+    lam = F(y, scale)
+    center = canonical_point(g, eid, F(x, scale))
+    subtree = trim_witness(g, dm, center, covered_subtree(g, dm, center, lam), k)
+    return Solution(lam, center, subtree).to_json(g)
+
+
+# few distinct lengths, so edge bounds and level minima tie often
+_TIE_LENGTHS = (F(1), F(1), F(2), F(1, 2))
+
+
+@st.composite
+def _tied_unit_graphs(draw):
+    """Connected unit-weight graph, n <= 12: a random spanning tree plus
+    random chords, lengths from _TIE_LENGTHS."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    for _ in range(draw(st.integers(0, n))):
+        edges.add(draw(st.sampled_from(pairs)))
+    return Graph.unit(n, [(u, v, draw(st.sampled_from(_TIE_LENGTHS)))
+                          for u, v in sorted(edges)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tied_unit_graphs())
+def test_bounded_solver_matches_every_edge(g):
+    for k in range(1, g.n + 1):
+        assert solve_unweighted_graph(g, k).to_json(g) == _every_edge_json(g, k), k
+
+
+def _sorted_kth_bound(g, dm, edge, k):
+    """The k-th bound of one edge, by sorting its n values."""
+    e, rows = g.edges[edge], dm.rows
+    lows = sorted(g.weights_int[v] * min(rows[v][e.u], rows[v][e.v]) for v in g.vertices())
+    return lows[k - 1]
+
+
+def test_kth_bounds_match_per_edge_sort_and_tester():
+    rng = random.Random(83)
+    wide = [F(1, 999983), F(1, 1000003), F(1, 999979)]
+    graphs = [random_graph(rng, rng.randint(2, 10), extra=rng.randint(0, 6),
+                           weighted=bool(i % 2)) for i in range(30)]
+    # weights past 2**63 times the distances: the Python-int path
+    graphs.append(Graph(4, [F(10**19), F(3), F(1, 7), F(2)],
+                        [(1, 2, wide[0]), (2, 3, wide[1]), (3, 4, 1), (1, 4, wide[2])]))
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        tester = FeasibilityTester(g, dm)
+        unit = g.weight_scale * dm.scale
+        for k in range(1, g.n + 1):
+            want = sorted((_sorted_kth_bound(g, dm, e.id, k), e.id) for e in g.edges)
+            assert kth_bounds(g, dm, k) == want
+            for b, eid in want:
+                assert tester._kth_bound(eid, k) == F(b, unit)
+
+
+def test_kth_bound_is_below_every_level():
+    rng = random.Random(89)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(2, 10), extra=rng.randint(0, 6))
+        dm = all_pairs_distances(g)
+        for k in range(1, g.n + 1):
+            for b, eid in kth_bounds(g, dm, k):
+                _, y = kth_level(build_chains(g, dm, eid), k).lowest_scaled()
+                assert 2 * b <= y, (eid, k)
