@@ -6,11 +6,16 @@ shortest-path lengths, and every value is exact: parsed weights and
 lengths, radii, centers and the solvers' answers are fractions.Fraction,
 and no correctness-critical path touches floats.
 
-Internally most distance work runs on integers: all edge lengths are
-rescaled by the LCM of their denominators (length_scale, SL), which keeps
-shortest paths and the bulk numeric code exact and fast.  All-pairs
-distances come from an int64 Floyd-Warshall whenever the scaled lengths
-sum below 2**62 (every partial sum then fits), and from one exact
+The parser builds one Fraction per distinct token spelling of an input
+and shares it among the records that spell it that way; nothing outlives
+the call.  Graph reads each value's numerator and denominator once: the
+positivity checks look at numerators, and the scales and scaled integers
+come from exact integer arithmetic.  All edge lengths are rescaled by the
+LCM of their distinct denominators (length_scale, SL), each length being
+numerator * (SL // denominator); weights likewise by weight_scale.  This
+keeps shortest paths and the bulk numeric code exact and fast.
+All-pairs distances come from an int64 Floyd-Warshall whenever the scaled
+lengths sum below 2**62 (every partial sum then fits), and from one exact
 Python-int Dijkstra per source otherwise.  Solvers whose values share
 that scale compare them as ints and convert to Fraction only at their
 boundary; the k-level sweep of klevel_geometry, for one, runs in units
@@ -24,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,14 +51,24 @@ class InternalError(AssertionError):
     """A structural assumption of an algorithm failed at runtime."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Undirected edge; endpoints are stored with u < v, t runs from u to v."""
 
     id: int
     u: int
     v: int
     length: Fraction
+
+
+def _common_scale(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
+    """The lcm S of the denominators, and each value nums[i]/dens[i] as
+    the integer count of 1/S it holds."""
+    distinct = set(dens)
+    scale = math.lcm(*distinct)
+    if scale == 1:
+        return 1, nums
+    mult = {d: scale // d for d in distinct}
+    return scale, [x * mult[d] for x, d in zip(nums, dens)]
 
 
 class Graph:
@@ -70,61 +85,70 @@ class Graph:
         if len(weights) != n:
             raise InstanceError(f"expected {n} weights, got {len(weights)}")
         self.n = n
-        self.weights: list[Fraction] = [ZERO] + [Fraction(w) for w in weights]
-        for i, w in enumerate(self.weights[1:], start=1):
-            if w <= 0:
-                raise InstanceError(f"vertex {i} has nonpositive weight {w}")
+        wf = [w if type(w) is Fraction else Fraction(w) for w in weights]
+        wnum = [w.numerator for w in wf]
+        if min(wnum) <= 0:
+            i = next(i for i, x in enumerate(wnum) if x <= 0)
+            raise InstanceError(f"vertex {i + 1} has nonpositive weight {wf[i]}")
+        self.weights: list[Fraction] = [ZERO, *wf]
 
+        # one pass validates the edges in input order and builds the
+        # adjacency lists; a pair (a, b) is kept as the int a*(n+1)+b,
+        # which, unlike a tuple, the garbage collector does not track
         self.edges: list[Edge] = []
-        pairs: set[tuple[int, int]] = set()
+        self.adj: list[list[tuple[int, Edge]]] = [[] for _ in range(n + 1)]
+        adj, stride = self.adj, n + 1
+        pairs: set[int] = set()
+        lnum: list[int] = []
+        lden: list[int] = []
         for u, v, length in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InstanceError(f"edge ({u},{v}) has endpoint out of range")
             if u == v:
                 raise InstanceError(f"self-loop at vertex {u}")
             a, b = (u, v) if u < v else (v, u)
-            if (a, b) in pairs:
+            key = a * stride + b
+            if key in pairs:
                 raise InstanceError(f"duplicate edge ({a},{b})")
-            length = Fraction(length)
-            if length <= 0:
+            if type(length) is not Fraction:
+                length = Fraction(length)
+            num = length.numerator
+            if num <= 0:
                 raise InstanceError(f"edge ({a},{b}) has nonpositive length {length}")
-            pairs.add((a, b))
-            self.edges.append(Edge(len(self.edges), a, b, length))
+            pairs.add(key)
+            e = Edge(len(self.edges), a, b, length)
+            self.edges.append(e)
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+            lnum.append(num)
+            lden.append(length.denominator)
         self.m = len(self.edges)
 
-        self.adj: list[list[tuple[int, Edge]]] = [[] for _ in range(n + 1)]
-        for e in self.edges:
-            self.adj[e.u].append((e.v, e))
-            self.adj[e.v].append((e.u, e))
-
-        # smallest incident edge id per vertex, used to canonicalize vertex points
-        self.min_edge: list[int | None] = [None] * (n + 1)
-        for e in self.edges:
-            for a in (e.u, e.v):
-                if self.min_edge[a] is None or e.id < self.min_edge[a]:
-                    self.min_edge[a] = e.id
+        # smallest incident edge id per vertex, used to canonicalize vertex
+        # points: edges joined the lists in id order
+        self.min_edge: list[int | None] = [nb[0][1].id if nb else None for nb in adj]
 
         if n > 1:
             seen = self._reach(1)
-            if len(seen) != n:
-                missing = min(v for v in range(1, n + 1) if v not in seen)
+            if seen.count(True) != n:
+                missing = seen.index(False, 1)
                 raise InstanceError(f"graph is disconnected (vertex {missing} unreachable)")
 
-        self.length_scale: int = math.lcm(*(e.length.denominator for e in self.edges)) if self.m else 1
-        self.lengths_int: list[int] = [int(e.length * self.length_scale) for e in self.edges]
-        self.weight_scale: int = math.lcm(*(w.denominator for w in self.weights[1:]))
-        self.weights_int: list[int] = [0] + [int(w * self.weight_scale) for w in self.weights[1:]]
+        self.length_scale, self.lengths_int = _common_scale(lnum, lden)
+        self.weight_scale, wint = _common_scale(wnum, [w.denominator for w in wf])
+        self.weights_int: list[int] = [0, *wint]
         # w_v == 1 exactly when its scaled weight equals the scale
         self.unit_weights: bool = self.weights_int.count(self.weight_scale) == n
 
-    def _reach(self, start: int) -> set[int]:
-        seen = {start}
+    def _reach(self, start: int) -> list[bool]:
+        """seen[v] for every vertex id: whether v is reachable from start."""
+        seen = [False] * (self.n + 1)
+        seen[start] = True
         stack = [start]
         while stack:
-            v = stack.pop()
-            for u, _ in self.adj[v]:
-                if u not in seen:
-                    seen.add(u)
+            for u, _ in self.adj[stack.pop()]:
+                if not seen[u]:
+                    seen[u] = True
                     stack.append(u)
         return seen
 
@@ -426,17 +450,48 @@ def parse_rational(tok: str) -> Fraction:
         raise InstanceError(f"bad rational {tok!r}") from exc
 
 
+def _first_unreached(us: list[int], vs: list[int]) -> int:
+    """Smallest vertex id the edge records do not join to vertex 1.
+
+    Called with fewer than n - 1 records, so vertex 1 reaches at most
+    len(us) + 1 ids and one of 1..len(us) + 2 is missed; O(m) either way.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for u, v in zip(us, vs):
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for u in nbrs.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    v = 1
+    while v in seen:
+        v += 1
+    return v
+
+
 def parse_instance(text: str) -> tuple[Graph, int]:
-    """Parse the line-oriented instance format; raises InstanceError with line numbers."""
+    """Parse the line-oriented instance format; raises InstanceError with line numbers.
+
+    Each distinct rational token becomes one Fraction, shared by every
+    record that spells it the same way.  A header that cannot describe a
+    connected graph (n > 1 and m < n - 1) or names a k outside 1..n is
+    rejected before anything of size n is built.
+    """
     n = m = k = None
     weighted = False
     weights: dict[int, Fraction] = {}
-    edges: list[tuple[int, int, Fraction]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    lengths: list[Fraction] = []
+    rationals: dict[str, Fraction] = {}  # token -> value, for this text only
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         try:
             if parts[0] == "p":
                 if n is not None:
@@ -459,13 +514,23 @@ def parse_instance(text: str) -> tuple[Graph, int]:
                     raise InstanceError(f"line {lineno}: vertex id {vid} out of range")
                 if vid in weights:
                     raise InstanceError(f"line {lineno}: duplicate weight for vertex {vid}")
-                weights[vid] = parse_rational(parts[2])
+                tok = parts[2]
+                w = rationals.get(tok)
+                if w is None:
+                    w = rationals[tok] = parse_rational(tok)
+                weights[vid] = w
             elif parts[0] == "e":
                 if n is None:
                     raise InstanceError(f"line {lineno}: edge record before problem line")
                 if len(parts) != 4:
                     raise InstanceError(f"line {lineno}: expected 'e u v length'")
-                edges.append((int(parts[1]), int(parts[2]), parse_rational(parts[3])))
+                u, v, tok = int(parts[1]), int(parts[2]), parts[3]
+                length = rationals.get(tok)
+                if length is None:
+                    length = rationals[tok] = parse_rational(tok)
+                us.append(u)
+                vs.append(v)
+                lengths.append(length)
             else:
                 raise InstanceError(f"line {lineno}: unknown record {parts[0]!r}")
         except ValueError as exc:
@@ -475,19 +540,18 @@ def parse_instance(text: str) -> tuple[Graph, int]:
             raise InstanceError(f"line {lineno}: {msg}") from exc
     if n is None:
         raise InstanceError("missing problem line")
-    if len(edges) != m:
-        raise InstanceError(f"expected {m} edges, found {len(edges)}")
+    if len(lengths) != m:
+        raise InstanceError(f"expected {m} edges, found {len(lengths)}")
     if weighted:
-        missing = [v for v in range(1, n + 1) if v not in weights]
-        if missing:
-            raise InstanceError(f"missing weight for vertex {missing[0]}")
-        wlist = [weights[v] for v in range(1, n + 1)]
-    else:
-        wlist = [Fraction(1)] * n
-    g = Graph(n, wlist, edges)
-    if not 1 <= k <= n:
+        missing = next((v for v in range(1, n + 1) if v not in weights), None)
+        if missing is not None:
+            raise InstanceError(f"missing weight for vertex {missing}")
+    if n > 1 and m < n - 1:
+        raise InstanceError(f"graph is disconnected (vertex {_first_unreached(us, vs)} unreachable)")
+    if n >= 1 and not 1 <= k <= n:
         raise InstanceError(f"k={k} out of range 1..{n}")
-    return g, k
+    wlist = [weights[v] for v in range(1, n + 1)] if weighted else [Fraction(1)] * n
+    return Graph(n, wlist, zip(us, vs, lengths)), k
 
 
 def emit_instance(g: Graph, k: int) -> str:

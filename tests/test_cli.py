@@ -57,6 +57,7 @@ def test_solve_timing_keeps_stdout(tmp_path, capsys):
     _, timed, err = run(capsys, ["solve", str(f), "--timing"])
     assert plain == timed
     assert "solved in" in err
+    assert "parsed in" in err
 
 
 def test_feasible_wedge(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import copy
+import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_tree
 from ckoc import cli, oracle
@@ -78,6 +82,195 @@ def test_parse_weight_record_rules():
         parse_instance("p ckoc 2 1 1 1\nv 1 2\ne 1 2 1\n")
     with pytest.raises(InstanceError, match="line 2"):
         parse_instance("p ckoc 2 1 1 0\ne 1 2 x\n")
+
+
+def test_parse_rejects_impossible_header_before_building():
+    with pytest.raises(InstanceError, match=r"^graph is disconnected \(vertex 2 unreachable\)$"):
+        parse_instance("p ckoc 3000000 0 1 0\n")
+    # nothing of size n is built before the header is rejected
+    for text, msg in (
+        ("p ckoc 200000 0 1 0\n", "disconnected"),
+        ("p ckoc 200000 0 1 1\n", "missing weight for vertex 1"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceError, match=msg):
+                parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (text, peak)
+
+
+def test_parse_short_edge_list_names_first_unreached_vertex():
+    # fewer than n - 1 records: the first vertex that vertex 1 does not
+    # reach, as the Graph's own connectivity check names it
+    with pytest.raises(InstanceError, match=r"\(vertex 4 unreachable\)"):
+        parse_instance("p ckoc 5 2 1 0\ne 1 3 1\ne 3 2 1\n")
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        tree = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+        kept = rng.sample(tree, rng.randint(0, n - 3))
+        text = f"p ckoc {n} {len(kept)} 1 0\n" + "".join(f"e {u} {v} 1\n" for u, v in kept)
+        with pytest.raises(InstanceError) as via_parse:
+            parse_instance(text)
+        with pytest.raises(InstanceError) as via_graph:
+            Graph.unit(n, kept)
+        assert str(via_parse.value) == str(via_graph.value)
+
+
+def test_parse_checks_k_before_building():
+    with pytest.raises(InstanceError, match=r"^k=0 out of range 1\.\.3$"):
+        parse_instance("p ckoc 3 2 0 0\ne 1 2 1\ne 2 3 1\n")
+    g, k = parse_instance("p ckoc 1 0 1 0\n")
+    assert (g.n, g.m, k, g.min_edge) == (1, 0, 1, [None, None])
+    with pytest.raises(InstanceError, match="at least one vertex"):
+        parse_instance("p ckoc 0 0 1 0\n")
+
+
+def test_parse_errors_keep_their_own_line():
+    # a token's parsed value is shared by every record that spells it;
+    # the checks on it are not, and neither is anything across calls
+    with pytest.raises(InstanceError, match=r"^edge \(1,2\) has nonpositive length 0$"):
+        parse_instance("p ckoc 2 2 1 0\ne 1 2 0\ne 1 2 0\n")
+    with pytest.raises(InstanceError, match=r"^line 3: bad rational '1/0'$"):
+        parse_instance("p ckoc 2 1 1 1\nv 1 1\nv 2 1/0\ne 1 2 1\n")
+    with pytest.raises(InstanceError, match=r"^line 5: bad rational '1/0'$"):
+        parse_instance("p ckoc 2 1 1 1\nv 1 1/2\nv 2 1/2\nc x\ne 1 2 1/0\n")
+    with pytest.raises(InstanceError, match=r"^line 2: bad rational '1/0'$"):
+        parse_instance("p ckoc 2 1 1 0\ne 1 2 1/0\n")
+    with pytest.raises(InstanceError, match=r"^line 4: bad rational '1/0'$"):
+        parse_instance("p ckoc 3 2 1 0\n\ne 1 2 1\ne 2 3 1/0\n")
+    with pytest.raises(InstanceError, match=r"^line 4: invalid literal"):
+        parse_instance("p ckoc 3 2 1 0\ne 1 2 1/2\ne 2 3 1/2\ne 2 x 1/2\n")
+    # a sign flip is a different token; a negative token met first as a
+    # length is still rejected as a weight, weights being checked first
+    with pytest.raises(InstanceError, match=r"^vertex 2 has nonpositive weight -1/2$"):
+        parse_instance("p ckoc 2 1 1 1\nv 1 1/2\nv 2 -1/2\ne 1 2 1/2\n")
+    with pytest.raises(InstanceError, match=r"^vertex 2 has nonpositive weight -3$"):
+        parse_instance("p ckoc 2 1 1 1\ne 1 2 -3\nv 1 3\nv 2 -3\n")
+
+
+def test_parse_calls_share_no_state():
+    text = "p ckoc 3 2 1 1\nv 1 1/2\nv 2 1/2\nv 3 2/4\ne 1 2 1/2\ne 2 3 0.5\n"
+    g1, _ = parse_instance(text)
+    with pytest.raises(InstanceError, match="^line 3: bad rational"):
+        parse_instance("p ckoc 2 1 1 0\n\ne 1 2 1/2x\n")
+    g2, _ = parse_instance(text)
+    assert g1 == g2
+    # one value per spelling within a call, a fresh one in every call
+    assert g1.weights[1] is g1.weights[2] is g1.edges[0].length
+    assert g1.weights[3] is not g1.weights[1]
+    assert g2.weights[1] is not g1.weights[1]
+    with pytest.raises(InstanceError, match="^line 2: bad rational"):
+        parse_instance("p ckoc 2 1 1 0\ne 1 2 1/2x\n")
+
+
+# spellings of rationals: non-reduced forms, decimals, leading zeros, and
+# coprime denominators near 10**6, four of which take a scale past 2**63
+_PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917)
+_SPELLINGS = ("1", "3", "03", "2/4", "6/3", "10/20", "0.25", "1.5", "7/8", "1/2")
+_WIDE = tuple(
+    s for i, p in enumerate(_PRIMES) for s in (f"{i + 1}/{p}", f"{2 * i + 2}/{2 * p}", f"{p + 2}/{p}")
+)
+
+
+@st.composite
+def _spelled_instances(draw):
+    """(n, k, weight tokens or None, [(u, v, token)]) of a connected
+    graph, edges in any order and orientation."""
+    n = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    others = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if (a, b) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(pairs))]
+    tok = st.sampled_from(draw(st.sampled_from((_SPELLINGS, _SPELLINGS + _WIDE, _WIDE))))
+    edges = [(a, b, draw(tok)) for a, b in pairs]
+    weights = [draw(tok) for _ in range(n)] if draw(st.booleans()) else None
+    return n, draw(st.integers(1, n)), weights, edges
+
+
+def _reference_fields(n, weights, edges):
+    """Graph's derived fields by the plain Fraction formulas."""
+    ws = [F(w) for w in weights]
+    es = [(i, min(u, v), max(u, v), F(l)) for i, (u, v, l) in enumerate(edges)]
+    sl = math.lcm(*(l.denominator for *_, l in es)) if es else 1
+    sw = math.lcm(*(w.denominator for w in ws))
+    adj = [[] for _ in range(n + 1)]
+    min_edge = [None] * (n + 1)
+    for i, a, b, _ in es:
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+        for x in (a, b):
+            if min_edge[x] is None or i < min_edge[x]:
+                min_edge[x] = i
+    return {
+        "length_scale": sl,
+        "lengths_int": [int(l * sl) for *_, l in es],
+        "weight_scale": sw,
+        "weights_int": [0] + [int(w * sw) for w in ws],
+        "unit_weights": all(w == 1 for w in ws),
+        "min_edge": min_edge,
+        "edges": es,
+        "adj": adj,
+        "weights": [F(0)] + ws,
+    }
+
+
+def _fields(g):
+    for e in g.edges:
+        assert type(e.length) is F
+    for nb in g.adj:
+        for _, e in nb:
+            assert e is g.edges[e.id]
+    assert all(type(w) is F for w in g.weights)
+    assert all(type(x) is int for x in g.lengths_int + g.weights_int)
+    return {
+        "length_scale": g.length_scale,
+        "lengths_int": g.lengths_int,
+        "weight_scale": g.weight_scale,
+        "weights_int": g.weights_int,
+        "unit_weights": g.unit_weights,
+        "min_edge": g.min_edge,
+        "edges": [(e.id, e.u, e.v, e.length) for e in g.edges],
+        "adj": [[(u, e.id) for u, e in nb] for nb in g.adj],
+        "weights": g.weights,
+    }
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_spelled_instances(), st.data())
+def test_integer_scaling_matches_fraction_reference(inst, data):
+    n, k, wtoks, etoks = inst
+    values = {t: F(t) for t in _SPELLINGS + _WIDE}
+    weights = [values[t] for t in wtoks] if wtoks else [F(1)] * n
+    edges = [(u, v, values[t]) for u, v, t in etoks]
+    want = _reference_fields(n, weights, edges)
+
+    lines = [f"p ckoc {n} {len(etoks)} {k} {0 if wtoks is None else 1}"]
+    records = [f"e {u} {v} {t}" for u, v, t in etoks]
+    # v records in any order, anywhere among the e records
+    for i, t in data.draw(st.permutations(list(enumerate(wtoks or [], start=1)))):
+        records.insert(data.draw(st.integers(0, len(records))), f"v {i} {t}")
+    g, k_read = parse_instance("\n".join(lines + records) + "\n")
+    assert k_read == k
+    assert _fields(g) == want
+
+    # int, Fraction or mixed values into the constructor
+    mode = data.draw(st.sampled_from(("int", "fraction", "mixed")))
+
+    def as_given(x):
+        if x.denominator != 1 or mode == "fraction":
+            return x
+        return int(x) if mode == "int" or data.draw(st.booleans()) else x
+
+    g2 = Graph(n, [as_given(w) for w in weights], [(u, v, as_given(l)) for u, v, l in edges])
+    assert _fields(g2) == want
+    assert g == g2
+    g3, k3 = parse_instance(emit_instance(g2, k))
+    assert g3 == g2 and k3 == k
+    assert _fields(g3) == want
 
 
 def test_roundtrip_fixtures(path3, wedge2, cycle4):

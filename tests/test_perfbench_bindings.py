@@ -1,0 +1,42 @@
+"""The benchmark's tracer and runner bind program names by string; a
+rename there shows only as a "not found" line in a traced run.  This
+checks that every name they look up still resolves."""
+
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+from ckoc import arrangement_search, cli, graph_core, tree_solver
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import spans  # noqa: E402
+
+
+def _resolve(owner, path: str):
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_traced_names_resolve():
+    missing = []
+    for module, path, _ in spans._WRAPPED:
+        try:
+            target = _resolve(module, path)
+        except AttributeError:
+            missing.append(f"{module.__name__}.{path}")
+            continue
+        assert callable(target), f"{module.__name__}.{path}"
+    assert missing == []
+    for module in (arrangement_search, tree_solver):
+        assert callable(module.lowest_feasible_vertex)
+
+
+def test_runner_names_resolve():
+    # perfbench/run.py parses with graph_core.parse_instance and solves
+    # through cli._dispatch(g, k, cli._pick_algo(g, "auto"), "auto")
+    g, k = graph_core.parse_instance("p ckoc 3 2 2 0\ne 1 2 1\ne 2 3 1\n")
+    algo = cli._pick_algo(g, "auto")
+    assert algo == "unweighted-tree"
+    assert cli._dispatch(g, k, algo, "auto").lambda_star == F(1, 2)
