@@ -260,12 +260,23 @@ def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.
     as reduced numerators and positive denominators."""
     num, den = _reduce(num, den)
     f = _ratio(num, den)
-    # equal pairs sit side by side under (float, num, den): drop them
-    # first, so the exact repair only sees distinct near-equal values
-    order = np.lexsort((den, num, f))
+    # equal values have equal floats, so after a float sort equal pairs
+    # share a run of equal floats; a run holding two distinct values is
+    # sorted by (num, den) to put equal pairs side by side.  Duplicates
+    # go first, so the exact repair only sees distinct near-equal values
+    order = np.argsort(f)
     num, den, f = num[order], den[order], f[order]
+    same = (num[1:] == num[:-1]) & (den[1:] == den[:-1])
+    mixed = np.nonzero((f[1:] == f[:-1]) & ~same)[0]
+    if len(mixed):
+        run = np.concatenate(([0], np.cumsum(f[1:] != f[:-1])))
+        for r in np.unique(run[mixed]).tolist():
+            a, b = np.searchsorted(run, [r, r + 1]).tolist()
+            idx = sorted(range(a, b), key=lambda t: (int(num[t]), int(den[t])))
+            num[a:b], den[a:b] = num[idx], den[idx]
+        same = (num[1:] == num[:-1]) & (den[1:] == den[:-1])
     new = np.ones(len(num), dtype=bool)
-    new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
+    new[1:] = ~same
     num, den, f = num[new], den[new], f[new]
     order = _repair_runs(
         np.arange(len(num)), f, key=lambda t: Fraction(int(num[t]), int(den[t]))

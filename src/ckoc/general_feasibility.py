@@ -11,6 +11,22 @@ the offset t.  It is assembled from two one-sided scans (coverage through
 each endpoint) minus an overlap correction at semicircular points, each
 side driven by sorted turning points and incremental removal of expired
 vertices and their newly cut descendants.
+
+The tester runs on exact integers with one denominator per vertex.  At
+lam = p/q, with SL and SW the length and weight scales, W_v the scaled
+weight of v and D_v its scaled distance to a side's endpoint, v turns at
+the side-local offset lam/w_v - d_v, which in units of 1/(2 * SL * q) is
+(2 * p * SW * SL - 2 * q * W_v * D_v) / W_v; the edge length and the
+semicircular offsets (half-integers in units of 1/SL) are integers in
+those units.  Such a value x is keyed by floor(x * 2**s) (the ceiling on
+the side scanned from the far endpoint, whose offsets are mirrored), with
+2**s > 2 * max(W)**2.  Two distinct values with denominators of at most
+max(W) differ by at least 1/max(W)**2, so the keys order and match
+exactly as the values do, and a key determines its value (the nearest
+rational with denominator at most max(W)).  An lcm of all the weights
+would grow with every coprime weight; 2**s grows only with the largest.
+Fraction remains at the boundary: lam comes in as one, and the
+breakpoints of a CoverageProfile and the witness offset go out as ones.
 """
 
 from __future__ import annotations
@@ -21,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import (
+    DECREASING,
+    INCREASING,
     ZERO,
     DistanceMatrix,
     EdgePoint,
@@ -29,29 +47,38 @@ from .graph_core import (
     canonical_point,
     edge_profile,
     kth_bounds,
-    point_distance,
     vertex_of_point,
 )
 
 
 class PredecessorStructure:
-    """Per-vertex predecessor/successor sets on shortest paths to a root,
+    """Per-vertex predecessor/successor lists on shortest paths to a root,
     with incremental removal.
 
     pred[v] holds every neighbor that starts some shortest path from v to
-    the root; removing a vertex erases it from its neighbors' sets, and a
-    vertex whose pred set empties is cut off (a descendant of the removed
-    set) and is removed in turn, FIFO order.
+    the root; each vertex counts its predecessors still alive, and a
+    vertex whose count drops to zero is cut off (a descendant of the
+    removed set) and is removed in turn, FIFO order.  pred and succ never
+    change, so fresh() copies only the counters and the alive set.
     """
 
     def __init__(self, root: int, pred: dict[int, dict[int, None]]):
         self.root = root
         self.pred = pred
-        self.succ: dict[int, dict[int, None]] = {v: {} for v in pred}
+        self.succ: dict[int, list[int]] = {v: [] for v in pred}
         for v, ps in pred.items():
             for u in ps:
-                self.succ[u][v] = None
+                self.succ[u].append(v)
+        self.live: dict[int, int] = {v: len(ps) for v, ps in pred.items()}
         self.alive: dict[int, None] = dict.fromkeys(pred)
+
+    def fresh(self) -> "PredecessorStructure":
+        """A copy with nothing removed yet, sharing pred and succ."""
+        ps = object.__new__(PredecessorStructure)
+        ps.root, ps.pred, ps.succ = self.root, self.pred, self.succ
+        ps.live = self.live.copy()
+        ps.alive = self.alive.copy()
+        return ps
 
     @property
     def alive_count(self) -> int:
@@ -60,7 +87,7 @@ class PredecessorStructure:
     def remove(self, S) -> tuple[list[int], list[int]]:
         """Remove S plus everything cut off from the root; returns
         (all removed in order, the descendants-only part)."""
-        pred, succ, alive = self.pred, self.succ, self.alive
+        succ, live, alive, root = self.succ, self.live, self.alive, self.root
         queue: deque[int] = deque()
         for v in S:
             if v in alive:
@@ -69,26 +96,31 @@ class PredecessorStructure:
         removed = list(queue)
         desc: list[int] = []
         while queue:
-            v = queue.popleft()
-            for u in succ[v]:
-                pu = pred[u]
-                if v in pu:
-                    del pu[v]
-                    if not pu and u in alive and u != self.root:
+            for u in succ[queue.popleft()]:
+                if u in alive:
+                    live[u] -= 1
+                    if not live[u] and u != root:
                         del alive[u]
                         desc.append(u)
                         removed.append(u)
                         queue.append(u)
-            for u in pred[v]:
-                su = succ[u]
-                if v in su:
-                    del su[v]
-            pred[v] = {}
-            succ[v] = {}
         return removed, desc
 
 
 DUMMY = 0  # stand-in vertex id for an interior point
+
+
+def _scaled_distances(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> tuple[list[int], int, int]:
+    """(dist, offset, far) for an interior or endpoint x = (edge, p/q):
+    dist[v] is point_distance(x, v) for every vertex, in units of
+    1/(dm.scale * q), and offset and far are x's distances to the edge's
+    endpoints along the edge in those units (index 0 of dist is unused)."""
+    e = g.edges[x.edge]
+    p, q = x.t.numerator, x.t.denominator
+    offset = p * dm.scale
+    far = q * g.lengths_int[e.id] - offset
+    dist = [min(offset + q * a, far + q * b) for a, b in zip(dm.rows[e.u], dm.rows[e.v])]
+    return dist, offset, far
 
 
 def build_predecessor_structure(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> PredecessorStructure:
@@ -98,24 +130,23 @@ def build_predecessor_structure(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> P
     the root; an endpoint offset makes the vertex the root directly.
     """
     a = vertex_of_point(g, x)
-    dist: dict[int, Fraction] = {v: point_distance(g, dm, x, v) for v in g.vertices()}
+    e = g.edges[x.edge]
+    dist, offset, far = _scaled_distances(g, dm, x)
+    q = x.t.denominator
+    lengths = g.lengths_int
     pred: dict[int, dict[int, None]] = {}
     if a is None:
-        e = g.edges[x.edge]
         root = DUMMY
-        dist[DUMMY] = ZERO
         pred[DUMMY] = {}
     else:
         root = a
     for v in g.vertices():
         ps: dict[int, None] = {}
         if v != root:
-            if a is None:
-                e = g.edges[x.edge]
-                if (v == e.u and dist[v] == x.t) or (v == e.v and dist[v] == e.length - x.t):
-                    ps[DUMMY] = None
+            if a is None and ((v == e.u and dist[v] == offset) or (v == e.v and dist[v] == far)):
+                ps[DUMMY] = None
             for u, ev in g.adj[v]:
-                if dist[u] + ev.length == dist[v]:
+                if dist[u] + q * lengths[ev.id] == dist[v]:
                     ps[u] = None
         pred[v] = ps
     return PredecessorStructure(root, pred)
@@ -126,8 +157,11 @@ def covered_subtree(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -
     if x.edge < 0:
         return frozenset({1}) if lam >= 0 else frozenset()
     ps = build_predecessor_structure(g, dm, x)
-    heavy = [v for v in g.vertices() if g.weights[v] * point_distance(g, dm, x, v) > lam]
-    ps.remove(heavy)
+    dist, _, _ = _scaled_distances(g, dm, x)
+    # w_v * d(x, v) > lam, both sides times weight_scale * dm.scale * q * lam.q
+    bound = lam.numerator * g.weight_scale * dm.scale * x.t.denominator
+    wi, lq = g.weights_int, lam.denominator
+    ps.remove([v for v in g.vertices() if wi[v] * dist[v] * lq > bound])
     return frozenset(v for v in ps.alive if v != DUMMY)
 
 
@@ -143,11 +177,13 @@ def trim_witness(
     if len(covered) < k:
         raise InternalError(f"cannot trim {len(covered)} covered vertices to {k}")
     e = g.edges[x.edge]
-    dist = {v: point_distance(g, dm, x, v) for v in covered}
+    dist, offset, far = _scaled_distances(g, dm, x)
+    q = x.t.denominator
+    lengths = g.lengths_int
     heap = []
-    if e.u in covered and dist[e.u] == x.t:
+    if e.u in covered and dist[e.u] == offset:
         heap.append((dist[e.u], e.u))
-    if e.v in covered and dist[e.v] == e.length - x.t:
+    if e.v in covered and dist[e.v] == far:
         heap.append((dist[e.v], e.v))
     heapq.heapify(heap)
     out: set[int] = set()
@@ -157,31 +193,48 @@ def trim_witness(
             continue
         out.add(v)
         for u, ev in g.adj[v]:
-            if u in covered and u not in out and d + ev.length == dist[u]:
+            if u in covered and u not in out and d + q * lengths[ev.id] == dist[u]:
                 heapq.heappush(heap, (dist[u], u))
     if len(out) != k:
         raise InternalError("covered set was not connected around the witness point")
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class CoverageProfile:
-    """f(e, t) on one edge as breakpoints (t, value on the open interval
-    just left of t, value at t); breakpoints cover [0, l]."""
+    """f(e, t) on one edge at one radius, as integer rows (key of t, value
+    on the open interval just left of t, value at t) covering [0, l].
 
-    edge: int
-    breakpoints: tuple[tuple[Fraction, int, int], ...]
+    The key of an offset t is floor(t * unit * 2**shift), with unit =
+    2 * SL * q at the radius p/q; in units of 1/unit every breakpoint is a
+    rational with denominator at most wmax, which its key pins down
+    exactly (see the module docstring).  offset, breakpoints, value_at and
+    max_value give the offsets as Fractions."""
+
+    __slots__ = ("edge", "rows", "unit", "shift", "wmax")
+
+    def __init__(self, edge: int, rows: list[tuple[int, int, int]], unit: int, shift: int, wmax: int):
+        self.edge = edge
+        self.rows = rows
+        self.unit = unit
+        self.shift = shift
+        self.wmax = wmax
+
+    def offset(self, key: int) -> Fraction:
+        return Fraction(key, 1 << self.shift).limit_denominator(self.wmax) / self.unit
+
+    @property
+    def breakpoints(self) -> tuple[tuple[Fraction, int, int], ...]:
+        return tuple((self.offset(t), left, at) for t, left, at in self.rows)
 
     def value_at(self, t: Fraction) -> int:
-        ts = [row[0] for row in self.breakpoints]
-        i = bisect_left(ts, t)
-        if i >= len(ts):
+        bps = self.breakpoints
+        if t < 0 or t > bps[-1][0]:
             raise ValueError(f"offset {t} beyond edge")
-        row = self.breakpoints[i]
+        row = bps[bisect_left([row[0] for row in bps], t)]
         return row[2] if row[0] == t else row[1]
 
     def max_value(self) -> int:
-        return max(max(left, at) for _, left, at in self.breakpoints)
+        return max(max(left, at) for _, left, at in self.rows)
 
 
 @dataclass(frozen=True)
@@ -191,34 +244,36 @@ class FeasibilityResult:
 
 
 class _SideTemplate:
-    """Radius-independent data for one edge endpoint: the side's vertex set,
-    its predecessor sets toward the endpoint, and per-vertex caps
-    (semicircular offsets) in side-local coordinates."""
+    """Radius-independent data for one edge endpoint: the side's vertex
+    set, its predecessor structure toward the endpoint (each scan removes
+    from a fresh copy), and, aligned with the vertex list, each vertex's
+    distance term and its cap (the edge length, or its semicircular offset
+    in side-local coordinates).  Both are stored as keys at q = 1, so a
+    scan at lam = p/q multiplies them by q; semi maps each vertex with a
+    semicircular point to its cap."""
 
-    __slots__ = ("root", "universe", "pred", "dist", "caps", "semi_local", "length")
+    __slots__ = ("structure", "universe", "dist", "caps", "semi")
 
-    def __init__(self, root, universe, pred, dist, caps, semi_local, length):
-        self.root = root
+    def __init__(self, structure, universe, dist, caps, semi):
+        self.structure = structure
         self.universe = universe
-        self.pred = pred
         self.dist = dist
         self.caps = caps
-        self.semi_local = semi_local
-        self.length = length
-
-    def instantiate(self) -> PredecessorStructure:
-        return PredecessorStructure(self.root, {v: dict.fromkeys(us) for v, us in self.pred.items()})
+        self.semi = semi
 
 
 class FeasibilityTester:
-    """Caches per-edge side templates across radius probes for one (g, dm)."""
+    """Caches per-edge side templates across radius probes for one (g, dm),
+    and the per-vertex key bases of the last radius probed."""
 
     def __init__(self, g: Graph, dm: DistanceMatrix):
         self.g = g
         self.dm = dm
+        self._wmax = max(g.weights_int)
+        self._shift = 2 * self._wmax.bit_length() + 1
         self._templates: dict[tuple[int, bool], _SideTemplate] = {}
-        self._semi_maps: dict[int, dict[Fraction, list[int]]] = {}
-        self._kth_bounds: dict[int, list[Fraction]] = {}
+        self._kth_bounds: dict[int, list[int]] = {}
+        self._radius: tuple[Fraction, int, list[int], list[int]] | None = None
 
     # side templates ----------------------------------------------------
 
@@ -227,32 +282,29 @@ class FeasibilityTester:
         tpl = self._templates.get(key)
         if tpl is not None:
             return tpl
-        g, dm = self.g, self.dm
+        g, rows, s = self.g, self.dm.rows, self._shift
         e = g.edges[edge]
-        l = e.length
-        profile = edge_profile(g, dm, edge)
-        root = e.u if from_r else e.v
+        l_int = g.lengths_int[edge]
+        profile = edge_profile(g, self.dm, edge)
+        root, far = (e.u, e.v) if from_r else (e.v, e.u)
+        rising = INCREASING if from_r else DECREASING
         universe: list[int] = []
-        caps: dict[int, Fraction] = {}
-        semi_local: dict[int, Fraction] = {}
+        caps: list[int] = []
+        semi: dict[int, int] = {}
         for v in g.vertices():
             fn = profile[v]
-            semi = fn.semicircular_t
-            if from_r:
-                member = fn.case == "increasing" or semi is not None
+            if fn.semicircular_t is not None:
+                # 2 * SL times the semicircular offset, measured from root
+                cap = (rows[far][v] - rows[root][v] + l_int) << s
+                semi[v] = cap
+            elif fn.case == rising:
+                cap = 2 * l_int << s
             else:
-                member = fn.case == "decreasing" or semi is not None
-            if not member:
                 continue
             universe.append(v)
-            if semi is not None:
-                local = semi if from_r else l - semi
-                semi_local[v] = local
-                caps[v] = local
-            else:
-                caps[v] = l
+            caps.append(cap)
+        d_root = rows[root]
         inset = set(universe)
-        d_root = {v: dm.d_int(root, v) for v in universe}
         lengths = g.lengths_int
         pred: dict[int, dict[int, None]] = {}
         for v in universe:
@@ -262,108 +314,124 @@ class FeasibilityTester:
                     if u in inset and d_root[u] + lengths[ev.id] == d_root[v]:
                         ps[u] = None
             pred[v] = ps
-        scale = g.length_scale
-        dist = {v: Fraction(d_root[v], scale) for v in universe}
-        tpl = _SideTemplate(root, universe, pred, dist, caps, semi_local, l)
+        dist = [d_root[v] << (s + 1) for v in universe]
+        tpl = _SideTemplate(PredecessorStructure(root, pred), universe, dist, caps, semi)
         self._templates[key] = tpl
         return tpl
 
-    def _semi_map(self, edge: int) -> dict[Fraction, list[int]]:
-        sm = self._semi_maps.get(edge)
-        if sm is None:
-            sm = {}
-            profile = edge_profile(self.g, self.dm, edge)
-            for v in self.g.vertices():
-                semi = profile[v].semicircular_t
-                if semi is not None:
-                    sm.setdefault(semi, []).append(v)
-            self._semi_maps[edge] = sm
-        return sm
+    def _bases(self, lam: Fraction) -> tuple[Fraction, int, list[int], list[int]]:
+        """(lam, q, floor bases, ceil bases) at lam = p/q: per vertex v the
+        floor and the ceiling of 2**shift * 2 * SL * q * lam / w_v, from
+        which each side's key of v subtracts its distance term.  Kept for
+        the last radius object asked about."""
+        got = self._radius
+        if got is not None and got[0] is lam:
+            return got
+        g = self.g
+        q = lam.denominator
+        top = 2 * lam.numerator * g.weight_scale * self.dm.scale << self._shift
+        lo = [0]
+        hi = [0]
+        for w in g.weights_int[1:]:
+            f, r = divmod(top, w)
+            lo.append(f)
+            hi.append(f + 1 if r else f)
+        self._radius = got = (lam, q, lo, hi)
+        return got
 
     # one-sided scan ----------------------------------------------------
 
     def _side_scan(self, edge: int, from_r: bool, lam: Fraction):
-        """Step function of covered-through-this-endpoint counts, in
-        side-local offsets: value[i] holds on (threshold[i-1], threshold[i]].
-        Also returns the covered-at-own-semicircular flag per vertex."""
+        """Step function of covered-through-this-endpoint counts, on the
+        keys of side-local offsets (floor keys from r, ceiling keys from
+        s): value[i] holds on (threshold[i-1], threshold[i]].  Also returns
+        the vertices covered exactly up to their own semicircular point."""
         tpl = self._template(edge, from_r)
-        g = self.g
-        ps = tpl.instantiate()
+        _, q, lo, hi = self._bases(lam)
+        base = lo if from_r else hi
+        ps = tpl.structure.fresh()
         heavy: list[int] = []
-        buckets: dict[Fraction, list[int]] = {}
-        for v in tpl.universe:
-            xv = lam / g.weights[v] - tpl.dist[v]
-            cap = tpl.caps[v]
-            if xv > cap:
-                xv = cap
-            if xv < 0:
+        buckets: dict[int, list[int]] = {}
+        for v, d, cap in zip(tpl.universe, tpl.dist, tpl.caps):
+            x = base[v] - q * d
+            cap *= q
+            if x > cap:
+                x = cap
+            elif x < 0:
                 heavy.append(v)
+                continue
+            b = buckets.get(x)
+            if b is None:
+                buckets[x] = [v]
             else:
-                buckets.setdefault(xv, []).append(v)
-        flags: dict[int, bool] = {}
-        removed, _ = ps.remove(heavy)
-        for v in removed:
-            flags[v] = False
-        semi_local = tpl.semi_local
+                b.append(v)
+        ps.remove(heavy)
+        semi = tpl.semi
+        flagged: set[int] = set()
         thresholds = sorted(buckets)
         values: list[int] = []
-        for p in thresholds:
+        for t in thresholds:
             values.append(ps.alive_count)
-            removed, _ = ps.remove(buckets[p])
+            removed, _ = ps.remove(buckets[t])
             for v in removed:
-                flags[v] = semi_local.get(v) == p
+                c = semi.get(v)
+                if c is not None and c * q == t:
+                    flagged.add(v)
         if ps.alive_count:
             raise InternalError("side scan left vertices alive past their turning points")
-        return thresholds, values, flags
+        return thresholds, values, flagged
 
     # profile assembly --------------------------------------------------
 
     def profile(self, edge: int, lam: Fraction) -> CoverageProfile:
-        g = self.g
-        e = g.edges[edge]
-        l = e.length
         thr_r, val_r, fl_r = self._side_scan(edge, True, lam)
         thr_s, val_s, fl_s = self._side_scan(edge, False, lam)
-        semi_map = self._semi_map(edge)
-
-        def step(thresholds, values, q):
-            i = bisect_left(thresholds, q)
-            return values[i] if i < len(values) else 0
-
-        bps = {ZERO, l}
-        bps.update(thr_r)
-        bps.update(l - q for q in thr_s)
-        rows: list[tuple[Fraction, int, int]] = []
-        prev: Fraction | None = None
-        for t in sorted(bps):
-            overlap = 0
-            for v in semi_map.get(t, ()):
-                if fl_r.get(v) and fl_s.get(v):
-                    overlap += 1
-            at = step(thr_r, val_r, t) + step(thr_s, val_s, l - t) - overlap
-            if prev is None:
-                left = at
-            else:
-                mid = (prev + t) / 2
-                left = step(thr_r, val_r, mid) + step(thr_s, val_s, l - mid)
-            rows.append((t, left, at))
-            prev = t
-        return CoverageProfile(edge, tuple(rows))
+        q = self._bases(lam)[1]
+        top = q * (2 * self.g.lengths_int[edge] << self._shift)
+        # s-side thresholds as floor keys of offsets from r, ascending
+        far = [top - t for t in reversed(thr_s)]
+        far_val = val_s[::-1]
+        overlap: dict[int, int] = {}
+        if fl_r and fl_s:
+            semi = self._templates[edge, True].semi
+            for v in fl_r & fl_s:
+                t = q * semi[v]
+                overlap[t] = overlap.get(t, 0) + 1
+        # no threshold lies strictly between two breakpoints, so left of t
+        # the r-side counts as at t and the s-side as at the breakpoint
+        # before (the r-side step is left-continuous, the s-side's right)
+        rows: list[tuple[int, int, int]] = []
+        i = j = sv = 0
+        nr, ns = len(thr_r), len(far)
+        for t in sorted({0, top, *thr_r, *far}):
+            while j < nr and thr_r[j] < t:
+                j += 1
+            rv = val_r[j] if j < nr else 0
+            left = rv + sv
+            while i < ns and far[i] <= t:
+                sv = far_val[i]
+                i += 1
+            rows.append((t, left, rv + sv - overlap.get(t, 0)))
+        at0 = rows[0][2]
+        rows[0] = (0, at0, at0)
+        return CoverageProfile(edge, rows, 2 * self.dm.scale * q, self._shift, self._wmax)
 
     # feasibility -------------------------------------------------------
 
-    def _kth_bound(self, edge: int, k: int) -> Fraction:
-        """graph_core.kth_bounds of this edge, taken for all edges at once
-        per k."""
+    def _kth_ints(self, k: int) -> list[int]:
+        """graph_core.kth_bounds by edge id, in units of
+        1/(g.weight_scale * dm.scale), taken for all edges at once per k."""
         bounds = self._kth_bounds.get(k)
         if bounds is None:
-            g = self.g
-            unit = g.weight_scale * self.dm.scale
-            bounds = [ZERO] * g.m
-            for b, eid in kth_bounds(g, self.dm, k):
-                bounds[eid] = Fraction(b, unit)
+            bounds = [0] * self.g.m
+            for b, eid in kth_bounds(self.g, self.dm, k):
+                bounds[eid] = b
             self._kth_bounds[k] = bounds
-        return bounds[edge]
+        return bounds
+
+    def _kth_bound(self, edge: int, k: int) -> Fraction:
+        """The bound of one edge as a radius."""
+        return Fraction(self._kth_ints(k)[edge], self.g.weight_scale * self.dm.scale)
 
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:
         g, dm = self.g, self.dm
@@ -373,19 +441,23 @@ class FeasibilityTester:
             return FeasibilityResult(False)
         if g.n == 1:
             return FeasibilityResult(True, (EdgePoint(-1, ZERO), frozenset({1})))
+        bounds = self._kth_ints(k)
+        _, q, _, _ = self._bases(lam)
+        p_unit = lam.numerator * g.weight_scale * dm.scale
         for e in g.edges:
             # cheap lower bound: even ignoring connectivity, fewer than k
             # vertices can ever be within lam of any point of this edge
-            if lam < self._kth_bound(e.id, k):
+            if p_unit < bounds[e.id] * q:
                 continue
             prof = self.profile(e.id, lam)
-            rows = prof.breakpoints
-            for i, (t, left, at) in enumerate(rows):
-                if i > 0 and left >= k:
-                    wt = (rows[i - 1][0] + t) / 2
+            prev = None
+            for t, left, at in prof.rows:
+                if left >= k and prev is not None:
+                    wt = (prof.offset(prev) + prof.offset(t)) / 2
                     return FeasibilityResult(True, self._witness(e.id, wt, k, lam))
                 if at >= k:
-                    return FeasibilityResult(True, self._witness(e.id, t, k, lam))
+                    return FeasibilityResult(True, self._witness(e.id, prof.offset(t), k, lam))
+                prev = t
         return FeasibilityResult(False)
 
     def _witness(self, edge: int, t: Fraction, k: int, lam: Fraction):

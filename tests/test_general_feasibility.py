@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_graph
 from ckoc.general_feasibility import (
@@ -11,7 +13,14 @@ from ckoc.general_feasibility import (
     covered_subtree,
     is_feasible_graph,
 )
-from ckoc.graph_core import EdgePoint, all_pairs_distances, vertex_point
+from ckoc.graph_core import (
+    EdgePoint,
+    Graph,
+    all_pairs_distances,
+    canonical_point,
+    point_distance,
+    vertex_point,
+)
 from ckoc.oracle import brute_coverage_count, brute_covered_set, candidate_values
 
 
@@ -112,6 +121,14 @@ def test_profile_wedge2(wedge2):
     assert prof.value_at(F(2)) == 2
     for t in (F(0), F(1), F(3), F(7, 2), F(4), F(5), F(6)):
         assert prof.value_at(t) == 1, t
+
+
+def test_value_at_rejects_offsets_off_the_edge(path3):
+    dm = all_pairs_distances(path3)
+    prof = coverage_profile(path3, dm, 0, F(1))
+    for t in (F(-5), F(-1, 10**9), F(1) + F(1, 10**9), F(5)):
+        with pytest.raises(ValueError, match="beyond edge"):
+            prof.value_at(t)
 
 
 def test_feasible_examples(path3, wedge2):
@@ -215,3 +232,71 @@ def test_covered_subtree_matches_oracle():
         x = EdgePoint(e.id, t)
         lam = F(rng.randint(0, 40), 8)
         assert covered_subtree(g, dm, x, lam) == brute_covered_set(g, dm, x, lam)
+
+
+# ---------------------------------------------------------------- wide scales
+
+# primes near 10**6 and near 2**61: lengths and weights built from them have
+# pairwise coprime numerators and denominators, so every vertex's turning
+# offset has a denominator of its own, hundreds of bits wide
+_PRIMES = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037) + tuple(
+    2**61 + o for o in (-105, -91, -1, 15, 21, 57, 65, 135)
+)
+
+
+@hs.composite
+def _wide_graphs(draw):
+    prime = hs.sampled_from(_PRIMES)
+
+    def rat():
+        return F(draw(prime) * draw(hs.integers(1, 9)), draw(prime))
+
+    n = draw(hs.integers(2, 7))
+    pairs = [(draw(hs.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    absent = [(u, v) for v in range(2, n + 1) for u in range(1, v) if (u, v) not in pairs]
+    if absent:
+        pairs += draw(hs.lists(hs.sampled_from(absent), max_size=3, unique=True))
+    return Graph(n, [rat() for _ in range(n)], [(u, v, rat()) for u, v in pairs])
+
+
+@hs.composite
+def _wide_graph_cases(draw):
+    """A graph with a few chords and radii at exact coverage boundaries
+    w_v * d(x, v) from points x anywhere on its edges, or such a boundary
+    times an arbitrary fraction."""
+    g = draw(_wide_graphs())
+    dm = all_pairs_distances(g)
+    lams = []
+    for _ in range(draw(hs.integers(1, 3))):
+        e = g.edges[draw(hs.integers(0, g.m - 1))]
+        den = draw(hs.sampled_from((1, 2, 3) + _PRIMES))
+        x = canonical_point(g, e.id, e.length * F(draw(hs.integers(0, den)), den))
+        lam = g.weights[draw(hs.integers(1, g.n))] * point_distance(
+            g, dm, x, draw(hs.integers(1, g.n)))
+        if draw(hs.booleans()):
+            lam *= F(draw(hs.integers(0, 3 * den)), den)
+        lams.append(lam)
+    return g, dm, lams
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_wide_graph_cases())
+def test_graph_integer_keys_match_brute_at_wide_scales(case):
+    g, dm, lams = case
+    for lam in lams:
+        best = 0
+        for e in g.edges:
+            prev = None
+            for t, left, at in coverage_profile(g, dm, e.id, lam).breakpoints:
+                assert brute_coverage_count(g, dm, EdgePoint(e.id, t), lam) == at, (e.id, t)
+                if prev is not None:
+                    mid = EdgePoint(e.id, (prev + t) / 2)
+                    assert brute_coverage_count(g, dm, mid, lam) == left, (e.id, mid.t)
+                best = max(best, left, at)
+                prev = t
+        for k in range(1, g.n + 1):
+            res = is_feasible_graph(g, dm, k, lam)
+            assert res.feasible == (best >= k), (k, lam)
+            if res.feasible:
+                x, covered = res.witness
+                assert covered == brute_covered_set(g, dm, x, lam) and len(covered) >= k

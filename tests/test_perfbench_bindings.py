@@ -40,3 +40,34 @@ def test_runner_names_resolve():
     algo = cli._pick_algo(g, "auto")
     assert algo == "unweighted-tree"
     assert cli._dispatch(g, k, algo, "auto").lambda_star == F(1, 2)
+
+
+def test_solve_path_reaches_traced_names():
+    # a traced name that resolves but no longer sits on the solve path
+    # reads 0 in every run; one small weighted graph and one weighted
+    # tree must pass through each of these spans
+    tracer = spans.Tracer()
+    algos = []
+    tracer.install()
+    try:
+        for text in (
+            "p ckoc 4 4 3 1\nv 1 2\nv 2 1\nv 3 3/2\nv 4 1\n"
+            "e 1 2 1\ne 2 3 2\ne 3 4 1/2\ne 1 4 3\n",
+            "p ckoc 4 3 3 1\nv 1 2\nv 2 1\nv 3 3/2\nv 4 1\ne 1 2 1\ne 2 3 2\ne 2 4 1/2\n",
+        ):
+            g, k = graph_core.parse_instance(text)
+            algos.append(cli._pick_algo(g, "auto"))
+            cli._dispatch(g, k, algos[-1], "auto")
+    finally:
+        tracer.uninstall()
+    assert algos == ["weighted-graph", "weighted-tree"]
+    calls = {span[0] for span in tracer.spans}
+    for name in (
+        "general_feasibility.feasible",
+        "general_feasibility.profile",
+        "graph_core.edge_profile",
+        "arrangement_search.explicit",
+        "tree_engine.build_coverage_arrays",
+    ):
+        assert name in calls, name
+    assert cli.solve_weighted_graph is arrangement_search.solve_weighted_graph
