@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -111,8 +112,10 @@ def _cmd_solve(args) -> int:
     solved = time.perf_counter()
     print(sol.to_json(g))
     if args.timing:
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
-            f"parsed in {parsed - started:.3f} s, solved in {solved - parsed:.3f} s ({algo})",
+            f"parsed in {parsed - started:.3f} s, solved in {solved - parsed:.3f} s ({algo}), "
+            f"peak memory {peak_mb:.1f} MB",
             file=sys.stderr,
         )
     return 0
@@ -250,7 +253,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--algo", choices=_ALGOS, default="auto")
     p.add_argument("--search", choices=("explicit", "counting", "auto"), default="auto")
     p.add_argument("--k", type=int, default=None, help="override the instance's k")
-    p.add_argument("--timing", action="store_true", help="report parse and solve wall time on stderr")
+    p.add_argument(
+        "--timing",
+        action="store_true",
+        help="report parse and solve wall time and peak memory on stderr",
+    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("feasible", help="test one radius and print the witness")

@@ -15,13 +15,16 @@ distance from the outermost centroid.  A probe counts coverage with
 vectorized subtree and centroid ball counts, at the critical points of
 only those vertices that covered k at every feasible probe so far: with
 unit weights each vertex's count is monotone in the radius, so the rest
-cannot cover k at any lower probe.  Its engine builds the centroid
-decomposition level by level in numpy (all components of one level at
-once, from the rooted tree's shape) and takes each centroid distance from
-depths and one lowest common ancestor.  This keeps trees with a hundred
-thousand vertices in budget.  The engine works at any length scale: its
-depths and packed keys are int64 when the largest key fits, and Python
-ints in numpy object arrays otherwise, through the same code.
+cannot cover k at any lower probe.  Its engine roots the tree by an Euler
+tour ranked in numpy, builds the centroid decomposition level by level
+(all components of one level at once, from the rooted tree's shape) and
+takes each centroid distance from depths and one lowest common ancestor.
+It keeps ids as int32 while they fit and counts the critical points of a
+probe in fixed blocks of vertices, so a tree of a hundred thousand
+vertices stays in budget in time and in memory.  The engine works at any
+length scale: its depths and packed keys are int64 when the largest key
+fits, and Python ints in numpy object arrays otherwise, through the same
+code.
 
 Both solvers take their witness, the k covered vertices nearest to the
 center, from one walk of the center's covered subtree.
@@ -29,6 +32,7 @@ center, from one walk of the center's covered subtree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -47,7 +51,6 @@ from .graph_core import (
     vertex_point,
 )
 from .tree_engine import (
-    _rooted_arrays,
     binarize,
     build_coverage_arrays,
     query_at_least_k_at,
@@ -342,70 +345,127 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
 # ---------------------------------------------------------------- unweighted
 
 
-def _dfs_depths(g: Graph, children: list[list[int]], eid: list[int]):
-    """Depths in integer units of 1/(2 * g.length_scale), depths in edges,
-    and DFS entry/exit times of the tree rooted at 1, children visited in
-    list order."""
-    n = g.n
-    li = g.lengths_int
-    depth = [0] * (n + 1)
-    udepth = [0] * (n + 1)
-    tin = [0] * (n + 1)
-    tout = [0] * (n + 1)
-    timer = 1
-    stack = [(1, 0)]
-    while stack:
-        v, ci = stack[-1]
-        if ci < len(children[v]):
-            stack[-1] = (v, ci + 1)
-            c = children[v][ci]
-            depth[c] = depth[v] + 2 * li[eid[c]]
-            udepth[c] = udepth[v] + 1
-            tin[c] = timer
-            timer += 1
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            tout[v] = timer
-    return depth, udepth, tin, tout
+# the unit-tree engine counts the critical points of this many vertices at
+# a time, so a probe's temporaries keep one size however large the tree
+_COUNTS_BLOCK = 1 << 10
 
 
-def _centroid_levels(parent, udepth, tin, tout):
+def _id_bound(n: int) -> int:
+    """A bound above every id the unit-tree engine numbers on n vertices:
+    chain rows, branch ids and the blocks of _block_levels (about 2n) all
+    stay below n * (log2 n + 2)."""
+    return n * (n.bit_length() + 2) + 4
+
+
+def _id_dtype(n: int) -> np.dtype:
+    """The unit-tree engine's id dtype on n vertices: int32 when every id
+    fits, int64 otherwise."""
+    return np.dtype(np.int32 if _id_bound(n) < 1 << 31 else np.int64)
+
+
+def _euler_rooting(g: Graph, idt: np.dtype):
+    """The tree rooted at 1, from one Euler tour ranked by pointer jumping.
+
+    Returns per vertex its parent (parent[1] = 0), parent-edge id (-1 at
+    the root), DFS entry and exit times (tin[1] = 0, tout[v] = tin[v] +
+    the size of v's subtree), all of dtype idt, and its depth in integer
+    units of 1/(2 * g.length_scale): int64 when the lengths sum below the
+    limit, Python ints otherwise.  Also returns the child of the root at
+    which the tour starts (0 on a single vertex).
+    """
+    n, nd = g.n, 2 * g.m
+    parent = np.zeros(n + 1, dtype=idt)
+    eid = np.full(n + 1, -1, dtype=idt)
+    tin = np.zeros(n + 1, dtype=idt)
+    tout = np.full(n + 1, n, dtype=idt)
+    ldt = np.dtype(np.int64 if 2 * sum(g.lengths_int) < _INT_LIMIT else object)
+    depth = np.zeros(n + 1, dtype=ldt)
+    if not nd:
+        return parent, eid, tin, tout, depth, 0
+    # directed edge j runs from tail[j] to tail[j ^ 1]; 2e and 2e + 1 are
+    # the two ways along edge e
+    tail = np.fromiter((x for e in g.edges for x in (e.u, e.v)), dtype=np.intp, count=nd)
+    seq = np.arange(nd)
+    rev = seq ^ 1
+    out = np.argsort(tail, kind="stable")
+    at = np.empty_like(seq)
+    at[out] = seq
+    first = np.zeros(n + 2, dtype=np.intp)
+    np.cumsum(np.bincount(tail, minlength=n + 1), out=first[1:])
+    # the tour leaves a vertex, entered by j, along the edge after j's
+    # reverse in its cyclic edge list; it starts on the root's first edge,
+    # so the edge into the root before that one ends it
+    cyc = np.arange(1, nd + 1)
+    cyc[first[2:] - 1] = first[1:-1]
+    succ = out[cyc[at[rev]]]
+    last = out[first[2] - 1] ^ 1
+    succ[last] = last
+    # left[j]: edges after j up to the last, summed along succ by doubling
+    left = np.ones(nd, dtype=np.intp)
+    left[last] = 0
+    for _ in range(nd.bit_length()):
+        left += left[succ]
+        succ = succ[succ]
+    pos = nd - 1 - left
+    tour = np.empty_like(seq)
+    tour[pos] = seq
+    down = pos < pos[rev]  # traversed away from the root
+    dj = np.flatnonzero(down)
+    uj = dj ^ 1
+    child, at = tail[uj], pos[dj]
+    parent[child] = tail[dj]
+    eid[child] = dj >> 1
+    going = down[tour]
+    entered = np.cumsum(going)
+    tin[child] = entered[at]
+    tout[child] = entered[pos[uj]] + 1
+    step = np.array(g.lengths_int, dtype=ldt)[tour >> 1]
+    step *= np.where(going, 2, -2)
+    depth[child] = np.cumsum(step)[at]
+    return parent, eid, tin, tout, depth, int(tail[out[first[1]] ^ 1])
+
+
+def _centroid_levels(parent, tin, tout):
     """The centroid decomposition of _centroids, one level at a time, on
-    int64 arrays of the tree rooted at 1: parent (parent[1] = 0), depths
-    in edges, and DFS entry/exit times (tin[1] = 0).
+    the tree rooted at 1 given by parent (parent[1] = 0) and DFS entry and
+    exit times (tin[1] = 0), integer arrays.
 
-    Returns int64 arrays (v, c, b, a) with one row per vertex v of the
-    component of each centroid c, outermost level first: b is v's branch
+    Yields intp arrays (v, c, b, a) per level, outermost first, with one
+    row per vertex v of the component of each centroid c: b is v's branch
     id (the part of the component without c that holds v, numbered from 1
-    across the whole decomposition; 0 for c itself) and a = lca(c, v).
+    across the whole decomposition; 0 for c itself) and a = lca(c, v).  A
+    vertex has a row on every level up to the one where it is a centroid.
     It reads no length: the centroids, chosen from the components alone,
     are those of _centroids; only the branch ids are numbered differently.
     """
     n = parent.size - 1
     big = n + 1
-    # For tin[u] < tin[v], lca(u, v) is the shallowest parent of the
-    # vertices at DFS positions tin[u]+1 .. tin[v]: a range minimum of
-    # udepth[p] * big + p over their parents p, from a sparse table.
-    order = np.empty(n, dtype=np.int64)
-    order[tin[1:]] = np.arange(1, n + 1, dtype=np.int64)
-    up = parent[order]
-    table = np.zeros((max(1, n.bit_length()), n), dtype=np.int64)
-    table[0] = udepth[up] * big + up
+    table = np.zeros((max(1, n.bit_length()), n), dtype=tin.dtype)
+    # gathers run faster on intp indices
+    parent, tin, tout = (x.astype(np.intp) for x in (parent, tin, tout))
+    # For tin[u] < tin[v], lca(u, v) is the parent, of least entry time, of
+    # the vertices at DFS positions tin[u]+1 .. tin[v]: all those parents
+    # lie in its subtree and one is itself.  A sparse table of range
+    # minima, in tin's dtype, gives that entry time.
+    order = np.empty(n, dtype=np.intp)
+    order[tin[1:]] = np.arange(1, n + 1)
+    table[0] = tin[parent[order]]
     for j in range(1, table.shape[0]):
         h = 1 << (j - 1)
         table[j, : n - 2 * h + 1] = np.minimum(
             table[j - 1, : n - 2 * h + 1], table[j - 1, h : n - h + 1]
         )
-    verts = np.arange(1, n + 1, dtype=np.int64)
+    # a range of k >= 1 positions is covered by two of 2**lg[k]
+    lg = np.frexp(np.arange(n + 1, dtype=np.float64))[1] - 1
+    rem = np.arange(n + 1) - (1 << lg)
+    verts = np.arange(1, n + 1)
     # each component is labelled by its top vertex, the one nearest the root
-    top = np.ones(n + 1, dtype=np.int64)
+    top = np.ones(n + 1, dtype=np.intp)
     seen = np.zeros(n + 1, dtype=bool)
     nb = 0
-    out = []
     while verts.size:
         m = verts.size
-        pos = np.arange(m, dtype=np.int64)
+        pos = np.arange(m)
         key = top[verts] * big + tin[verts]
         o = np.argsort(key)
         sv, sk = verts[o], key[o]
@@ -413,15 +473,18 @@ def _centroid_levels(parent, udepth, tin, tout):
         # each component is a run of equal tops in DFS order, so v's own
         # subtree within it runs from v to the first key >= top*big + tout[v]
         size = np.searchsorted(sk, st * big + tout[sv]) - pos
-        heavy = np.zeros(n + 1, dtype=np.int64)
+        heavy = np.zeros(n + 1, dtype=np.intp)
         inner = sv != st
         np.maximum.at(heavy, parent[sv[inner]], size[inner])
-        first = np.flatnonzero(np.concatenate(([True], st[1:] != st[:-1])))
-        sizes = np.diff(np.append(first, m))
-        grp = np.repeat(np.arange(first.size), sizes)
+        head = np.empty(m, dtype=bool)
+        head[0] = True
+        np.not_equal(st[1:], st[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        grp = np.cumsum(head) - 1
         # the centroid minimizes its largest remaining part, whatever the
-        # rooting, ties to the smaller id
-        score = np.maximum(heavy[sv], sizes[grp] - size)
+        # rooting, ties to the smaller id; the top's own subtree is its
+        # whole component
+        score = np.maximum(heavy[sv], size[first][grp] - size)
         c = (np.minimum.reduceat(score * big + sv, first) % big)[grp]
         # the parts below c are the runs that start at c's children; the
         # part above c keeps the old top
@@ -437,96 +500,116 @@ def _centroid_levels(parent, udepth, tin, tout):
         a = c.copy()
         tv, tc = tin[sv[rest]], tin[c[rest]]
         lo = np.minimum(tv, tc) + 1
-        hi = np.maximum(tv, tc)
-        j = np.frexp((hi - lo + 1).astype(np.float64))[1] - 1
-        a[rest] = np.minimum(table[j, lo], table[j, hi - (1 << j) + 1]) % big
-        out.append((sv, c, b, a))
+        k = np.abs(tv - tc)
+        j = lg[k]
+        a[rest] = order[np.minimum(table[j, lo], table[j, lo + rem[k]])]
+        yield sv, c, b, a
         verts = sv[rest]
         top[verts] = newtop[rest]
-    return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _centroid_pack(n: int, fv, fc, fd, fb, stride: int):
-    """Centroid decomposition rows (vertex, centroid, distance, branch id)
-    flattened for vectorized ball counts: per-vertex chains (centroid,
-    distance, branch id) plus packed sorted distance arrays per centroid
-    and per branch, in the dtype of the distances fd."""
-    # a vertex's chain lists its centroids from the outermost in
-    ch_len = np.bincount(fv, minlength=n + 1)
-    ch_off = np.zeros(n + 1, dtype=np.int64)
-    ch_off[1:] = np.cumsum(ch_len)[:-1]
-    by_vertex = np.argsort(fv, kind="stable")
-    dt = fd.dtype
-    fulls = np.sort(fc.astype(dt, copy=False) * stride + fd)
-    full_start = np.zeros(n + 2, dtype=np.int64)
-    full_start[1:] = np.cumsum(np.bincount(fc, minlength=n + 1))
-    in_branch = fb != 0
-    bbn = fb[in_branch]
-    bdn = fd[in_branch]
-    nbid = int(bbn.max()) + 1 if bbn.size else 1
-    brs = np.sort(bbn.astype(dt, copy=False) * stride + bdn)
-    br_start = np.zeros(nbid + 1, dtype=np.int64)
-    br_start[1:] = np.cumsum(np.bincount(bbn, minlength=nbid))
-    return (
-        ch_off,
-        ch_len,
-        fc[by_vertex],
-        fd[by_vertex],
-        fb[by_vertex],
-        fulls,
-        full_start,
-        brs,
-        br_start,
-    )
+def _centroid_pack(n: int, levels, depth, stride: int, idt: np.dtype):
+    """The rows (v, c, b, a) of _centroid_levels flattened for vectorized
+    ball counts: per-vertex chains (centroid, distance, branch id) from
+    the outermost centroid in, plus the sorted packed keys centroid *
+    stride + distance and branch * stride + distance, with the start of
+    each centroid's and each branch's run.  Ids are stored as idt;
+    distances and keys take the dtype of the depths."""
+    # a vertex has one row per level up to its own, so its chain is those
+    # rows in level order
+    ch_len = np.zeros(n + 1, dtype=idt)
+    rows = []
+    for v, c, b, a in levels:
+        ch_len[v] = len(rows) + 1
+        rows.append((v, c.astype(idt), b.astype(idt), depth[v] + depth[c] - 2 * depth[a]))
+    dt = depth.dtype
+    ch_off = np.zeros(n + 1, dtype=idt)
+    np.cumsum(ch_len[:-1], out=ch_off[1:])
+    total = int(ch_off[-1]) + int(ch_len[-1])
+    ch_c = np.empty(total, dtype=idt)
+    ch_b = np.empty(total, dtype=idt)
+    ch_d = np.empty(total, dtype=dt)
+    for level in range(len(rows)):
+        v, c, b, d = rows[level]
+        rows[level] = None  # each level is freed once its rows are placed
+        at = ch_off[v] + level
+        ch_c[at] = c
+        ch_b[at] = b
+        ch_d[at] = d
+    fulls = ch_c.astype(dt)
+    fulls *= stride
+    fulls += ch_d
+    fulls.sort()
+    full_start = np.searchsorted(fulls, np.arange(n + 1, dtype=dt) * stride).astype(idt)
+    brs = ch_b.astype(dt)
+    brs *= stride
+    brs += ch_d
+    brs.sort()
+    brs = brs[n:]  # each vertex's own row, branch 0 at distance 0, sorts first
+    nbid = int(ch_b.max()) + 1
+    br_start = np.searchsorted(brs, np.arange(nbid, dtype=dt) * stride).astype(idt)
+    return ch_off, ch_len, ch_c, ch_d, ch_b, fulls, full_start, brs, br_start
 
 
-def _prefix_counts(levels, stride: int, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """For each query: number of tree positions i < t[q] whose depth is at
-    most x[q], via the per-level sorted blocks."""
-    dt = levels[0].dtype
-    res = np.zeros(t.size, dtype=np.int64)
-    xk = np.clip(x, -1, stride - 2)
-    for b in range(len(levels)):
-        sel = ((t >> b) & 1).astype(bool)
-        if not sel.any():
-            continue
-        j = (t[sel] >> b) - 1
-        pos = np.searchsorted(
-            levels[b], j.astype(dt, copy=False) * stride + xk[sel], side="right"
-        )
-        res[sel] += pos - (j << b)
-    return res
+def _block_levels(base, n: int, stride: int):
+    """Sorted blocks of the values base[i] at the positions i < n, for
+    counting those at most x below any position t.  base holds a power of
+    two of values, padded past n with one above every query.
+
+    Level b holds the blocks of 2**b positions that start before n, each
+    sorted, as keys (block number over all levels) * stride + value, all
+    levels in one array.  Returns that array, a view of each level in it,
+    and per level the start of its first block and that block's number.
+    """
+    nbs = [-(-n // (1 << b)) for b in range(base.size.bit_length())]
+    sizes = [nb << b for b, nb in enumerate(nbs)]
+    start = [0, *itertools.accumulate(sizes)]
+    first = [0, *itertools.accumulate(nbs)]
+    blocks = np.empty(start[-1], dtype=base.dtype)
+    levels = []
+    for b, nb in enumerate(nbs):
+        level = blocks[start[b] : start[b + 1]]
+        rows = level.reshape(nb, 1 << b)
+        rows[:] = base[: sizes[b]].reshape(nb, 1 << b)
+        rows.sort(axis=1)
+        rows += (np.arange(first[b], first[b + 1], dtype=base.dtype) * stride)[:, None]
+        levels.append(level)
+    return blocks, levels, np.array(start[:-1]), np.array(first[:-1])
+
+
+def _prefix_counts(blocks, start, first, stride: int, t: np.ndarray, x: np.ndarray):
+    """For each query q: the number of positions i < t[q] whose value is at
+    most x[q], from the blocks of _block_levels.  The positions below t
+    are, for each bit b set in t, block (t >> b) - 1 of level b."""
+    # level by level, so that consecutive searches stay in one level
+    tb = t >> np.arange(start.size)[:, None]
+    b, q = np.nonzero(tb & 1)
+    j = tb[b, q] - 1
+    xk = np.minimum(np.maximum(x[q], -1), stride - 2)
+    key = (first[b] + j).astype(blocks.dtype, copy=False) * stride + xk
+    pos = np.searchsorted(blocks, key, side="right") - start[b] - (j << b)
+    return np.bincount(q, weights=pos, minlength=t.size).astype(np.int64)
 
 
 class _UnweightedEngine:
-    """Integer-scaled coverage counting at many critical points at once, on
-    int64 arrays when the largest packed key fits and Python ints otherwise."""
+    """Integer-scaled coverage counting at many critical points at once.
+    Ids are of the dtype _id_dtype picks from n; depths, distances and
+    packed keys are int64 when the largest key fits and Python ints
+    otherwise."""
 
     def __init__(self, g: Graph):
         n = g.n
         self.g = g
         self.n = n
         self.sc2 = 2 * g.length_scale
-        parent, _, eid, children = _rooted_arrays(g, 1)
-        depth, udepth, tin, tout = _dfs_depths(g, children, eid)
-        self.parent = np.asarray(parent, dtype=np.int64)
-        self.eid = eid
-        self.depth = depth
-        self.children = children
-        self.maxdepth = max(depth)
-        self.stride = 2 * self.maxdepth + 3
-        n2 = 1 << max(1, (n - 1).bit_length())
-        # block ids reach n2 and branch ids roughly n log n
-        big = max(n2, n * (n.bit_length() + 2)) + 4
-        self.dt = dt = np.dtype(np.int64 if big * self.stride < _INT_LIMIT else object)
-        self.depth_np = np.asarray(depth, dtype=dt)
-        self.tin_np = np.asarray(tin, dtype=np.int64)
-        self.tout_np = np.asarray(tout, dtype=np.int64)
-        fv, fc, fb, fa = _centroid_levels(
-            self.parent, np.asarray(udepth, dtype=np.int64), self.tin_np, self.tout_np
-        )
-        dn = self.depth_np
-        fd = dn[fv] + dn[fc] - 2 * dn[fa]
+        idt = _id_dtype(n)
+        parent, eid, tin, tout, depth, self.root_child = _euler_rooting(g, idt)
+        self.parent, self.eid, self.tin_np, self.tout_np = parent, eid, tin, tout
+        self.maxdepth = int(depth.max())
+        self.stride = stride = 2 * self.maxdepth + 3
+        self.dt = dt = np.dtype(np.int64 if _id_bound(n) * stride < _INT_LIMIT else object)
+        self.depth_np = dn = depth.astype(dt, copy=False)
+        dn[0] = -1  # below every depth, so no lift passes the root
         (
             self.ch_off,
             self.ch_len,
@@ -537,75 +620,76 @@ class _UnweightedEngine:
             self.full_start,
             self.brs,
             self.br_start,
-        ) = _centroid_pack(n, fv, fc, fd, fb, self.stride)
-        self.liftdep = self.depth_np.copy()
-        self.liftdep[0] = -1
-        ups = [self.parent]
+        ) = _centroid_pack(n, _centroid_levels(parent, tin, tout), dn, stride, idt)
+        ups = [parent]
         for _ in range(max(0, n.bit_length() - 1)):
             ups.append(ups[-1][ups[-1]])
         self.ups = ups
-        base = np.full(n2, self.stride - 1, dtype=dt)
-        base[self.tin_np[1:]] = self.depth_np[1:]
-        levels = []
-        width = 1
-        while width <= n2:
-            blocks = np.sort(base.reshape(-1, width), axis=1)
-            offs = np.arange(blocks.shape[0], dtype=dt) * self.stride
-            levels.append((blocks + offs[:, None]).ravel())
-            width *= 2
-        self.levels = levels
-        self.verts = np.arange(1, n + 1, dtype=np.int64)
+        # depths by DFS position, for counting the vertices of a subtree
+        # (a range of positions) within a depth
+        base = np.full(1 << max(1, (n - 1).bit_length()), stride - 1, dtype=dt)
+        base[tin[1:]] = dn[1:]
+        self.blocks, self.levels, self.level_start, self.level_first = _block_levels(
+            base, n, stride
+        )
+        self.verts = np.arange(1, n + 1, dtype=idt)
 
     def _ball(self, p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """The number of vertices within rho[i] of p[i], for p a nonempty
+        array of ids: over p[i]'s chain, those of each centroid's
+        component less those of p[i]'s own branch."""
         ln = self.ch_len[p]
-        csum = np.cumsum(ln)
-        total = int(csum[-1]) if ln.size else 0
-        owner = np.repeat(np.arange(p.size, dtype=np.int64), ln)
-        at = np.repeat(self.ch_off[p], ln) + (
-            np.arange(total, dtype=np.int64) - np.repeat(csum - ln, ln)
-        )
+        first = np.cumsum(ln) - ln  # each vertex's first row among the gathered ones
+        at = np.arange(int(first[-1] + ln[-1])) + np.repeat(self.ch_off[p] - first, ln)
         dt, stride = self.dt, self.stride
-        cc = self.ch_c[at]
-        bound = np.clip(rho[owner] - self.ch_d[at], -1, stride - 2)
+        cc, bbid = self.ch_c[at].astype(np.intp), self.ch_b[at].astype(np.intp)
+        bound = np.minimum(np.maximum(np.repeat(rho, ln) - self.ch_d[at], -1), stride - 2)
         f = (
             np.searchsorted(self.fulls, cc.astype(dt, copy=False) * stride + bound, side="right")
             - self.full_start[cc]
         )
-        bbid = self.ch_b[at]
         br = (
             np.searchsorted(self.brs, bbid.astype(dt, copy=False) * stride + bound, side="right")
             - self.br_start[bbid]
         )
-        out = np.bincount(owner, weights=(f - br).astype(np.float64), minlength=p.size)
-        return out.astype(np.int64)
+        return np.add.reduceat(f - br, first)
 
     def locate(self, radius: int, verts: np.ndarray):
         """Edge child and target depth of the critical points of the
-        vertices in verts, an int64 array of ids."""
-        td = np.maximum(self.depth_np[verts] - radius, 0)
-        cur = verts.copy()
+        vertices in verts, an array of ids."""
+        dn = self.depth_np
+        cur = verts.astype(np.intp)
+        td = np.maximum(dn[cur] - radius, 0)
         for row in reversed(self.ups):
             anc = row[cur]
-            ok = self.liftdep[anc] > td
-            cur = np.where(ok, anc, cur)
-        cur[verts == 1] = self.children[1][0]  # root: any child, its terms cancel
+            cur = np.where(dn[anc] > td, anc, cur)
+        # only the root lifts to itself; any child of it will do, as the
+        # child's terms cancel
+        cur[cur == 1] = self.root_child
         return cur, td
 
     def counts(self, radius: int, verts: np.ndarray | None = None) -> np.ndarray:
         """Coverage count at the radius of the critical point of each vertex
-        in verts, an int64 array of ids (all vertices in id order when
-        omitted)."""
+        in verts, an array of ids (all vertices in id order when omitted),
+        counted _COUNTS_BLOCK vertices at a time."""
         if verts is None:
             verts = self.verts
+        out = np.empty(verts.size, dtype=np.int64)
+        for lo in range(0, verts.size, _COUNTS_BLOCK):
+            part = verts[lo : lo + _COUNTS_BLOCK]
+            out[lo : lo + part.size] = self._block_counts(radius, part)
+        return out
+
+    def _block_counts(self, radius: int, verts: np.ndarray) -> np.ndarray:
         m = verts.size
         ch, td = self.locate(radius, verts)
-        p = self.parent[ch]
+        p = self.parent[ch].astype(np.intp)
         dp = self.depth_np[p]
         b1 = radius + td
         b3 = radius + 2 * dp - td
-        tq = np.concatenate([self.tout_np[ch], self.tin_np[ch]] * 2)
+        tq = np.concatenate([self.tout_np[ch], self.tin_np[ch]] * 2, dtype=np.intp)
         xq = np.concatenate([b1, b1, b3, b3])
-        pr = _prefix_counts(self.levels, self.stride, tq, xq)
+        pr = _prefix_counts(self.blocks, self.level_start, self.level_first, self.stride, tq, xq)
         e1 = pr[0:m] - pr[m : 2 * m]
         e3 = pr[2 * m : 3 * m] - pr[3 * m : 4 * m]
         ball = self._ball(p, radius - (td - dp))
@@ -660,19 +744,13 @@ def _unweighted_solution(
 ) -> Solution:
     """The solution centered at v_star's critical point at the radius, with
     the k vertices nearest to it, ties to the smaller id."""
-    td = max(eng.depth[v_star] - radius, 0)
+    (c,), (td,) = eng.locate(radius, np.array([v_star]))
     if td == 0:
         center = vertex_point(g, 1)
     else:
-        c = v_star
-        for row in reversed(eng.ups):
-            a = int(row[c])
-            if a and eng.depth[a] > td:
-                c = a
         p = int(eng.parent[c])
-        off_p = td - eng.depth[p]
-        e = g.edges[eng.eid[c]]
-        tfp = Fraction(off_p, eng.sc2)
+        tfp = Fraction(int(td - eng.depth_np[p]), eng.sc2)
+        e = g.edges[int(eng.eid[c])]
         t = tfp if e.u == p else e.length - tfp
         center = canonical_point(g, e.id, t)
     lam = Fraction(radius, eng.sc2)

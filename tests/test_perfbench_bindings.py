@@ -2,6 +2,7 @@
 rename there shows only as a "not found" line in a traced run.  This
 checks that every name they look up still resolves."""
 
+import random
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -71,3 +72,25 @@ def test_solve_path_reaches_traced_names():
     ):
         assert name in calls, name
     assert cli.solve_weighted_graph is arrangement_search.solve_weighted_graph
+
+
+def test_blocked_counts_keep_one_span_per_probe(monkeypatch):
+    # the unit-tree engine counts in blocks within one counts call, so the
+    # traced probes (tree_solver.counts_calls) do not depend on the block
+    # size
+    rng = random.Random(7)
+    n = 60
+    g = graph_core.Graph.unit(n, [(rng.randint(max(1, v - 5), v - 1), v) for v in range(2, n + 1)])
+    runs = []
+    for block in (n, 7):
+        monkeypatch.setattr(tree_solver, "_COUNTS_BLOCK", block)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            sol = cli._dispatch(g, n // 2, "unweighted-tree", "auto")
+        finally:
+            tracer.uninstall()
+        probes = sum(span[0] == "tree_solver.counts" for span in tracer.spans)
+        runs.append((probes, sol))
+    assert runs[0][0] > 1
+    assert runs[1] == runs[0]

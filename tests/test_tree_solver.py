@@ -1,6 +1,7 @@
 """Tests for the tree feasibility test and both tree solvers."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from ckoc import oracle
+from ckoc import oracle, tree_solver
 from ckoc.graph_core import (
     EdgePoint,
     Graph,
@@ -20,8 +21,10 @@ from ckoc.graph_core import (
 from ckoc.tree_engine import _rooted_arrays
 from ckoc.tree_solver import (
     _centroids,
+    _euler_rooting,
     _TreeContext,
     _UnweightedEngine,
+    _id_dtype,
     _least_radius,
     _unweighted_solution,
     is_feasible_tree,
@@ -505,6 +508,88 @@ def test_level_decomposition_matches_generator(g):
             if c != v:
                 got_rows[c].append((b, v))
     assert {c: _partition(rows) for c, rows in got_rows.items()} == want_parts
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_unit_trees(1, 60, ("random", "path", "star", "caterpillar")))
+@example(Graph.unit(1, []))
+def test_euler_rooting_matches_rooted_arrays(g):
+    # the numpy rooting gives the parents, parent edges and depths of the
+    # breadth-first rooting at 1, and entry/exit times of some DFS
+    parent, _plen, eid, children = _rooted_arrays(g, 1)
+    got_parent, got_eid, tin, tout, depth, root_child = _euler_rooting(g, _id_dtype(g.n))
+    assert got_parent.tolist() == parent and got_eid.tolist() == eid
+    bfs = [1]
+    for v in bfs:
+        bfs.extend(children[v])
+    want_depth = [0] * (g.n + 1)
+    below = {v: {v} for v in bfs}
+    for v in bfs[1:]:
+        want_depth[v] = want_depth[parent[v]] + 2 * g.lengths_int[eid[v]]
+    for v in reversed(bfs[1:]):
+        below[parent[v]] |= below[v]
+    assert depth.tolist() == want_depth
+    assert sorted(tin[1:].tolist()) == list(range(g.n))
+    for v in bfs:
+        assert {u for u in bfs if tin[v] <= tin[u] < tout[v]} == below[v], v
+    assert parent[root_child] == 1 if g.n > 1 else root_child == 0
+
+
+def test_blocked_counts_match_one_block(monkeypatch):
+    # counts runs over blocks of vertices; every block size gives the
+    # counts of one block, over all vertices and over a subset
+    rng = random.Random(89)
+    trees = [random_tree(rng, rng.randint(2, 40)) for _ in range(6)]
+    # lengths near 10**17 put the packed keys on Python ints
+    edges = [(rng.randint(1, v - 1), v, F(rng.randint(1, 3) * 10**17)) for v in range(2, 31)]
+    trees.append(Graph(30, [F(1)] * 30, edges))
+    assert _UnweightedEngine(trees[-1]).dt == object
+    for trial, g in enumerate(trees):
+        eng = _UnweightedEngine(g)
+        sub = np.array(sorted(rng.sample(range(1, g.n + 1), (g.n + 2) // 3)))
+        for r in sorted({0, rng.randint(0, eng.maxdepth), eng.maxdepth // 2, eng.maxdepth}):
+            got = []
+            for block in (g.n, 7, 1):
+                monkeypatch.setattr(tree_solver, "_COUNTS_BLOCK", block)
+                got.append((eng.counts(r).tolist(), eng.counts(r, sub).tolist()))
+            assert got[1] == got[0] and got[2] == got[0], (trial, r)
+
+
+def test_id_dtype_rule():
+    # int32 while block and branch ids, about n (log2 n + 2), fit in it;
+    # the rule reads n alone, so it is checked past the limit without
+    # building anything of that size
+    assert _id_dtype(2) == np.int32
+    assert _id_dtype(100_000) == np.int32
+    assert _id_dtype(1 << 26) == np.int32  # 2**26 * 29 ids
+    assert _id_dtype(1 << 27) == np.int64  # 2**27 * 30 ids
+    assert _id_dtype((1 << 31) + 5) == np.int64
+    eng = _UnweightedEngine(random_tree(random.Random(90), 30))
+    for ids in (eng.parent, eng.ch_c, eng.ch_b, eng.ch_off, eng.full_start, *eng.ups):
+        assert ids.dtype == np.int32
+    assert eng.fulls.dtype == eng.depth_np.dtype == np.int64
+
+
+def test_engine_memory_per_vertex():
+    # the tracemalloc peak of the engine build and its first full count on
+    # a 20,000-vertex tree from the generator of acceptance criterion 9:
+    # ~720 bytes per vertex with int32 ids and counts taken in blocks,
+    # ~1,770 with int64 ids and all chains expanded at once
+    rng = random.Random(0x5CA1E9A)
+    n = 20_000
+    edges = []
+    for v in range(2, n + 1):
+        u = rng.randint(max(1, v - 50), v - 1)
+        edges.append((u, v, F(rng.randint(1, 8), rng.choice((1, 1, 2, 4, 8, 16)))))
+    g = Graph(n, [F(1)] * n, edges)
+    tracemalloc.start()
+    try:
+        eng = _UnweightedEngine(g)
+        eng.counts(eng.maxdepth // 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * n, peak / n
 
 
 def _partition(labelled):
