@@ -34,6 +34,14 @@ from .tree_solver import is_feasible_tree, solve_unweighted_tree, solve_weighted
 
 _ALGOS = ("auto", "weighted-graph", "unweighted-graph", "weighted-tree", "unweighted-tree")
 _DENOMS = (1, 1, 2, 4, 8, 16)
+_SEARCHES = ("explicit", "counting", "auto")
+_SEARCH_HELP = (
+    "optimal-radius search of the weighted solvers: on weighted trees explicit "
+    "bisects the sorted pair radii w_u*w_v*d(u,v)/(w_u+w_v) and counting narrows "
+    "the centroid lines' arrangement; on weighted graphs explicit enumerates every "
+    "crossing of the candidate lines and counting narrows their arrangement; auto "
+    "picks by size (default: %(default)s)"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,11 +194,21 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _sizes(text: str) -> list[int]:
+    """The --sizes list, checked whole before bench prints anything."""
+    try:
+        sizes = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+    if min(sizes) < 2:
+        raise argparse.ArgumentTypeError(f"every size must be at least 2, got {min(sizes)}")
+    return sizes
+
+
 def _cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     print("n,m,k,algo,seconds")
-    for tok in args.sizes.split(","):
-        n = int(tok)
+    for n in args.sizes:
         text = generate_instance(
             rng.randrange(1 << 30), n, args.density, args.weighted, args.tree
         )
@@ -251,7 +269,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve an instance and print the solution JSON")
     p.add_argument("instance", help="instance path, or - for stdin")
     p.add_argument("--algo", choices=_ALGOS, default="auto")
-    p.add_argument("--search", choices=("explicit", "counting", "auto"), default="auto")
+    p.add_argument("--search", choices=_SEARCHES, default="auto", help=_SEARCH_HELP)
     p.add_argument("--k", type=int, default=None, help="override the instance's k")
     p.add_argument(
         "--timing",
@@ -283,12 +301,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="time solves over generated instances, CSV out")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="20,50,100", help="comma list of n values")
+    p.add_argument(
+        "--sizes", type=_sizes, default="20,50,100", help="comma list of n values, each >= 2"
+    )
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--tree", action="store_true")
     p.add_argument("--algo", choices=_ALGOS, default="auto")
-    p.add_argument("--search", choices=("explicit", "counting", "auto"), default="auto")
+    p.add_argument("--search", choices=_SEARCHES, default="auto", help=_SEARCH_HELP)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_bench)
 

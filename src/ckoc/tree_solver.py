@@ -5,9 +5,11 @@ the point of v's root path at distance lam/w_v from v (the root when it
 is closer).  Whenever any point of the tree covers k vertices at radius
 lam, one of these n points does, so feasibility only ever probes them.
 
-The weighted solver collects candidate radii as intersection ordinates of
-distance lines generated by a recursive centroid decomposition and runs
-the arrangement search over the tree feasibility test.
+The weighted solver bisects the sorted pair radii w_u w_v d(u,v)/(w_u +
+w_v), one of which is the optimum (see solve_weighted_tree), with the tree
+feasibility test; past the arrangement search's enumeration threshold it
+runs the counting arrangement search over distance lines generated by a
+recursive centroid decomposition instead, whose memory stays bounded.
 
 The unweighted solver (unit vertex weights, rational lengths) binary
 searches the optimal radius on an integer grid, between 0 and the k-th
@@ -38,7 +40,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement_search import _INT_LIMIT, LineSet, lowest_feasible_vertex
+from . import arrangement_search
+from .arrangement_search import (
+    _INT_LIMIT,
+    LineSet,
+    _lowest_accepted,
+    _sorted_ordinates,
+    lowest_feasible_vertex,
+)
 from .general_feasibility import FeasibilityResult
 from .graph_core import (
     ZERO,
@@ -283,24 +292,74 @@ def _centroids(n: int, adj):
                 stack.append(u)
 
 
-def _centroid_lines(g: Graph) -> LineSet:
-    """Distance lines of every recursive centroid: vertex v in a component
-    with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so the
-    optimal radius of any binding pair appears as an intersection
-    ordinate."""
-    # The Python generator, not the engine's _centroid_levels: it keeps
-    # distances as Python ints at any length scale, where int64 would
-    # overflow, and on trees with n <= 10, which this solver mostly sees,
-    # it costs ~30 us per tree against ~440 us for the array version.
+def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of (neighbor, integer length), as _centroids reads
+    them."""
+    # Both weighted candidate sets walk the Python generator _centroids,
+    # not the unit engine's _centroid_levels: it keeps distances as Python
+    # ints at any length scale, where int64 would overflow, and on trees
+    # with n <= 10, which this solver mostly sees, it costs ~30 us per tree
+    # against ~440 us for the array version.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
     for e in g.edges:
         l = g.lengths_int[e.id]
         adj[e.u].append((e.v, l))
         adj[e.v].append((e.u, l))
+    return adj
+
+
+def _pair_radii(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair radii w_u w_v d(u,v) / (w_u + w_v) over vertices
+    u != v, ascending, as reduced numerators and positive denominators.
+
+    Each pair is formed once, at its first separating centroid c, where u
+    and v lie in different branches (or one of them is c) and d(u,v) =
+    d(u,c) + d(c,v).  In integer units the radius is wi_u wi_v (d_u +
+    d_v) / (SW SL (wi_u + wi_v)); the arrays are int64 when those bounds
+    fit and Python ints in object arrays otherwise, picked once as LineSet
+    picks its dtype.
+    """
+    wi = g.weights_int
+    top = max(wi)
+    sc = g.weight_scale * g.length_scale
+    fits = max(2 * top * top * sum(g.lengths_int), 2 * top * sc) < _INT_LIMIT
+    dt = np.dtype(np.int64 if fits else object)
+    # one row per vertex of each centroid's component: the vertex, its
+    # distance from the centroid, its branch, and the end of its
+    # component's rows, which are consecutive
+    vs: list[int] = []
+    ds: list[int] = []
+    bs: list[int] = []
+    ends: list[int] = []
+    for _c, bfs, dist, br in _centroids(g.n, _adjacency(g)):
+        vs += bfs
+        ds += [dist[v] for v in bfs]
+        bs += [br[v] for v in bfs]
+        ends += [len(vs)] * len(bfs)
+    # row r paired with every later row of its component, then the pairs
+    # within one branch dropped
+    end = np.array(ends)
+    later = end - np.arange(1, end.size + 1)
+    i = np.repeat(np.arange(end.size), later)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+    b = np.array(bs)
+    keep = b[i] != b[j]
+    i, j = i[keep], j[keep]
+    w = np.array(wi, dtype=dt)[vs]
+    d = np.array(ds, dtype=dt)
+    return _sorted_ordinates(w[i] * w[j] * (d[i] + d[j]), (w[i] + w[j]) * sc)
+
+
+def _centroid_lines(g: Graph) -> LineSet:
+    """Distance lines of every recursive centroid: vertex v in a component
+    with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so
+    every pair radius appears as an intersection ordinate.  The counting
+    search narrows their arrangement without enumerating it, so its memory
+    stays bounded at any n."""
     # (slope, intercept) in integer units of 1/SW and 1/(SW*SL), each once
     wi = g.weights_int
     aff: dict[tuple[int, int], None] = {}
-    for _c, bfs, dist, _br in _centroids(g.n, adj):
+    for _c, bfs, dist, _br in _centroids(g.n, _adjacency(g)):
         for v in bfs:
             w = wi[v]
             b = w * dist[v]
@@ -310,11 +369,41 @@ def _centroid_lines(g: Graph) -> LineSet:
 
 def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
     """Optimal radius, center point and k-vertex witness block for a
-    weighted tree."""
+    weighted tree.
+
+    For k >= 2 the optimum lambda* is a pair radius w_u w_v d(u,v) / (w_u +
+    w_v), the point that balances u and v (Kariv & Hakimi 1979; Megiddo
+    1983).  For a point x let b_v(x) be the largest w_u d(x,u) over the
+    vertices u of the path from x to v; x covers k vertices at radius lam
+    exactly when k of the b_v(x) are at most lam, so lambda* is the least
+    over x of the k-th smallest b_v(x).  It is positive, as covering two
+    vertices takes a positive radius.  At an optimal center x, call v
+    tight when b_v(x) = lambda*, and let u(v) be a vertex attaining the
+    maximum, at distance lambda*/w_u(v) > 0 from x.  Moving x a little
+    toward one side (along its edge, or along one edge of the vertex it
+    is) lowers b_v strictly for every v on that side and keeps below
+    lambda* every b_v that was below it.  If every tight v lay on one side,
+    k values would then fall below lambda*, which is least.  So tight
+    vertices lie on two sides, and their u(v) and u(v') on two sides of x
+    give w_u d(x,u) = w_u' d(x,u') = lambda* with d(u,u') = d(x,u) +
+    d(x,u'), which is lambda* = w_u w_u' d(u,u') / (w_u + w_u').
+
+    search "explicit" bisects the sorted pair radii (_pair_radii) with the
+    feasibility test; "counting" runs the counting arrangement search over
+    the centroid lines (_centroid_lines), whose ordinates include every
+    pair radius; "auto" takes the pair radii while there are at most
+    arrangement_search._ENUM_THRESHOLD pairs, the most candidates the
+    counting search ever enumerates, and counts above that.
+    """
     if not g.is_tree:
         raise InstanceError("weighted tree solver requires a tree")
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
+    if search == "auto":
+        pairs = g.n * (g.n - 1) // 2
+        search = "explicit" if pairs <= arrangement_search._ENUM_THRESHOLD else "counting"
+    if search not in ("explicit", "counting"):
+        raise ValueError(f"unknown search strategy {search!r}")
     if k == 1 or g.n == 1:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     ctx = _TreeContext(g)
@@ -333,10 +422,11 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
                 best_lam, best_hit = lam, hit
         return memo[lam]
 
-    ls = _centroid_lines(g)
-    lam = lowest_feasible_vertex(ls, accept, strategy=search)
-    accept(lam)  # scans only if the search never probed its answer
-    if best_lam != lam:
+    if search == "explicit":
+        lam = _lowest_accepted(*_pair_radii(g), accept)
+    else:
+        lam = lowest_feasible_vertex(_centroid_lines(g), accept, strategy="counting")
+    if lam is None or best_lam != lam:
         raise InternalError("lowest candidate radius is not feasible")
     x, dist = _covered(best_hit)
     return Solution(lam, x, frozenset(_nearest(dist, k)))

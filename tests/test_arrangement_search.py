@@ -553,16 +553,28 @@ def test_auto_counts_on_large_object_dtype_sets(monkeypatch):
 
 
 def test_library_solvers_default_to_auto_search(path5, monkeypatch):
-    # the library entry points search as the CLI does unless told otherwise
+    # the library entry points search as the CLI does unless told otherwise:
+    # the graph solver passes "auto" on, and the tree solver resolves it by
+    # its pair count (path5 has 10), bisecting the pair radii while the
+    # enumeration threshold admits them and counting above it
     seen = []
     real = arrangement_search.lowest_feasible_vertex
+    real_pairs = tree_solver._pair_radii
 
     def spy(ls, oracle, strategy="explicit"):
         seen.append(strategy)
         return real(ls, oracle, strategy)
 
+    def pairs_spy(g):
+        seen.append("pairs")
+        return real_pairs(g)
+
     monkeypatch.setattr(arrangement_search, "lowest_feasible_vertex", spy)
     monkeypatch.setattr(tree_solver, "lowest_feasible_vertex", spy)
+    monkeypatch.setattr(tree_solver, "_pair_radii", pairs_spy)
     assert solve_weighted_graph(path5, 3).lambda_star == F(1)
     assert tree_solver.solve_weighted_tree(path5, 3).lambda_star == F(1)
-    assert seen == ["auto", "auto"]
+    for threshold in (10, 9):
+        monkeypatch.setattr(arrangement_search, "_ENUM_THRESHOLD", threshold)
+        assert tree_solver.solve_weighted_tree(path5, 3).lambda_star == F(1)
+    assert seen == ["auto", "pairs", "pairs", "counting"]

@@ -213,6 +213,16 @@ def test_bench_csv(capsys):
     float(secs)
 
 
+@pytest.mark.parametrize("sizes", ["5,x", "1", "5,1", ""])
+def test_bench_checks_every_size_before_output(capsys, sizes):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["bench", "--sizes", sizes, "--tree"])
+    captured = capsys.readouterr()
+    assert ei.value.code == 1
+    assert captured.out == ""
+    assert "--sizes" in captured.err
+
+
 def test_solve_from_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, ["solve", "-"], stdin=PATH3, monkeypatch=monkeypatch)
     assert code == 0

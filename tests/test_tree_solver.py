@@ -223,6 +223,52 @@ def test_weighted_counting_strategy_agrees():
         assert (a.lambda_star, a.center, a.subtree) == (b.lambda_star, b.center, b.subtree)
 
 
+# denominators on both sides of int64: a draw with only the small ones
+# keeps the pair radii in int64, one with a large one needs Python ints
+_PAIR_DENOMS = (1, 2, 3, 4, 999983, 1000003, 2**61 - 1, 2**61 + 15)
+_INT64_PAIRS = Graph(3, [1, 2, F(3, 4)], [(1, 2, 5), (2, 3, F(1, 2))])
+_OBJECT_PAIRS = Graph(3, [1, 2, F(3, 2**61 - 1)], [(1, 2, 5), (2, 3, F(1, 2**61 + 15))])
+
+
+@hs.composite
+def _pair_trees(draw):
+    def rat():
+        return F(draw(hs.integers(1, 9)), draw(hs.sampled_from(_PAIR_DENOMS)))
+
+    n = draw(hs.integers(2, 9))
+    edges = [(draw(hs.integers(1, v - 1)), v, rat()) for v in range(2, n + 1)]
+    return Graph(n, [rat() for _ in range(n)], edges)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_pair_trees())
+@example(_INT64_PAIRS)
+@example(_OBJECT_PAIRS)
+def test_optimum_is_a_pair_radius_and_searches_agree(g):
+    dm = all_pairs_distances(g)
+    w = g.weights
+    radii = {
+        w[u] * w[v] * dm.d(u, v) / (w[u] + w[v])
+        for u in g.vertices()
+        for v in g.vertices()
+        if u < v
+    }
+    num, den = tree_solver._pair_radii(g)
+    assert [F(int(a), int(b)) for a, b in zip(num, den)] == sorted(radii)
+    for k in range(2, g.n + 1):
+        want = oracle.brute_lambda(g, k)
+        assert want in radii, k
+        explicit = solve_weighted_tree(g, k, search="explicit")
+        counting = solve_weighted_tree(g, k, search="counting")
+        assert explicit.lambda_star == want, k
+        assert explicit.to_json(g) == counting.to_json(g), k
+
+
+def test_pair_radii_take_python_ints_past_int64():
+    assert tree_solver._pair_radii(_INT64_PAIRS)[0].dtype == np.int64
+    assert tree_solver._pair_radii(_OBJECT_PAIRS)[0].dtype == object
+
+
 # ------------------------------------------------------- unweighted solver
 
 
