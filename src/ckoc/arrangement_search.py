@@ -37,16 +37,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .graph_core import (
-    DECREASING,
-    INCREASING,
-    PEAK,
     ZERO,
     DistanceMatrix,
     Graph,
     InternalError,
     Solution,
     all_pairs_distances,
-    edge_profile,
+    edge_profile,  # noqa: F401  only perfbench/spans.py binds it here
     vertex_point,
 )
 from .general_feasibility import FeasibilityResult, FeasibilityTester, trim_witness
@@ -96,6 +93,12 @@ class LineSet:
 def candidate_lines(g: Graph, dm: DistanceMatrix) -> LineSet:
     """Collect the candidate lines of every edge, deduplicated globally.
 
+    Everything comes from the distance rows.  Measured from the smaller
+    endpoint r, vertex v's distance rises over the whole edge when
+    d_s = d_r + l, falls over it when d_r = d_s + l, and otherwise has
+    both pieces and peaks at 2t = d_s - d_r + l.  A semicircular point
+    that is not a peak sits at an endpoint, whose vertical every edge
+    contributes anyway, so the verticals are the endpoints and the peaks.
     Coinciding lines from different (edge, vertex) pairs produce the same
     intersections, so each is kept once, keyed on its integer
     coefficients.  Insertion order is edges ascending, then vertices
@@ -105,18 +108,18 @@ def candidate_lines(g: Graph, dm: DistanceMatrix) -> LineSet:
     vert: dict[int, None] = {}
     rows, wi = dm.rows, g.weights_int
     for e in g.edges:
-        r, s, l = e.u, e.v, g.lengths_int[e.id]
+        l = g.lengths_int[e.id]
+        d_r, d_s = rows[e.u], rows[e.v]
         vert[0] = vert[2 * l] = None
-        profile = edge_profile(g, dm, e.id)
         for v in g.vertices():
-            fn = profile[v]
-            w, dr, ds = wi[v], rows[v][r], rows[v][s]
-            if fn.case in (INCREASING, PEAK):
+            w, dr, ds = wi[v], d_r[v], d_s[v]
+            rises = dr != ds + l
+            falls = ds != dr + l
+            if rises:
                 aff[(w, w * dr)] = None
-            if fn.case in (DECREASING, PEAK):
+            if falls:
                 aff[(-w, w * (ds + l))] = None
-            if fn.semicircular_t is not None:
-                # the apex, or the endpoint s (ds = dr + l) or r (dr = ds + l)
+            if rises and falls:
                 vert[ds - dr + l] = None
     return LineSet(
         [m for m, _ in aff], [b for _, b in aff], list(vert), g.weight_scale, g.length_scale
@@ -473,7 +476,7 @@ class _CountingSearch:
             I = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
             J = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
             keep = I != J
-            I, J = I[keep].astype(np.int64), J[keep].astype(np.int64)
+            I, J = I[keep], J[keep]
             num, den, valid = self._pair_ordinates(I, J)
             f = _ratio(num, den)
             mask = valid & (f >= np.nextafter(fl_lo, -math.inf)) & (

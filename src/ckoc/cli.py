@@ -205,7 +205,20 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+def _density(text: str) -> float:
+    """The --density value, checked before anything is generated."""
+    try:
+        density = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= density <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return density
+
+
 def _cmd_bench(args) -> int:
+    if args.k is not None and not 1 <= args.k <= min(args.sizes):
+        raise ValueError(f"--k {args.k} outside 1..{min(args.sizes)}, the smallest size")
     rng = random.Random(args.seed)
     print("n,m,k,algo,seconds")
     for n in args.sizes:
@@ -294,7 +307,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="emit a deterministic random instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.3)
+    p.add_argument("--density", type=_density, default=0.3, help="in [0, 1]")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--tree", action="store_true")
     p.set_defaults(func=_cmd_gen)
@@ -304,7 +317,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--sizes", type=_sizes, default="20,50,100", help="comma list of n values, each >= 2"
     )
-    p.add_argument("--density", type=float, default=0.3)
+    p.add_argument("--density", type=_density, default=0.3, help="in [0, 1]")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--tree", action="store_true")
     p.add_argument("--algo", choices=_ALGOS, default="auto")

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import (
-    DECREASING,
-    INCREASING,
     ZERO,
     DistanceMatrix,
     EdgePoint,
@@ -278,32 +276,39 @@ class FeasibilityTester:
     # side templates ----------------------------------------------------
 
     def _template(self, edge: int, from_r: bool) -> _SideTemplate:
-        key = (edge, from_r)
-        tpl = self._templates.get(key)
-        if tpl is not None:
-            return tpl
+        tpl = self._templates.get((edge, from_r))
+        if tpl is None:
+            # every profile scans both sides, so both are built at once
+            semi = edge_profile(self.g, self.dm, edge)
+            for side in (True, False):
+                self._templates[edge, side] = self._side_template(edge, side, semi)
+            tpl = self._templates[edge, from_r]
+        return tpl
+
+    def _side_template(self, edge: int, from_r: bool, offsets: list[int | None]) -> _SideTemplate:
+        """The template of one side from edge_profile's offsets, which
+        are measured from r in units of 1/(2 * SL)."""
         g, rows, s = self.g, self.dm.rows, self._shift
         e = g.edges[edge]
         l_int = g.lengths_int[edge]
-        profile = edge_profile(g, self.dm, edge)
         root, far = (e.u, e.v) if from_r else (e.v, e.u)
-        rising = INCREASING if from_r else DECREASING
+        d_root, d_far = rows[root], rows[far]
         universe: list[int] = []
         caps: list[int] = []
         semi: dict[int, int] = {}
         for v in g.vertices():
-            fn = profile[v]
-            if fn.semicircular_t is not None:
+            off = offsets[v]
+            if off is not None:
                 # 2 * SL times the semicircular offset, measured from root
-                cap = (rows[far][v] - rows[root][v] + l_int) << s
+                cap = (off if from_r else 2 * l_int - off) << s
                 semi[v] = cap
-            elif fn.case == rising:
+            elif d_far[v] == d_root[v] + l_int:
+                # rising from root over the whole edge
                 cap = 2 * l_int << s
             else:
                 continue
             universe.append(v)
             caps.append(cap)
-        d_root = rows[root]
         inset = set(universe)
         lengths = g.lengths_int
         pred: dict[int, dict[int, None]] = {}
@@ -315,9 +320,7 @@ class FeasibilityTester:
                         ps[u] = None
             pred[v] = ps
         dist = [d_root[v] << (s + 1) for v in universe]
-        tpl = _SideTemplate(PredecessorStructure(root, pred), universe, dist, caps, semi)
-        self._templates[key] = tpl
-        return tpl
+        return _SideTemplate(PredecessorStructure(root, pred), universe, dist, caps, semi)
 
     def _bases(self, lam: Fraction) -> tuple[Fraction, int, list[int], list[int]]:
         """(lam, q, floor bases, ceil bases) at lam = p/q: per vertex v the
@@ -429,10 +432,6 @@ class FeasibilityTester:
             self._kth_bounds[k] = bounds
         return bounds
 
-    def _kth_bound(self, edge: int, k: int) -> Fraction:
-        """The bound of one edge as a radius."""
-        return Fraction(self._kth_ints(k)[edge], self.g.weight_scale * self.dm.scale)
-
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:
         g, dm = self.g, self.dm
         if not 1 <= k <= g.n:
@@ -470,15 +469,12 @@ class FeasibilityTester:
         return (x, covered)
 
 
-def _tester(g: Graph, dm: DistanceMatrix) -> FeasibilityTester:
-    if dm.tester is None:
-        dm.tester = FeasibilityTester(g, dm)
-    return dm.tester
-
-
 def coverage_profile(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) -> CoverageProfile:
-    return _tester(g, dm).profile(edge, lam)
+    """One profile from a fresh tester; callers that probe many radii
+    keep a FeasibilityTester of their own."""
+    return FeasibilityTester(g, dm).profile(edge, lam)
 
 
 def is_feasible_graph(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction) -> FeasibilityResult:
-    return _tester(g, dm).feasible(k, lam)
+    """One feasibility test from a fresh tester."""
+    return FeasibilityTester(g, dm).feasible(k, lam)

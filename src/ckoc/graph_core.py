@@ -19,7 +19,9 @@ lengths sum below 2**62 (every partial sum then fits), and from one exact
 Python-int Dijkstra per source otherwise.  Solvers whose values share
 that scale compare them as ints and convert to Fraction only at their
 boundary; the k-level sweep of klevel_geometry, for one, runs in units
-of 1/(2 * SL).
+of 1/(2 * SL).  So does edge_profile, which gives per edge the one fact
+about a vertex that the distance rows do not: where its semicircular
+point lies, if it has one.
 """
 
 from __future__ import annotations
@@ -29,18 +31,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .general_feasibility import FeasibilityTester
-
 ZERO = Fraction(0)
-
-INCREASING = "increasing"
-DECREASING = "decreasing"
-PEAK = "peak"
 
 
 class InstanceError(ValueError):
@@ -210,21 +205,15 @@ def dijkstra_scaled(g: Graph, source: int, banned: int | None = None) -> list[in
 
 
 class DistanceMatrix:
-    """All-pairs shortest distances, stored as scaled integers, plus the
-    per-instance data derived from them: the edge profiles edge_profile
-    builds and the feasibility tester of general_feasibility."""
+    """All-pairs shortest distances, stored as integers in units of
+    1/scale."""
 
     def __init__(self, rows: list[list[int]], scale: int):
         self.scale = scale
         self.rows = rows  # rows[u][v] for u,v in 1..n; row/col 0 unused
-        self.profiles: dict[int, list[EdgeDistanceFn | None]] = {}
-        self.tester: FeasibilityTester | None = None
 
     def d(self, u: int, v: int) -> Fraction:
         return Fraction(self.rows[u][v], self.scale)
-
-    def d_int(self, u: int, v: int) -> int:
-        return self.rows[u][v]
 
 
 _INT64_SUM_LIMIT = 2**62  # two distances below this add without overflow
@@ -350,72 +339,37 @@ def point_distance(g: Graph, dm: DistanceMatrix, x: EdgePoint, v: int) -> Fracti
     return Fraction(min(via_u, via_v), dm.scale * q)
 
 
-@dataclass(frozen=True)
-class EdgeDistanceFn:
-    """Restriction of the distance-to-v function to one edge.
+def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
+    """The semicircular point of every vertex on one edge, indexed by
+    vertex id: its offset from r, the smaller endpoint, in units of
+    1/(2 * SL), or None when the vertex has none on this edge.
 
-    Measured from r (the smaller endpoint): the unweighted distance is
-    min(d_r + t, d_s + length - t), so the function either rises over the
-    whole edge, falls over the whole edge, or rises to an interior apex.
-    semicircular_t is the offset of v's semicircular point on this edge
-    when one exists: the apex for the peak case, or an endpoint when the
-    endpoint qualifies (v has a shortest path to that endpoint that stays
-    off the edge's far side).
+    Measured from r, the distance to v is min(d_r + t, d_s + l - t), so it
+    rises over the whole edge (d_s = d_r + l), falls over the whole edge
+    (d_r = d_s + l), or rises to an interior apex at 2t = d_s - d_r + l,
+    which is v's semicircular point.  A rising function has one at s when
+    v is r or some shortest path from s to v avoids r, and a falling one
+    at r likewise.  The distance rows alone cannot tell which, so two
+    Dijkstra runs, each with one endpoint deleted, decide it.
     """
-
-    vertex: int
-    edge: int
-    case: str
-    d_r: Fraction
-    d_s: Fraction
-    weight: Fraction
-    length: Fraction
-    semicircular_t: Fraction | None
-
-    def dist_at(self, t: Fraction) -> Fraction:
-        return min(self.d_r + t, self.d_s + self.length - t)
-
-    def value_at(self, t: Fraction) -> Fraction:
-        return self.weight * self.dist_at(t)
-
-
-def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[EdgeDistanceFn | None]:
-    """EdgeDistanceFn for every vertex on one edge, indexed by vertex id;
-    built once per edge and kept in dm.profiles."""
-    cached = dm.profiles.get(edge)
-    if cached is not None:
-        return cached
     e = g.edges[edge]
-    r, s, l = e.u, e.v, e.length
-    scale = g.length_scale
-    l_int = g.lengths_int[edge]
+    r, s, l = e.u, e.v, g.lengths_int[edge]
     # shortest distances from each endpoint with the other endpoint deleted;
     # equality with the true distance means the far endpoint is avoidable
     off_s = dijkstra_scaled(g, r, s)
     off_r = dijkstra_scaled(g, s, r)
-    out: list[EdgeDistanceFn | None] = [None] * (g.n + 1)
+    d_r, d_s = dm.rows[r], dm.rows[s]
+    out: list[int | None] = [None] * (g.n + 1)
     for v in range(1, g.n + 1):
-        dr_i = dm.d_int(v, r)
-        ds_i = dm.d_int(v, s)
-        dr = Fraction(dr_i, scale)
-        ds = Fraction(ds_i, scale)
-        if ds_i == dr_i + l_int:
-            case = INCREASING
-            semi = None
-            # the function is still rising at s; s is a semicircular point
-            # when v == r or some shortest path s->v avoids r
-            if v == r or (off_r[v] is not None and off_r[v] == ds_i):
-                semi = l
-        elif dr_i == ds_i + l_int:
-            case = DECREASING
-            semi = None
-            if v == s or (off_s[v] is not None and off_s[v] == dr_i):
-                semi = ZERO
+        dr, ds = d_r[v], d_s[v]
+        if ds == dr + l:
+            if v == r or off_r[v] == ds:
+                out[v] = 2 * l
+        elif dr == ds + l:
+            if v == s or off_s[v] == dr:
+                out[v] = 0
         else:
-            case = PEAK
-            semi = Fraction(ds_i - dr_i + l_int, 2 * scale)
-        out[v] = EdgeDistanceFn(v, edge, case, dr, ds, g.weights[v], l, semi)
-    dm.profiles[edge] = out
+            out[v] = ds - dr + l
     return out
 
 

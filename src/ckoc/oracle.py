@@ -1,12 +1,11 @@
 """Brute-force reference implementations.
 
 Everything here recomputes answers from first principles with naive
-algorithms, so tests can compare the two sides.  It shares one piece of
-production code: graph_core.edge_profile, whose per-vertex distance
-functions give the candidate offsets and lines on each edge.  Its
-distances come from its own Floyd-Warshall (distances), not
-graph_core.all_pairs_distances.  Caps keep runtimes sane; these are not
-meant to scale.
+algorithms, so tests can compare the two sides.  It shares only the model
+with production (Graph, EdgePoint, DistanceMatrix and ZERO), no function:
+its distances come from its own Floyd-Warshall (distances), and the lines
+and offsets on each edge from those distances (_edge_lines).  Caps keep
+runtimes sane; these are not meant to scale.
 """
 
 from __future__ import annotations
@@ -15,13 +14,9 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .graph_core import (
-    ZERO,
-    DistanceMatrix,
-    EdgePoint,
-    Graph,
-    edge_profile,
-)
+from .graph_core import ZERO, DistanceMatrix, EdgePoint, Graph
+
+Line = tuple[Fraction, Fraction]  # (m, b) of y = m*t + b
 
 
 def distances(g: Graph) -> DistanceMatrix:
@@ -105,40 +100,56 @@ def brute_coverage_count(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fracti
     return len(brute_covered_set(g, dm, x, lam))
 
 
-def _piece_lines(fn) -> list[tuple[Fraction, Fraction]]:
-    """The one or two lines y = m*t + b supporting the weighted distance on an edge."""
-    w = fn.weight
-    lines = []
-    if fn.case in ("increasing", "peak"):
-        lines.append((w, w * fn.d_r))
-    if fn.case in ("decreasing", "peak"):
-        lines.append((-w, w * (fn.d_s + fn.length)))
-    return lines
+def _edge_lines(g: Graph, dm: DistanceMatrix, edge: int) -> tuple[list[tuple[Line, ...]], set[Fraction]]:
+    """The lines on one edge, t measured from its smaller endpoint r: per
+    vertex id, the one or two lines whose minimum on [0, l] is v's
+    weighted distance, and the fixed offsets, both endpoints and every
+    interior apex.
+
+    The distance to v is min(d_r + t, d_s + l - t).  When d_s = d_r + l
+    it rises over the whole edge, when d_r = d_s + l it falls, and
+    otherwise it peaks at (d_s - d_r + l) / 2.  Any other semicircular
+    point of v sits at an endpoint, which is among the offsets anyway.
+    """
+    e = g.edges[edge]
+    l, sc = e.length, dm.scale
+    offsets = {ZERO, l}
+    lines: list[tuple[Line, ...]] = [()]
+    for v in g.vertices():
+        w = g.weights[v]
+        dr = Fraction(dm.rows[v][e.u], sc)
+        ds = Fraction(dm.rows[v][e.v], sc)
+        if ds == dr + l:
+            lines.append(((w, w * dr),))
+        elif dr == ds + l:
+            lines.append(((-w, w * (ds + l)),))
+        else:
+            lines.append(((w, w * dr), (-w, w * (ds + l))))
+            offsets.add((ds - dr + l) / 2)
+    return lines, offsets
 
 
 def _fixed_probes(g: Graph, dm: DistanceMatrix, edge: int):
-    """Radius-independent probe offsets on one edge (endpoints,
-    semicircular points, pairwise crossings of the distance functions)
-    and the lines of those functions."""
+    """The radius-independent data of one edge: its probe offsets
+    (endpoints, semicircular points, pairwise crossings of the distance
+    functions), the lines of those functions, and every ordinate where
+    two of them cross or one meets the vertical at an offset."""
     l = g.edges[edge].length
-    profile = edge_profile(g, dm, edge)
-    ts = {ZERO, l}
-    all_lines: list[tuple[Fraction, Fraction]] = []
-    for v in g.vertices():
-        fn = profile[v]
-        if fn.semicircular_t is not None:
-            ts.add(fn.semicircular_t)
-        all_lines.extend(_piece_lines(fn))
-    for (m1, b1), (m2, b2) in itertools.combinations(all_lines, 2):
+    lines, offsets = _edge_lines(g, dm, edge)
+    flat = [ln for pieces in lines for ln in pieces]
+    ts = set(offsets)
+    ys = {m * t + b for t in offsets for m, b in flat}
+    for (m1, b1), (m2, b2) in itertools.combinations(flat, 2):
         if m1 != m2:
             t = (b2 - b1) / (m1 - m2)
             if 0 <= t <= l:
                 ts.add(t)
-    return ts, all_lines
+                ys.add(m1 * t + b1)
+    return ts, flat, ys
 
 
 def _probes_at(fixed, l: Fraction, lam: Fraction) -> list[Fraction]:
-    ts, all_lines = fixed
+    ts, all_lines, _ = fixed
     ts = set(ts)
     if lam >= 0:
         for m, b in all_lines:
@@ -160,16 +171,14 @@ def edge_probe_points(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) ->
     return _probes_at(_fixed_probes(g, dm, edge), g.edges[edge].length, lam)
 
 
-def _feasible(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction, fixed: dict, data: dict) -> bool:
-    """brute_feasible, keeping the radius-independent probe offsets (fixed,
-    by edge) and point data (data, by point) for later radii."""
+def _feasible(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction, fixed: list, data: dict) -> bool:
+    """brute_feasible on the radius-independent data of every edge (fixed,
+    by edge id), keeping the point data (data, by point) for later radii."""
     if lam < 0:
         return False
     if g.n == 1:
         return k <= 1
     for e in g.edges:
-        if e.id not in fixed:
-            fixed[e.id] = _fixed_probes(g, dm, e.id)
         for t in _probes_at(fixed[e.id], e.length, lam):
             x = EdgePoint(e.id, t)
             if x not in data:
@@ -183,7 +192,14 @@ def brute_feasible(g: Graph, k: int, lam: Fraction, dm: DistanceMatrix | None = 
     """True iff some point of the graph covers at least k vertices at radius lam."""
     if dm is None:
         dm = distances(g)
-    return _feasible(g, dm, k, lam, {}, {})
+    return _feasible(g, dm, k, lam, [_fixed_probes(g, dm, e.id) for e in g.edges], {})
+
+
+def _candidates(fixed: list) -> list[Fraction]:
+    vals = {ZERO}
+    for _, _, ys in fixed:
+        vals.update(y for y in ys if y >= 0)
+    return sorted(vals)
 
 
 def candidate_values(g: Graph, dm: DistanceMatrix | None = None) -> list[Fraction]:
@@ -193,30 +209,7 @@ def candidate_values(g: Graph, dm: DistanceMatrix | None = None) -> list[Fractio
     """
     if dm is None:
         dm = distances(g)
-    vals: set[Fraction] = {ZERO}
-    for e in g.edges:
-        l = e.length
-        profile = edge_profile(g, dm, e.id)
-        lines: list[tuple[Fraction, Fraction]] = []
-        verts = {ZERO, l}
-        for v in g.vertices():
-            fn = profile[v]
-            lines.extend(_piece_lines(fn))
-            if fn.semicircular_t is not None:
-                verts.add(fn.semicircular_t)
-        for (m1, b1), (m2, b2) in itertools.combinations(lines, 2):
-            if m1 != m2:
-                t = (b2 - b1) / (m1 - m2)
-                if 0 <= t <= l:
-                    y = m1 * t + b1
-                    if y >= 0:
-                        vals.add(y)
-        for tv in verts:
-            for m, b in lines:
-                y = m * tv + b
-                if y >= 0:
-                    vals.add(y)
-    return sorted(vals)
+    return _candidates([_fixed_probes(g, dm, e.id) for e in g.edges])
 
 
 def brute_lambda(g: Graph, k: int, n_cap: int = 14) -> Fraction:
@@ -226,8 +219,8 @@ def brute_lambda(g: Graph, k: int, n_cap: int = 14) -> Fraction:
     if k == 1 or g.n == 1:
         return ZERO
     dm = distances(g)
-    vals = candidate_values(g, dm)
-    fixed: dict = {}
+    fixed = [_fixed_probes(g, dm, e.id) for e in g.edges]
+    vals = _candidates(fixed)
     data: dict = {}
     lo, hi = 0, len(vals) - 1
     if not _feasible(g, dm, k, vals[hi], fixed, data):

@@ -191,6 +191,7 @@ def test_criterion_6_coverage_profile_exact(graph_pool):
     points = 0
     for g in graph_pool:
         dm = all_pairs_distances(g)
+        odm = oracle.distances(g)
         for e in g.edges:
             for _ in range(5):  # 5 radii x 10 points = 50 points per edge
                 if rng.random() < 0.5:
@@ -203,7 +204,7 @@ def test_criterion_6_coverage_profile_exact(graph_pool):
                 for _ in range(10):
                     t = e.length * F(rng.randint(0, 64), 64)
                     x = canonical_point(g, e.id, t)
-                    want = oracle.brute_coverage_count(g, dm, x, lam)
+                    want = oracle.brute_coverage_count(g, odm, x, lam)
                     assert prof.value_at(t) == want, (e.id, t, lam)
                     points += 1
     print(f"[criterion 6] PASS: coverage profile exact at {points} sampled points")
@@ -258,6 +259,7 @@ def test_criterion_8_tree_query_structure():
         n = 60 if case < 2 else rng.randint(2, 60)
         g = random_tree(rng, n, weighted=bool(case % 2))
         dm = all_pairs_distances(g)
+        odm = oracle.distances(g)
         st = spine_decompose(binarize(g))
         for _ in range(100):
             e = g.edges[rng.randrange(g.m)]
@@ -270,7 +272,7 @@ def test_criterion_8_tree_query_structure():
                 lam = F(rng.randint(0, 32), rng.choice((1, 2, 4)))
             ca = build_coverage_arrays(st, lam)
             count = query_count(st, ca, x)
-            assert count == oracle.brute_coverage_count(g, dm, x, lam), (case, x, lam)
+            assert count == oracle.brute_coverage_count(g, odm, x, lam), (case, x, lam)
             for k in {1, max(1, count), min(n, count + 1), n}:
                 assert query_at_least_k(st, ca, x, k) == (count >= k)
             queries += 1

@@ -26,8 +26,8 @@ from ckoc.graph_core import (
     parse_instance,
     point_distance,
 )
-from ckoc.oracle import brute_lambda, _piece_lines, edge_probe_points
-from ckoc import arrangement_search, tree_solver
+from ckoc.oracle import brute_lambda, edge_probe_points
+from ckoc import arrangement_search, oracle, tree_solver
 
 from conftest import random_graph
 
@@ -91,14 +91,54 @@ def test_candidate_lines_semicircular_vertical():
     dm = all_pairs_distances(g)
     ls = candidate_lines(g, dm)
     semis = {
-        fn.semicircular_t
+        F(off, 2 * g.length_scale)
         for e in g.edges
-        for fn in edge_profile(g, dm, e.id)[1:]
-        if fn.semicircular_t is not None
+        for off in edge_profile(g, dm, e.id)[1:]
+        if off is not None
     }
     assert any(0 < t < F(1) for t in semis)
     assert semis <= set(_verticals(ls))
     assert len(_verticals(ls)) == len(set(_verticals(ls)))
+
+
+_SCALE_DENS = (1, 999983, 1000003, 2**61 - 1)
+
+
+@st.composite
+def _prime_scale_graphs(draw):
+    """Small graphs, some chords, weights and lengths over denominators
+    from 1 to 2**61 - 1, so the line coefficients fall on both sides of
+    int64."""
+    n = draw(st.integers(2, 6))
+
+    def rat():
+        return F(draw(st.integers(1, 9)), draw(st.sampled_from(_SCALE_DENS)))
+
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    absent = [(u, v) for v in range(2, n + 1) for u in range(1, v) if (u, v) not in pairs]
+    if absent:
+        pairs += draw(st.lists(st.sampled_from(absent), max_size=3, unique=True))
+    return Graph(n, [rat() for _ in range(n)], [(u, v, rat()) for u, v in pairs])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_prime_scale_graphs())
+def test_candidate_lines_are_the_oracles_edge_lines(g):
+    # production reads the lines off its rows; the oracle derives each
+    # edge's lines from its own distances; in integer units they agree
+    ls = candidate_lines(g, all_pairs_distances(g))
+    odm = oracle.distances(g)
+    sw, sl = g.weight_scale, g.length_scale
+    aff, vert = set(), set()
+    for e in g.edges:
+        lines, offsets = oracle._edge_lines(g, odm, e.id)
+        for m, b in (ln for pieces in lines for ln in pieces):
+            aff.add((m * sw, b * sw * sl))
+        vert |= {t * 2 * sl for t in offsets}
+    pairs = list(zip(ls.M.tolist(), ls.B.tolist()))
+    assert len(pairs) == len(set(pairs)) and set(pairs) == aff
+    verticals = ls.A.tolist()
+    assert len(verticals) == len(set(verticals)) and set(verticals) == vert
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +400,12 @@ def test_solver_matches_brute_random():
 def _classical_one_center(g):
     # reference: minimize max weighted vertex distance over all edge points
     dm = all_pairs_distances(g)
+    odm = oracle.distances(g)
     best = None
     for e in g.edges:
         ts = {F(0), e.length}
-        profile = edge_profile(g, dm, e.id)
-        flat = [
-            ln for v in g.vertices() for ln in _piece_lines(profile[v])
-        ]
+        lines, _ = oracle._edge_lines(g, odm, e.id)
+        flat = [ln for pieces in lines for ln in pieces]
         for i in range(len(flat)):
             for j in range(i + 1, len(flat)):
                 m1, b1 = flat[i]

@@ -125,8 +125,12 @@ def test_gen_rejects_small_n(capsys):
 
 
 def test_gen_rejects_bad_density(capsys):
-    code, _out, err = run(capsys, ["gen", "--seed", "1", "--n", "4", "--density", "1.5"])
-    assert code == 1
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["gen", "--seed", "1", "--n", "4", "--density", "1.5"])
+    captured = capsys.readouterr()
+    assert ei.value.code == 1
+    assert captured.out == ""
+    assert "--density" in captured.err
 
 
 def test_verify_clean(capsys):
@@ -221,6 +225,25 @@ def test_bench_checks_every_size_before_output(capsys, sizes):
     assert ei.value.code == 1
     assert captured.out == ""
     assert "--sizes" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--density", "2"],
+        ["--density", "-0.5"],
+        ["--density", "nan"],
+        ["--k", "0"],
+        ["--k", "9", "--sizes", "5,6"],
+    ],
+)
+def test_bench_rejects_bad_flags_before_output(capsys, flags):
+    try:
+        code = cli.main(["bench", "--seed", "1", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_from_stdin(capsys, monkeypatch):

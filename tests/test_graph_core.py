@@ -12,9 +12,6 @@ from conftest import random_graph, random_tree
 from ckoc import cli, oracle
 from ckoc.general_feasibility import coverage_profile, is_feasible_graph
 from ckoc.graph_core import (
-    DECREASING,
-    INCREASING,
-    PEAK,
     EdgePoint,
     Graph,
     InstanceError,
@@ -352,45 +349,73 @@ def test_distances_certificate_random():
             assert dm.d(e.u, e.v) <= e.length
 
 
+def _case(dm, e, v):
+    """The shape of v's distance along e, read off the rows as the solvers do."""
+    l, dr, ds = e.length, dm.d(v, e.u), dm.d(v, e.v)
+    return "increasing" if ds == dr + l else "decreasing" if dr == ds + l else "peak"
+
+
 def test_edge_distance_fn_cases(path3, triangle, cycle4):
+    # offsets in units of 1/(2 * SL), and SL = 1 on these graphs
     dt = all_pairs_distances(triangle)
-    fn = edge_profile(triangle, dt, 0)[3]  # apex vertex vs opposite edge
-    assert fn.case == PEAK and fn.semicircular_t == F(1, 2)
+    assert _case(dt, triangle.edges[0], 3) == "peak"  # apex vertex vs opposite edge
+    assert edge_profile(triangle, dt, 0)[3] == 1  # t = 1/2
 
     dp = all_pairs_distances(path3)
-    fn = edge_profile(path3, dp, 1)[1]  # vertex 1 against edge (2,3)
-    assert fn.case == INCREASING
-    assert fn.value_at(F(0)) == 1 and fn.value_at(F(1)) == 2
+    assert _case(dp, path3.edges[1], 1) == "increasing"  # vertex 1 against edge (2,3)
+    assert edge_profile(path3, dp, 1)[1] is None  # every path from 3 to 1 passes 2
+    lines, _ = oracle._edge_lines(path3, oracle.distances(path3), 1)
+    assert lines[1] == ((1, 1),)  # 1 at t = 0, 2 at t = 1
 
     dc = all_pairs_distances(cycle4)
-    fn = edge_profile(cycle4, dc, 0)[3]  # vertex 3 against edge (1,2)
-    assert fn.case == DECREASING
-    assert fn.semicircular_t == 0  # two distance-2 paths meet at vertex 1
+    assert _case(dc, cycle4.edges[0], 3) == "decreasing"  # vertex 3 against edge (1,2)
+    assert edge_profile(cycle4, dc, 0)[3] == 0  # two distance-2 paths meet at vertex 1
+
+
+def _at(pieces, t):
+    return min(m * t + b for m, b in pieces)
 
 
 def test_edge_distance_fn_endpoint_values_random():
+    # production's offsets against the oracle's lines, derived from its own
+    # distances: both endpoint values, and every peak where the two
+    # pieces meet
     rng = random.Random(7)
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 8), extra=rng.randint(0, 4), weighted=True)
         dm = all_pairs_distances(g)
+        odm = oracle.distances(g)
+        half = 2 * g.length_scale
         for e in g.edges:
-            for fn in edge_profile(g, dm, e.id)[1:]:
-                v = fn.vertex
-                assert fn.value_at(F(0)) == g.weights[v] * dm.d(v, e.u)
-                assert fn.value_at(e.length) == g.weights[v] * dm.d(v, e.v)
-                if fn.case == PEAK:
-                    t = fn.semicircular_t
-                    assert fn.d_r + t == fn.d_s + fn.length - t
+            offs = edge_profile(g, dm, e.id)
+            lines, fixed = oracle._edge_lines(g, odm, e.id)
+            peaks = set()
+            for v in g.vertices():
+                assert _at(lines[v], 0) == g.weights[v] * dm.d(v, e.u)
+                assert _at(lines[v], e.length) == g.weights[v] * dm.d(v, e.v)
+                case = _case(dm, e, v)
+                assert len(lines[v]) == (2 if case == "peak" else 1)
+                if case == "peak":
+                    t = F(offs[v], half)
+                    assert 0 < t < e.length
+                    (m1, b1), (m2, b2) = lines[v]
+                    assert m1 * t + b1 == m2 * t + b2
+                    peaks.add(t)
+                else:
+                    assert offs[v] in (None, {"increasing": 2 * g.lengths_int[e.id],
+                                              "decreasing": 0}[case])
+            assert fixed == {F(0), e.length} | peaks
 
 
 def _sides(g, dm, x):
-    """(neutral, by_r, by_s) at x from the edge profile: a vertex is reached
-    through r while its distance function rises, through s once it falls,
-    and through both at its apex."""
+    """(neutral, by_r, by_s) at x from the distance rows: a vertex is
+    reached through r while its distance rises, through s once it falls,
+    and through both at its apex (d_s - d_r + l) / 2, which is l for a
+    rising distance and 0 for a falling one."""
+    e = g.edges[x.edge]
     out = (set(), set(), set())
     for v in g.vertices():
-        fn = edge_profile(g, dm, x.edge)[v]
-        apex = {PEAK: fn.semicircular_t, INCREASING: fn.length, DECREASING: F(0)}[fn.case]
+        apex = (dm.d(v, e.v) - dm.d(v, e.u) + e.length) / 2
         out[0 if x.t == apex else 1 if x.t < apex else 2].add(v)
     return out
 

@@ -396,12 +396,11 @@ def test_kth_bounds_match_per_edge_sort_and_tester():
     for g in graphs:
         dm = all_pairs_distances(g)
         tester = FeasibilityTester(g, dm)
-        unit = g.weight_scale * dm.scale
         for k in range(1, g.n + 1):
             want = sorted((_sorted_kth_bound(g, dm, e.id, k), e.id) for e in g.edges)
             assert kth_bounds(g, dm, k) == want
             for b, eid in want:
-                assert tester._kth_bound(eid, k) == F(b, unit)
+                assert tester._kth_ints(k)[eid] == b
 
 
 def test_kth_bound_is_below_every_level():

@@ -139,3 +139,26 @@ def test_min_diameter_matches_lambda_weighted_trees():
         k = rng.randint(2, min(g.n, 5))
         w, _ = brute_min_diameter_ksubtree(g, k)
         assert w == brute_lambda(g, k)
+
+
+def test_oracle_imports_no_production_function():
+    # the oracle shares the model with production, never an algorithm, so
+    # a production fault cannot hide behind the same fault in the reference
+    import ast
+    import importlib
+    import inspect
+    from pathlib import Path
+
+    from ckoc import oracle
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    shared = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "ckoc" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ckoc")):
+            module = importlib.import_module("ckoc." + node.module.split(".")[-1])
+            for alias in node.names:
+                shared[alias.name] = getattr(module, alias.name)
+    assert set(shared) == {"Graph", "EdgePoint", "DistanceMatrix", "ZERO"}
+    assert not any(inspect.isfunction(obj) for obj in shared.values())

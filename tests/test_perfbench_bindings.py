@@ -3,13 +3,15 @@ rename there shows only as a "not found" line in a traced run.  This
 checks that every name they look up still resolves."""
 
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 from ckoc import arrangement_search, cli, graph_core, tree_solver
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
 
@@ -94,3 +96,16 @@ def test_blocked_counts_keep_one_span_per_probe(monkeypatch):
         runs.append((probes, sol))
     assert runs[0][0] > 1
     assert runs[1] == runs[0]
+
+
+def test_benchmark_selftest_passes():
+    # an idle traced layer or an unresolved binding otherwise shows only
+    # when the benchmark runs; the selftest runs every workload in smoke mode
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 0, out
+    assert "selftest passed" in proc.stdout, out
+    assert "not found" not in out, out

@@ -110,7 +110,7 @@ def test_binarize_preserves_distances_and_weights():
         dm = all_pairs_distances(g)
         bt = binarize(g)
         for v in g.vertices():
-            assert bt.dd[v] == dm.d_int(1, v)
+            assert bt.dd[v] == dm.rows[1][v]
         for a in range(g.n + 1, bt.n_all + 1):
             assert not bt.marked[a]
             assert bt.weight[a] == g.weights_int[bt.orig[a]]
