@@ -11,13 +11,20 @@ feasibility test; past the arrangement search's enumeration threshold it
 runs the counting arrangement search over distance lines generated by a
 recursive centroid decomposition instead, whose memory stays bounded.
 
-The unweighted solver (unit vertex weights, rational lengths) binary
-searches the optimal radius on an integer grid, between 0 and the k-th
-distance from the outermost centroid.  A probe counts coverage with
-vectorized subtree and centroid ball counts, at the critical points of
-only those vertices that covered k at every feasible probe so far: with
-unit weights each vertex's count is monotone in the radius, so the rest
-cannot cover k at any lower probe.  Its engine roots the tree by an Euler
+The unweighted solver (unit vertex weights, rational lengths) searches
+the optimal radius on an integer grid, between 0 and the k-th distance
+from the outermost centroid.  A probe counts coverage with vectorized
+subtree and centroid ball counts.  With unit weights each vertex's count
+is monotone in the radius, so each vertex has a threshold, the least
+radius at which its critical point covers k.  The search keeps every
+vertex whose threshold may be least: it bisects a block of those that
+cover the most at the upper bracket down to their least threshold, then
+counts the others once one grid step below it, and only those that still
+cover k there go on to the next round.  The order in which vertices are
+bisected decides the work, never the radius or the least id found (see
+_least_radius).  A count over more than one block of vertices counts
+each distinct critical point once: near the upper bracket many vertices
+share one, the root above all.  Its engine roots the tree by an Euler
 tour ranked in numpy, builds the centroid decomposition level by level
 (all components of one level at once, from the rooted tree's shape) and
 takes each centroid distance from depths and one lowest common ancestor.
@@ -438,6 +445,9 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
 # the unit-tree engine counts the critical points of this many vertices at
 # a time, so a probe's temporaries keep one size however large the tree
 _COUNTS_BLOCK = 1 << 10
+# the radius search bisects this many of its vertices first, those that
+# cover the most at its upper bracket (see _least_radius)
+_PIVOT_BLOCK = 1 << 10
 
 
 def _id_bound(n: int) -> int:
@@ -700,6 +710,11 @@ class _UnweightedEngine:
         self.dt = dt = np.dtype(np.int64 if _id_bound(n) * stride < _INT_LIMIT else object)
         self.depth_np = dn = depth.astype(dt, copy=False)
         dn[0] = -1  # below every depth, so no lift passes the root
+        # each vertex's depth by rank among the distinct depths, which keys
+        # its critical point at any radius (see counts)
+        ranks = np.unique(dn, return_inverse=True)[1]
+        self.depth_rank = ranks.astype(idt)
+        self.depth_ranks = int(ranks.max()) + 1
         (
             self.ch_off,
             self.ch_len,
@@ -760,19 +775,40 @@ class _UnweightedEngine:
 
     def counts(self, radius: int, verts: np.ndarray | None = None) -> np.ndarray:
         """Coverage count at the radius of the critical point of each vertex
-        in verts, an array of ids (all vertices in id order when omitted),
-        counted _COUNTS_BLOCK vertices at a time."""
+        in verts, an array of ids (all vertices in id order when omitted).
+
+        A call on more than _COUNTS_BLOCK vertices locates their critical
+        points, then counts each distinct point once, both _COUNTS_BLOCK at
+        a time, and gives every vertex the count of its point.  v's point
+        lies on the edge into its edge child at v's depth less the radius,
+        so the key (edge child, rank of v's depth) names it; every point at
+        the root is one key, whichever child locate gives it.  The key is
+        int64 on either depth dtype."""
         if verts is None:
             verts = self.verts
-        out = np.empty(verts.size, dtype=np.int64)
+        if 0 < verts.size <= _COUNTS_BLOCK:
+            return self._point_counts(radius, *self.locate(radius, verts))
+        ch = np.empty(verts.size, dtype=np.intp)
+        td = np.empty(verts.size, dtype=self.dt)
         for lo in range(0, verts.size, _COUNTS_BLOCK):
-            part = verts[lo : lo + _COUNTS_BLOCK]
-            out[lo : lo + part.size] = self._block_counts(radius, part)
-        return out
+            hi = lo + _COUNTS_BLOCK
+            ch[lo:hi], td[lo:hi] = self.locate(radius, verts[lo:hi])
+        key = ch.astype(np.int64)
+        key *= self.depth_ranks
+        key += self.depth_rank[verts]
+        key[td == 0] = -1
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        ch, td = ch[first], td[first]
+        out = np.empty(first.size, dtype=np.int64)
+        for lo in range(0, first.size, _COUNTS_BLOCK):
+            hi = lo + _COUNTS_BLOCK
+            out[lo:hi] = self._point_counts(radius, ch[lo:hi], td[lo:hi])
+        return out[inv]
 
-    def _block_counts(self, radius: int, verts: np.ndarray) -> np.ndarray:
-        m = verts.size
-        ch, td = self.locate(radius, verts)
+    def _point_counts(self, radius: int, ch: np.ndarray, td: np.ndarray) -> np.ndarray:
+        """Coverage count at the radius of the points at depth td[i] on the
+        edge into ch[i], as locate gives them."""
+        m = ch.size
         p = self.parent[ch].astype(np.intp)
         dp = self.depth_np[p]
         b1 = radius + td
@@ -804,29 +840,68 @@ def solve_unweighted_tree(g: Graph, k: int) -> Solution:
 
 def _least_radius(eng: _UnweightedEngine, k: int) -> tuple[int, int]:
     """Least grid radius at which some critical point covers k vertices
-    (k >= 2), and the least vertex id whose critical point does."""
+    (k >= 2), and the least vertex id whose critical point does.
+
+    A vertex's threshold is the least radius at which its critical point
+    covers k.  The search works in rounds that keep one invariant: alive
+    holds every vertex whose threshold is at most hi, and every threshold
+    is above lo.  A round bisects over (lo, hi) only the _PIVOT_BLOCK alive
+    vertices that cover the most at hi, down to their least threshold phi,
+    then counts the other alive vertices once at phi - 1.  Those that cover
+    k there are the alive vertices of the next round, at hi = phi - 1.  If
+    none does, no threshold is below phi, and the answer is phi with the
+    least id among the block's vertices at phi and the others that cover k
+    at phi.  Which vertices form the block decides only how many rounds
+    run: each round keeps every vertex of the least threshold, and the
+    last one compares every vertex of threshold phi.  With at most
+    _PIVOT_BLOCK vertices alive, a round is one bisection of them all.
+    """
     # The ball around the outermost centroid c, whose component is the
     # whole tree, holds k vertices at its k-th distance, so some critical
     # point covers k there too.
     c = int(eng.ch_c[eng.ch_off[1]])
     kth = int(eng.fulls[eng.full_start[c] + k - 1]) - c * eng.stride
     lo, hi = 0, min(eng.maxdepth, kth)
-    alive = eng.verts[eng.counts(hi) >= k]
+    cnt = eng.counts(hi)
+    ok = cnt >= k
+    alive, cnt = eng.verts[ok], cnt[ok]
     if not alive.size:
         raise InternalError("upper bracket probe found no k-point cover")
     # With unit weights, x_v(r') lies at most r' - r above x_v(r) on v's
     # root path for r < r', so B(x_v(r), r) lies in B(x_v(r'), r') and v's
-    # count never falls as the radius grows.  A vertex below k at hi is
-    # below k at every lower probe, and every probe after hi is lower:
-    # alive, the vertices covering k at hi, is all a probe needs to count.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        ok = eng.counts(mid, alive) >= k
-        if ok.any():
-            hi, alive = mid, alive[ok]
+    # count never falls as the radius grows: a vertex covers k exactly at
+    # the radii from its threshold on.  lo = 0 holds as no radius-0 point
+    # covers two vertices.
+    while True:
+        if alive.size > _PIVOT_BLOCK:
+            top = np.sort(np.argpartition(-cnt, _PIVOT_BLOCK - 1)[:_PIVOT_BLOCK])
+            block, rest = alive[top], np.delete(alive, top)
         else:
-            lo = mid
-    return hi, int(alive[0])
+            block, rest = alive, alive[:0]
+        low = lo
+        while hi - low > 1:
+            mid = (low + hi) // 2
+            ok = eng.counts(mid, block) >= k
+            if ok.any():
+                hi, block = mid, block[ok]
+            else:
+                low = mid
+        # hi is phi now, and block holds the block's vertices of threshold
+        # phi; the rest have thresholds above lo, so none below phi when
+        # phi - 1 = lo
+        if rest.size and hi - 1 > lo:
+            cnt = eng.counts(hi - 1, rest)
+            ok = cnt >= k
+            if ok.any():
+                hi, alive, cnt = hi - 1, rest[ok], cnt[ok]
+                continue
+        v = int(block[0])
+        rest = rest[rest < v]
+        if rest.size:
+            ok = eng.counts(hi, rest) >= k
+            if ok.any():
+                v = int(rest[ok][0])
+        return hi, v
 
 
 def _unweighted_solution(

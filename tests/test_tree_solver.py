@@ -1,6 +1,8 @@
 """Tests for the tree feasibility test and both tree solvers."""
 
+import inspect
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -400,7 +402,40 @@ def _clamped_spider():
     return Graph(12, [F(1)] * 12, edges)
 
 
-def test_pruned_search_matches_full_grid_bisection():
+def _traced_least_radius(eng, k, hits):
+    """_least_radius(eng, k), adding to hits the name of each branch it
+    takes, found by the text of the statement that only that branch runs."""
+    lines, start = inspect.getsourcelines(_least_radius)
+    at = {text.strip(): start + i for i, text in enumerate(lines)}
+    split = at["block, rest = alive[top], np.delete(alive, top)"]
+    survivors = at["hi, alive, cnt = hi - 1, rest[ok], cnt[ok]"]
+    decided = at["v = int(block[0])"]
+    tie = at["v = int(rest[ok][0])"]
+
+    def line(frame, event, _arg):
+        if event == "line":
+            f = frame.f_locals
+            if frame.f_lineno == split:
+                hits.add("split")
+            elif frame.f_lineno == survivors:
+                hits.add("survivors at phi - 1")
+            elif frame.f_lineno == decided and f["rest"].size and f["hi"] - 1 == f["lo"]:
+                hits.add("phi - 1 = lo")
+            elif frame.f_lineno == tie:
+                hits.add("tie won outside the block")
+        return line
+
+    sys.settrace(lambda frame, *_: line if frame.f_code is _least_radius.__code__ else None)
+    try:
+        return _least_radius(eng, k)
+    finally:
+        sys.settrace(None)
+
+
+def test_pruned_search_matches_full_grid_bisection(monkeypatch):
+    # every split of the alive vertices into the bisected block and the
+    # rest finds the full grid's radius and least id; equal lengths (a
+    # path, a star) tie many vertices at the optimum
     rng = random.Random(87)
     clamped = _clamped_spider()
     c = next(_centroids(clamped.n, _centroid_adj(clamped)))[0]
@@ -408,15 +443,30 @@ def test_pruned_search_matches_full_grid_bisection():
     eng = _UnweightedEngine(clamped)
     kth = sorted(dm.d(c, u) for u in clamped.vertices())[clamped.n - 1]
     assert kth * eng.sc2 > eng.maxdepth  # the bracket is clamped at k = n
-    trees = [clamped] + [random_tree(rng, rng.randint(2, 12)) for _ in range(20)]
-    for trial, g in enumerate(trees):
-        eng = _UnweightedEngine(g)
-        for k in range(2, g.n + 1):
-            radius, v_star = _full_grid_least_radius(eng, k)
-            assert _least_radius(eng, k) == (radius, v_star), (trial, k)
-            got = solve_unweighted_tree(g, k)
-            assert got == _unweighted_solution(g, eng, k, radius, v_star), (trial, k)
-            assert got.lambda_star == oracle.brute_lambda(g, k), (trial, k)
+    trees = [clamped, Graph.unit(12, [(v, v + 1) for v in range(1, 12)])]
+    trees.append(Graph.unit(12, [(1, v) for v in range(2, 13)]))
+    trees += [random_tree(rng, rng.randint(2, 12)) for _ in range(20)]
+    trees += [random_tree(rng, 14) for _ in range(3)]
+    default = tree_solver._PIVOT_BLOCK
+    for block in (1, 2, 7, default):
+        monkeypatch.setattr(tree_solver, "_PIVOT_BLOCK", block)
+        hits = set()
+        for trial, g in enumerate(trees):
+            eng = _UnweightedEngine(g)
+            for k in range(2, g.n + 1):
+                radius, v_star = _full_grid_least_radius(eng, k)
+                assert _traced_least_radius(eng, k, hits) == (radius, v_star), (block, trial, k)
+                got = solve_unweighted_tree(g, k)
+                want = _unweighted_solution(g, eng, k, radius, v_star)
+                assert got == want, (block, trial, k)
+                # the full grid's answer does not depend on the block; brute
+                # force takes seconds past 12 vertices
+                if block == default and g.n <= 12:
+                    assert got.lambda_star == oracle.brute_lambda(g, k), (trial, k)
+        # up to 14 vertices fit in the default block: one plain bisection
+        assert hits == (set() if block == default else {
+            "split", "survivors at phi - 1", "phi - 1 = lo", "tie won outside the block"
+        }), block
 
 
 # ------------------------------------------ centroid distance subsets
@@ -582,14 +632,26 @@ def test_euler_rooting_matches_rooted_arrays(g):
 
 
 def test_blocked_counts_match_one_block(monkeypatch):
-    # counts runs over blocks of vertices; every block size gives the
-    # counts of one block, over all vertices and over a subset
+    # counts runs over blocks of vertices, and past one block over the
+    # distinct critical points; every block size gives the counts of one
+    # block, over all vertices and over a subset
     rng = random.Random(89)
     trees = [random_tree(rng, rng.randint(2, 40)) for _ in range(6)]
+    # on an equal-length path and star most critical points coincide
+    trees.append(Graph.unit(33, [(v, v + 1) for v in range(1, 33)]))
+    trees.append(Graph.unit(33, [(1, v) for v in range(2, 34)]))
     # lengths near 10**17 put the packed keys on Python ints
     edges = [(rng.randint(1, v - 1), v, F(rng.randint(1, 3) * 10**17)) for v in range(2, 31)]
     trees.append(Graph(30, [F(1)] * 30, edges))
     assert _UnweightedEngine(trees[-1]).dt == object
+    points = []
+    spy = _UnweightedEngine._point_counts
+
+    def counted(self, radius, ch, td):
+        points.append(ch.size)
+        return spy(self, radius, ch, td)
+
+    monkeypatch.setattr(_UnweightedEngine, "_point_counts", counted)
     for trial, g in enumerate(trees):
         eng = _UnweightedEngine(g)
         sub = np.array(sorted(rng.sample(range(1, g.n + 1), (g.n + 2) // 3)))
@@ -597,8 +659,12 @@ def test_blocked_counts_match_one_block(monkeypatch):
             got = []
             for block in (g.n, 7, 1):
                 monkeypatch.setattr(tree_solver, "_COUNTS_BLOCK", block)
+                points.clear()
                 got.append((eng.counts(r).tolist(), eng.counts(r, sub).tolist()))
             assert got[1] == got[0] and got[2] == got[0], (trial, r)
+            if r == eng.maxdepth:
+                # every critical point is the root, counted once per call
+                assert points == [1, 1], trial
 
 
 def test_id_dtype_rule():
@@ -616,18 +682,23 @@ def test_id_dtype_rule():
     assert eng.fulls.dtype == eng.depth_np.dtype == np.int64
 
 
+def _crit9_tree(n):
+    """An n-vertex unit tree from the generator of acceptance criterion 9."""
+    rng = random.Random(0x5CA1E9A)
+    edges = []
+    for v in range(2, n + 1):
+        u = rng.randint(max(1, v - 50), v - 1)
+        edges.append((u, v, F(rng.randint(1, 8), rng.choice((1, 1, 2, 4, 8, 16)))))
+    return Graph(n, [F(1)] * n, edges)
+
+
 def test_engine_memory_per_vertex():
     # the tracemalloc peak of the engine build and its first full count on
     # a 20,000-vertex tree from the generator of acceptance criterion 9:
     # ~720 bytes per vertex with int32 ids and counts taken in blocks,
     # ~1,770 with int64 ids and all chains expanded at once
-    rng = random.Random(0x5CA1E9A)
     n = 20_000
-    edges = []
-    for v in range(2, n + 1):
-        u = rng.randint(max(1, v - 50), v - 1)
-        edges.append((u, v, F(rng.randint(1, 8), rng.choice((1, 1, 2, 4, 8, 16)))))
-    g = Graph(n, [F(1)] * n, edges)
+    g = _crit9_tree(n)
     tracemalloc.start()
     try:
         eng = _UnweightedEngine(g)
@@ -636,6 +707,55 @@ def test_engine_memory_per_vertex():
     finally:
         tracemalloc.stop()
     assert peak < 1000 * n, peak / n
+
+
+def _vertexwise_least_radius(eng, k):
+    """The radius search that bisects all vertices covering k at its
+    upper bracket, counting after each feasible probe those still
+    covering k."""
+    c = int(eng.ch_c[eng.ch_off[1]])
+    kth = int(eng.fulls[eng.full_start[c] + k - 1]) - c * eng.stride
+    lo, hi = 0, min(eng.maxdepth, kth)
+    alive = eng.verts[eng.counts(hi) >= k]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ok = eng.counts(mid, alive) >= k
+        if ok.any():
+            hi, alive = mid, alive[ok]
+        else:
+            lo = mid
+    return hi, int(alive[0])
+
+
+def test_radius_search_counts_fewer_points(monkeypatch):
+    # the critical points counted by the block-first search with distinct
+    # points, against the vertex-wise search counting each vertex, on the
+    # 20,000-vertex tree above (about 0.7x, 0.45x, 0.35x and 0.3x); the
+    # counts are exact, so the bounds do not depend on timing
+    n = 20_000
+    eng = _UnweightedEngine(_crit9_tree(n))
+    points = [0]
+    spy = _UnweightedEngine._point_counts
+
+    def counted(self, radius, ch, td):
+        points[0] += ch.size
+        return spy(self, radius, ch, td)
+
+    monkeypatch.setattr(_UnweightedEngine, "_point_counts", counted)
+
+    def search(fn, k):
+        points[0] = 0
+        return fn(eng, k), points[0]
+
+    bounds = {2: 1.0, n // 10: 1.0, n // 2: 0.5, n - 1: 1.0}
+    new = {k: search(_least_radius, k) for k in bounds}
+    # one block of every vertex counts each vertex, as the vertex-wise
+    # search did
+    monkeypatch.setattr(tree_solver, "_COUNTS_BLOCK", n)
+    for k, bound in bounds.items():
+        (got, counted_new), (want, counted_old) = new[k], search(_vertexwise_least_radius, k)
+        assert got == want, k
+        assert counted_new <= bound * counted_old, (k, counted_new, counted_old)
 
 
 def _partition(labelled):
