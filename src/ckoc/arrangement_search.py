@@ -52,6 +52,7 @@ _INT_LIMIT = 1 << 62
 _SEED = 0xC0C5EED
 _ENUM_THRESHOLD = 50_000
 _SAMPLE_BATCH = 1 << 17
+_PIVOT_CHUNK = 1 << 14
 
 
 class LineSet:
@@ -258,17 +259,20 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return np.fromiter(map(_div, num.tolist(), den.tolist()), np.float64, len(num))
 
 
-def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_ordinates(
+    num: np.ndarray, den: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values num/den (den != 0, reduced in place), ascending,
-    as reduced numerators and positive denominators."""
+    as reduced numerators and positive denominators, and the rank of each
+    input value among them."""
     num, den = _reduce(num, den)
     f = _ratio(num, den)
     # equal values have equal floats, so after a float sort equal pairs
     # share a run of equal floats; a run holding two distinct values is
     # sorted by (num, den) to put equal pairs side by side.  Duplicates
     # go first, so the exact repair only sees distinct near-equal values
-    order = np.argsort(f)
-    num, den, f = num[order], den[order], f[order]
+    perm = np.argsort(f)
+    num, den, f = num[perm], den[perm], f[perm]
     same = (num[1:] == num[:-1]) & (den[1:] == den[:-1])
     mixed = np.nonzero((f[1:] == f[:-1]) & ~same)[0]
     if len(mixed):
@@ -276,7 +280,7 @@ def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.
         for r in np.unique(run[mixed]).tolist():
             a, b = np.searchsorted(run, [r, r + 1]).tolist()
             idx = sorted(range(a, b), key=lambda t: (int(num[t]), int(den[t])))
-            num[a:b], den[a:b] = num[idx], den[idx]
+            num[a:b], den[a:b], perm[a:b] = num[idx], den[idx], perm[idx]
         same = (num[1:] == num[:-1]) & (den[1:] == den[:-1])
     new = np.ones(len(num), dtype=bool)
     new[1:] = ~same
@@ -284,7 +288,11 @@ def _sorted_ordinates(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.
     order = _repair_runs(
         np.arange(len(num)), f, key=lambda t: Fraction(int(num[t]), int(den[t]))
     )
-    return num[order], den[order]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    ranks = np.empty(len(perm), dtype=np.int64)
+    ranks[perm] = rank[np.cumsum(new) - 1]
+    return num[order], den[order], ranks
 
 
 def _lowest_accepted(
@@ -330,7 +338,7 @@ def _int_pair_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
 def _explicit_ordinates(ls: LineSet) -> tuple[np.ndarray, np.ndarray]:
     """Distinct y-coordinates of all pairwise intersections, ascending, as
     reduced numerators and positive denominators."""
-    return _sorted_ordinates(*_int_pair_ordinates(ls))
+    return _sorted_ordinates(*_int_pair_ordinates(ls))[:2]
 
 
 def _search_explicit(ls: LineSet, oracle: Callable[[Fraction], bool]) -> Fraction:
@@ -477,15 +485,22 @@ class _CountingSearch:
             J = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
             keep = I != J
             I, J = I[keep], J[keep]
-            num, den, valid = self._pair_ordinates(I, J)
-            f = _ratio(num, den)
-            mask = valid & (f >= np.nextafter(fl_lo, -math.inf)) & (
-                f <= np.nextafter(fl_hi, math.inf)
-            )
-            if not mask.any():
+            # in-window ordinates a chunk of pairs at a time, so the
+            # temporaries stay small and reuse the same pages
+            parts = []
+            for a in range(0, len(I), _PIVOT_CHUNK):
+                num, den, valid = self._pair_ordinates(
+                    I[a : a + _PIVOT_CHUNK], J[a : a + _PIVOT_CHUNK]
+                )
+                f = _ratio(num, den)
+                mask = valid & (f >= np.nextafter(fl_lo, -math.inf)) & (
+                    f <= np.nextafter(fl_hi, math.inf)
+                )
+                parts.append((num[mask], den[mask], f[mask]))
+            if not sum(len(p[2]) for p in parts):
                 continue
-            num, den = num[mask], den[mask]
-            order = np.argsort(f[mask], kind="stable")
+            num, den, f = (np.concatenate(col) for col in zip(*parts))
+            order = np.argsort(f, kind="stable")
             mid = len(order) // 2
             # walk outward from the median until a candidate verifies exactly
             for step in range(len(order)):
@@ -519,7 +534,7 @@ class _CountingSearch:
         num, den, valid = self._pair_ordinates(I, J)
         if not valid.all():
             raise InternalError("swapped pair without a crossing")
-        return _sorted_ordinates(num, den)
+        return _sorted_ordinates(num, den)[:2]
 
     def run(self) -> Fraction:
         ls = self.ls

@@ -435,7 +435,7 @@ class FeasibilityTester:
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:
         g, dm = self.g, self.dm
         if not 1 <= k <= g.n:
-            raise ValueError(f"k={k} out of range")
+            raise ValueError(f"k={k} out of range for n={g.n}")
         if lam < 0:
             return FeasibilityResult(False)
         if g.n == 1:

@@ -12,19 +12,40 @@ tree in polylogarithmic time after an O(n log n) build:
 - a spine decomposition of the binary tree, with a weight-balanced search
   tree over every spine, all linked into one decomposition tree,
 - per-radius coverage arrays over the decomposition tree: for each node,
-  the sizes and marked counts of the largest top-inclusive and
-  bottom-inclusive covered subtrees as step functions of the distance to
+  the marked counts of the largest top-inclusive (ft) and
+  bottom-inclusive (fb) covered subtrees of its vertex set (its subspine
+  and the subtrees hanging from it) as step functions of the distance to
   an outside point.
 
-Every breakpoint of the arrays at radius lam = p/q has the form
-lam/w_v - d for one vertex v, so it is kept exactly as an integer pair
-(N, D) with D = W_v = g.weights_int[v], worth N/D in units of 1/(q*SL):
-lam/w_v is (p*SW*SL, W_v) with SW the graph's weight_scale, and a shift
-by a length of l/SL gives (N - q*l*D, D).  Pairs compare by
-cross-multiplication.  A common denominator would need the lcm of all
-weights, which grows with every coprime weight; per-vertex denominators
-keep each product at the size of one weight.  Fraction appears only at
-the boundary: the radius argument and the EdgePoint of a query.
+The arrays have a closed form.  A vertex u joins the covered subtree
+exactly when every vertex y on the path to it passes its gate, w_y *
+dist(y) <= lam, so the point at distance t beyond a node's top vt covers
+u exactly when t <= tau(u) = min over y on the path vt..u of (lam/w_y -
+d(vt, y)).  A side (one node, one direction) is the distinct tau(u) >= 0
+descending, each with the marked vertices of tau at least it, and its
+cover key, the least tau on the subspine, tells when the whole subspine
+is covered.  Bottom-up merges of the children's sides compute the same
+thing, one node at a time; small trees still build that way.  Larger
+trees take every side at once (build_coverage_arrays): with lam = p/q,
+lp = p*SW*SL and keys in units of 1/(q*SL), let g(y) = lp/W_y - q*dd[y]
+and g+(y) = lp/W_y + q*dd[y].  Then ft tau(u) = q*dd[vt] + min g over
+vt..u, and for u hanging from the spine vertex s, fb tau(u) = min(min
+g+ over s..vb, min g below s to u + 2*q*dd[s]) - q*dd[vb].  Spine
+segments are slot ranges of one doubling table (Bender and
+Farach-Colton's range minima); a path below s crosses a light edge into
+each spine it meets, at most log n of them, so its minimum chains per
+light depth; and every value is ranked exactly once per radius, so the
+minima compare small integers.
+
+Every key at radius lam has the form lam/w_v - d for one vertex v, so it
+is kept exactly as an integer pair (N, D) with D dividing W_v =
+g.weights_int[v], worth N/D in units of 1/(q*SL): lam/w_v is (p*SW*SL,
+W_v) with SW the graph's weight_scale, and a shift by a length of l/SL
+gives (N - q*l*D, D).  Pairs compare by cross-multiplication.  A common
+denominator would need the lcm of all weights, which grows with every
+coprime weight; per-vertex denominators keep each product at the size of
+one weight.  Fraction appears only at the boundary: the radius argument
+and the EdgePoint of a query.
 
 A query climbs the decomposition tree from its point's spine, and every
 distance it needs runs from the point to a spine vertex whose lowest
@@ -44,6 +65,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
+from .arrangement_search import _INT_LIMIT, _sorted_ordinates
 from .graph_core import (
     ZERO,
     EdgePoint,
@@ -239,22 +263,39 @@ class SpineTree:
         self.right = right
         self.nodes: list[GNode] = []
         self.leaf_of: list[Optional[GNode]] = [None] * (n + 1)
-        self.root = self._decompose(bt.root)
+        # spines top to bottom, and each vertex's light depth: the number
+        # of spines above its own
+        self.spines: list[list[int]] = []
+        self.light = [0] * (n + 1)
+        self.root = self._decompose(bt.root, 0)
         h = self._height(self.root)
         self.height = h
         bound = 4 * math.log2(n + 1) + 8
         if h > bound:
             raise InternalError(f"decomposition height {h} exceeds {bound:.1f}")
+        # ft of node i is side i; fb of the i-th search-tree node is side
+        # len(nodes) + i, and a spine vertex's node shares its ft
+        self.fb_side = list(range(len(self.nodes)))
+        i = len(self.nodes)
+        for u in self.nodes:
+            if not u.leaf_kind:
+                self.fb_side[u.idx] = i
+                i += 1
+        self.sides = i
+        self.lay = _Layout(self) if n > _MERGE_MAX else None
 
     def _new(self, leaf_kind, vertex, vt, vb, tsize, echild) -> GNode:
         node = GNode(len(self.nodes), leaf_kind, vertex, vt, vb, tsize, echild)
         self.nodes.append(node)
         return node
 
-    def _decompose(self, top: int) -> GNode:
+    def _decompose(self, top: int, depth: int) -> GNode:
         spine = [top]
         while self.right[spine[-1]]:
             spine.append(self.right[spine[-1]])
+        self.spines.append(spine)
+        for s in spine:
+            self.light[s] = depth
         rev = spine[::-1]  # leaves left to right are bottom-up
         leaves = []
         for s in rev:
@@ -263,7 +304,7 @@ class SpineTree:
             node = self._new(True, s, s, s, w, h if h else None)
             self.leaf_of[s] = node
             if h:
-                sub = self._decompose(h)
+                sub = self._decompose(h, depth + 1)
                 node.left = sub
                 sub.parent = node
             leaves.append(node)
@@ -328,195 +369,345 @@ def spine_decompose(bt: BinaryTransform) -> SpineTree:
 # ---------------------------------------------------------------- arrays
 
 
-class _Side:
-    """Step function of one node and one direction: keys descending in x,
-    key i being xs[i]/xd[i] in units of 1/(q*SL) (index 0 is the
-    plus-infinity sentinel, None in both), y subtree sizes, z marked
-    counts, icov the first index covering the whole subspine (0 when
-    none).  Built by add() calls with strictly descending x, an equal-x
-    add collapsing into the last tuple (its cumulative values win), then
-    close() and finish()."""
-
-    __slots__ = ("xs", "xd", "ys", "zs", "icov")
-
-    def __init__(self):
-        self.xs: list[Optional[int]] = [None]
-        self.xd: list[Optional[int]] = [None]
-        self.ys = [0]
-        self.zs = [0]
-        self.icov = 0
-
-    def add(self, xn, xd, y, z):
-        if len(self.xs) > 1 and xn * self.xd[-1] == self.xs[-1] * xd:
-            self.ys[-1] = y
-            self.zs[-1] = z
-            return
-        self.xs.append(xn)
-        self.xd.append(xd)
-        self.ys.append(y)
-        self.zs.append(z)
-
-    def close(self):
-        if len(self.xs) == 1 or self.xs[-1] > 0:
-            self.add(0, 1, self.ys[-1], self.zs[-1])
-
-    def finish(self, cov: Optional[tuple[int, int]]) -> _Side:
-        """cov: key (N, D) of the covering breakpoint, None if the subspine
-        is never fully covered."""
-        if cov is not None:
-            cn, cd = cov
-            xs, xd = self.xs, self.xd
-            icov = _rank(xs, xd, cn, cd, 1) - 1
-            if icov < 1 or xs[icov] * cd != cn * xd[icov]:
-                raise InternalError("covering breakpoint missing from arrays")
-            self.icov = icov
-        return self
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(a, a + c) over the pairs (a, c)."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(int(ends[-1]))
 
 
-def _rank(ns: list, ds: list, kn: int, kd: int, lo: int) -> int:
-    """End of the run of keys ns[i]/ds[i] >= kn/kd in the descending keys
-    from index lo on."""
-    hi = len(ns)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ns[mid] * kd >= kn * ds[mid]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+class _Layout:
+    """Index arrays of the closed form (see build_coverage_arrays), fixed
+    per tree.
 
+    The values are elements: element y - 1 is g(y) for vertex y; then,
+    grouped by attachment, one element w_l(y) = g(y) + 2*q*dd[a] per
+    vertex y and light depth l <= light(y), where a is y's vertex on its
+    ancestor spine of light depth l (a = y and w_l(y) = g+(y) at
+    l = light(y)); then a probe -q*dd[v] and a probe q*dd[v] per vertex;
+    last a sentinel above every value.  Element e is
+    (lpm[e]*lp - q*cc[e])/den[e].
 
-def _locate(side: _Side, kn: int, kd: int) -> int:
-    """Largest index whose key is >= kn/kd; 0 (the sentinel) when none."""
-    return _rank(side.xs, side.xd, kn, kd, 1) - 1
+    Spines lie side by side in slot order, each top to bottom, so a
+    subspine is a slot range and range minima come from one doubling
+    table over the slots: g in the first half, g+ in the second.  A
+    side's entries are the pairs (node, spine vertex s of its subspine)
+    times the elements attached to s, which lie in one block.
+    """
 
+    def __init__(self, st: SpineTree):
+        bt = st.bt
+        n = bt.n_all
+        n1 = n + 1
+        light = np.array(st.light)
+        seq = np.array([v for sp in st.spines for v in sp])
+        slot = np.empty(n1, dtype=np.int64)
+        slot[seq] = np.arange(n)
+        top = np.zeros(n1, dtype=np.int64)
+        top[seq] = np.repeat([sp[0] for sp in st.spines], [len(sp) for sp in st.spines])
+        # the vertex one spine up that a vertex's spine hangs from
+        hang = np.array(bt.parent)[top]
+        depth = int(light.max())
+        by_light = np.argsort(light[1:], kind="stable") + 1
+        groups = np.split(by_light, np.cumsum(np.bincount(light[1:]))[:-1])
+        att = np.zeros((depth + 1, n1), dtype=np.int64)
+        for d, grp in enumerate(groups):
+            att[d, grp] = grp
+            att[:d, grp] = att[:d, hang[grp]]
 
-def _covers_spine(side: _Side, kn: int, kd: int) -> bool:
-    i = side.icov
-    return i >= 1 and kn * side.xd[i] <= side.xs[i] * kd
+        ls, ys = np.nonzero(att[:, 1:])
+        ys += 1
+        o = np.argsort(att[ls, ys], kind="stable")
+        ls, ys = ls[o], ys[o]
+        atts = att[ls, ys]
+        ne = n + len(ys)
+        m = ne + 2 * n
+        self.m = m
+        wel = np.full((depth + 1, n1), m, dtype=np.int64)
+        wel[ls, ys] = np.arange(n, ne)
+        self.wel = wel.ravel()
+        self.vert = np.concatenate((np.arange(1, n1), ys, np.zeros(2 * n + 1, dtype=np.int64)))
+        block = np.bincount(atts, minlength=n1)
+        start = n + np.cumsum(block) - block
 
+        self.scale = max(bt.weight) * max(bt.dd)
+        self.iota = np.arange(m + 1)
+        wide = 4 * self.scale >= _INT_LIMIT
+        dd = np.array(bt.dd, dtype=object if wide else np.int64)
+        weight = np.array(bt.weight, dtype=object if wide else np.int64)
+        w = weight[self.vert[:ne]]
+        c = np.concatenate((dd[1:], dd[ys] - 2 * dd[atts]))
+        self.cc = np.concatenate((w * c, dd[1:], -dd[1:], [0]))
+        self.lpm = np.concatenate((np.ones(ne, dtype=np.int64), np.zeros(2 * n + 1, np.int64)))
+        self.den = np.concatenate((w, np.ones(2 * n + 1, dtype=w.dtype)))
 
-def _vertex_side(bt: BinaryTransform, s: int, lp: int) -> _Side:
-    """Side of a lone spine vertex: lam/w_s is the key (lp, weight[s]),
-    lp = p*SW*SL for lam = p/q."""
-    x0 = (lp, bt.weight[s])
-    m = 1 if bt.marked[s] else 0
-    b = _Side()
-    b.add(*x0, 1, m)
-    b.close()
-    return b.finish(x0)
+        # range minima queries (lo, hi) over the doubled slots: C(node,
+        # s) = min g over vt..s, X(node, s) = min g+ over s..vb, and per
+        # vertex the min g over its spine's top..itself
+        nodes = st.nodes
+        vt = np.array([u.vt for u in nodes])
+        vb = np.array([u.vb for u in nodes])
+        leaf = np.array([u.leaf_kind for u in nodes])
+        lo = slot[vt]
+        cnt = slot[vb] - lo + 1
+        pslot = _ranges(lo, cnt)
+        ps = seq[pslot]
+        pnode = np.repeat(np.arange(len(nodes)), cnt)
+        pairs = len(ps)
+        qlo = np.concatenate((lo[pnode], n + pslot, slot[top[1:]]))
+        qhi = np.concatenate((pslot, n + slot[vb][pnode], slot[1:]))
+        j = np.frexp(qhi - qlo + 1)[1].astype(np.int64) - 1
+        self.levels = int(j.max()) + 1
+        self.base = np.concatenate((seq - 1, wel[light[seq], seq]))
+        self.q1 = j * (2 * n) + qlo
+        self.q2 = j * (2 * n) + qhi - np.left_shift(1, j) + 1
+        self.hang = np.full((depth + 1, n1), (m + 1) ** 2 - 1, dtype=np.int64)
+        self.chain = [
+            (d, grp, 2 * pairs + grp - 1, hang[grp]) for d, grp in enumerate(groups) if d
+        ]
 
+        # entries: ft of every node, fb of every search-tree node
+        blen = block[ps]
+        el = _ranges(start[ps], blen) - n
+        epair = np.repeat(np.arange(pairs), blen)
+        enode = pnode[epair]
+        ey = ys[el]
+        self.e_h = ls[el] * n1 + ey
+        self.e_pair = epair
+        f = np.flatnonzero(~leaf[enode])
+        self.f = f
+        self.f_pair = pairs + epair[f]
+        self.f_row = ls[el][f] * n1
 
-def _merge_one(bt: BinaryTransform, s: int, child: _Side, d: int, lp: int) -> _Side:
-    """Side of a spine-vertex node with a hanging subtree: the vertex gates
-    everything at lam/w_s, the child contributes at distance d (units of
-    1/(q*SL)) farther."""
-    w = bt.weight[s]
-    m = 1 if bt.marked[s] else 0
-    j1 = _locate(child, lp + d * w, w)
-    b = _Side()
-    b.add(lp, w, 1 + child.ys[j1], m + child.zs[j1])
-    cx, cd = child.xs, child.xd
-    j = j1 + 1
-    while j < len(cx):
-        xn = cx[j] - d * cd[j]
-        if xn < 0:
-            break
-        b.add(xn, cd[j], 1 + child.ys[j], m + child.zs[j])
-        j += 1
-    b.close()
-    return b.finish((lp, w))
-
-
-def _merge_two(prim: _Side, sec: _Side, d: int) -> _Side:
-    """Side of a search-tree node: prim holds the subspine adjacent to the
-    query anchor; sec joins in, shifted by d (units of 1/(q*SL)), only
-    while prim's subspine is fully covered."""
-    if prim.icov == 0:
-        return prim
-    px, pd, sx, sd = prim.xs, prim.xd, sec.xs, sec.xd
-    xrn, xrd = px[prim.icov], pd[prim.icov]
-    j1 = _locate(sec, xrn + d * xrd, xrd)
-    b = _Side()
-    for i in range(1, prim.icov):
-        b.add(px[i], pd[i], prim.ys[i], prim.zs[i])
-    b.add(xrn, xrd, prim.ys[prim.icov] + sec.ys[j1], prim.zs[prim.icov] + sec.zs[j1])
-    i = prim.icov + 1
-    j = j1 + 1
-    np_, ns = len(px), len(sx)
-    while i < np_ and j < ns:
-        xbn = sx[j] - d * sd[j]
-        if xbn < 0:
-            break
-        xan, xad, xbd = px[i], pd[i], sd[j]
-        lhs = xan * xbd
-        rhs = xbn * xad
-        if lhs > rhs:
-            b.add(xan, xad, prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1])
-            i += 1
-        elif rhs > lhs:
-            b.add(xbn, xbd, prim.ys[i - 1] + sec.ys[j], prim.zs[i - 1] + sec.zs[j])
-            j += 1
-        else:
-            b.add(xan, xad, prim.ys[i] + sec.ys[j], prim.zs[i] + sec.zs[j])
-            i += 1
-            j += 1
-    while i < np_:
-        b.add(px[i], pd[i], prim.ys[i] + sec.ys[j - 1], prim.zs[i] + sec.zs[j - 1])
-        i += 1
-    while j < ns:
-        xbn = sx[j] - d * sd[j]
-        if xbn < 0:
-            break
-        b.add(xbn, sd[j], prim.ys[np_ - 1] + sec.ys[j], prim.zs[np_ - 1] + sec.zs[j])
-        j += 1
-    b.close()
-    cov = None
-    if sec.icov:
-        cn, cd = sx[sec.icov] - d * sd[sec.icov], sd[sec.icov]
-        if cn * xrd > xrn * cd:
-            cn, cd = xrn, xrd
-        if cn >= 0:
-            cov = (cn, cd)
-    return b.finish(cov)
+        inner = np.flatnonzero(~leaf)
+        fb_side = np.array(st.fb_side)
+        sides = st.sides
+        self.sent = np.full(sides, (m + 1) ** 2 - 1)
+        # entries, then a sentinel and a closing 0 per side, keyed
+        # side*2(m+1) + 2(m - rank) + marked: the sides in order, each
+        # sentinel first and then by value descending
+        side_e = np.concatenate((enode, fb_side[enode[f]], np.arange(sides), np.arange(sides)))
+        marked = np.array(bt.marked, dtype=np.int64)
+        mark_e = np.concatenate((marked[ey], marked[ey[f]], np.zeros(2 * sides, np.int64)))
+        self.side_e = side_e
+        self.side_key = side_e * (2 * m + 2) + 2 * m + mark_e
+        self.side_base = np.arange(sides) * (m + 1) + m
+        # a side keeps tau >= 0: ft tau = value + q*dd[vt] and fb tau =
+        # value - q*dd[vb], so its threshold is a probe
+        self.probe = np.concatenate((ne + vt - 1, ne + n + vb[inner] - 1))
+        self.shift = np.concatenate((dd[vt], -dd[vb[inner]]))
+        pend = np.cumsum(cnt)
+        self.cover = np.concatenate((pend - 1, pairs + pend[inner] - cnt[inner]))
 
 
 @dataclass
 class CoverageArrays:
-    """The arrays of every node at radius lam."""
+    """The arrays of every node at radius lam, flat.  Side i holds the
+    keys xs[j]/xd[j] (units of 1/(q*SL)), descending, and the marked
+    counts zs[j] for off[i] < j < off[i + 1]; index off[i] is its
+    sentinel (keys None, count 0).  icov[i] is the index of side i's
+    cover key, -1 when its subspine is never fully covered.  Node u's
+    ft side is u.idx, its fb side st.fb_side[u.idx]."""
 
     lam: Fraction
-    ft: list[_Side]
-    fb: list[_Side]
+    xs: list
+    xd: list
+    zs: list[int]
+    off: list[int]
+    icov: list[int]
 
 
-def build_coverage_arrays(st: SpineTree, lam: Fraction) -> CoverageArrays:
-    if lam < 0:
-        raise ValueError("radius must be nonnegative")
+# ---------------------------------------------------------------- small trees
+
+# binary trees of at most this many vertices merge their sides bottom-up
+# in Python: below it the fixed numpy costs of the layout (~100 calls per
+# tree) and of the closed form (~50 per radius) lose to the merges.  On a
+# 2-core sandbox, weighted-tree solves of random trees broke even near
+# 70 vertices
+_MERGE_MAX = 64
+
+
+def _closed(xs: list, xd: list, zs: list, icov: int):
+    """A side (xs, xd, zs, icov) with its closing key 0."""
+    if xs[-1] > 0:
+        xs.append(0)
+        xd.append(1)
+        zs.append(zs[-1])
+    return xs, xd, zs, icov
+
+
+def _leaf_side(lp: int, w: int, m: int, child, d: int):
+    """Side of a spine vertex of weight w, m = 1 when marked: it gates
+    everything at lp/w, and the ft side child of its hanging subtree, if
+    any, joins d (units of 1/(q*SL)) farther."""
+    xs, xd, zs = [None, lp], [None, w], [0, m]
+    if child is not None:
+        cx, cd, cz, _ = child
+        j = _rank(cx, cd, lp + d * w, w, 1, len(cx))
+        zs[1] += cz[j - 1]
+        while j < len(cx) and cx[j] >= d * cd[j]:
+            xs.append(cx[j] - d * cd[j])
+            xd.append(cd[j])
+            zs.append(m + cz[j])
+            j += 1
+    return _closed(xs, xd, zs, 1)
+
+
+def _joined_side(prim, sec, d: int):
+    """Side of a search-tree node: prim's subspine is adjacent to the
+    outside point, and sec joins in, shifted by d, only while prim's
+    subspine is fully covered."""
+    px, pd, pz, pc = prim
+    if not pc:
+        return prim
+    sx, sd, sz, sc = sec
+    xrn, xrd = px[pc], pd[pc]
+    j = _rank(sx, sd, xrn + d * xrd, xrd, 1, len(sx))
+    xs, xd = px[: pc + 1], pd[: pc + 1]
+    zs = pz[:pc] + [pz[pc] + sz[j - 1]]
+    i, np_, ns = pc + 1, len(px), len(sx)
+    while j < ns and sx[j] >= d * sd[j]:
+        xbn = sx[j] - d * sd[j]
+        if i < np_ and px[i] * sd[j] >= xbn * pd[i]:
+            tie = px[i] * sd[j] == xbn * pd[i]
+            xs.append(px[i])
+            xd.append(pd[i])
+            zs.append(pz[i] + sz[j if tie else j - 1])
+            i += 1
+            j += tie
+        else:
+            xs.append(xbn)
+            xd.append(sd[j])
+            zs.append(pz[i - 1] + sz[j])
+            j += 1
+    while i < np_:
+        xs.append(px[i])
+        xd.append(pd[i])
+        zs.append(pz[i] + sz[j - 1])
+        i += 1
+    cov = 0
+    if sc:
+        cn, cd = sx[sc] - d * sd[sc], sd[sc]
+        if cn * xrd > xrn * cd:
+            cn, cd = xrn, xrd
+        if cn >= 0:
+            cov = _rank(xs, xd, cn, cd, 1, len(xs)) - 1
+    return _closed(xs, xd, zs, cov)
+
+
+def _merged_arrays(st: SpineTree, lam: Fraction, lp: int) -> CoverageArrays:
+    """build_coverage_arrays of a small tree: every node's sides from its
+    children's, bottom-up."""
     bt = st.bt
-    g = bt.g
     q = lam.denominator
-    lp = lam.numerator * g.weight_scale * g.length_scale
     dd = bt.dd
-    ft: list[Optional[_Side]] = [None] * len(st.nodes)
-    fb: list[Optional[_Side]] = [None] * len(st.nodes)
+    ft: list = [None] * len(st.nodes)
+    fb: list = [None] * len(st.nodes)
     for node in st.post_order():
         if node.leaf_kind:
             s = node.vertex
-            if node.left is None:
-                side = _vertex_side(bt, s, lp)
-            else:
-                d = q * bt.plen[node.echild]
-                side = _merge_one(bt, s, ft[node.left.idx], d, lp)
-            ft[node.idx] = side
-            fb[node.idx] = side
+            child = None if node.left is None else ft[node.left.idx]
+            d = q * bt.plen[node.echild] if child else 0
+            ft[node.idx] = fb[node.idx] = _leaf_side(
+                lp, bt.weight[s], 1 if bt.marked[s] else 0, child, d
+            )
         else:
             lc, rc = node.left, node.right
-            d_t = q * (dd[lc.vt] - dd[rc.vt])
-            d_b = q * (dd[lc.vb] - dd[rc.vb])
-            ft[node.idx] = _merge_two(ft[rc.idx], ft[lc.idx], d_t)
-            fb[node.idx] = _merge_two(fb[lc.idx], fb[rc.idx], d_b)
-    return CoverageArrays(lam, ft, fb)
+            ft[node.idx] = _joined_side(ft[rc.idx], ft[lc.idx], q * (dd[lc.vt] - dd[rc.vt]))
+            fb[node.idx] = _joined_side(fb[lc.idx], fb[rc.idx], q * (dd[lc.vb] - dd[rc.vb]))
+    xs: list = []
+    xd: list = []
+    zs: list = []
+    off: list = []
+    icov: list = []
+    for sx, sd, sz, c in ft + [fb[u.idx] for u in st.nodes if not u.leaf_kind]:
+        off.append(len(xs))
+        icov.append(len(xs) + c if c else -1)
+        xs += sx
+        xd += sd
+        zs += sz
+    off.append(len(xs))
+    return CoverageArrays(lam, xs, xd, zs, off, icov)
+
+
+def build_coverage_arrays(st: SpineTree, lam: Fraction) -> CoverageArrays:
+    """Every side at radius lam.  A tree with a layout takes them from
+    path-minimum thresholds (see _Layout) in a fixed number of numpy
+    calls, plus one doubling round per level of the slot table and one
+    round per light depth; a small tree merges them."""
+    if lam.numerator < 0:
+        raise ValueError("radius must be nonnegative")
+    g = st.bt.g
+    lp = lam.numerator * g.weight_scale * g.length_scale
+    lay = st.lay
+    if lay is None:
+        return _merged_arrays(st, lam, lp)
+    n = st.bt.n_all
+    m = lay.m
+    m1 = m + 1
+    q = lam.denominator
+    big = lp + 4 * q * lay.scale + 1  # the sentinel, above every value
+    lpm, cc, den, shift = lay.lpm, lay.cc, lay.den, lay.shift
+    if big >= _INT_LIMIT:
+        lpm, cc, den, shift = (a.astype(object) for a in (lpm, cc, den, shift))
+    num = lp * lpm - q * cc
+    num[m] = big
+    den = den.copy()
+    # every value ranked exactly, in lowest terms from here on
+    rank = _sorted_ordinates(num, den)[2]
+    rank[m] = m
+    # an element's key orders by value, then by element, so the least key
+    # of a set names its least value and an element holding it
+    key = rank * m1 + lay.iota
+    held = np.empty(m1, dtype=np.int64)
+    held[rank] = lay.iota
+
+    # least keys over slot ranges, one doubling round per level
+    t = np.empty((lay.levels, 2 * n), dtype=np.int64)
+    t[0] = key[lay.base]
+    for j in range(1, lay.levels):
+        h = 1 << (j - 1)
+        np.minimum(t[j - 1, :-h], t[j - 1, h:], out=t[j, :-h])
+    t = t.ravel()
+    r = np.minimum(t[lay.q1], t[lay.q2])
+    # hanging minima: for light depth l < light(u), the least g on the
+    # path from u up to its ancestor spine's top at light depth l + 1
+    hang = lay.hang.copy()
+    for d, grp, ridx, up in lay.chain:
+        hang[:d, grp] = np.minimum(r[ridx], hang[:d, up])
+    hv = hang.ravel()[lay.e_h]
+
+    top_key = np.minimum(r[lay.e_pair], hv)
+    # the hanging minimum of fb is at the same vertex, shifted by 2*q*dd[s]
+    y = lay.vert[hv[lay.f] % m1]
+    bot_key = np.minimum(r[lay.f_pair], key[lay.wel[lay.f_row + y]])
+    er = np.concatenate((top_key, bot_key, lay.sent, key[lay.probe])) // m1
+    thr = rank[lay.probe]
+    keep = er >= thr[lay.side_e]
+    sk = lay.side_key[keep] - 2 * er[keep]
+    sk.sort()
+    mark = sk & 1
+    sk >>= 1
+    last = np.ones(len(sk), dtype=bool)
+    last[:-1] = sk[1:] != sk[:-1]
+    cum = np.cumsum(mark)[last]
+    sk = sk[last]
+    er = m - sk % m1
+    off = np.flatnonzero(er == m)
+    size = np.diff(np.append(off, len(sk)))
+    zs = cum - np.repeat(cum[off], size)
+    el = held[er]
+    xd = den[el]
+    xs = num[el] + np.repeat(q * shift, size) * xd
+
+    cr = r[lay.cover] // m1
+    icov = np.where(cr >= thr, np.searchsorted(sk, lay.side_base - cr), -1)
+    xs = xs.tolist()
+    xd = xd.tolist()
+    off = off.tolist()
+    for i in off:
+        xs[i] = xd[i] = None
+    off.append(len(xs))
+    return CoverageArrays(lam, xs, xd, zs.tolist(), off, icov.tolist())
 
 
 # ---------------------------------------------------------------- queries
@@ -543,6 +734,8 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
     dd = bt.dd
     g = bt.g
     q = ca.lam.denominator
+    xs, xd, zs, off, icov = ca.xs, ca.xd, ca.zs, ca.off, ca.icov
+    fb_side = st.fb_side
     # w_v * dist(v) <= lam  <=>  weight[v] * dist(v) * q <= gate
     gate = ca.lam.numerator * g.weight_scale * g.length_scale * td
     r = bt.parent[s] if tn else None
@@ -559,10 +752,13 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
 
     count = 0
 
-    # a distance dist is the array key (dist * q, td)
-    def contrib(side: _Side, kn: int):
+    # a distance dist is the key (dist * q, td); the marked count of side
+    # i at key kn/td, and whether the key covers its whole subspine
+    def contrib(i: int, kn: int) -> bool:
         nonlocal count
-        count += side.zs[_locate(side, kn, td)]
+        count += zs[_rank(xs, xd, kn, td, off[i] + 1, off[i + 1]) - 1]
+        c = icov[i]
+        return c >= 0 and kn * xd[c] <= xs[c] * td
 
     u = st.leaf_of[s]
     anchor = s
@@ -575,7 +771,7 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
             if prev is None:
                 if bt.weight[sv] * tn * q <= gate:
                     flag_b = True
-                    contrib(ca.ft[u.idx], tn * q)
+                    contrib(u.idx, tn * q)
             else:
                 anchor = sv
                 if flag_a:
@@ -589,24 +785,28 @@ def _walk(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
             if prev is u.right:
                 if flag_b:
                     lc = u.left
-                    key = dist(lc.vt, anchor) * q
-                    side = ca.ft[lc.idx]
-                    contrib(side, key)
-                    if not _covers_spine(side, key, td):
-                        flag_b = False
+                    flag_b = contrib(lc.idx, dist(lc.vt, anchor) * q)
             else:
                 if not flag_a:
                     rc = u.right
-                    key = dist(rc.vb, rc.vb) * q
-                    side = ca.fb[rc.idx]
-                    contrib(side, key)
-                    if not _covers_spine(side, key, td):
-                        flag_a = True
+                    flag_a = not contrib(fb_side[rc.idx], dist(rc.vb, rc.vb) * q)
         if k is not None and count >= k:
             return count
         prev = u
         u = u.parent
     return count
+
+
+def _rank(ns: list, ds: list, kn: int, kd: int, lo: int, hi: int) -> int:
+    """End of the run of keys ns[i]/ds[i] >= kn/kd in the descending keys
+    ns[lo:hi]."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ns[mid] * kd >= kn * ds[mid]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def query_count(st: SpineTree, ca: CoverageArrays, x: EdgePoint) -> int:

@@ -354,7 +354,7 @@ def _pair_radii(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     i, j = i[keep], j[keep]
     w = np.array(wi, dtype=dt)[vs]
     d = np.array(ds, dtype=dt)
-    return _sorted_ordinates(w[i] * w[j] * (d[i] + d[j]), (w[i] + w[j]) * sc)
+    return _sorted_ordinates(w[i] * w[j] * (d[i] + d[j]), (w[i] + w[j]) * sc)[:2]
 
 
 def _centroid_lines(g: Graph) -> LineSet:

@@ -16,6 +16,8 @@ from ckoc.arrangement_search import (
     solve_weighted_graph,
     _CountingSearch,
     _explicit_ordinates,
+    _int_pair_ordinates,
+    _sorted_ordinates,
 )
 from ckoc.graph_core import (
     EdgePoint,
@@ -303,6 +305,12 @@ def _tied_line_sets(draw):
 def test_explicit_ordinates_sort_exactly(ls):
     assert ls.M.dtype == (np.int64 if ls.int_ok else object)
     assert _read(_explicit_ordinates(ls)) == sorted(_all_ordinates(ls))
+    # each input's rank names its value among the sorted distinct ones
+    num, den = _int_pair_ordinates(ls)
+    inputs = [F(int(a), int(b)) for a, b in zip(num, den)]
+    num, den, ranks = _sorted_ordinates(num, den)
+    values = _read((num, den))
+    assert [values[r] for r in ranks] == inputs
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

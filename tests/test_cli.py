@@ -95,6 +95,16 @@ def test_feasible_rejects_k_out_of_range_below_zero_radius(tmp_path, capsys):
         assert "out of range" in err
 
 
+def test_feasible_graph_names_n_when_k_exceeds_it(tmp_path, capsys):
+    _, text, _ = run(capsys, ["gen", "--seed", "7", "--n", "6", "--density", "0.4"])
+    assert not parse_instance(text)[0].is_tree
+    f = tmp_path / "g.ckoc"
+    f.write_text(text)
+    code, out, err = run(capsys, ["feasible", str(f), "--k", "9", "--lambda", "1"])
+    assert code == 1 and out == ""
+    assert "k=9 out of range for n=6" in err
+
+
 def test_gen_deterministic(capsys):
     a = run(capsys, ["gen", "--seed", "1", "--n", "5", "--tree"])
     b = run(capsys, ["gen", "--seed", "1", "--n", "5", "--tree"])

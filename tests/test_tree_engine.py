@@ -1,6 +1,7 @@
 """Tree coverage engine: binarization and depths, spine decomposition,
 coverage arrays, and point queries."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from ckoc import oracle
+from ckoc import oracle, tree_engine
 from ckoc.graph_core import (
     EdgePoint,
     Graph,
@@ -19,20 +20,27 @@ from ckoc.graph_core import (
     vertex_point,
 )
 from ckoc.tree_engine import (
-    _vertex_side,
     binarize,
     build_coverage_arrays,
     query_at_least_k,
     query_count,
     spine_decompose,
 )
-from ckoc.tree_solver import covered_walk, solve_weighted_tree
+from ckoc.tree_solver import _pair_radii, _TreeContext, covered_walk, solve_weighted_tree
 
-from conftest import random_tree
+from conftest import rand_rational, random_tree
 
 
-def _engine(g, lam=None):
-    st = spine_decompose(binarize(g))
+# _MERGE_MAX of each build: the closed form on every tree, and the
+# default, which merges small trees
+_BUILDS = (0, tree_engine._MERGE_MAX)
+
+
+def _engine(g, lam=None, merge_max=tree_engine._MERGE_MAX):
+    # the spine tree picks its build when it is made
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_engine, "_MERGE_MAX", merge_max)
+        st = spine_decompose(binarize(g))
     ca = build_coverage_arrays(st, lam) if lam is not None else None
     return st, ca
 
@@ -56,6 +64,15 @@ def _keys(g, ca, nums, dens):
     the sentinel stays None."""
     scale = ca.lam.denominator * g.length_scale
     return [None if n is None else F(n, d * scale) for n, d in zip(nums, dens)]
+
+
+def _side(g, ca, i):
+    """Side i of the flat arrays: its keys as Fractions (the sentinel
+    None), its marked counts, and the index of its cover key (0 when
+    none)."""
+    a, b = ca.off[i], ca.off[i + 1]
+    c = ca.icov[i]
+    return _keys(g, ca, ca.xs[a:b], ca.xd[a:b]), ca.zs[a:b], c - a if c >= 0 else 0
 
 
 # ---------------------------------------------------------------- binarize
@@ -163,34 +180,37 @@ def test_spine_structure_random():
 
 def test_leaf_arrays_frozen_single_vertex():
     g = Graph(1, [3], [])
-    st, ca = _engine(g, lam=F(2))
-    side = ca.ft[st.root.idx]
-    assert _keys(g, ca, side.xs, side.xd) == [None, F(2, 3), 0]
-    assert side.ys == [0, 1, 1]
-    assert side.zs == [0, 1, 1]
-    assert side.icov == 1
-    assert ca.fb[st.root.idx] is side
+    for merge_max in _BUILDS:
+        st, ca = _engine(g, F(2), merge_max)
+        i = st.root.idx
+        assert _side(g, ca, i) == ([None, F(2, 3), 0], [0, 1, 1], 1)
+        # a spine vertex's node has one side for both directions
+        assert st.fb_side[i] == i
 
 
 def test_vertex_side_aux_unmarked(star3):
-    bt = binarize(star3)
-    # radius 1: the key numerator is p * SW * SL with p = 1
-    side = _vertex_side(bt, 5, star3.weight_scale * star3.length_scale)
-    assert side.ys == [0, 1, 1]
-    assert side.zs == [0, 0, 0]
+    # the copy 5 of the center heads the spine vertex node of {5, 4}:
+    # covered alone at radius 1/2 it adds no marked vertex, and at radius
+    # 1 only the leaf 4 one unit farther counts
+    for merge_max in _BUILDS:
+        st, ca = _engine(star3, F(1, 2), merge_max)
+        bt = st.bt
+        assert bt.orig[5] == 1 and not bt.marked[5] and st.left[5] == 4
+        assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1, 2), 0], [0, 0, 0])
+        st, ca = _engine(star3, F(1), merge_max)
+        assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1), 0], [0, 0, 1])
 
 
 def test_arrays_path5_midspine(path5):
-    st, ca = _engine(path5, lam=F(1))
-    node = next(
-        u for u in st.nodes if not u.leaf_kind and u.vt == 3 and u.vb == 5
-    )
-    side = ca.ft[node.idx]
-    xs = _keys(path5, ca, side.xs, side.xd)
-    # standing at vertex 3 with unit radius covers {3, 4}; 5 stays out
-    i = max(j for j in range(1, len(xs)) if xs[j] >= 0)
-    assert side.ys[i] == 2
-    assert side.zs[i] == 2
+    for merge_max in _BUILDS:
+        st, ca = _engine(path5, F(1), merge_max)
+        node = next(
+            u for u in st.nodes if not u.leaf_kind and u.vt == 3 and u.vb == 5
+        )
+        xs, zs, _ = _side(path5, ca, node.idx)
+        # standing at vertex 3 with unit radius covers {3, 4}; 5 stays out
+        i = max(j for j in range(1, len(xs)) if xs[j] >= 0)
+        assert zs[i] == 2
 
 
 def test_arrays_shape_invariants():
@@ -198,16 +218,75 @@ def test_arrays_shape_invariants():
     for _ in range(10):
         g = random_tree(rng, rng.randint(1, 16), weighted=rng.random() < 0.5)
         lam = F(rng.randint(0, 40), rng.randint(1, 8))
-        st, ca = _engine(g, lam=lam)
-        for side in list(ca.ft) + list(ca.fb):
-            xs, ys, zs = _keys(g, ca, side.xs, side.xd), side.ys, side.zs
-            assert xs[0] is None and xs[-1] == 0
-            for i in range(2, len(xs)):
-                assert xs[i] < xs[i - 1]
-            for i in range(1, len(xs)):
-                assert ys[i] >= ys[i - 1] and zs[i] >= zs[i - 1]
-            if side.icov:
-                assert xs[side.icov] >= 0
+        for merge_max in _BUILDS:
+            st, ca = _engine(g, lam, merge_max)
+            assert ca.off[0] == 0 and ca.off[-1] == len(ca.xs) == len(ca.xd) == len(ca.zs)
+            assert len(ca.off) == len(ca.icov) + 1 == st.sides + 1
+            for i in range(st.sides):
+                xs, zs, c = _side(g, ca, i)
+                assert xs[0] is None and zs[0] == 0 and xs[-1] == 0
+                for j in range(2, len(xs)):
+                    assert xs[j] < xs[j - 1]
+                for j in range(1, len(xs)):
+                    assert zs[j] >= zs[j - 1]
+                if c:
+                    assert xs[c] >= 0
+
+
+def _fraction_sides(st, lam):
+    """Every side of the spine tree at radius lam by walking each node's
+    vertices with Fractions, as _side reads them.
+
+    The ft side of a node holds, per vertex u of its set, the largest
+    distance tau(u) from the outside point to its top vt at which u is
+    covered: u is covered exactly when every vertex y on the path passes
+    its gate, lam/w_y >= tau + d(vt, y).  The fb side does the same from
+    below its bottom vb.  A side lists the distinct tau >= 0 descending
+    after a sentinel, closed by 0, with the marked vertices of tau at
+    least each key, and its cover key is the least tau on its subspine."""
+    bt = st.bt
+    g = bt.g
+    dd = bt.dd
+
+    def gate(y, dist):
+        return lam * g.weight_scale / bt.weight[y] - F(dist, g.length_scale)
+
+    def side(taus, spine_taus):
+        keys = sorted({t for t, _ in taus if t >= 0}, reverse=True)
+        if keys[-1] > 0:
+            keys.append(F(0))
+        zs = [sum(m for t, m in taus if t >= key) for key in keys]
+        cov = min(spine_taus)
+        return [None] + keys, [0] + zs, (keys.index(cov) + 1 if cov >= 0 else 0)
+
+    out = {}
+    for node in st.nodes:
+        spine = [node.vt]
+        while spine[-1] != node.vb:
+            spine.append(st.right[spine[-1]])
+        vt, vb = node.vt, node.vb
+        ft, fb = [], []
+        for i, s in enumerate(spine):
+            # s, then the subtree hanging from it, each vertex with its
+            # path from below s
+            members = [(s, [])]
+            stack = [(st.left[s], [st.left[s]])] if st.left[s] else []
+            while stack:
+                v, path = stack.pop()
+                members.append((v, path))
+                stack += [(c, path + [c]) for c in bt.children[v]]
+            for v, below in members:
+                m = 1 if bt.marked[v] else 0
+                t = min(gate(y, dd[y] - dd[vt]) for y in spine[: i + 1] + below)
+                b = min(
+                    [gate(y, dd[vb] - dd[y]) for y in spine[i:]]
+                    + [gate(y, dd[vb] - 2 * dd[s] + dd[y]) for y in below]
+                )
+                ft.append((t, m, v == s))
+                fb.append((b, m, v == s))
+        for i, taus in ((node.idx, ft), (st.fb_side[node.idx], fb)):
+            out[i] = side([(t, m) for t, m, _ in taus], [t for t, _, on in taus if on])
+    return out
 
 
 # ---------------------------------------------------------------- queries
@@ -317,16 +396,13 @@ def test_build_determinism():
     rng = random.Random(717)
     g = random_tree(rng, 20, weighted=True)
 
-    def dump():
-        st, ca = _engine(g, lam=F(7, 3))
+    def dump(merge_max):
+        st, ca = _engine(g, F(7, 3), merge_max)
         shape = [(u.leaf_kind, u.vertex, u.vt, u.vb, u.tsize) for u in st.nodes]
-        sides = [
-            (_keys(g, ca, s.xs, s.xd), s.ys, s.zs, s.icov)
-            for s in list(ca.ft) + list(ca.fb)
-        ]
-        return shape, sides
+        return shape, st.fb_side, ca.xs, ca.xd, ca.zs, ca.off, ca.icov
 
-    assert dump() == dump()
+    for merge_max in _BUILDS:
+        assert dump(merge_max) == dump(merge_max)
 
 
 # ---------------------------------------------------------------- wide scales
@@ -384,3 +460,101 @@ def test_integer_keys_match_brute_at_wide_scales(case):
         for kk in range(1, g.n + 1):
             assert query_at_least_k(st, ca, x, kk) == (len(want) >= kk)
     assert solve_weighted_tree(g, k).lambda_star == oracle.brute_lambda(g, k)
+
+
+# ---------------------------------------------------------------- closed form
+
+
+@hs.composite
+def _side_cases(draw):
+    """A tree of at most 12 vertices (random, a path or a star) with
+    lengths and weights over one denominator family, and radii: exact
+    coverage boundaries, pair radii and arbitrary fractions.  Small
+    denominators keep the closed form in int64; primes near 10**6 and
+    2**61 push it to Python ints."""
+    dens = draw(hs.sampled_from(((1, 2, 4), _PRIMES[:8], _PRIMES[8:])))
+
+    def rat():
+        return F(draw(hs.integers(1, 9)), draw(hs.sampled_from(dens)))
+
+    n = draw(hs.integers(1, 12))
+    shape = draw(hs.sampled_from(("random", "path", "star")))
+    parents = {
+        "random": lambda v: draw(hs.integers(1, v - 1)),
+        "path": lambda v: v - 1,
+        "star": lambda v: 1,
+    }[shape]
+    g = Graph(n, [rat() for _ in range(n)], [(parents(v), v, rat()) for v in range(2, n + 1)])
+    dm = all_pairs_distances(g)
+    lams = [F(0)]
+    for _ in range(draw(hs.integers(1, 3))):
+        u, v = draw(hs.integers(1, n)), draw(hs.integers(1, n))
+        wu, wv, d = g.weights[u], g.weights[v], dm.d(u, v)
+        lams += [wu * d, wu * wv * d / (wu + wv)]
+        lams.append(F(draw(hs.integers(0, 40)), draw(hs.integers(1, 7))))
+    return g, lams
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_side_cases())
+def test_sides_match_fraction_walk(case):
+    g, lams = case
+    for merge_max in _BUILDS:
+        st, _ = _engine(g, None, merge_max)
+        for lam in lams:
+            ca = build_coverage_arrays(st, lam)
+            assert {i: _side(g, ca, i) for i in range(st.sides)} == _fraction_sides(st, lam)
+
+
+def _caterpillar(rng, n):
+    # a path of n // 2 vertices, each with one leaf
+    half = n // 2
+    edges = [(v - 1, v, rand_rational(rng)) for v in range(2, half + 1)]
+    edges += [(v, half + v, rand_rational(rng)) for v in range(1, half + 1)]
+    return Graph(2 * half, [rand_rational(rng) for _ in range(2 * half)], edges)
+
+
+def _path(rng, n):
+    edges = [(v - 1, v, rand_rational(rng)) for v in range(2, n + 1)]
+    return Graph(n, [rand_rational(rng) for _ in range(n)], edges)
+
+
+def test_large_trees_count_every_critical_point():
+    # past four doubling levels: every critical point of three radii
+    # counts as many vertices as the covered subtree holds
+    rng = random.Random(718)
+    levels = []
+    for g in (_path(rng, 400), _caterpillar(rng, 400), random_tree(rng, 400, weighted=True)):
+        ctx = _TreeContext(g)
+        levels.append(ctx.st.lay.levels)
+        num, den = _pair_radii(g)
+        for t in (len(num) // 50, len(num) // 2, 9 * len(num) // 10):
+            lam = F(int(num[t]), int(den[t]))
+            ca = build_coverage_arrays(ctx.st, lam)
+            for pt in {ctx.point(v, lam) for v in g.vertices()}:
+                x = ctx.edge_point(pt)
+                assert query_count(ctx.st, ca, x) == len(covered_walk(g, x, lam))
+    assert levels[0] == 9 and min(levels) >= 4
+
+
+def test_doubling_rounds_stay_logarithmic(monkeypatch):
+    # a 2000-vertex path is one spine, as high as a tree gets: the build
+    # takes one np.minimum per doubling round beyond the calls a single
+    # vertex takes
+    calls = [0]
+    minimum = tree_engine.np.minimum
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return minimum(*args, **kwargs)
+
+    n = 2000
+    counts = []
+    for g in (Graph(1, [3], []), _path(random.Random(719), n)):
+        st, _ = _engine(g, None, 0)
+        monkeypatch.setattr(tree_engine.np, "minimum", counted)
+        calls[0] = 0
+        build_coverage_arrays(st, F(5, 2))
+        monkeypatch.setattr(tree_engine.np, "minimum", minimum)
+        counts.append(calls[0])
+    assert 0 < counts[1] - counts[0] <= math.ceil(math.log2(n)) + 1
