@@ -256,7 +256,7 @@ def kth_bounds(g: Graph, dm: DistanceMatrix, k: int) -> list[tuple[int, int]]:
     lie within the radius of any point of the edge.
     """
     if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside 1..{g.n}")
+        raise ValueError(f"k={k} out of range for n={g.n}")
     rows, wi = dm.rows, g.weights_int
     top = max(map(max, rows)) * max(wi)
     if top >= _INT64_LIMIT:

@@ -238,7 +238,7 @@ def kth_level(cs: ChainSet, k: int) -> LevelChain:
     k-th smallest chain value."""
     n = len(cs.ids)
     if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
+        raise ValueError(f"k={k} out of range for n={n}")
     l = cs.size
     seqs = segment_sequences(cs)
     sp_line = [a for a, _ in seqs.splus]  # descending
@@ -398,7 +398,7 @@ def solve_unweighted_graph(g: Graph, k: int) -> Solution:
     if not g.unit_weights:
         raise InstanceError("unweighted solver requires unit vertex weights")
     if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside 1..{g.n}")
+        raise ValueError(f"k={k} out of range for n={g.n}")
     if k == 1 or g.n == 1:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     dm = all_pairs_distances(g)

@@ -24,13 +24,11 @@ u exactly when t <= tau(u) = min over y on the path vt..u of (lam/w_y -
 d(vt, y)).  A side (one node, one direction) is the distinct tau(u) >= 0
 descending, each with the marked vertices of tau at least it, and its
 cover key, the least tau on the subspine, tells when the whole subspine
-is covered.  Bottom-up merges of the children's sides compute the same
-thing, one node at a time; small trees still build that way.  Larger
-trees take every side at once (build_coverage_arrays): with lam = p/q,
-lp = p*SW*SL and keys in units of 1/(q*SL), let g(y) = lp/W_y - q*dd[y]
-and g+(y) = lp/W_y + q*dd[y].  Then ft tau(u) = q*dd[vt] + min g over
-vt..u, and for u hanging from the spine vertex s, fb tau(u) = min(min
-g+ over s..vb, min g below s to u + 2*q*dd[s]) - q*dd[vb].  Spine
+is covered.  build_coverage_arrays takes every side at once: with lam =
+p/q, lp = p*SW*SL and keys in units of 1/(q*SL), let g(y) = lp/W_y -
+q*dd[y] and g+(y) = lp/W_y + q*dd[y].  Then ft tau(u) = q*dd[vt] + min g
+over vt..u, and for u hanging from the spine vertex s, fb tau(u) =
+min(min g+ over s..vb, min g below s to u + 2*q*dd[s]) - q*dd[vb].  Spine
 segments are slot ranges of one doubling table (Bender and
 Farach-Colton's range minima); a path below s crosses a light edge into
 each spine it meets, at most log n of them, so its minimum chains per
@@ -55,7 +53,11 @@ from.  So depths alone give each distance.
 
 The arrays only count.  A witness is never read from them: tree_solver
 walks the covered subtree directly and checks its size against
-query_count.
+query_count.  tree_solver builds no spine tree or arrays for a tree of
+at most _WALK_MAX vertices: there a probe walks the covered subtree of
+each distinct critical point instead, as the fixed numpy cost of the
+layout (~100 calls per tree) and of each build (~50 per radius) exceeds
+those walks (timings in tree_solver's docstring).
 """
 
 from __future__ import annotations
@@ -213,9 +215,9 @@ class GNode:
     part, right the upper."""
 
     __slots__ = ("idx", "leaf_kind", "vertex", "vt", "vb", "parent", "left",
-                 "right", "tsize", "echild")
+                 "right", "tsize")
 
-    def __init__(self, idx, leaf_kind, vertex, vt, vb, tsize, echild):
+    def __init__(self, idx, leaf_kind, vertex, vt, vb, tsize):
         self.idx = idx
         self.leaf_kind = leaf_kind
         self.vertex = vertex
@@ -225,7 +227,6 @@ class GNode:
         self.left: Optional[GNode] = None
         self.right: Optional[GNode] = None
         self.tsize = tsize
-        self.echild = echild
 
     def __repr__(self):
         kind = "leaf" if self.leaf_kind else "node"
@@ -282,10 +283,10 @@ class SpineTree:
                 self.fb_side[u.idx] = i
                 i += 1
         self.sides = i
-        self.lay = _Layout(self) if n > _MERGE_MAX else None
+        self.lay = _Layout(self)
 
-    def _new(self, leaf_kind, vertex, vt, vb, tsize, echild) -> GNode:
-        node = GNode(len(self.nodes), leaf_kind, vertex, vt, vb, tsize, echild)
+    def _new(self, leaf_kind, vertex, vt, vb, tsize) -> GNode:
+        node = GNode(len(self.nodes), leaf_kind, vertex, vt, vb, tsize)
         self.nodes.append(node)
         return node
 
@@ -301,7 +302,7 @@ class SpineTree:
         for s in rev:
             h = self.left[s]
             w = self.size[s] - (self.size[self.right[s]] if self.right[s] else 0)
-            node = self._new(True, s, s, s, w, h if h else None)
+            node = self._new(True, s, s, s, w)
             self.leaf_of[s] = node
             if h:
                 sub = self._decompose(h, depth + 1)
@@ -326,9 +327,7 @@ class SpineTree:
             j = min(lo2, hi - 1)
             lnode = build(lo, j)
             rnode = build(j + 1, hi)
-            node = self._new(
-                False, 0, rnode.vt, lnode.vb, lnode.tsize + rnode.tsize, lnode.vt
-            )
+            node = self._new(False, 0, rnode.vt, lnode.vb, lnode.tsize + rnode.tsize)
             node.left = lnode
             node.right = rnode
             lnode.parent = node
@@ -348,18 +347,6 @@ class SpineTree:
             if u.right is not None:
                 stack.append((u.right, h + 1))
         return best
-
-    def post_order(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            if u.left is not None:
-                stack.append(u.left)
-            if u.right is not None:
-                stack.append(u.right)
-        return reversed(out)
 
 
 def spine_decompose(bt: BinaryTransform) -> SpineTree:
@@ -516,131 +503,15 @@ class CoverageArrays:
     icov: list[int]
 
 
-# ---------------------------------------------------------------- small trees
-
-# binary trees of at most this many vertices merge their sides bottom-up
-# in Python: below it the fixed numpy costs of the layout (~100 calls per
-# tree) and of the closed form (~50 per radius) lose to the merges.  On a
-# 2-core sandbox, weighted-tree solves of random trees broke even near
-# 70 vertices
-_MERGE_MAX = 64
-
-
-def _closed(xs: list, xd: list, zs: list, icov: int):
-    """A side (xs, xd, zs, icov) with its closing key 0."""
-    if xs[-1] > 0:
-        xs.append(0)
-        xd.append(1)
-        zs.append(zs[-1])
-    return xs, xd, zs, icov
-
-
-def _leaf_side(lp: int, w: int, m: int, child, d: int):
-    """Side of a spine vertex of weight w, m = 1 when marked: it gates
-    everything at lp/w, and the ft side child of its hanging subtree, if
-    any, joins d (units of 1/(q*SL)) farther."""
-    xs, xd, zs = [None, lp], [None, w], [0, m]
-    if child is not None:
-        cx, cd, cz, _ = child
-        j = _rank(cx, cd, lp + d * w, w, 1, len(cx))
-        zs[1] += cz[j - 1]
-        while j < len(cx) and cx[j] >= d * cd[j]:
-            xs.append(cx[j] - d * cd[j])
-            xd.append(cd[j])
-            zs.append(m + cz[j])
-            j += 1
-    return _closed(xs, xd, zs, 1)
-
-
-def _joined_side(prim, sec, d: int):
-    """Side of a search-tree node: prim's subspine is adjacent to the
-    outside point, and sec joins in, shifted by d, only while prim's
-    subspine is fully covered."""
-    px, pd, pz, pc = prim
-    if not pc:
-        return prim
-    sx, sd, sz, sc = sec
-    xrn, xrd = px[pc], pd[pc]
-    j = _rank(sx, sd, xrn + d * xrd, xrd, 1, len(sx))
-    xs, xd = px[: pc + 1], pd[: pc + 1]
-    zs = pz[:pc] + [pz[pc] + sz[j - 1]]
-    i, np_, ns = pc + 1, len(px), len(sx)
-    while j < ns and sx[j] >= d * sd[j]:
-        xbn = sx[j] - d * sd[j]
-        if i < np_ and px[i] * sd[j] >= xbn * pd[i]:
-            tie = px[i] * sd[j] == xbn * pd[i]
-            xs.append(px[i])
-            xd.append(pd[i])
-            zs.append(pz[i] + sz[j if tie else j - 1])
-            i += 1
-            j += tie
-        else:
-            xs.append(xbn)
-            xd.append(sd[j])
-            zs.append(pz[i - 1] + sz[j])
-            j += 1
-    while i < np_:
-        xs.append(px[i])
-        xd.append(pd[i])
-        zs.append(pz[i] + sz[j - 1])
-        i += 1
-    cov = 0
-    if sc:
-        cn, cd = sx[sc] - d * sd[sc], sd[sc]
-        if cn * xrd > xrn * cd:
-            cn, cd = xrn, xrd
-        if cn >= 0:
-            cov = _rank(xs, xd, cn, cd, 1, len(xs)) - 1
-    return _closed(xs, xd, zs, cov)
-
-
-def _merged_arrays(st: SpineTree, lam: Fraction, lp: int) -> CoverageArrays:
-    """build_coverage_arrays of a small tree: every node's sides from its
-    children's, bottom-up."""
-    bt = st.bt
-    q = lam.denominator
-    dd = bt.dd
-    ft: list = [None] * len(st.nodes)
-    fb: list = [None] * len(st.nodes)
-    for node in st.post_order():
-        if node.leaf_kind:
-            s = node.vertex
-            child = None if node.left is None else ft[node.left.idx]
-            d = q * bt.plen[node.echild] if child else 0
-            ft[node.idx] = fb[node.idx] = _leaf_side(
-                lp, bt.weight[s], 1 if bt.marked[s] else 0, child, d
-            )
-        else:
-            lc, rc = node.left, node.right
-            ft[node.idx] = _joined_side(ft[rc.idx], ft[lc.idx], q * (dd[lc.vt] - dd[rc.vt]))
-            fb[node.idx] = _joined_side(fb[lc.idx], fb[rc.idx], q * (dd[lc.vb] - dd[rc.vb]))
-    xs: list = []
-    xd: list = []
-    zs: list = []
-    off: list = []
-    icov: list = []
-    for sx, sd, sz, c in ft + [fb[u.idx] for u in st.nodes if not u.leaf_kind]:
-        off.append(len(xs))
-        icov.append(len(xs) + c if c else -1)
-        xs += sx
-        xd += sd
-        zs += sz
-    off.append(len(xs))
-    return CoverageArrays(lam, xs, xd, zs, off, icov)
-
-
 def build_coverage_arrays(st: SpineTree, lam: Fraction) -> CoverageArrays:
-    """Every side at radius lam.  A tree with a layout takes them from
-    path-minimum thresholds (see _Layout) in a fixed number of numpy
-    calls, plus one doubling round per level of the slot table and one
-    round per light depth; a small tree merges them."""
+    """Every side at radius lam, from path-minimum thresholds (see
+    _Layout) in a fixed number of numpy calls, plus one doubling round per
+    level of the slot table and one round per light depth."""
     if lam.numerator < 0:
         raise ValueError("radius must be nonnegative")
     g = st.bt.g
     lp = lam.numerator * g.weight_scale * g.length_scale
     lay = st.lay
-    if lay is None:
-        return _merged_arrays(st, lam, lp)
     n = st.bt.n_all
     m = lay.m
     m1 = m + 1

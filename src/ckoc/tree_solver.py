@@ -37,6 +37,19 @@ code.
 
 Both solvers take their witness, the k covered vertices nearest to the
 center, from one walk of the center's covered subtree.
+
+Small trees build neither engine.  On a tree of at most _WALK_MAX = 64
+vertices a feasibility probe runs that walk (covered_walk) from each
+distinct critical point in id order until one covers k, with no spine
+tree or coverage arrays.  A unit tree of at most _UNIT_WALK_MAX = 16
+vertices goes to the weighted solver: the same radius, the same center
+(the first critical point in id order that covers k) and the same
+witness walk, so the same answer.  Per solve of k = 2, n/4, n/2, 3n/4
+and n (CPU time, best of 3, 2-core machine, random, star, path,
+caterpillar and broom trees), walks against the weighted engine took
+0.33-0.44x at n = 16, 0.58-0.88x at n = 64, 0.79-1.22x at n = 100 and
+1.05-1.69x at n = 200; unit trees through the weighted walks against the
+unit engine took 0.55-0.67x at n = 16 and 0.93-1.30x at n = 32.
 """
 
 from __future__ import annotations
@@ -78,11 +91,19 @@ from .tree_engine import (
 # ---------------------------------------------------------------- context
 
 
+# trees of at most this many vertices probe feasibility by covered walks,
+# larger ones through the coverage engine of tree_engine; unit trees of at
+# most _UNIT_WALK_MAX go to the weighted solver, larger ones to the unit
+# engine (the module docstring has the timings behind both)
+_WALK_MAX = 64
+_UNIT_WALK_MAX = 16
+
+
 class _TreeContext:
-    """Rooted arrays, depths, ancestor jumps and the coverage engine for
-    one tree, shared across repeated feasibility probes.  All come from
-    the binary transform rooted at 1, whose copies hang by zero-length
-    edges."""
+    """Rooted arrays, depths, ancestor jumps and, above _WALK_MAX
+    vertices, the spine tree of the coverage engine for one tree, shared
+    across repeated feasibility probes.  All come from the binary
+    transform rooted at 1, whose copies hang by zero-length edges."""
 
     def __init__(self, g: Graph):
         if not g.is_tree:
@@ -99,7 +120,7 @@ class _TreeContext:
             prev = up[-1]
             up.append([prev[prev[v]] for v in range(g.n + 1)])
         self.up = up
-        self.st = spine_decompose(bt)
+        self.st = spine_decompose(bt) if g.n > _WALK_MAX else None
 
     def point(self, v: int, lam: Fraction) -> tuple[int, int, int]:
         """Critical point of v: on v's root path at distance lam/w_v.
@@ -146,18 +167,26 @@ class _TreeContext:
 
 
 def _feasible_scan(ctx: _TreeContext, k: int, lam: Fraction):
-    """First critical point covering k vertices, with the engine state."""
+    """First critical point x covering k vertices, as a hit (x, dist,
+    engine), each distinct point counted once.  Without a spine tree the
+    count is x's covered_walk, kept as dist, and engine is None; with one
+    it is the engine's, dist is None and engine holds (st, ca)."""
     st = ctx.st
-    ca = build_coverage_arrays(st, lam)
+    ca = None if st is None else build_coverage_arrays(st, lam)
     seen = set()
     for v in ctx.g.vertices():
         pt = ctx.point(v, lam)
         if pt in seen:
             continue
         seen.add(pt)
+        if ca is None:
+            x = ctx.edge_point(pt)
+            dist = covered_walk(ctx.g, x, lam)
+            if len(dist) >= k:
+                return x, dist, None
         # the tree's edge child c is also the transformed tree's vertex c
-        if query_at_least_k_at(st, ca, *pt, k):
-            return ctx.edge_point(pt), st, ca
+        elif query_at_least_k_at(st, ca, *pt, k):
+            return ctx.edge_point(pt), None, (st, ca)
     return None
 
 
@@ -206,12 +235,14 @@ def covered_walk(g: Graph, x: EdgePoint, lam: Fraction) -> dict[int, int]:
 
 
 def _covered(hit) -> tuple[EdgePoint, dict[int, int]]:
-    """A _feasible_scan hit's point and its covered_walk, checked against
-    the engine's count."""
-    x, st, ca = hit
-    dist = covered_walk(st.bt.g, x, ca.lam)
-    if query_count(st, ca, x) != len(dist):
-        raise InternalError("coverage walk disagrees with the engine count")
+    """A _feasible_scan hit's point and its covered_walk; an engine hit's
+    walk is taken here and checked against the engine's count."""
+    x, dist, engine = hit
+    if engine is not None:
+        st, ca = engine
+        dist = covered_walk(st.bt.g, x, ca.lam)
+        if query_count(st, ca, x) != len(dist):
+            raise InternalError("coverage walk disagrees with the engine count")
     return x, dist
 
 
@@ -415,9 +446,9 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
     ctx = _TreeContext(g)
     memo: dict[Fraction, bool] = {}
-    # the scan hit (point and count arrays) of the lowest feasible radius
-    # probed so far, kept so the witness needs no second scan or build;
-    # one set of arrays is kept at a time
+    # the scan hit (point, and its walk or count arrays) of the lowest
+    # feasible radius probed so far, kept so the witness needs no second
+    # scan or build; one hit is kept at a time
     best_lam = best_hit = None
 
     def accept(lam: Fraction) -> bool:
@@ -833,6 +864,9 @@ def solve_unweighted_tree(g: Graph, k: int) -> Solution:
         raise ValueError(f"k={k} out of range for n={g.n}")
     if k == 1 or g.n == 1:
         return Solution(ZERO, vertex_point(g, 1), frozenset({1}))
+    if g.n <= _UNIT_WALK_MAX:
+        # the same radius, center rule and witness walk, without an engine
+        return solve_weighted_tree(g, k)
     eng = _UnweightedEngine(g)
     radius, v_star = _least_radius(eng, k)
     return _unweighted_solution(g, eng, k, radius, v_star)

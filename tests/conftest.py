@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ckoc import tree_solver
 from ckoc.graph_core import Graph
 
 
@@ -66,3 +67,15 @@ def random_graph(rng: random.Random, n: int, extra: int = 0, weighted: bool = Fa
 
 def random_tree(rng: random.Random, n: int, weighted: bool = False) -> Graph:
     return random_graph(rng, n, extra=0, weighted=weighted)
+
+
+def tree_probes():
+    """Run the body of `for probe in tree_probes():` twice: first at
+    tree_solver's size limits, where small trees probe by covered walks
+    ("walk"), then with both limits at 0, where every tree goes to a
+    coverage engine ("engine")."""
+    yield "walk"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_solver, "_WALK_MAX", 0)
+        mp.setattr(tree_solver, "_UNIT_WALK_MAX", 0)
+        yield "engine"

@@ -31,7 +31,7 @@ from ckoc.tree_engine import (
 )
 from ckoc.tree_solver import is_feasible_tree, solve_unweighted_tree, solve_weighted_tree
 
-from conftest import random_graph, random_tree
+from conftest import random_graph, random_tree, tree_probes
 
 GRAPH_SEED = 0xC1717E57
 TREE_SEED = 0x7EEE5EED
@@ -123,11 +123,14 @@ def test_criterion_3_tree_agreement(tree_pool, tree_lams):
     for i, g in enumerate(tree_pool):
         for k in range(1, g.n + 1):
             want = oracle.brute_lambda(g, k)
-            got = solve_weighted_tree(g, k).lambda_star
-            assert got == want, (i, k, got, want)
-            if g.unit_weights:
-                got_u = solve_unweighted_tree(g, k).lambda_star
-                assert got_u == want, (i, k, got_u, want)
+            # small trees probe by covered walks, and with the limits at 0
+            # by the coverage engines
+            for probe in tree_probes():
+                got = solve_weighted_tree(g, k).lambda_star
+                assert got == want, (probe, i, k, got, want)
+                if g.unit_weights:
+                    got_u = solve_unweighted_tree(g, k).lambda_star
+                    assert got_u == want, (probe, i, k, got_u, want)
             tree_lams[(i, k)] = want
             solves += 1
     print(f"[criterion 3] PASS: {solves} tree solves on 200 trees agree exactly")
@@ -161,8 +164,8 @@ def test_criterion_5_feasibility_sandwich(graph_pool, graph_lams, tree_pool, tre
         assert max(g.weights[u] * point_distance(g, dm, x, u) for u in block) <= lam
         assert _spt_subtree(g, dm, x, block)
 
-    pairs = 0
-    for pool, lams, tree in ((graph_pool, graph_lams, False), (tree_pool, tree_lams, True)):
+    def sandwich(pool, lams, tree):
+        pairs = 0
         for i, g in enumerate(pool):
             dm = all_pairs_distances(g)
             cands = sorted(set(oracle.candidate_values(g)))
@@ -183,6 +186,12 @@ def test_criterion_5_feasibility_sandwich(graph_pool, graph_lams, tree_pool, tre
                         lower = is_feasible_graph(g, dm, k, below).feasible
                     assert not lower, (i, k, below, lam)
                 pairs += 1
+        return pairs
+
+    pairs = sandwich(graph_pool, graph_lams, False)
+    # the tree half with walks, then with the coverage engines
+    for _ in tree_probes():
+        pairs += sandwich(tree_pool, tree_lams, True)
     print(f"[criterion 5] PASS: sandwich holds with validated witnesses on {pairs} cases")
 
 

@@ -105,6 +105,20 @@ def test_feasible_graph_names_n_when_k_exceeds_it(tmp_path, capsys):
     assert "k=9 out of range for n=6" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["klevel", "--k", "9"], ["solve", "--algo", "unweighted-graph", "--k", "0"]],
+    ids=["klevel", "solve"],
+)
+def test_k_out_of_range_names_n(tmp_path, capsys, argv):
+    # every entry point words a k outside 1..n the same way
+    f = tmp_path / "i.ckoc"
+    f.write_text(PATH3)
+    code, out, err = run(capsys, [argv[0], str(f), *argv[1:]])
+    assert code == 1 and out == ""
+    assert f"k={argv[-1]} out of range for n=3" in err
+
+
 def test_gen_deterministic(capsys):
     a = run(capsys, ["gen", "--seed", "1", "--n", "5", "--tree"])
     b = run(capsys, ["gen", "--seed", "1", "--n", "5", "--tree"])

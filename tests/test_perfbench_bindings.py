@@ -48,7 +48,10 @@ def test_runner_names_resolve():
 def test_solve_path_reaches_traced_names():
     # a traced name that resolves but no longer sits on the solve path
     # reads 0 in every run; one small weighted graph and one weighted
-    # tree must pass through each of these spans
+    # tree must pass through each of these spans.  The tree has more than
+    # tree_solver._WALK_MAX vertices, as smaller ones probe by walks and
+    # build no coverage arrays
+    tree = cli.generate_instance(3, tree_solver._WALK_MAX + 16, 0.0, True, True)
     tracer = spans.Tracer()
     algos = []
     tracer.install()
@@ -56,7 +59,7 @@ def test_solve_path_reaches_traced_names():
         for text in (
             "p ckoc 4 4 3 1\nv 1 2\nv 2 1\nv 3 3/2\nv 4 1\n"
             "e 1 2 1\ne 2 3 2\ne 3 4 1/2\ne 1 4 3\n",
-            "p ckoc 4 3 3 1\nv 1 2\nv 2 1\nv 3 3/2\nv 4 1\ne 1 2 1\ne 2 3 2\ne 2 4 1/2\n",
+            tree,
         ):
             g, k = graph_core.parse_instance(text)
             algos.append(cli._pick_algo(g, "auto"))

@@ -31,16 +31,8 @@ from ckoc.tree_solver import _pair_radii, _TreeContext, covered_walk, solve_weig
 from conftest import rand_rational, random_tree
 
 
-# _MERGE_MAX of each build: the closed form on every tree, and the
-# default, which merges small trees
-_BUILDS = (0, tree_engine._MERGE_MAX)
-
-
-def _engine(g, lam=None, merge_max=tree_engine._MERGE_MAX):
-    # the spine tree picks its build when it is made
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree_engine, "_MERGE_MAX", merge_max)
-        st = spine_decompose(binarize(g))
+def _engine(g, lam=None):
+    st = spine_decompose(binarize(g))
     ca = build_coverage_arrays(st, lam) if lam is not None else None
     return st, ca
 
@@ -180,37 +172,34 @@ def test_spine_structure_random():
 
 def test_leaf_arrays_frozen_single_vertex():
     g = Graph(1, [3], [])
-    for merge_max in _BUILDS:
-        st, ca = _engine(g, F(2), merge_max)
-        i = st.root.idx
-        assert _side(g, ca, i) == ([None, F(2, 3), 0], [0, 1, 1], 1)
-        # a spine vertex's node has one side for both directions
-        assert st.fb_side[i] == i
+    st, ca = _engine(g, F(2))
+    i = st.root.idx
+    assert _side(g, ca, i) == ([None, F(2, 3), 0], [0, 1, 1], 1)
+    # a spine vertex's node has one side for both directions
+    assert st.fb_side[i] == i
 
 
 def test_vertex_side_aux_unmarked(star3):
     # the copy 5 of the center heads the spine vertex node of {5, 4}:
     # covered alone at radius 1/2 it adds no marked vertex, and at radius
     # 1 only the leaf 4 one unit farther counts
-    for merge_max in _BUILDS:
-        st, ca = _engine(star3, F(1, 2), merge_max)
-        bt = st.bt
-        assert bt.orig[5] == 1 and not bt.marked[5] and st.left[5] == 4
-        assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1, 2), 0], [0, 0, 0])
-        st, ca = _engine(star3, F(1), merge_max)
-        assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1), 0], [0, 0, 1])
+    st, ca = _engine(star3, F(1, 2))
+    bt = st.bt
+    assert bt.orig[5] == 1 and not bt.marked[5] and st.left[5] == 4
+    assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1, 2), 0], [0, 0, 0])
+    st, ca = _engine(star3, F(1))
+    assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1), 0], [0, 0, 1])
 
 
 def test_arrays_path5_midspine(path5):
-    for merge_max in _BUILDS:
-        st, ca = _engine(path5, F(1), merge_max)
-        node = next(
-            u for u in st.nodes if not u.leaf_kind and u.vt == 3 and u.vb == 5
-        )
-        xs, zs, _ = _side(path5, ca, node.idx)
-        # standing at vertex 3 with unit radius covers {3, 4}; 5 stays out
-        i = max(j for j in range(1, len(xs)) if xs[j] >= 0)
-        assert zs[i] == 2
+    st, ca = _engine(path5, F(1))
+    node = next(
+        u for u in st.nodes if not u.leaf_kind and u.vt == 3 and u.vb == 5
+    )
+    xs, zs, _ = _side(path5, ca, node.idx)
+    # standing at vertex 3 with unit radius covers {3, 4}; 5 stays out
+    i = max(j for j in range(1, len(xs)) if xs[j] >= 0)
+    assert zs[i] == 2
 
 
 def test_arrays_shape_invariants():
@@ -218,19 +207,18 @@ def test_arrays_shape_invariants():
     for _ in range(10):
         g = random_tree(rng, rng.randint(1, 16), weighted=rng.random() < 0.5)
         lam = F(rng.randint(0, 40), rng.randint(1, 8))
-        for merge_max in _BUILDS:
-            st, ca = _engine(g, lam, merge_max)
-            assert ca.off[0] == 0 and ca.off[-1] == len(ca.xs) == len(ca.xd) == len(ca.zs)
-            assert len(ca.off) == len(ca.icov) + 1 == st.sides + 1
-            for i in range(st.sides):
-                xs, zs, c = _side(g, ca, i)
-                assert xs[0] is None and zs[0] == 0 and xs[-1] == 0
-                for j in range(2, len(xs)):
-                    assert xs[j] < xs[j - 1]
-                for j in range(1, len(xs)):
-                    assert zs[j] >= zs[j - 1]
-                if c:
-                    assert xs[c] >= 0
+        st, ca = _engine(g, lam)
+        assert ca.off[0] == 0 and ca.off[-1] == len(ca.xs) == len(ca.xd) == len(ca.zs)
+        assert len(ca.off) == len(ca.icov) + 1 == st.sides + 1
+        for i in range(st.sides):
+            xs, zs, c = _side(g, ca, i)
+            assert xs[0] is None and zs[0] == 0 and xs[-1] == 0
+            for j in range(2, len(xs)):
+                assert xs[j] < xs[j - 1]
+            for j in range(1, len(xs)):
+                assert zs[j] >= zs[j - 1]
+            if c:
+                assert xs[c] >= 0
 
 
 def _fraction_sides(st, lam):
@@ -396,13 +384,12 @@ def test_build_determinism():
     rng = random.Random(717)
     g = random_tree(rng, 20, weighted=True)
 
-    def dump(merge_max):
-        st, ca = _engine(g, F(7, 3), merge_max)
+    def dump():
+        st, ca = _engine(g, F(7, 3))
         shape = [(u.leaf_kind, u.vertex, u.vt, u.vb, u.tsize) for u in st.nodes]
         return shape, st.fb_side, ca.xs, ca.xd, ca.zs, ca.off, ca.icov
 
-    for merge_max in _BUILDS:
-        assert dump(merge_max) == dump(merge_max)
+    assert dump() == dump()
 
 
 # ---------------------------------------------------------------- wide scales
@@ -499,11 +486,10 @@ def _side_cases(draw):
 @given(_side_cases())
 def test_sides_match_fraction_walk(case):
     g, lams = case
-    for merge_max in _BUILDS:
-        st, _ = _engine(g, None, merge_max)
-        for lam in lams:
-            ca = build_coverage_arrays(st, lam)
-            assert {i: _side(g, ca, i) for i in range(st.sides)} == _fraction_sides(st, lam)
+    st, _ = _engine(g)
+    for lam in lams:
+        ca = build_coverage_arrays(st, lam)
+        assert {i: _side(g, ca, i) for i in range(st.sides)} == _fraction_sides(st, lam)
 
 
 def _caterpillar(rng, n):
@@ -551,7 +537,7 @@ def test_doubling_rounds_stay_logarithmic(monkeypatch):
     n = 2000
     counts = []
     for g in (Graph(1, [3], []), _path(random.Random(719), n)):
-        st, _ = _engine(g, None, 0)
+        st, _ = _engine(g)
         monkeypatch.setattr(tree_engine.np, "minimum", counted)
         calls[0] = 0
         build_coverage_arrays(st, F(5, 2))

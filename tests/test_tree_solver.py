@@ -34,7 +34,7 @@ from ckoc.tree_solver import (
     solve_weighted_tree,
 )
 
-from conftest import random_tree
+from conftest import random_tree, tree_probes
 
 
 # ---------------------------------------------------------- critical points
@@ -135,7 +135,8 @@ def test_feasible_matches_brute():
             if rng.random() < 0.5:
                 lam += F(rng.choice((-1, 1)), 64)
             want = oracle.brute_feasible(g, k, lam) if lam >= 0 else False
-            assert is_feasible_tree(g, k, lam).feasible == want, (trial, k, lam)
+            for probe in tree_probes():
+                assert is_feasible_tree(g, k, lam).feasible == want, (probe, trial, k, lam)
 
 
 def test_feasible_witness_tight_at_optimum():
@@ -146,11 +147,12 @@ def test_feasible_witness_tight_at_optimum():
         dm = all_pairs_distances(g)
         k = rng.randint(2, n)
         lam = oracle.brute_lambda(g, k)
-        x, block = is_feasible_tree(g, k, lam).witness
-        assert block == oracle.brute_covered_set(g, dm, x, lam)
-        assert len(block) == k
-        mx = max(g.weights[u] * point_distance(g, dm, x, u) for u in block)
-        assert mx == lam
+        for _ in tree_probes():
+            x, block = is_feasible_tree(g, k, lam).witness
+            assert block == oracle.brute_covered_set(g, dm, x, lam)
+            assert len(block) == k
+            mx = max(g.weights[u] * point_distance(g, dm, x, u) for u in block)
+            assert mx == lam
 
 
 # --------------------------------------------------------- weighted solver
@@ -192,8 +194,10 @@ def test_weighted_matches_brute():
         n = rng.randint(2, 10)
         g = random_tree(rng, n, weighted=bool(trial % 2))
         for k in range(1, n + 1):
-            got = solve_weighted_tree(g, k)
-            assert got.lambda_star == oracle.brute_lambda(g, k), (trial, k)
+            want = oracle.brute_lambda(g, k)
+            for probe in tree_probes():
+                got = solve_weighted_tree(g, k)
+                assert got.lambda_star == want, (probe, trial, k)
 
 
 def test_weighted_witness_valid():
@@ -203,15 +207,16 @@ def test_weighted_witness_valid():
         g = random_tree(rng, n, weighted=True)
         dm = all_pairs_distances(g)
         k = rng.randint(2, n)
-        s = solve_weighted_tree(g, k)
-        assert len(s.subtree) == k
-        inside = sum(1 for e in g.edges if e.u in s.subtree and e.v in s.subtree)
-        assert inside == k - 1  # connected on a tree
-        mx = max(g.weights[u] * point_distance(g, dm, s.center, u) for u in s.subtree)
-        assert mx == s.lambda_star
-        # the center is one of the radius-lam critical points
-        ctx = _TreeContext(g)
-        assert s.center in {_crit(ctx, v, s.lambda_star) for v in g.vertices()}
+        for _ in tree_probes():
+            s = solve_weighted_tree(g, k)
+            assert len(s.subtree) == k
+            inside = sum(1 for e in g.edges if e.u in s.subtree and e.v in s.subtree)
+            assert inside == k - 1  # connected on a tree
+            mx = max(g.weights[u] * point_distance(g, dm, s.center, u) for u in s.subtree)
+            assert mx == s.lambda_star
+            # the center is one of the radius-lam critical points
+            ctx = _TreeContext(g)
+            assert s.center in {_crit(ctx, v, s.lambda_star) for v in g.vertices()}
 
 
 def test_weighted_counting_strategy_agrees():
@@ -271,6 +276,86 @@ def test_pair_radii_take_python_ints_past_int64():
     assert tree_solver._pair_radii(_OBJECT_PAIRS)[0].dtype == object
 
 
+# ------------------------------------------------ walks against engines
+
+
+# denominators near 10**6 keep both engines in int64; two or more near
+# 2**61 give every length and weight a ~122-bit scale, so both take
+# Python ints
+_WALK_PRIMES = ((999953, 999959, 999961), (2**61 - 1, 2**61 + 15, 2**61 + 21))
+
+
+@hs.composite
+def _walk_trees(draw):
+    """Trees of 2 to 64 vertices: random, a star, a path or a broom (a
+    path ending in a star), unit or weighted, with lengths and weights
+    a/p for a <= 9 and p one of up to three primes of one size."""
+    n = draw(hs.integers(2, 64))
+    shape = draw(hs.sampled_from(("random", "star", "path", "broom")))
+    primes = draw(hs.sampled_from(_WALK_PRIMES))[: draw(hs.integers(1, 3))]
+
+    def rat():
+        return F(draw(hs.integers(1, 9)), draw(hs.sampled_from(primes)))
+
+    handle = n // 2
+    parent = {
+        "random": lambda v: draw(hs.integers(1, v - 1)),
+        "star": lambda v: 1,
+        "path": lambda v: v - 1,
+        "broom": lambda v: min(v - 1, handle),
+    }[shape]
+    weights = [F(1)] * n if draw(hs.booleans()) else [rat() for _ in range(n)]
+    return Graph(n, weights, [(parent(v), v, rat()) for v in range(2, n + 1)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_walk_trees())
+@example(Graph.unit(64, [(1, v) for v in range(2, 65)]))
+@example(Graph.unit(16, [(v - 1, v) for v in range(2, 17)]))
+@example(
+    Graph(
+        64, [F(v % 5 + 1, 2) for v in range(64)], [(v - 1, v, F(v % 3 + 1)) for v in range(2, 65)]
+    )
+)
+def test_walks_and_engines_agree(g):
+    # walks below the limits, engines with the limits at 0: the same JSON
+    solvers = [solve_weighted_tree] + [solve_unweighted_tree] * g.unit_weights
+    for k in sorted({2, (g.n + 1) // 2, g.n}):
+        for solve in solvers:
+            got = [solve(g, k).to_json(g) for _ in tree_probes()]
+            assert got[0] == got[1], (solve.__name__, k)
+
+
+def test_engines_only_above_the_limits(monkeypatch):
+    # a 64-vertex weighted tree and a 16-vertex unit tree build no spine
+    # tree, coverage arrays or unit engine; one vertex more reaches them
+    reached = set()
+
+    def spy(name):
+        fn = getattr(tree_solver, name)
+
+        def called(*args):
+            reached.add(name)
+            return fn(*args)
+
+        return called
+
+    for name in ("spine_decompose", "build_coverage_arrays", "_UnweightedEngine"):
+        monkeypatch.setattr(tree_solver, name, spy(name))
+    rng = random.Random(96)
+    for n, weighted, want in (
+        (64, True, set()),
+        (16, False, set()),
+        (65, True, {"spine_decompose", "build_coverage_arrays"}),
+        (17, False, {"_UnweightedEngine"}),
+    ):
+        g = random_tree(rng, n, weighted=weighted)
+        reached.clear()
+        sol = (solve_weighted_tree if weighted else solve_unweighted_tree)(g, n // 2)
+        assert len(sol.subtree) == n // 2
+        assert reached == want, n
+
+
 # ------------------------------------------------------- unweighted solver
 
 
@@ -302,13 +387,14 @@ def test_unweighted_equals_weighted():
         n = rng.randint(2, 11)
         g = random_tree(rng, n)
         for k in range(1, n + 1):
-            a = solve_weighted_tree(g, k)
-            b = solve_unweighted_tree(g, k)
-            assert (a.lambda_star, a.center, a.subtree) == (
-                b.lambda_star,
-                b.center,
-                b.subtree,
-            ), (trial, k)
+            for probe in tree_probes():
+                a = solve_weighted_tree(g, k)
+                b = solve_unweighted_tree(g, k)
+                assert (a.lambda_star, a.center, a.subtree) == (
+                    b.lambda_star,
+                    b.center,
+                    b.subtree,
+                ), (probe, trial, k)
 
 
 def test_unweighted_matches_brute():
@@ -317,13 +403,16 @@ def test_unweighted_matches_brute():
         n = rng.randint(2, 11)
         g = random_tree(rng, n)
         for k in range(1, n + 1):
-            got = solve_unweighted_tree(g, k)
-            assert got.lambda_star == oracle.brute_lambda(g, k), (trial, k)
+            want = oracle.brute_lambda(g, k)
+            for probe in tree_probes():
+                got = solve_unweighted_tree(g, k)
+                assert got.lambda_star == want, (probe, trial, k)
 
 
 def test_unweighted_scale_fallback():
     # astronomically long edges overflow the packed 64-bit grid, so the
-    # engine runs on Python ints
+    # engine runs on Python ints; with the limits at 0 this is the only
+    # test of that path at small n
     g = Graph(
         5,
         [F(1)] * 5,
@@ -335,7 +424,9 @@ def test_unweighted_scale_fallback():
         ],
     )
     for k in range(1, 6):
-        assert solve_unweighted_tree(g, k).lambda_star == oracle.brute_lambda(g, k)
+        want = oracle.brute_lambda(g, k)
+        for _ in tree_probes():
+            assert solve_unweighted_tree(g, k).lambda_star == want
 
 
 def test_unweighted_prime_denominator_path():
