@@ -3,7 +3,6 @@
 from .graph_core import (
     Graph,
     DistanceMatrix,
-    Edge,
     EdgePoint,
     InstanceError,
     InternalError,
@@ -16,7 +15,6 @@ from .graph_core import (
 __all__ = [
     "Graph",
     "DistanceMatrix",
-    "Edge",
     "EdgePoint",
     "InstanceError",
     "InternalError",

@@ -108,9 +108,8 @@ def candidate_lines(g: Graph, dm: DistanceMatrix) -> LineSet:
     aff: dict[tuple[int, int], None] = {}
     vert: dict[int, None] = {}
     rows, wi = dm.rows, g.weights_int
-    for e in g.edges:
-        l = g.lengths_int[e.id]
-        d_r, d_s = rows[e.u], rows[e.v]
+    for r, s, l in zip(g.eu, g.ev, g.lengths_int):
+        d_r, d_s = rows[r], rows[s]
         vert[0] = vert[2 * l] = None
         for v in g.vertices():
             w, dr, ds = wi[v], d_r[v], d_s[v]

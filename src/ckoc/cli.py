@@ -109,21 +109,26 @@ def generate_instance(
     return emit_instance(Graph(n, weights, edges), k)
 
 
+def _peak_mb() -> float:
+    """Peak resident memory of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def _cmd_solve(args) -> int:
     text = _read_text(args.instance)
     started = time.perf_counter()
     g, k_file = parse_instance(text)
     parsed = time.perf_counter()
+    parse_peak_mb = _peak_mb()
     k = args.k if args.k is not None else k_file
     algo = _pick_algo(g, args.algo)
     sol = _dispatch(g, k, algo, args.search)
     solved = time.perf_counter()
     print(sol.to_json(g))
     if args.timing:
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
             f"parsed in {parsed - started:.3f} s, solved in {solved - parsed:.3f} s ({algo}), "
-            f"peak memory {peak_mb:.1f} MB",
+            f"peak memory {parse_peak_mb:.1f} MB after the parse, {_peak_mb():.1f} MB in all",
             file=sys.stderr,
         )
     return 0
@@ -244,7 +249,7 @@ def _cmd_klevel(args) -> int:
     cs = build_chains(g, dm, args.edge)
     level = kth_level(cs, k)
     x, y = level.lowest()
-    e = g.edges[args.edge]
+    ends = [g.eu[args.edge], g.ev[args.edge]]
     if args.dump:
         chains = [
             {
@@ -257,7 +262,7 @@ def _cmd_klevel(args) -> int:
             for c in cs.chains
         ]
         payload = {
-            "edge": [e.u, e.v],
+            "edge": ends,
             "length": str(cs.length),
             "k": k,
             "chains": chains,
@@ -266,7 +271,7 @@ def _cmd_klevel(args) -> int:
         }
     else:
         payload = {
-            "edge": [e.u, e.v],
+            "edge": ends,
             "k": k,
             "chains": len(cs.ids),
             "lowest": [str(x), str(y)],
@@ -287,7 +292,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--timing",
         action="store_true",
-        help="report parse and solve wall time and peak memory on stderr",
+        help="report parse and solve wall time, and the peak memory after the parse "
+        "and at the end, on stderr",
     )
     p.set_defaults(func=_cmd_solve)
 

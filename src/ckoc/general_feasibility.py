@@ -110,14 +110,14 @@ DUMMY = 0  # stand-in vertex id for an interior point
 
 def _scaled_distances(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> tuple[list[int], int, int]:
     """(dist, offset, far) for an interior or endpoint x = (edge, p/q):
-    dist[v] is point_distance(x, v) for every vertex, in units of
+    dist[v] is the distance from x to v for every vertex, in units of
     1/(dm.scale * q), and offset and far are x's distances to the edge's
     endpoints along the edge in those units (index 0 of dist is unused)."""
-    e = g.edges[x.edge]
     p, q = x.t.numerator, x.t.denominator
     offset = p * dm.scale
-    far = q * g.lengths_int[e.id] - offset
-    dist = [min(offset + q * a, far + q * b) for a, b in zip(dm.rows[e.u], dm.rows[e.v])]
+    far = q * g.lengths_int[x.edge] - offset
+    d_r, d_s = dm.rows[g.eu[x.edge]], dm.rows[g.ev[x.edge]]
+    dist = [min(offset + q * a, far + q * b) for a, b in zip(d_r, d_s)]
     return dist, offset, far
 
 
@@ -128,7 +128,7 @@ def build_predecessor_structure(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> P
     the root; an endpoint offset makes the vertex the root directly.
     """
     a = vertex_of_point(g, x)
-    e = g.edges[x.edge]
+    r, s = g.eu[x.edge], g.ev[x.edge]
     dist, offset, far = _scaled_distances(g, dm, x)
     q = x.t.denominator
     lengths = g.lengths_int
@@ -141,10 +141,10 @@ def build_predecessor_structure(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> P
     for v in g.vertices():
         ps: dict[int, None] = {}
         if v != root:
-            if a is None and ((v == e.u and dist[v] == offset) or (v == e.v and dist[v] == far)):
+            if a is None and ((v == r and dist[v] == offset) or (v == s and dist[v] == far)):
                 ps[DUMMY] = None
-            for u, ev in g.adj[v]:
-                if dist[u] + q * lengths[ev.id] == dist[v]:
+            for u, eid in g.adj[v]:
+                if dist[u] + q * lengths[eid] == dist[v]:
                     ps[u] = None
         pred[v] = ps
     return PredecessorStructure(root, pred)
@@ -174,15 +174,15 @@ def trim_witness(
         return frozenset({1})
     if len(covered) < k:
         raise InternalError(f"cannot trim {len(covered)} covered vertices to {k}")
-    e = g.edges[x.edge]
+    r, s = g.eu[x.edge], g.ev[x.edge]
     dist, offset, far = _scaled_distances(g, dm, x)
     q = x.t.denominator
     lengths = g.lengths_int
     heap = []
-    if e.u in covered and dist[e.u] == offset:
-        heap.append((dist[e.u], e.u))
-    if e.v in covered and dist[e.v] == far:
-        heap.append((dist[e.v], e.v))
+    if r in covered and dist[r] == offset:
+        heap.append((dist[r], r))
+    if s in covered and dist[s] == far:
+        heap.append((dist[s], s))
     heapq.heapify(heap)
     out: set[int] = set()
     while heap and len(out) < k:
@@ -190,8 +190,8 @@ def trim_witness(
         if v in out:
             continue
         out.add(v)
-        for u, ev in g.adj[v]:
-            if u in covered and u not in out and d + q * lengths[ev.id] == dist[u]:
+        for u, eid in g.adj[v]:
+            if u in covered and u not in out and d + q * lengths[eid] == dist[u]:
                 heapq.heappush(heap, (dist[u], u))
     if len(out) != k:
         raise InternalError("covered set was not connected around the witness point")
@@ -289,9 +289,8 @@ class FeasibilityTester:
         """The template of one side from edge_profile's offsets, which
         are measured from r in units of 1/(2 * SL)."""
         g, rows, s = self.g, self.dm.rows, self._shift
-        e = g.edges[edge]
         l_int = g.lengths_int[edge]
-        root, far = (e.u, e.v) if from_r else (e.v, e.u)
+        root, far = (g.eu[edge], g.ev[edge]) if from_r else (g.ev[edge], g.eu[edge])
         d_root, d_far = rows[root], rows[far]
         universe: list[int] = []
         caps: list[int] = []
@@ -315,8 +314,8 @@ class FeasibilityTester:
         for v in universe:
             ps: dict[int, None] = {}
             if v != root:
-                for u, ev in g.adj[v]:
-                    if u in inset and d_root[u] + lengths[ev.id] == d_root[v]:
+                for u, eid in g.adj[v]:
+                    if u in inset and d_root[u] + lengths[eid] == d_root[v]:
                         ps[u] = None
             pred[v] = ps
         dist = [d_root[v] << (s + 1) for v in universe]
@@ -443,19 +442,19 @@ class FeasibilityTester:
         bounds = self._kth_ints(k)
         _, q, _, _ = self._bases(lam)
         p_unit = lam.numerator * g.weight_scale * dm.scale
-        for e in g.edges:
+        for edge in range(g.m):
             # cheap lower bound: even ignoring connectivity, fewer than k
             # vertices can ever be within lam of any point of this edge
-            if p_unit < bounds[e.id] * q:
+            if p_unit < bounds[edge] * q:
                 continue
-            prof = self.profile(e.id, lam)
+            prof = self.profile(edge, lam)
             prev = None
             for t, left, at in prof.rows:
                 if left >= k and prev is not None:
                     wt = (prof.offset(prev) + prof.offset(t)) / 2
-                    return FeasibilityResult(True, self._witness(e.id, wt, k, lam))
+                    return FeasibilityResult(True, self._witness(edge, wt, k, lam))
                 if at >= k:
-                    return FeasibilityResult(True, self._witness(e.id, prof.offset(t), k, lam))
+                    return FeasibilityResult(True, self._witness(edge, prof.offset(t), k, lam))
                 prev = t
         return FeasibilityResult(False)
 

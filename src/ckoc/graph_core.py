@@ -3,25 +3,31 @@
 Instances are undirected, connected, simple graphs with positive vertex
 weights and positive edge lengths.  Points live on edges, distances are
 shortest-path lengths, and every value is exact: parsed weights and
-lengths, radii, centers and the solvers' answers are fractions.Fraction,
+lengths, radii, centers and the solvers' answers are exact rationals,
 and no correctness-critical path touches floats.
 
-The parser builds one Fraction per distinct token spelling of an input
-and shares it among the records that spell it that way; nothing outlives
-the call.  Graph reads each value's numerator and denominator once: the
-positivity checks look at numerators, and the scales and scaled integers
-come from exact integer arithmetic.  All edge lengths are rescaled by the
-LCM of their distinct denominators (length_scale, SL), each length being
-numerator * (SL // denominator); weights likewise by weight_scale.  This
-keeps shortest paths and the bulk numeric code exact and fast.
-All-pairs distances come from an int64 Floyd-Warshall whenever the scaled
-lengths sum below 2**62 (every partial sum then fits), and from one exact
-Python-int Dijkstra per source otherwise.  Solvers whose values share
-that scale compare them as ints and convert to Fraction only at their
-boundary; the k-level sweep of klevel_geometry, for one, runs in units
-of 1/(2 * SL).  So does edge_profile, which gives per edge the one fact
-about a vertex that the distance rows do not: where its semicircular
-point lies, if it has one.
+A Graph holds its edges as integer columns and no object per edge: edge
+i joins eu[i] < ev[i], its length is lengths_int[i] / length_scale, and
+adj[v] lists (neighbour, edge id) pairs.  All edge lengths share one
+scale, SL = length_scale, the LCM of their distinct reduced denominators,
+each length being numerator * (SL // denominator); weights likewise
+share weight_scale, and weights[v] keeps each weight as a Fraction too.
+A Fraction length is built only at the boundary, by Graph.length(i), for
+the points, JSON and text a caller reads.  The parser builds one
+Fraction per distinct token spelling of an input, shared among the
+records that spell it that way, and maps each edge record straight to
+its scaled integer once every length token is known; nothing outlives
+the call.  Graph(n, weights, edges) and parse_instance hand their
+columns to one validation pass, so both report the same first fault.
+Integer lengths keep shortest paths and the bulk numeric code exact and
+fast.  All-pairs distances come from an int64 Floyd-Warshall whenever
+the scaled lengths sum below 2**62 (every partial sum then fits), and
+from one exact Python-int Dijkstra per source otherwise.  Solvers whose
+values share that scale compare them as ints and convert to Fraction
+only at their boundary; the k-level sweep of klevel_geometry, for one,
+runs in units of 1/(2 * SL).  So does edge_profile, which gives per edge
+the one fact about a vertex that the distance rows do not: where its
+semicircular point lies, if it has one.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,15 +52,6 @@ class InternalError(AssertionError):
     """A structural assumption of an algorithm failed at runtime."""
 
 
-class Edge(NamedTuple):
-    """Undirected edge; endpoints are stored with u < v, t runs from u to v."""
-
-    id: int
-    u: int
-    v: int
-    length: Fraction
-
-
 def _common_scale(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
     """The lcm S of the denominators, and each value nums[i]/dens[i] as
     the integer count of 1/S it holds."""
@@ -67,7 +64,16 @@ def _common_scale(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
 
 
 class Graph:
-    """Vertex-weighted graph with vertices 1..n and edges indexed 0..m-1."""
+    """Vertex-weighted graph with vertices 1..n and edges indexed 0..m-1,
+    held as integer columns.
+
+    Edge i joins eu[i] < ev[i] and has length lengths_int[i] /
+    length_scale; length(i) gives it as a Fraction.  adj[v] lists the
+    (neighbour, edge id) pairs of v in edge-id order, and min_edge[v] is
+    the first of those ids (None for an isolated vertex).  weights[v] is
+    w_v as a Fraction (weights[0] unused), and weights_int[v] /
+    weight_scale is the same value.
+    """
 
     def __init__(
         self,
@@ -75,6 +81,34 @@ class Graph:
         weights: Sequence[Fraction | int],
         edges: Iterable[tuple[int, int, Fraction | int]],
     ):
+        us: list[int] = []
+        vs: list[int] = []
+        lengths: list[Fraction] = []
+        for u, v, length in edges:
+            us.append(u)
+            vs.append(v)
+            lengths.append(length if type(length) is Fraction else Fraction(length))
+        scale, lint = _common_scale([x.numerator for x in lengths], [x.denominator for x in lengths])
+        self._build(n, weights, us, vs, lint, scale)
+
+    @classmethod
+    def _from_columns(
+        cls, n: int, weights: Sequence[Fraction], us: list[int], vs: list[int],
+        lengths_int: list[int], length_scale: int,
+    ) -> "Graph":
+        """The graph of edge records (us[i], vs[i]) of length lengths_int[i]
+        / length_scale, validated as the constructor validates."""
+        g = cls.__new__(cls)
+        g._build(n, weights, us, vs, lengths_int, length_scale)
+        return g
+
+    def _build(
+        self, n: int, weights: Sequence[Fraction | int], us: list[int], vs: list[int],
+        lengths_int: list[int], length_scale: int,
+    ) -> None:
+        """Validate and store: the weights first, then each edge record in
+        input order (endpoints in range, no self-loop, no duplicate,
+        positive length), then connectivity; the first fault raises."""
         if n < 1:
             raise InstanceError("graph needs at least one vertex")
         if len(weights) != n:
@@ -86,54 +120,55 @@ class Graph:
             i = next(i for i, x in enumerate(wnum) if x <= 0)
             raise InstanceError(f"vertex {i + 1} has nonpositive weight {wf[i]}")
         self.weights: list[Fraction] = [ZERO, *wf]
+        self.weight_scale, wint = _common_scale(wnum, [w.denominator for w in wf])
+        self.weights_int: list[int] = [0, *wint]
+        # w_v == 1 exactly when its scaled weight equals the scale
+        self.unit_weights: bool = self.weights_int.count(self.weight_scale) == n
 
-        # one pass validates the edges in input order and builds the
-        # adjacency lists; a pair (a, b) is kept as the int a*(n+1)+b,
-        # which, unlike a tuple, the garbage collector does not track
-        self.edges: list[Edge] = []
-        self.adj: list[list[tuple[int, Edge]]] = [[] for _ in range(n + 1)]
-        adj, stride = self.adj, n + 1
+        # one pass validates the records in input order and builds the
+        # columns; a pair (a, b) is kept as the int a*(n+1)+b, which,
+        # unlike a tuple, the garbage collector does not track.  Every
+        # column refers to one int object per vertex id (ids), not to one
+        # per record, which saves 28 bytes per endpoint past id 256
+        self.eu: list[int] = []
+        self.ev: list[int] = []
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        eu, ev, adj, stride = self.eu, self.ev, self.adj, n + 1
+        ids = list(range(stride))
         pairs: set[int] = set()
-        lnum: list[int] = []
-        lden: list[int] = []
-        for u, v, length in edges:
+        for i, u, v, l in zip(range(len(us)), us, vs, lengths_int):
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InstanceError(f"edge ({u},{v}) has endpoint out of range")
             if u == v:
                 raise InstanceError(f"self-loop at vertex {u}")
-            a, b = (u, v) if u < v else (v, u)
-            key = a * stride + b
+            if u > v:
+                u, v = v, u
+            key = u * stride + v
             if key in pairs:
-                raise InstanceError(f"duplicate edge ({a},{b})")
-            if type(length) is not Fraction:
-                length = Fraction(length)
-            num = length.numerator
-            if num <= 0:
-                raise InstanceError(f"edge ({a},{b}) has nonpositive length {length}")
+                raise InstanceError(f"duplicate edge ({u},{v})")
+            if l <= 0:
+                raise InstanceError(
+                    f"edge ({u},{v}) has nonpositive length {Fraction(l, length_scale)}"
+                )
             pairs.add(key)
-            e = Edge(len(self.edges), a, b, length)
-            self.edges.append(e)
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-            lnum.append(num)
-            lden.append(length.denominator)
-        self.m = len(self.edges)
+            u, v = ids[u], ids[v]
+            eu.append(u)
+            ev.append(v)
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        self.m = len(eu)
+        self.length_scale = length_scale
+        self.lengths_int = lengths_int
 
         # smallest incident edge id per vertex, used to canonicalize vertex
         # points: edges joined the lists in id order
-        self.min_edge: list[int | None] = [nb[0][1].id if nb else None for nb in adj]
+        self.min_edge: list[int | None] = [nb[0][1] if nb else None for nb in adj]
 
         if n > 1:
             seen = self._reach(1)
             if seen.count(True) != n:
                 missing = seen.index(False, 1)
                 raise InstanceError(f"graph is disconnected (vertex {missing} unreachable)")
-
-        self.length_scale, self.lengths_int = _common_scale(lnum, lden)
-        self.weight_scale, wint = _common_scale(wnum, [w.denominator for w in wf])
-        self.weights_int: list[int] = [0, *wint]
-        # w_v == 1 exactly when its scaled weight equals the scale
-        self.unit_weights: bool = self.weights_int.count(self.weight_scale) == n
 
     def _reach(self, start: int) -> list[bool]:
         """seen[v] for every vertex id: whether v is reachable from start."""
@@ -146,6 +181,10 @@ class Graph:
                     seen[u] = True
                     stack.append(u)
         return seen
+
+    def length(self, i: int) -> Fraction:
+        """The length of edge i."""
+        return Fraction(self.lengths_int[i], self.length_scale)
 
     @classmethod
     def unit(cls, n: int, edges: Iterable[tuple[int, int] | tuple[int, int, Fraction | int]]) -> "Graph":
@@ -163,11 +202,15 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
+        # the scale is the lcm of the reduced denominators, so equal
+        # lengths give equal scales and scaled integers
         return (
             self.n == other.n
             and self.weights == other.weights
-            and [(e.u, e.v, e.length) for e in self.edges]
-            == [(e.u, e.v, e.length) for e in other.edges]
+            and self.eu == other.eu
+            and self.ev == other.ev
+            and self.length_scale == other.length_scale
+            and self.lengths_int == other.lengths_int
         )
 
     def __hash__(self):
@@ -193,10 +236,10 @@ def dijkstra_scaled(g: Graph, source: int, banned: int | None = None) -> list[in
         dv, v = heapq.heappop(pq)
         if dv != dist[v]:
             continue
-        for u, e in g.adj[v]:
+        for u, eid in g.adj[v]:
             if u == banned:
                 continue
-            nd = dv + lengths[e.id]
+            nd = dv + lengths[eid]
             du = dist[u]
             if du is None or nd < du:
                 dist[u] = nd
@@ -211,9 +254,6 @@ class DistanceMatrix:
     def __init__(self, rows: list[list[int]], scale: int):
         self.scale = scale
         self.rows = rows  # rows[u][v] for u,v in 1..n; row/col 0 unused
-
-    def d(self, u: int, v: int) -> Fraction:
-        return Fraction(self.rows[u][v], self.scale)
 
 
 _INT64_SUM_LIMIT = 2**62  # two distances below this add without overflow
@@ -237,8 +277,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     n = g.n
     d = np.full((n, n), total, dtype=np.int64)
     np.fill_diagonal(d, 0)
-    u = np.array([e.u - 1 for e in g.edges], dtype=np.int64)
-    v = np.array([e.v - 1 for e in g.edges], dtype=np.int64)
+    u = np.array(g.eu, dtype=np.int64) - 1
+    v = np.array(g.ev, dtype=np.int64) - 1
     d[u, v] = d[v, u] = g.lengths_int
     for w in range(n):
         # row and column w do not change in round w, so d updates in place
@@ -261,16 +301,15 @@ def kth_bounds(g: Graph, dm: DistanceMatrix, k: int) -> list[tuple[int, int]]:
     top = max(map(max, rows)) * max(wi)
     if top >= _INT64_LIMIT:
         bounds = [
-            sorted(wi[v] * min(rows[v][e.u], rows[v][e.v]) for v in g.vertices())[k - 1]
-            for e in g.edges
+            sorted(wi[v] * min(rows[v][a], rows[v][b]) for v in g.vertices())[k - 1]
+            for a, b in zip(g.eu, g.ev)
         ]
         return sorted(zip(bounds, range(g.m)))
     # rows are symmetric, so row u holds every d(v, u); the edges go in
     # blocks of about _BOUND_BLOCK values, which caps the memory at large m
     d = np.array(rows, dtype=np.int64)[:, 1:]
     w = np.array(wi[1:], dtype=np.int64)
-    u = [e.u for e in g.edges]
-    v = [e.v for e in g.edges]
+    u, v = g.eu, g.ev
     bounds = np.empty(g.m, dtype=np.int64)
     step = max(1, _BOUND_BLOCK // g.n)
     for lo in range(0, g.m, step):
@@ -297,12 +336,12 @@ def canonical_point(g: Graph, edge: int, t: Fraction) -> EdgePoint:
     Interior points are unique already; a point at a vertex is pinned to
     that vertex's smallest-id incident edge.
     """
-    e = g.edges[edge]
-    if not (0 <= t <= e.length):
-        raise ValueError(f"offset {t} outside [0, {e.length}] on edge {edge}")
-    if 0 < t < e.length:
+    length = g.length(edge)
+    if not (0 <= t <= length):
+        raise ValueError(f"offset {t} outside [0, {length}] on edge {edge}")
+    if 0 < t < length:
         return EdgePoint(edge, t)
-    a = e.u if t == 0 else e.v
+    a = g.eu[edge] if t == 0 else g.ev[edge]
     return vertex_point(g, a)
 
 
@@ -310,33 +349,18 @@ def vertex_point(g: Graph, a: int) -> EdgePoint:
     em = g.min_edge[a]
     if em is None:  # single-vertex graph has no edges, represent as a sentinel
         return EdgePoint(-1, ZERO)
-    e = g.edges[em]
-    return EdgePoint(em, ZERO if e.u == a else e.length)
+    return EdgePoint(em, ZERO if g.eu[em] == a else g.length(em))
 
 
 def vertex_of_point(g: Graph, x: EdgePoint) -> int | None:
     """Vertex id if x lies at an edge endpoint, else None."""
     if x.edge < 0:
         return 1
-    e = g.edges[x.edge]
     if x.t == 0:
-        return e.u
-    if x.t == e.length:
-        return e.v
+        return g.eu[x.edge]
+    if x.t == g.length(x.edge):
+        return g.ev[x.edge]
     return None
-
-
-def point_distance(g: Graph, dm: DistanceMatrix, x: EdgePoint, v: int) -> Fraction:
-    """Shortest-path distance from the point x to vertex v."""
-    if x.edge < 0:
-        return ZERO
-    e = g.edges[x.edge]
-    # both routes in units of 1/(scale*q) for x.t = p/q
-    p, q = x.t.numerator, x.t.denominator
-    ps = p * dm.scale
-    via_u = ps + q * dm.rows[e.u][v]
-    via_v = q * (g.lengths_int[e.id] + dm.rows[e.v][v]) - ps
-    return Fraction(min(via_u, via_v), dm.scale * q)
 
 
 def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
@@ -352,8 +376,7 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
     at r likewise.  The distance rows alone cannot tell which, so two
     Dijkstra runs, each with one endpoint deleted, decide it.
     """
-    e = g.edges[edge]
-    r, s, l = e.u, e.v, g.lengths_int[edge]
+    r, s, l = g.eu[edge], g.ev[edge], g.lengths_int[edge]
     # shortest distances from each endpoint with the other endpoint deleted;
     # equality with the true distance means the far endpoint is avoidable
     off_s = dijkstra_scaled(g, r, s)
@@ -377,8 +400,7 @@ def point_json(g: Graph, x: EdgePoint) -> dict:
     """The JSON form of a point: its edge's endpoints and the offset."""
     if x.edge < 0:
         return {"edge": [1, 1], "t": "0"}
-    e = g.edges[x.edge]
-    return {"edge": [e.u, e.v], "t": str(x.t)}
+    return {"edge": [g.eu[x.edge], g.ev[x.edge]], "t": str(x.t)}
 
 
 @dataclass(frozen=True)
@@ -431,23 +453,44 @@ def parse_instance(text: str) -> tuple[Graph, int]:
     """Parse the line-oriented instance format; raises InstanceError with line numbers.
 
     Each distinct rational token becomes one Fraction, shared by every
-    record that spells it the same way.  A header that cannot describe a
-    connected graph (n > 1 and m < n - 1) or names a k outside 1..n is
-    rejected before anything of size n is built.
+    weight that spells it the same way; an edge record keeps only the
+    index of its token, which becomes its scaled integer length once
+    every length token, and so the length scale, is known.  A header
+    that cannot describe a connected graph (n > 1 and m < n - 1) or
+    names a k outside 1..n is rejected before anything of size n is
+    built.
     """
     n = m = k = None
     weighted = False
     weights: dict[int, Fraction] = {}
     us: list[int] = []
     vs: list[int] = []
-    lengths: list[Fraction] = []
+    lens: list[int] = []  # per edge record, the index of its length token
+    spellings: dict[str, int] = {}  # length token -> its index in values
+    values: list[Fraction] = []
     rationals: dict[str, Fraction] = {}  # token -> value, for this text only
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("c"):
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        if not parts:
             continue
+        tag = parts[0]
         try:
-            if parts[0] == "p":
+            if tag == "e":
+                if n is None:
+                    raise InstanceError(f"line {lineno}: edge record before problem line")
+                if len(parts) != 4:
+                    raise InstanceError(f"line {lineno}: expected 'e u v length'")
+                _, u, v, tok = parts
+                us.append(int(u))
+                vs.append(int(v))
+                i = spellings.get(tok)
+                if i is None:
+                    value = rationals.get(tok)
+                    if value is None:
+                        value = rationals[tok] = parse_rational(tok)
+                    i = spellings[tok] = len(values)
+                    values.append(value)
+                lens.append(i)
+            elif tag == "p":
                 if n is not None:
                     raise InstanceError(f"line {lineno}: duplicate problem line")
                 if len(parts) != 6 or parts[1] != "ckoc":
@@ -456,7 +499,7 @@ def parse_instance(text: str) -> tuple[Graph, int]:
                 if wflag not in (0, 1):
                     raise InstanceError(f"line {lineno}: weighted flag must be 0 or 1")
                 weighted = wflag == 1
-            elif parts[0] == "v":
+            elif tag == "v":
                 if n is None:
                     raise InstanceError(f"line {lineno}: vertex record before problem line")
                 if not weighted:
@@ -473,20 +516,8 @@ def parse_instance(text: str) -> tuple[Graph, int]:
                 if w is None:
                     w = rationals[tok] = parse_rational(tok)
                 weights[vid] = w
-            elif parts[0] == "e":
-                if n is None:
-                    raise InstanceError(f"line {lineno}: edge record before problem line")
-                if len(parts) != 4:
-                    raise InstanceError(f"line {lineno}: expected 'e u v length'")
-                u, v, tok = int(parts[1]), int(parts[2]), parts[3]
-                length = rationals.get(tok)
-                if length is None:
-                    length = rationals[tok] = parse_rational(tok)
-                us.append(u)
-                vs.append(v)
-                lengths.append(length)
-            else:
-                raise InstanceError(f"line {lineno}: unknown record {parts[0]!r}")
+            elif not tag.startswith("c"):  # c starts a comment
+                raise InstanceError(f"line {lineno}: unknown record {tag!r}")
         except ValueError as exc:
             msg = str(exc)
             if isinstance(exc, InstanceError) and msg.startswith("line "):
@@ -494,8 +525,8 @@ def parse_instance(text: str) -> tuple[Graph, int]:
             raise InstanceError(f"line {lineno}: {msg}") from exc
     if n is None:
         raise InstanceError("missing problem line")
-    if len(lengths) != m:
-        raise InstanceError(f"expected {m} edges, found {len(lengths)}")
+    if len(lens) != m:
+        raise InstanceError(f"expected {m} edges, found {len(lens)}")
     if weighted:
         missing = next((v for v in range(1, n + 1) if v not in weights), None)
         if missing is not None:
@@ -505,7 +536,9 @@ def parse_instance(text: str) -> tuple[Graph, int]:
     if n >= 1 and not 1 <= k <= n:
         raise InstanceError(f"k={k} out of range 1..{n}")
     wlist = [weights[v] for v in range(1, n + 1)] if weighted else [Fraction(1)] * n
-    return Graph(n, wlist, zip(us, vs, lengths)), k
+    scale, ints = _common_scale([x.numerator for x in values], [x.denominator for x in values])
+    lengths_int = list(map(ints.__getitem__, lens))
+    return Graph._from_columns(n, wlist, us, vs, lengths_int, scale), k
 
 
 def emit_instance(g: Graph, k: int) -> str:
@@ -514,6 +547,6 @@ def emit_instance(g: Graph, k: int) -> str:
     if weighted:
         for v in range(1, g.n + 1):
             lines.append(f"v {v} {g.weights[v]}")
-    for e in g.edges:
-        lines.append(f"e {e.u} {e.v} {e.length}")
+    for i, (u, v) in enumerate(zip(g.eu, g.ev)):
+        lines.append(f"e {u} {v} {g.length(i)}")
     return "\n".join(lines) + "\n"

@@ -136,9 +136,8 @@ def build_chains(g: Graph, dm: DistanceMatrix, edge: int) -> ChainSet:
     read from dm.rows (distances are symmetric, so row r holds d(v, r))."""
     if not g.unit_weights:
         raise InstanceError("distance chains are defined for unit weights only")
-    e = g.edges[edge]
-    lefts = [2 * d for d in dm.rows[e.u][1:]]
-    rights = [2 * d for d in dm.rows[e.v][1:]]
+    lefts = [2 * d for d in dm.rows[g.eu[edge]][1:]]
+    rights = [2 * d for d in dm.rows[g.ev[edge]][1:]]
     return ChainSet.scaled(range(1, g.n + 1), lefts, rights,
                            2 * g.lengths_int[edge], 2 * dm.scale, edge)
 

@@ -20,16 +20,13 @@ Line = tuple[Fraction, Fraction]  # (m, b) of y = m*t + b
 
 
 def distances(g: Graph) -> DistanceMatrix:
-    """All-pairs shortest distances by Floyd-Warshall on Python ints: each
-    parsed edge length times the graph's length scale."""
-    n, scale = g.n, g.length_scale
+    """All-pairs shortest distances by Floyd-Warshall on Python ints, in
+    units of 1/g.length_scale as the edge lengths are held."""
+    n = g.n
     d: list[list[int | None]] = [[0 if i == j else None for j in range(n + 1)]
                                  for i in range(n + 1)]
-    for e in g.edges:
-        q = e.length * scale
-        if q.denominator != 1:
-            raise AssertionError(f"length {e.length} off the length scale {scale}")
-        d[e.u][e.v] = d[e.v][e.u] = q.numerator
+    for u, v, l in zip(g.eu, g.ev, g.lengths_int):
+        d[u][v] = d[v][u] = l
     r = range(1, n + 1)
     for w in r:
         dw = d[w]
@@ -45,7 +42,7 @@ def distances(g: Graph) -> DistanceMatrix:
     d[0] = [0] * (n + 1)
     for row in d:
         row[0] = 0
-    return DistanceMatrix(d, scale)
+    return DistanceMatrix(d, g.length_scale)
 
 
 def _point_data(g: Graph, dm: DistanceMatrix, x: EdgePoint):
@@ -53,19 +50,19 @@ def _point_data(g: Graph, dm: DistanceMatrix, x: EdgePoint):
     times the weight scale (f clears the denominators of x.t and the
     lengths), whether x's edge reaches v directly, and v's neighbors on
     shortest paths from x."""
-    e = g.edges[x.edge]
+    r, s = g.eu[x.edge], g.ev[x.edge]
     q, sc = x.t.denominator, dm.scale
     f = q * sc
     at = x.t.numerator * sc  # x.t * f
-    back = g.lengths_int[e.id] * q - at  # (length - x.t) * f
-    ru, rv = dm.rows[e.u], dm.rows[e.v]
+    back = g.lengths_int[x.edge] * q - at  # (length - x.t) * f
+    ru, rv = dm.rows[r], dm.rows[s]
     d_x = [min(at + q * ru[v], back + q * rv[v]) for v in range(g.n + 1)]
     wd = [g.weights_int[v] * d_x[v] for v in range(g.n + 1)]
     direct = [False] * (g.n + 1)
-    direct[e.u] = at == d_x[e.u]
-    direct[e.v] = back == d_x[e.v]
+    direct[r] = at == d_x[r]
+    direct[s] = back == d_x[s]
     li = g.lengths_int
-    preds = [[u for u, ev in g.adj[v] if d_x[u] + q * li[ev.id] == d_x[v]] for v in range(g.n + 1)]
+    preds = [[u for u, eid in g.adj[v] if d_x[u] + q * li[eid] == d_x[v]] for v in range(g.n + 1)]
     return f * g.weight_scale, wd, direct, preds
 
 
@@ -111,14 +108,14 @@ def _edge_lines(g: Graph, dm: DistanceMatrix, edge: int) -> tuple[list[tuple[Lin
     otherwise it peaks at (d_s - d_r + l) / 2.  Any other semicircular
     point of v sits at an endpoint, which is among the offsets anyway.
     """
-    e = g.edges[edge]
-    l, sc = e.length, dm.scale
+    r, s = g.eu[edge], g.ev[edge]
+    l, sc = g.length(edge), dm.scale
     offsets = {ZERO, l}
     lines: list[tuple[Line, ...]] = [()]
     for v in g.vertices():
         w = g.weights[v]
-        dr = Fraction(dm.rows[v][e.u], sc)
-        ds = Fraction(dm.rows[v][e.v], sc)
+        dr = Fraction(dm.rows[v][r], sc)
+        ds = Fraction(dm.rows[v][s], sc)
         if ds == dr + l:
             lines.append(((w, w * dr),))
         elif dr == ds + l:
@@ -134,7 +131,7 @@ def _fixed_probes(g: Graph, dm: DistanceMatrix, edge: int):
     (endpoints, semicircular points, pairwise crossings of the distance
     functions), the lines of those functions, and every ordinate where
     two of them cross or one meets the vertical at an offset."""
-    l = g.edges[edge].length
+    l = g.length(edge)
     lines, offsets = _edge_lines(g, dm, edge)
     flat = [ln for pieces in lines for ln in pieces]
     ts = set(offsets)
@@ -168,7 +165,7 @@ def edge_probe_points(g: Graph, dm: DistanceMatrix, edge: int, lam: Fraction) ->
     semicircular points, pairwise crossings of the distance functions,
     crossings with the horizontal line y = lam, and interval midpoints.
     """
-    return _probes_at(_fixed_probes(g, dm, edge), g.edges[edge].length, lam)
+    return _probes_at(_fixed_probes(g, dm, edge), g.length(edge), lam)
 
 
 def _feasible(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction, fixed: list, data: dict) -> bool:
@@ -178,9 +175,9 @@ def _feasible(g: Graph, dm: DistanceMatrix, k: int, lam: Fraction, fixed: list, 
         return False
     if g.n == 1:
         return k <= 1
-    for e in g.edges:
-        for t in _probes_at(fixed[e.id], e.length, lam):
-            x = EdgePoint(e.id, t)
+    for edge in range(g.m):
+        for t in _probes_at(fixed[edge], g.length(edge), lam):
+            x = EdgePoint(edge, t)
             if x not in data:
                 data[x] = _point_data(g, dm, x)
             if len(_covered(g, data[x], lam)) >= k:
@@ -192,7 +189,7 @@ def brute_feasible(g: Graph, k: int, lam: Fraction, dm: DistanceMatrix | None = 
     """True iff some point of the graph covers at least k vertices at radius lam."""
     if dm is None:
         dm = distances(g)
-    return _feasible(g, dm, k, lam, [_fixed_probes(g, dm, e.id) for e in g.edges], {})
+    return _feasible(g, dm, k, lam, [_fixed_probes(g, dm, edge) for edge in range(g.m)], {})
 
 
 def _candidates(fixed: list) -> list[Fraction]:
@@ -209,7 +206,7 @@ def candidate_values(g: Graph, dm: DistanceMatrix | None = None) -> list[Fractio
     """
     if dm is None:
         dm = distances(g)
-    return _candidates([_fixed_probes(g, dm, e.id) for e in g.edges])
+    return _candidates([_fixed_probes(g, dm, edge) for edge in range(g.m)])
 
 
 def brute_lambda(g: Graph, k: int, n_cap: int = 14) -> Fraction:
@@ -219,7 +216,7 @@ def brute_lambda(g: Graph, k: int, n_cap: int = 14) -> Fraction:
     if k == 1 or g.n == 1:
         return ZERO
     dm = distances(g)
-    fixed = [_fixed_probes(g, dm, e.id) for e in g.edges]
+    fixed = [_fixed_probes(g, dm, edge) for edge in range(g.m)]
     vals = _candidates(fixed)
     data: dict = {}
     lo, hi = 0, len(vals) - 1
@@ -257,7 +254,8 @@ def brute_min_diameter_ksubtree(
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for combo in itertools.combinations(g.vertices(), k):
         inset = set(combo)
-        pool = [e for e in g.edges if e.u in inset and e.v in inset]
+        pool = [(u, v, g.length(i)) for i, (u, v) in enumerate(zip(g.eu, g.ev))
+                if u in inset and v in inset]
         if len(pool) < k - 1:
             continue
         for pick in itertools.combinations(pool, k - 1):
@@ -270,8 +268,8 @@ def brute_min_diameter_ksubtree(
                 return v
 
             acyclic = True
-            for e in pick:
-                ru, rv = find(e.u), find(e.v)
+            for u, v, _ in pick:
+                ru, rv = find(u), find(v)
                 if ru == rv:
                     acyclic = False
                     break
@@ -280,9 +278,9 @@ def brute_min_diameter_ksubtree(
                 continue
             # k-1 acyclic edges on k vertices form a spanning tree
             adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in combo}
-            for e in pick:
-                adj[e.u].append((e.v, e.length))
-                adj[e.v].append((e.u, e.length))
+            for u, v, l in pick:
+                adj[u].append((v, l))
+                adj[v].append((u, l))
             w = ZERO
             for s in combo:
                 dist = {s: ZERO}

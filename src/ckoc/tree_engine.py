@@ -96,12 +96,12 @@ def _rooted_arrays(g: Graph, root: int):
     seen[root] = True
     queue = [root]
     for v in queue:
-        for u, ev in sorted(g.adj[v], key=lambda p: p[0]):
+        for u, i in sorted(g.adj[v]):
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
-                plen[u] = g.lengths_int[ev.id]
-                eid[u] = ev.id
+                plen[u] = g.lengths_int[i]
+                eid[u] = i
                 children[v].append(u)
                 queue.append(u)
     if not all(seen[1:]):
@@ -139,13 +139,14 @@ class BinaryTransform:
         parent-side endpoint, or (v, None, 0) at a vertex."""
         if x.edge < 0:
             return self.root, None, ZERO
-        e = self.g.edges[x.edge]
+        g = self.g
+        length = g.length(x.edge)
         if x.t == 0:
-            return e.u, None, ZERO
-        if x.t == e.length:
-            return e.v, None, ZERO
+            return g.eu[x.edge], None, ZERO
+        if x.t == length:
+            return g.ev[x.edge], None, ZERO
         c = self.edge_child[x.edge]
-        ds = e.length - x.t if c == e.v else x.t
+        ds = length - x.t if c == g.ev[x.edge] else x.t
         return c, self.parent[c], ds
 
 
@@ -684,14 +685,11 @@ def query_count(st: SpineTree, ca: CoverageArrays, x: EdgePoint) -> int:
     return _walk(st, ca, *_position(st.bt, x), None)
 
 
-def query_at_least_k(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: int) -> bool:
-    return query_at_least_k_at(st, ca, *_position(st.bt, x), k)
-
-
 def query_at_least_k_at(st: SpineTree, ca: CoverageArrays, s: int, tn: int, td: int,
                         k: int) -> bool:
-    """query_at_least_k at the point at distance tn/(td*SL) from vertex s
-    of the transformed tree toward its parent (tn = 0 at s itself)."""
+    """Whether the point at distance tn/(td*SL) from vertex s of the
+    transformed tree toward its parent (tn = 0 at s itself) covers at
+    least k marked vertices."""
     if k < 1:
         raise ValueError("k must be positive")
     return _walk(st, ca, s, tn, td, k) >= k

@@ -158,9 +158,9 @@ class _TreeContext:
         g = self.g
         if n == 0:
             return vertex_point(g, c)
-        e = g.edges[self.eid[c]]
+        i = self.eid[c]
         ds = Fraction(n, d * g.length_scale)
-        return canonical_point(g, e.id, ds if e.u == c else e.length - ds)
+        return canonical_point(g, i, ds if g.eu[i] == c else g.length(i) - ds)
 
 
 # ---------------------------------------------------------------- feasibility
@@ -209,25 +209,25 @@ def covered_walk(g: Graph, x: EdgePoint, lam: Fraction) -> dict[int, int]:
     p/q: a walk from the ends of x's edge through the light vertices."""
     if x.edge < 0:
         return {1: 0}
-    e = g.edges[x.edge]
+    r, s = g.eu[x.edge], g.ev[x.edge]
     q = x.t.denominator
     a = x.t.numerator * g.length_scale
     li, wi, lq = g.lengths_int, g.weights_int, lam.denominator
     # w_v * d(x, v) <= lam  <=>  wi[v] * dist * lq <= gate
     gate = lam.numerator * g.weight_scale * q * g.length_scale
     dist: dict[int, int] = {}
-    seen = {e.u, e.v}
+    seen = {r, s}
     stack = []
-    for v, dv in ((e.u, a), (e.v, q * li[e.id] - a)):
+    for v, dv in ((r, a), (s, q * li[x.edge] - a)):
         if wi[v] * dv * lq <= gate:
             dist[v] = dv
             stack.append(v)
     while stack:
         v = stack.pop()
-        for u, ev in g.adj[v]:
+        for u, eid in g.adj[v]:
             if u not in seen:
                 seen.add(u)
-                du = dist[v] + q * li[ev.id]
+                du = dist[v] + q * li[eid]
                 if wi[u] * du * lq <= gate:
                     dist[u] = du
                     stack.append(u)
@@ -338,12 +338,8 @@ def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
     # ints at any length scale, where int64 would overflow, and on trees
     # with n <= 10, which this solver mostly sees, it costs ~30 us per tree
     # against ~440 us for the array version.
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for e in g.edges:
-        l = g.lengths_int[e.id]
-        adj[e.u].append((e.v, l))
-        adj[e.v].append((e.u, l))
-    return adj
+    li = g.lengths_int
+    return [[(u, li[i]) for u, i in nb] for nb in g.adj]
 
 
 def _pair_radii(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +511,9 @@ def _euler_rooting(g: Graph, idt: np.dtype):
         return parent, eid, tin, tout, depth, 0
     # directed edge j runs from tail[j] to tail[j ^ 1]; 2e and 2e + 1 are
     # the two ways along edge e
-    tail = np.fromiter((x for e in g.edges for x in (e.u, e.v)), dtype=np.intp, count=nd)
+    tail = np.empty(nd, dtype=np.intp)
+    tail[0::2] = g.eu
+    tail[1::2] = g.ev
     seq = np.arange(nd)
     rev = seq ^ 1
     out = np.argsort(tail, kind="stable")
@@ -949,9 +947,8 @@ def _unweighted_solution(
     else:
         p = int(eng.parent[c])
         tfp = Fraction(int(td - eng.depth_np[p]), eng.sc2)
-        e = g.edges[int(eng.eid[c])]
-        t = tfp if e.u == p else e.length - tfp
-        center = canonical_point(g, e.id, t)
+        i = int(eng.eid[c])
+        center = canonical_point(g, i, tfp if g.eu[i] == p else g.length(i) - tfp)
     lam = Fraction(radius, eng.sc2)
     # with unit weights the covered subtree is the lam-ball, which holds
     # the k nearest vertices; its distances are in units of 1/(q*SL)

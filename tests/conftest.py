@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ckoc import tree_solver
-from ckoc.graph_core import Graph
+from ckoc.graph_core import DistanceMatrix, EdgePoint, Graph
+from ckoc.tree_engine import CoverageArrays, SpineTree, _position, query_at_least_k_at
 
 
 @pytest.fixture
@@ -79,3 +80,29 @@ def tree_probes():
         mp.setattr(tree_solver, "_WALK_MAX", 0)
         mp.setattr(tree_solver, "_UNIT_WALK_MAX", 0)
         yield "engine"
+
+
+# Exact reference forms that only the tests need: the solvers read the
+# integer distance rows and locate points on the transformed tree directly.
+
+
+def exact_d(dm: DistanceMatrix, u: int, v: int) -> Fraction:
+    """d(u, v) as a Fraction, from the integer distance rows."""
+    return Fraction(dm.rows[u][v], dm.scale)
+
+
+def point_distance(g: Graph, dm: DistanceMatrix, x: EdgePoint, v: int) -> Fraction:
+    """Shortest-path distance from the point x to vertex v."""
+    if x.edge < 0:
+        return Fraction(0)
+    # both routes in units of 1/(scale*q) for x.t = p/q
+    p, q = x.t.numerator, x.t.denominator
+    ps = p * dm.scale
+    via_u = ps + q * dm.rows[g.eu[x.edge]][v]
+    via_v = q * (g.lengths_int[x.edge] + dm.rows[g.ev[x.edge]][v]) - ps
+    return Fraction(min(via_u, via_v), dm.scale * q)
+
+
+def query_at_least_k(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: int) -> bool:
+    """Whether the point x covers at least k vertices, x given as an EdgePoint."""
+    return query_at_least_k_at(st, ca, *_position(st.bt, x), k)

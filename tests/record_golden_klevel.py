@@ -47,10 +47,10 @@ def levels(text: str):
     g, _ = parse_instance(text)
     dm = all_pairs_distances(g)
     ks = sorted({1, math.ceil(g.n / 2), g.n})
-    for e in g.edges:
-        cs = build_chains(g, dm, e.id)
+    for edge in range(g.m):
+        cs = build_chains(g, dm, edge)
         for k in ks:
-            yield e.id, k, kth_level(cs, k)
+            yield edge, k, kth_level(cs, k)
 
 
 def record_line(name: str, edge: int, k: int, level) -> str:

@@ -19,19 +19,17 @@ from ckoc.graph_core import (
     Graph,
     all_pairs_distances,
     canonical_point,
-    point_distance,
 )
 from ckoc.klevel_geometry import build_chains, kth_level, solve_unweighted_graph
 from ckoc.tree_engine import (
     binarize,
     build_coverage_arrays,
-    query_at_least_k,
     query_count,
     spine_decompose,
 )
 from ckoc.tree_solver import is_feasible_tree, solve_unweighted_tree, solve_weighted_tree
 
-from conftest import random_graph, random_tree, tree_probes
+from conftest import point_distance, query_at_least_k, random_graph, random_tree, tree_probes
 
 GRAPH_SEED = 0xC1717E57
 TREE_SEED = 0x7EEE5EED
@@ -72,15 +70,14 @@ def _spt_subtree(g: Graph, dm, x, block) -> bool:
     """block and x form a connected piece of a shortest-path tree of x."""
     direct = {}
     if x.edge >= 0:
-        e = g.edges[x.edge]
-        direct[e.u] = x.t
-        direct[e.v] = e.length - x.t
+        direct[g.eu[x.edge]] = x.t
+        direct[g.ev[x.edge]] = g.length(x.edge) - x.t
     dist = {u: point_distance(g, dm, x, u) for u in block}
     for u in sorted(block, key=lambda u: (dist[u], u)):
         if direct.get(u) == dist[u]:
             continue
-        if not any(v in dist and dist[v] + e2.length == dist[u]
-                   for v, e2 in g.adj[u]):
+        if not any(v in dist and dist[v] + g.length(i) == dist[u]
+                   for v, i in g.adj[u]):
             return False
     return True
 
@@ -201,20 +198,21 @@ def test_criterion_6_coverage_profile_exact(graph_pool):
     for g in graph_pool:
         dm = all_pairs_distances(g)
         odm = oracle.distances(g)
-        for e in g.edges:
+        for edge in range(g.m):
+            length = g.length(edge)
             for _ in range(5):  # 5 radii x 10 points = 50 points per edge
                 if rng.random() < 0.5:
                     v = rng.randint(1, g.n)
-                    t0 = e.length * F(rng.randint(0, 8), 8)
-                    lam = g.weights[v] * point_distance(g, dm, canonical_point(g, e.id, t0), v)
+                    t0 = length * F(rng.randint(0, 8), 8)
+                    lam = g.weights[v] * point_distance(g, dm, canonical_point(g, edge, t0), v)
                 else:
                     lam = F(rng.randint(0, 48), rng.choice((1, 2, 4, 8)))
-                prof = coverage_profile(g, dm, e.id, lam)
+                prof = coverage_profile(g, dm, edge, lam)
                 for _ in range(10):
-                    t = e.length * F(rng.randint(0, 64), 64)
-                    x = canonical_point(g, e.id, t)
+                    t = length * F(rng.randint(0, 64), 64)
+                    x = canonical_point(g, edge, t)
                     want = oracle.brute_coverage_count(g, odm, x, lam)
-                    assert prof.value_at(t) == want, (e.id, t, lam)
+                    assert prof.value_at(t) == want, (edge, t, lam)
                     points += 1
     print(f"[criterion 6] PASS: coverage profile exact at {points} sampled points")
 
@@ -271,9 +269,9 @@ def test_criterion_8_tree_query_structure():
         odm = oracle.distances(g)
         st = spine_decompose(binarize(g))
         for _ in range(100):
-            e = g.edges[rng.randrange(g.m)]
-            t = e.length * F(rng.randint(0, 16), 16)
-            x = canonical_point(g, e.id, t)
+            edge = rng.randrange(g.m)
+            t = g.length(edge) * F(rng.randint(0, 16), 16)
+            x = canonical_point(g, edge, t)
             if rng.random() < 0.5:
                 v = rng.randint(1, g.n)
                 lam = g.weights[v] * point_distance(g, dm, x, v)

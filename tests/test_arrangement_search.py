@@ -26,12 +26,11 @@ from ckoc.graph_core import (
     edge_profile,
     emit_instance,
     parse_instance,
-    point_distance,
 )
 from ckoc.oracle import brute_lambda, edge_probe_points
 from ckoc import arrangement_search, oracle, tree_solver
 
-from conftest import random_graph
+from conftest import point_distance, random_graph
 
 
 def _real_oracle(g, k):
@@ -94,8 +93,8 @@ def test_candidate_lines_semicircular_vertical():
     ls = candidate_lines(g, dm)
     semis = {
         F(off, 2 * g.length_scale)
-        for e in g.edges
-        for off in edge_profile(g, dm, e.id)[1:]
+        for edge in range(g.m)
+        for off in edge_profile(g, dm, edge)[1:]
         if off is not None
     }
     assert any(0 < t < F(1) for t in semis)
@@ -132,8 +131,8 @@ def test_candidate_lines_are_the_oracles_edge_lines(g):
     odm = oracle.distances(g)
     sw, sl = g.weight_scale, g.length_scale
     aff, vert = set(), set()
-    for e in g.edges:
-        lines, offsets = oracle._edge_lines(g, odm, e.id)
+    for edge in range(g.m):
+        lines, offsets = oracle._edge_lines(g, odm, edge)
         for m, b in (ln for pieces in lines for ln in pieces):
             aff.add((m * sw, b * sw * sl))
         vert |= {t * 2 * sl for t in offsets}
@@ -410,9 +409,10 @@ def _classical_one_center(g):
     dm = all_pairs_distances(g)
     odm = oracle.distances(g)
     best = None
-    for e in g.edges:
-        ts = {F(0), e.length}
-        lines, _ = oracle._edge_lines(g, odm, e.id)
+    for edge in range(g.m):
+        length = g.length(edge)
+        ts = {F(0), length}
+        lines, _ = oracle._edge_lines(g, odm, edge)
         flat = [ln for pieces in lines for ln in pieces]
         for i in range(len(flat)):
             for j in range(i + 1, len(flat)):
@@ -421,10 +421,10 @@ def _classical_one_center(g):
                 if m1 == m2:
                     continue
                 t = (b2 - b1) / (m1 - m2)
-                if 0 <= t <= e.length:
+                if 0 <= t <= length:
                     ts.add(t)
         for t in ts:
-            x = EdgePoint(e.id, t)
+            x = EdgePoint(edge, t)
             val = max(
                 g.weights[v] * point_distance(g, dm, x, v) for v in g.vertices()
             )
@@ -447,9 +447,9 @@ def test_probe_points_cover_optimum(path5):
     lam = solve_weighted_graph(path5, 4).lambda_star
     dm = all_pairs_distances(path5)
     found = False
-    for e in path5.edges:
-        for t in edge_probe_points(path5, dm, e.id, lam):
-            x = EdgePoint(e.id, t)
+    for edge in range(path5.m):
+        for t in edge_probe_points(path5, dm, edge, lam):
+            x = EdgePoint(edge, t)
             vals = [
                 path5.weights[v] * point_distance(path5, dm, x, v)
                 for v in path5.vertices()

@@ -58,7 +58,7 @@ def test_solve_timing_keeps_stdout(tmp_path, capsys):
     assert plain == timed
     assert "solved in" in err
     assert "parsed in" in err
-    assert "MB" in err
+    assert "MB after the parse" in err and "MB in all" in err
 
 
 def test_feasible_wedge(tmp_path, capsys):

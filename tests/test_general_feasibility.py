@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import random_graph
+from conftest import point_distance, random_graph
 from ckoc.general_feasibility import (
     FeasibilityTester,
     build_predecessor_structure,
@@ -18,7 +18,6 @@ from ckoc.graph_core import (
     Graph,
     all_pairs_distances,
     canonical_point,
-    point_distance,
     vertex_point,
 )
 from ckoc.oracle import brute_coverage_count, brute_covered_set, candidate_values
@@ -159,8 +158,6 @@ def test_witness_matches_oracle_and_radius():
             x, vs = res.witness
             assert len(vs) >= k
             assert vs == brute_covered_set(g, dm, x, lam)
-            from ckoc.graph_core import point_distance
-
             assert all(g.weights[v] * point_distance(g, dm, x, v) <= lam for v in vs)
 
 
@@ -173,12 +170,12 @@ def test_profile_matches_oracle_random():
         lam = vals[rng.randrange(len(vals))]
         if rng.random() < 0.3:
             lam += F(1, 17)
-        for e in g.edges:
-            prof = coverage_profile(g, dm, e.id, lam)
+        for edge in range(g.m):
+            prof = coverage_profile(g, dm, edge, lam)
             for _ in range(12):
-                t = e.length * F(rng.randint(0, 24), 24)
-                want = brute_coverage_count(g, dm, EdgePoint(e.id, t), lam)
-                assert prof.value_at(t) == want, (e.id, t, lam)
+                t = g.length(edge) * F(rng.randint(0, 24), 24)
+                want = brute_coverage_count(g, dm, EdgePoint(edge, t), lam)
+                assert prof.value_at(t) == want, (edge, t, lam)
 
 
 def test_profile_matches_oracle_at_own_breakpoints():
@@ -188,14 +185,14 @@ def test_profile_matches_oracle_at_own_breakpoints():
         dm = all_pairs_distances(g)
         vals = candidate_values(g, dm)
         lam = vals[len(vals) // 2]
-        for e in g.edges:
-            prof = coverage_profile(g, dm, e.id, lam)
+        for edge in range(g.m):
+            prof = coverage_profile(g, dm, edge, lam)
             prev = None
             for t, left, at in prof.breakpoints:
-                assert brute_coverage_count(g, dm, EdgePoint(e.id, t), lam) == at
+                assert brute_coverage_count(g, dm, EdgePoint(edge, t), lam) == at
                 if prev is not None:
                     mid = (prev + t) / 2
-                    assert brute_coverage_count(g, dm, EdgePoint(e.id, mid), lam) == left
+                    assert brute_coverage_count(g, dm, EdgePoint(edge, mid), lam) == left
                 prev = t
 
 
@@ -215,10 +212,10 @@ def test_side_scan_monotone(path3, cycle4):
     for g in (path3, cycle4):
         dm = all_pairs_distances(g)
         tester = FeasibilityTester(g, dm)
-        for e in g.edges:
+        for edge in range(g.m):
             for lam in (F(1, 2), F(1), F(3, 2)):
                 for from_r in (True, False):
-                    _, values, _ = tester._side_scan(e.id, from_r, lam)
+                    _, values, _ = tester._side_scan(edge, from_r, lam)
                     assert values == sorted(values, reverse=True)
 
 
@@ -227,9 +224,9 @@ def test_covered_subtree_matches_oracle():
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 8), extra=rng.randint(0, 4), weighted=True)
         dm = all_pairs_distances(g)
-        e = g.edges[rng.randrange(g.m)]
-        t = e.length * F(rng.randint(0, 8), 8)
-        x = EdgePoint(e.id, t)
+        edge = rng.randrange(g.m)
+        t = g.length(edge) * F(rng.randint(0, 8), 8)
+        x = EdgePoint(edge, t)
         lam = F(rng.randint(0, 40), 8)
         assert covered_subtree(g, dm, x, lam) == brute_covered_set(g, dm, x, lam)
 
@@ -268,9 +265,9 @@ def _wide_graph_cases(draw):
     dm = all_pairs_distances(g)
     lams = []
     for _ in range(draw(hs.integers(1, 3))):
-        e = g.edges[draw(hs.integers(0, g.m - 1))]
+        edge = draw(hs.integers(0, g.m - 1))
         den = draw(hs.sampled_from((1, 2, 3) + _PRIMES))
-        x = canonical_point(g, e.id, e.length * F(draw(hs.integers(0, den)), den))
+        x = canonical_point(g, edge, g.length(edge) * F(draw(hs.integers(0, den)), den))
         lam = g.weights[draw(hs.integers(1, g.n))] * point_distance(
             g, dm, x, draw(hs.integers(1, g.n)))
         if draw(hs.booleans()):
@@ -285,13 +282,13 @@ def test_graph_integer_keys_match_brute_at_wide_scales(case):
     g, dm, lams = case
     for lam in lams:
         best = 0
-        for e in g.edges:
+        for edge in range(g.m):
             prev = None
-            for t, left, at in coverage_profile(g, dm, e.id, lam).breakpoints:
-                assert brute_coverage_count(g, dm, EdgePoint(e.id, t), lam) == at, (e.id, t)
+            for t, left, at in coverage_profile(g, dm, edge, lam).breakpoints:
+                assert brute_coverage_count(g, dm, EdgePoint(edge, t), lam) == at, (edge, t)
                 if prev is not None:
-                    mid = EdgePoint(e.id, (prev + t) / 2)
-                    assert brute_coverage_count(g, dm, mid, lam) == left, (e.id, mid.t)
+                    mid = EdgePoint(edge, (prev + t) / 2)
+                    assert brute_coverage_count(g, dm, mid, lam) == left, (edge, mid.t)
                 best = max(best, left, at)
                 prev = t
         for k in range(1, g.n + 1):

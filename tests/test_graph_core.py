@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_tree
+from conftest import exact_d, point_distance, random_graph, random_tree
 from ckoc import cli, oracle
 from ckoc.general_feasibility import coverage_profile, is_feasible_graph
 from ckoc.graph_core import (
@@ -21,7 +22,6 @@ from ckoc.graph_core import (
     edge_profile,
     emit_instance,
     parse_instance,
-    point_distance,
     vertex_of_point,
     vertex_point,
 )
@@ -35,14 +35,14 @@ def test_parse_path3():
     g, k = parse_instance(PATH3_TEXT)
     assert (g.n, g.m, k) == (3, 2, 2)
     assert g.unit_weights and g.is_tree
-    assert [(e.u, e.v, e.length) for e in g.edges] == [(1, 2, F(1)), (2, 3, F(1))]
+    assert (g.eu, g.ev, g.length(0), g.length(1)) == ([1, 2], [2, 3], F(1), F(1))
 
 
 def test_parse_wedge2():
     g, k = parse_instance(WEDGE2_TEXT)
     assert (g.n, g.m, k) == (2, 1, 2)
     assert g.weights[1] == 2 and g.weights[2] == 1
-    assert g.edges[0].length == 6
+    assert g.length(0) == 6
 
 
 def test_parse_rejects_self_loop():
@@ -149,6 +149,29 @@ def test_parse_errors_keep_their_own_line():
         parse_instance("p ckoc 2 1 1 1\ne 1 2 -3\nv 1 3\nv 2 -3\n")
 
 
+def test_parsed_tree_memory_per_edge():
+    # a 20,000-vertex unit tree shaped like the benchmark's (parents within
+    # 50 ids, small rational lengths): the integer columns hold 323 bytes
+    # per edge on CPython 3.11, and 404 allows 25% over that; one Edge
+    # and two adjacency tuples of it per edge held 414
+    n = 20_000
+    rng = random.Random(7)
+    text = f"p ckoc {n} {n - 1} 1 0\n" + "".join(
+        f"e {rng.randint(max(1, v - 50), v - 1)} {v} {rng.randint(1, 8)}/{rng.choice((1, 2, 4, 8, 16))}\n"
+        for v in range(2, n + 1)
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g, _ = parse_instance(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / g.m < 404, held / g.m
+
+
 def test_parse_calls_share_no_state():
     text = "p ckoc 3 2 1 1\nv 1 1/2\nv 2 1/2\nv 3 2/4\ne 1 2 1/2\ne 2 3 0.5\n"
     g1, _ = parse_instance(text)
@@ -156,12 +179,107 @@ def test_parse_calls_share_no_state():
         parse_instance("p ckoc 2 1 1 0\n\ne 1 2 1/2x\n")
     g2, _ = parse_instance(text)
     assert g1 == g2
-    # one value per spelling within a call, a fresh one in every call
-    assert g1.weights[1] is g1.weights[2] is g1.edges[0].length
+    # one value per spelling within a call, a fresh one in every call;
+    # both spellings of 1/2 as a length give one scaled integer
+    assert g1.weights[1] is g1.weights[2]
     assert g1.weights[3] is not g1.weights[1]
     assert g2.weights[1] is not g1.weights[1]
+    assert (g1.lengths_int, g1.length_scale) == ([1, 1], 2)
+    assert g1.length(0) == g1.length(1) == g1.weights[1]
     with pytest.raises(InstanceError, match="^line 2: bad rational"):
         parse_instance("p ckoc 2 1 1 0\ne 1 2 1/2x\n")
+
+
+def _first_fault(n, weights, edges):
+    """The message of an instance's first fault, or None: checked one
+    value at a time in the documented order, weights first, then each
+    edge in input order (range, self-loop, duplicate, length), then
+    connectivity."""
+    for v, w in enumerate(weights, start=1):
+        if F(w) <= 0:
+            return f"vertex {v} has nonpositive weight {F(w)}"
+    pairs = set()
+    for u, v, length in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) has endpoint out of range"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        a, b = min(u, v), max(u, v)
+        if (a, b) in pairs:
+            return f"duplicate edge ({a},{b})"
+        if F(length) <= 0:
+            return f"edge ({a},{b}) has nonpositive length {F(length)}"
+        pairs.add((a, b))
+    reached = {1}
+    while True:
+        more = {b if a in reached else a for a, b in pairs if (a in reached) != (b in reached)}
+        if not more:
+            break
+        reached |= more
+    missing = [v for v in range(1, n + 1) if v not in reached]
+    return f"graph is disconnected (vertex {missing[0]} unreachable)" if missing else None
+
+
+@st.composite
+def _faulty_instances(draw):
+    """(n, weight tokens or None, [(u, v, token)]): a connected graph with
+    1-3 faults written over records at random positions, half of them at
+    one shared position, so that one record often has two faults.  Every
+    fault rewrites a record, so m stays at least n - 1 and the parser's
+    own header check never decides."""
+    n = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    others = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if (a, b) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(pairs))]
+    tok = st.sampled_from(("1", "2/4", "3", "0.25", "7/8"))
+    edges = [[a, b, draw(tok)] for a, b in pairs]
+    weights = [draw(tok) for _ in range(n)] if draw(st.booleans()) else None
+    m = len(edges)
+    position = st.one_of(st.just(draw(st.integers(0, m - 1))), st.integers(0, m - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("range", "loop", "duplicate", "length", "cut", "weight")))
+        e = edges[draw(position)]
+        if kind == "range":
+            e[draw(st.integers(0, 1))] = draw(st.sampled_from((0, n + 1)))
+        elif kind == "loop":
+            e[1] = e[0]
+        elif kind == "duplicate":
+            a, b, _ = edges[draw(st.integers(0, m - 1))]
+            e[0], e[1] = (b, a) if draw(st.booleans()) else (a, b)
+        elif kind == "length":
+            e[2] = draw(st.sampled_from(("0", "0/3", "-1", "-3/2")))
+        elif kind == "cut":
+            # every record at vertex x is moved to a pair without x
+            x = draw(st.integers(1, n))
+            rest = [v for v in range(1, n + 1) if v != x]
+            for f in edges:
+                if x in f[:2]:
+                    f[0], f[1] = draw(st.sampled_from(rest)), draw(st.sampled_from(rest))
+        elif weights is not None:
+            weights[draw(st.integers(0, n - 1))] = draw(st.sampled_from(("0", "-1/2")))
+    return n, weights, [tuple(e) for e in edges]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_faulty_instances())
+def test_validation_order_matches_reference(inst):
+    n, wtoks, etoks = inst
+    want = _first_fault(n, wtoks or [1] * n, etoks)
+    weights = [F(t) for t in wtoks] if wtoks else [F(1)] * n
+    lines = [f"p ckoc {n} {len(etoks)} 1 {0 if wtoks is None else 1}"]
+    lines += [f"v {v} {t}" for v, t in enumerate(wtoks or [], start=1)]
+    lines += [f"e {u} {v} {t}" for u, v, t in etoks]
+    for build in (
+        lambda: Graph(n, weights, [(u, v, F(t)) for u, v, t in etoks]),
+        lambda: parse_instance("\n".join(lines) + "\n"),
+    ):
+        if want is None:
+            build()
+            continue
+        with pytest.raises(InstanceError) as err:
+            build()
+        assert str(err.value) == want
 
 
 # spellings of rationals: non-reduced forms, decimals, leading zeros, and
@@ -216,13 +334,9 @@ def _reference_fields(n, weights, edges):
 
 
 def _fields(g):
-    for e in g.edges:
-        assert type(e.length) is F
-    for nb in g.adj:
-        for _, e in nb:
-            assert e is g.edges[e.id]
     assert all(type(w) is F for w in g.weights)
-    assert all(type(x) is int for x in g.lengths_int + g.weights_int)
+    assert all(type(x) is int for x in g.lengths_int + g.weights_int + g.eu + g.ev)
+    assert all(type(p) is tuple and list(map(type, p)) == [int, int] for nb in g.adj for p in nb)
     return {
         "length_scale": g.length_scale,
         "lengths_int": g.lengths_int,
@@ -230,8 +344,8 @@ def _fields(g):
         "weights_int": g.weights_int,
         "unit_weights": g.unit_weights,
         "min_edge": g.min_edge,
-        "edges": [(e.id, e.u, e.v, e.length) for e in g.edges],
-        "adj": [[(u, e.id) for u, e in nb] for nb in g.adj],
+        "edges": [(i, u, v, g.length(i)) for i, (u, v) in enumerate(zip(g.eu, g.ev))],
+        "adj": g.adj,
         "weights": g.weights,
     }
 
@@ -287,11 +401,11 @@ def test_roundtrip_random():
 
 def test_distances_fixtures(path3, triangle, cycle4):
     dm = all_pairs_distances(path3)
-    assert dm.d(1, 3) == 2
+    assert exact_d(dm, 1, 3) == 2
     dt = all_pairs_distances(triangle)
-    assert all(dt.d(u, v) == 1 for u in (1, 2, 3) for v in (1, 2, 3) if u != v)
+    assert all(exact_d(dt, u, v) == 1 for u in (1, 2, 3) for v in (1, 2, 3) if u != v)
     dc = all_pairs_distances(cycle4)
-    assert dc.d(1, 3) == 2 and dc.d(2, 4) == 2
+    assert exact_d(dc, 1, 3) == 2 and exact_d(dc, 2, 4) == 2
 
 
 def _dijkstra_rows(g):
@@ -338,37 +452,38 @@ def test_distances_certificate_random():
         g = random_graph(rng, rng.randint(2, 9), extra=rng.randint(0, 5))
         dm = all_pairs_distances(g)
         for s in g.vertices():
-            assert dm.d(s, s) == 0
+            assert exact_d(dm, s, s) == 0
             for v in g.vertices():
-                assert dm.d(s, v) == dm.d(v, s)
+                assert exact_d(dm, s, v) == exact_d(dm, v, s)
                 if v != s:
                     assert any(
-                        dm.d(s, u) + e.length == dm.d(s, v) for u, e in g.adj[v]
+                        exact_d(dm, s, u) + g.length(i) == exact_d(dm, s, v) for u, i in g.adj[v]
                     )
-        for e in g.edges:
-            assert dm.d(e.u, e.v) <= e.length
+        for i, (a, b) in enumerate(zip(g.eu, g.ev)):
+            assert exact_d(dm, a, b) <= g.length(i)
 
 
-def _case(dm, e, v):
-    """The shape of v's distance along e, read off the rows as the solvers do."""
-    l, dr, ds = e.length, dm.d(v, e.u), dm.d(v, e.v)
+def _case(g, dm, edge, v):
+    """The shape of v's distance along an edge, read off the rows as the
+    solvers do."""
+    l, dr, ds = g.length(edge), exact_d(dm, v, g.eu[edge]), exact_d(dm, v, g.ev[edge])
     return "increasing" if ds == dr + l else "decreasing" if dr == ds + l else "peak"
 
 
 def test_edge_distance_fn_cases(path3, triangle, cycle4):
     # offsets in units of 1/(2 * SL), and SL = 1 on these graphs
     dt = all_pairs_distances(triangle)
-    assert _case(dt, triangle.edges[0], 3) == "peak"  # apex vertex vs opposite edge
+    assert _case(triangle, dt, 0, 3) == "peak"  # apex vertex vs opposite edge
     assert edge_profile(triangle, dt, 0)[3] == 1  # t = 1/2
 
     dp = all_pairs_distances(path3)
-    assert _case(dp, path3.edges[1], 1) == "increasing"  # vertex 1 against edge (2,3)
+    assert _case(path3, dp, 1, 1) == "increasing"  # vertex 1 against edge (2,3)
     assert edge_profile(path3, dp, 1)[1] is None  # every path from 3 to 1 passes 2
     lines, _ = oracle._edge_lines(path3, oracle.distances(path3), 1)
     assert lines[1] == ((1, 1),)  # 1 at t = 0, 2 at t = 1
 
     dc = all_pairs_distances(cycle4)
-    assert _case(dc, cycle4.edges[0], 3) == "decreasing"  # vertex 3 against edge (1,2)
+    assert _case(cycle4, dc, 0, 3) == "decreasing"  # vertex 3 against edge (1,2)
     assert edge_profile(cycle4, dc, 0)[3] == 0  # two distance-2 paths meet at vertex 1
 
 
@@ -386,25 +501,26 @@ def test_edge_distance_fn_endpoint_values_random():
         dm = all_pairs_distances(g)
         odm = oracle.distances(g)
         half = 2 * g.length_scale
-        for e in g.edges:
-            offs = edge_profile(g, dm, e.id)
-            lines, fixed = oracle._edge_lines(g, odm, e.id)
+        for edge in range(g.m):
+            offs = edge_profile(g, dm, edge)
+            lines, fixed = oracle._edge_lines(g, odm, edge)
+            length = g.length(edge)
             peaks = set()
             for v in g.vertices():
-                assert _at(lines[v], 0) == g.weights[v] * dm.d(v, e.u)
-                assert _at(lines[v], e.length) == g.weights[v] * dm.d(v, e.v)
-                case = _case(dm, e, v)
+                assert _at(lines[v], 0) == g.weights[v] * exact_d(dm, v, g.eu[edge])
+                assert _at(lines[v], length) == g.weights[v] * exact_d(dm, v, g.ev[edge])
+                case = _case(g, dm, edge, v)
                 assert len(lines[v]) == (2 if case == "peak" else 1)
                 if case == "peak":
                     t = F(offs[v], half)
-                    assert 0 < t < e.length
+                    assert 0 < t < length
                     (m1, b1), (m2, b2) = lines[v]
                     assert m1 * t + b1 == m2 * t + b2
                     peaks.add(t)
                 else:
-                    assert offs[v] in (None, {"increasing": 2 * g.lengths_int[e.id],
+                    assert offs[v] in (None, {"increasing": 2 * g.lengths_int[edge],
                                               "decreasing": 0}[case])
-            assert fixed == {F(0), e.length} | peaks
+            assert fixed == {F(0), length} | peaks
 
 
 def _sides(g, dm, x):
@@ -412,10 +528,10 @@ def _sides(g, dm, x):
     reached through r while its distance rises, through s once it falls,
     and through both at its apex (d_s - d_r + l) / 2, which is l for a
     rising distance and 0 for a falling one."""
-    e = g.edges[x.edge]
+    r, s = g.eu[x.edge], g.ev[x.edge]
     out = (set(), set(), set())
     for v in g.vertices():
-        apex = (dm.d(v, e.v) - dm.d(v, e.u) + e.length) / 2
+        apex = (exact_d(dm, v, s) - exact_d(dm, v, r) + g.length(x.edge)) / 2
         out[0 if x.t == apex else 1 if x.t < apex else 2].add(v)
     return out
 
@@ -438,19 +554,20 @@ def test_classify_partition_and_monotonicity_random():
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 8), extra=rng.randint(0, 4), weighted=True)
         dm = all_pairs_distances(g)
-        for e in g.edges:
-            t1 = e.length * F(rng.randint(0, 8), 8)
-            t2 = e.length * F(rng.randint(0, 8), 8)
+        for edge, (r, s) in enumerate(zip(g.eu, g.ev)):
+            length = g.length(edge)
+            t1 = length * F(rng.randint(0, 8), 8)
+            t2 = length * F(rng.randint(0, 8), 8)
             if t1 > t2:
                 t1, t2 = t2, t1
-            p1 = _sides(g, dm, EdgePoint(e.id, t1))
-            p2 = _sides(g, dm, EdgePoint(e.id, t2))
+            p1 = _sides(g, dm, EdgePoint(edge, t1))
+            p2 = _sides(g, dm, EdgePoint(edge, t2))
             for t, (neutral, by_r, by_s) in ((t1, p1), (t2, p2)):
                 assert neutral | by_r | by_s == set(g.vertices())
                 assert not (neutral & by_r or neutral & by_s or by_r & by_s)
                 for v in g.vertices():
-                    via_r = dm.d(e.u, v) + t
-                    via_s = dm.d(e.v, v) + e.length - t
+                    via_r = exact_d(dm, r, v) + t
+                    via_s = exact_d(dm, s, v) + length - t
                     assert (v in neutral, v in by_r) == (via_r == via_s, via_r < via_s)
             if t1 < t2:
                 # moving right only sheds r-side vertices

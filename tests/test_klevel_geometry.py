@@ -14,7 +14,6 @@ from ckoc.graph_core import (
     all_pairs_distances,
     canonical_point,
     kth_bounds,
-    point_distance,
     vertex_point,
 )
 from ckoc.klevel_geometry import (
@@ -27,7 +26,7 @@ from ckoc.klevel_geometry import (
 )
 from ckoc.arrangement_search import solve_weighted_graph
 from ckoc import oracle
-from conftest import random_graph
+from conftest import point_distance, random_graph
 
 F = Fraction
 
@@ -80,11 +79,11 @@ def test_chain_values_match_point_distance():
     for _ in range(10):
         g = random_graph(rng, rng.randint(3, 7), extra=rng.randint(0, 3))
         dm = all_pairs_distances(g)
-        e = g.edges[rng.randrange(g.m)]
-        cs = build_chains(g, dm, e.id)
+        edge = rng.randrange(g.m)
+        cs = build_chains(g, dm, edge)
         for _ in range(5):
-            t = e.length * F(rng.randint(0, 12), 12)
-            x = EdgePoint(e.id, t)
+            t = g.length(edge) * F(rng.randint(0, 12), 12)
+            x = EdgePoint(edge, t)
             for ch in cs.chains:
                 assert ch.value_at(t) == point_distance(g, dm, x, ch.vertex)
 
@@ -151,8 +150,8 @@ def test_level_path3_edge0_k2(path3):
 
 def test_level_endpoint_values(path5):
     dm = all_pairs_distances(path5)
-    for e in path5.edges:
-        cs = build_chains(path5, dm, e.id)
+    for edge in range(path5.m):
+        cs = build_chains(path5, dm, edge)
         lefts = sorted(c.left for c in cs.chains)
         rights = sorted(c.right for c in cs.chains)
         for k in range(1, 6):
@@ -175,13 +174,13 @@ def test_level_matches_kth_smallest_everywhere():
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 7), extra=rng.randint(0, 3))
         dm = all_pairs_distances(g)
-        for e in g.edges:
-            cs = build_chains(g, dm, e.id)
+        for edge in range(g.m):
+            cs = build_chains(g, dm, edge)
             for k in range(1, g.n + 1):
                 lv = kth_level(cs, k)
-                probes = {F(0), e.length}
+                probes = {F(0), g.length(edge)}
                 for _ in range(6):
-                    probes.add(e.length * F(rng.randint(0, 24), 24))
+                    probes.add(g.length(edge) * F(rng.randint(0, 24), 24))
                 for x, _ in lv.vertices:
                     probes.add(x)
                 for t in probes:
@@ -233,8 +232,8 @@ def test_level_alternation_and_intercepts():
     for _ in range(15):
         g = random_graph(rng, rng.randint(3, 7), extra=rng.randint(0, 2))
         dm = all_pairs_distances(g)
-        for e in g.edges:
-            cs = build_chains(g, dm, e.id)
+        for edge in range(g.m):
+            cs = build_chains(g, dm, edge)
             for k in range(1, g.n + 1):
                 lv = kth_level(cs, k)
                 rising, falling = [], []
@@ -254,11 +253,11 @@ def test_level_n_is_local_one_center():
     for _ in range(12):
         g = random_graph(rng, rng.randint(2, 6), extra=rng.randint(0, 2))
         dm = all_pairs_distances(g)
-        for e in g.edges:
-            cs = build_chains(g, dm, e.id)
+        for edge in range(g.m):
+            cs = build_chains(g, dm, edge)
             lv = kth_level(cs, g.n)
             _, low = lv.lowest()
-            probes = oracle.edge_probe_points(g, dm, e.id, low)
+            probes = oracle.edge_probe_points(g, dm, edge, low)
             want = min(max(c.value_at(t) for c in cs.chains) for t in probes)
             assert low == want
 
@@ -343,9 +342,9 @@ def _every_edge_json(g, k):
         return Solution(F(0), vertex_point(g, 1), frozenset({1})).to_json(g)
     dm = all_pairs_distances(g)
     keys = []
-    for e in g.edges:
-        x, y = kth_level(build_chains(g, dm, e.id), k).lowest_scaled()
-        keys.append((y, e.id, x))
+    for edge in range(g.m):
+        x, y = kth_level(build_chains(g, dm, edge), k).lowest_scaled()
+        keys.append((y, edge, x))
     y, eid, x = min(keys)
     scale = 2 * dm.scale
     lam = F(y, scale)
@@ -380,8 +379,8 @@ def test_bounded_solver_matches_every_edge(g):
 
 def _sorted_kth_bound(g, dm, edge, k):
     """The k-th bound of one edge, by sorting its n values."""
-    e, rows = g.edges[edge], dm.rows
-    lows = sorted(g.weights_int[v] * min(rows[v][e.u], rows[v][e.v]) for v in g.vertices())
+    a, b, rows = g.eu[edge], g.ev[edge], dm.rows
+    lows = sorted(g.weights_int[v] * min(rows[v][a], rows[v][b]) for v in g.vertices())
     return lows[k - 1]
 
 
@@ -397,7 +396,7 @@ def test_kth_bounds_match_per_edge_sort_and_tester():
         dm = all_pairs_distances(g)
         tester = FeasibilityTester(g, dm)
         for k in range(1, g.n + 1):
-            want = sorted((_sorted_kth_bound(g, dm, e.id, k), e.id) for e in g.edges)
+            want = sorted((_sorted_kth_bound(g, dm, edge, k), edge) for edge in range(g.m))
             assert kth_bounds(g, dm, k) == want
             for b, eid in want:
                 assert tester._kth_ints(k)[eid] == b

@@ -16,19 +16,17 @@ from ckoc.graph_core import (
     InstanceError,
     all_pairs_distances,
     canonical_point,
-    point_distance,
     vertex_point,
 )
 from ckoc.tree_engine import (
     binarize,
     build_coverage_arrays,
-    query_at_least_k,
     query_count,
     spine_decompose,
 )
 from ckoc.tree_solver import _pair_radii, _TreeContext, covered_walk, solve_weighted_tree
 
-from conftest import rand_rational, random_tree
+from conftest import exact_d, point_distance, query_at_least_k, rand_rational, random_tree
 
 
 def _engine(g, lam=None):
@@ -83,9 +81,9 @@ def test_binarize_star3(star3):
     assert bt.weight[5] == star3.weights_int[1]
     assert bt.children[1] == [2, 5]
     assert bt.children[5] == [3, 4]
-    for e in star3.edges:
-        leaf = e.v if e.u == 1 else e.u
-        assert bt.edge_child[e.id] == leaf
+    for edge, (a, b) in enumerate(zip(star3.eu, star3.ev)):
+        leaf = b if a == 1 else a
+        assert bt.edge_child[edge] == leaf
 
 
 def test_binarize_four_leaf_star():
@@ -104,10 +102,10 @@ def test_binarize_path_identity(path5):
     bt = binarize(path5)
     assert bt.n_all == 5
     assert all(bt.children[v] == [v + 1] for v in range(1, 5))
-    e = next(e for e in path5.edges if {e.u, e.v} == {2, 3})
-    s, r, ds = bt.map_point(EdgePoint(e.id, F(1, 3)))
+    edge = next(i for i in range(path5.m) if {path5.eu[i], path5.ev[i]} == {2, 3})
+    s, r, ds = bt.map_point(EdgePoint(edge, F(1, 3)))
     assert (s, r) == (3, 2)
-    assert ds == e.length - F(1, 3)
+    assert ds == path5.length(edge) - F(1, 3)
     s, r, ds = bt.map_point(vertex_point(path5, 4))
     assert s == 4 and r is None and ds == 0
 
@@ -296,7 +294,7 @@ def test_query_count_star_hub(star3):
 
 def test_query_count_small_radius(path5):
     st, ca = _engine(path5, lam=F(1, 4))
-    x = EdgePoint(path5.edges[0].id, F(1, 2))
+    x = EdgePoint(0, F(1, 2))
     assert query_count(st, ca, x) == 0
     assert covered_walk(path5, x, F(1, 4)) == {}
 
@@ -314,12 +312,12 @@ def test_query_at_least_k_frozen(path5):
 def _random_points(rng, g, count):
     pts = []
     for _ in range(count):
-        e = g.edges[rng.randrange(g.m)] if g.m else None
-        if e is None:
+        edge = rng.randrange(g.m) if g.m else None
+        if edge is None:
             pts.append(vertex_point(g, 1))
             continue
-        t = e.length * F(rng.randint(0, 8), 8)
-        pts.append(canonical_point(g, e.id, t))
+        t = g.length(edge) * F(rng.randint(0, 8), 8)
+        pts.append(canonical_point(g, edge, t))
     return pts
 
 
@@ -423,9 +421,9 @@ def _wide_cases(draw):
     dm = all_pairs_distances(g)
     queries = []
     for _ in range(draw(hs.integers(1, 4))):
-        e = g.edges[draw(hs.integers(0, g.m - 1))]
+        edge = draw(hs.integers(0, g.m - 1))
         den = draw(hs.sampled_from((1, 2, 3) + _PRIMES))
-        x = canonical_point(g, e.id, e.length * F(draw(hs.integers(0, den)), den))
+        x = canonical_point(g, edge, g.length(edge) * F(draw(hs.integers(0, den)), den))
         lam = g.weights[draw(hs.integers(1, g.n))] * point_distance(
             g, dm, x, draw(hs.integers(1, g.n)))
         if draw(hs.booleans()):
@@ -476,7 +474,7 @@ def _side_cases(draw):
     lams = [F(0)]
     for _ in range(draw(hs.integers(1, 3))):
         u, v = draw(hs.integers(1, n)), draw(hs.integers(1, n))
-        wu, wv, d = g.weights[u], g.weights[v], dm.d(u, v)
+        wu, wv, d = g.weights[u], g.weights[v], exact_d(dm, u, v)
         lams += [wu * d, wu * wv * d / (wu + wv)]
         lams.append(F(draw(hs.integers(0, 40)), draw(hs.integers(1, 7))))
     return g, lams

@@ -17,7 +17,6 @@ from ckoc.graph_core import (
     Graph,
     InstanceError,
     all_pairs_distances,
-    point_distance,
     vertex_point,
 )
 from ckoc.tree_engine import _rooted_arrays
@@ -34,7 +33,7 @@ from ckoc.tree_solver import (
     solve_weighted_tree,
 )
 
-from conftest import random_tree, tree_probes
+from conftest import exact_d, point_distance, random_tree, tree_probes
 
 
 # ---------------------------------------------------------- critical points
@@ -81,9 +80,9 @@ def test_critical_points_on_root_path():
         for v in g.vertices():
             x = _crit(ctx, v, lam)
             dv = point_distance(g, dm, x, v)
-            assert g.weights[v] * dv == min(lam, g.weights[v] * dm.d(1, v))
+            assert g.weights[v] * dv == min(lam, g.weights[v] * exact_d(dm, 1, v))
             # x lies on the path between v and the root
-            assert point_distance(g, dm, x, 1) + dv == dm.d(1, v)
+            assert point_distance(g, dm, x, 1) + dv == exact_d(dm, 1, v)
 
 
 def test_context_matches_rooted_tree():
@@ -210,7 +209,7 @@ def test_weighted_witness_valid():
         for _ in tree_probes():
             s = solve_weighted_tree(g, k)
             assert len(s.subtree) == k
-            inside = sum(1 for e in g.edges if e.u in s.subtree and e.v in s.subtree)
+            inside = sum(1 for a, b in zip(g.eu, g.ev) if a in s.subtree and b in s.subtree)
             assert inside == k - 1  # connected on a tree
             mx = max(g.weights[u] * point_distance(g, dm, s.center, u) for u in s.subtree)
             assert mx == s.lambda_star
@@ -255,7 +254,7 @@ def test_optimum_is_a_pair_radius_and_searches_agree(g):
     dm = all_pairs_distances(g)
     w = g.weights
     radii = {
-        w[u] * w[v] * dm.d(u, v) / (w[u] + w[v])
+        w[u] * w[v] * exact_d(dm, u, v) / (w[u] + w[v])
         for u in g.vertices()
         for v in g.vertices()
         if u < v
@@ -439,8 +438,8 @@ def test_unweighted_prime_denominator_path():
     eng = _UnweightedEngine(g)
     assert all(a.dtype == object for a in (eng.depth_np, eng.fulls, eng.brs, *eng.levels))
     pre = [F(0)]
-    for e in g.edges:
-        pre.append(pre[-1] + e.length)
+    for edge in range(g.m):
+        pre.append(pre[-1] + g.length(edge))
     for k in (2, n // 3, n // 2, n):
         s = solve_unweighted_tree(g, k)
         assert s.lambda_star == min(pre[i + k - 1] - pre[i] for i in range(n - k + 1)) / 2, k
@@ -532,7 +531,7 @@ def test_pruned_search_matches_full_grid_bisection(monkeypatch):
     c = next(_centroids(clamped.n, _centroid_adj(clamped)))[0]
     dm = all_pairs_distances(clamped)
     eng = _UnweightedEngine(clamped)
-    kth = sorted(dm.d(c, u) for u in clamped.vertices())[clamped.n - 1]
+    kth = sorted(exact_d(dm, c, u) for u in clamped.vertices())[clamped.n - 1]
     assert kth * eng.sc2 > eng.maxdepth  # the bracket is clamped at k = n
     trees = [clamped, Graph.unit(12, [(v, v + 1) for v in range(1, 12)])]
     trees.append(Graph.unit(12, [(1, v) for v in range(2, 13)]))
@@ -564,11 +563,7 @@ def test_pruned_search_matches_full_grid_bisection(monkeypatch):
 
 
 def _centroid_adj(g):
-    adj = [[] for _ in range(g.n + 1)]
-    for e in g.edges:
-        adj[e.u].append((e.v, e.length))
-        adj[e.v].append((e.u, e.length))
-    return adj
+    return [[(u, g.length(edge)) for u, edge in nb] for nb in g.adj]
 
 
 def test_subsets_cover_all_distances():
@@ -584,7 +579,7 @@ def test_subsets_cover_all_distances():
             for v in bfs:
                 got[v].extend(dist[v] + dist[u] for u in bfs if br[u] != br[v])
         for v in g.vertices():
-            want = sorted(dm.d(v, u) for u in g.vertices() if u != v)
+            want = sorted(exact_d(dm, v, u) for u in g.vertices() if u != v)
             assert sorted(got[v]) == want, (trial, v)
 
 
@@ -615,7 +610,7 @@ def test_kth_distance_from():
         return int(eng._ball(np.array([v], dtype=np.int64), rho)[0]) - 1
 
     for v in g.vertices():
-        row = sorted(dm.d(v, u) for u in g.vertices() if u != v)
+        row = sorted(exact_d(dm, v, u) for u in g.vertices() if u != v)
         for k in (1, 5, 10):
             assert min(r for r in row if others_within(v, r) >= k) == row[k - 1]
 
