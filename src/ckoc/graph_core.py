@@ -336,12 +336,13 @@ def canonical_point(g: Graph, edge: int, t: Fraction) -> EdgePoint:
     Interior points are unique already; a point at a vertex is pinned to
     that vertex's smallest-id incident edge.
     """
-    length = g.length(edge)
-    if not (0 <= t <= length):
-        raise ValueError(f"offset {t} outside [0, {length}] on edge {edge}")
-    if 0 < t < length:
+    # t and the length, in units of 1/(q * SL) for t = p/q
+    at, end = t.numerator * g.length_scale, g.lengths_int[edge] * t.denominator
+    if not (0 <= at <= end):
+        raise ValueError(f"offset {t} outside [0, {g.length(edge)}] on edge {edge}")
+    if 0 < at < end:
         return EdgePoint(edge, t)
-    a = g.eu[edge] if t == 0 else g.ev[edge]
+    a = g.eu[edge] if at == 0 else g.ev[edge]
     return vertex_point(g, a)
 
 
@@ -358,7 +359,7 @@ def vertex_of_point(g: Graph, x: EdgePoint) -> int | None:
         return 1
     if x.t == 0:
         return g.eu[x.edge]
-    if x.t == g.length(x.edge):
+    if x.t.numerator * g.length_scale == g.lengths_int[x.edge] * x.t.denominator:
         return g.ev[x.edge]
     return None
 

@@ -14,7 +14,8 @@ recursive centroid decomposition instead, whose memory stays bounded.
 The unweighted solver (unit vertex weights, rational lengths) searches
 the optimal radius on an integer grid, between 0 and the k-th distance
 from the outermost centroid.  A probe counts coverage with vectorized
-subtree and centroid ball counts.  With unit weights each vertex's count
+ball counts over the centroid chains of the ends of each critical
+point's edge, and nothing else.  With unit weights each vertex's count
 is monotone in the radius, so each vertex has a threshold, the least
 radius at which its critical point covers k.  The search keeps every
 vertex whose threshold may be least: it bisects a block of those that
@@ -54,7 +55,6 @@ unit engine took 0.55-0.67x at n = 16 and 0.93-1.30x at n = 32.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -159,8 +159,9 @@ class _TreeContext:
         if n == 0:
             return vertex_point(g, c)
         i = self.eid[c]
-        ds = Fraction(n, d * g.length_scale)
-        return canonical_point(g, i, ds if g.eu[i] == c else g.length(i) - ds)
+        # the offset from the edge's first end, in units of 1/(d*SL)
+        at = n if g.eu[i] == c else g.lengths_int[i] * d - n
+        return canonical_point(g, i, Fraction(at, d * g.length_scale))
 
 
 # ---------------------------------------------------------------- feasibility
@@ -479,8 +480,7 @@ _PIVOT_BLOCK = 1 << 10
 
 def _id_bound(n: int) -> int:
     """A bound above every id the unit-tree engine numbers on n vertices:
-    chain rows, branch ids and the blocks of _block_levels (about 2n) all
-    stay below n * (log2 n + 2)."""
+    chain rows and branch ids stay below n * (log2 n + 2)."""
     return n * (n.bit_length() + 2) + 4
 
 
@@ -680,46 +680,6 @@ def _centroid_pack(n: int, levels, depth, stride: int, idt: np.dtype):
     return ch_off, ch_len, ch_c, ch_d, ch_b, fulls, full_start, brs, br_start
 
 
-def _block_levels(base, n: int, stride: int):
-    """Sorted blocks of the values base[i] at the positions i < n, for
-    counting those at most x below any position t.  base holds a power of
-    two of values, padded past n with one above every query.
-
-    Level b holds the blocks of 2**b positions that start before n, each
-    sorted, as keys (block number over all levels) * stride + value, all
-    levels in one array.  Returns that array, a view of each level in it,
-    and per level the start of its first block and that block's number.
-    """
-    nbs = [-(-n // (1 << b)) for b in range(base.size.bit_length())]
-    sizes = [nb << b for b, nb in enumerate(nbs)]
-    start = [0, *itertools.accumulate(sizes)]
-    first = [0, *itertools.accumulate(nbs)]
-    blocks = np.empty(start[-1], dtype=base.dtype)
-    levels = []
-    for b, nb in enumerate(nbs):
-        level = blocks[start[b] : start[b + 1]]
-        rows = level.reshape(nb, 1 << b)
-        rows[:] = base[: sizes[b]].reshape(nb, 1 << b)
-        rows.sort(axis=1)
-        rows += (np.arange(first[b], first[b + 1], dtype=base.dtype) * stride)[:, None]
-        levels.append(level)
-    return blocks, levels, np.array(start[:-1]), np.array(first[:-1])
-
-
-def _prefix_counts(blocks, start, first, stride: int, t: np.ndarray, x: np.ndarray):
-    """For each query q: the number of positions i < t[q] whose value is at
-    most x[q], from the blocks of _block_levels.  The positions below t
-    are, for each bit b set in t, block (t >> b) - 1 of level b."""
-    # level by level, so that consecutive searches stay in one level
-    tb = t >> np.arange(start.size)[:, None]
-    b, q = np.nonzero(tb & 1)
-    j = tb[b, q] - 1
-    xk = np.minimum(np.maximum(x[q], -1), stride - 2)
-    key = (first[b] + j).astype(blocks.dtype, copy=False) * stride + xk
-    pos = np.searchsorted(blocks, key, side="right") - start[b] - (j << b)
-    return np.bincount(q, weights=pos, minlength=t.size).astype(np.int64)
-
-
 class _UnweightedEngine:
     """Integer-scaled coverage counting at many critical points at once.
     Ids are of the dtype _id_dtype picks from n; depths, distances and
@@ -733,7 +693,7 @@ class _UnweightedEngine:
         self.sc2 = 2 * g.length_scale
         idt = _id_dtype(n)
         parent, eid, tin, tout, depth, self.root_child = _euler_rooting(g, idt)
-        self.parent, self.eid, self.tin_np, self.tout_np = parent, eid, tin, tout
+        self.parent, self.eid = parent, eid
         self.maxdepth = int(depth.max())
         self.stride = stride = 2 * self.maxdepth + 3
         self.dt = dt = np.dtype(np.int64 if _id_bound(n) * stride < _INT_LIMIT else object)
@@ -759,25 +719,32 @@ class _UnweightedEngine:
         for _ in range(max(0, n.bit_length() - 1)):
             ups.append(ups[-1][ups[-1]])
         self.ups = ups
-        # depths by DFS position, for counting the vertices of a subtree
-        # (a range of positions) within a depth
-        base = np.full(1 << max(1, (n - 1).bit_length()), stride - 1, dtype=dt)
-        base[tin[1:]] = dn[1:]
-        self.blocks, self.levels, self.level_start, self.level_first = _block_levels(
-            base, n, stride
-        )
         self.verts = np.arange(1, n + 1, dtype=idt)
 
-    def _ball(self, p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """The number of vertices within rho[i] of p[i], for p a nonempty
-        array of ids: over p[i]'s chain, those of each centroid's
-        component less those of p[i]'s own branch."""
-        ln = self.ch_len[p]
+    def _ball(self, o: np.ndarray, rho: np.ndarray, e: np.ndarray, rho_e: np.ndarray) -> np.ndarray:
+        """The number of vertices within rho[i] of o[i] or within rho_e[i]
+        of e[i], for o a nonempty array of ids and e[i] either o[i] or a
+        neighbour of it with the shorter chain.
+
+        Row j of o[i]'s chain, with centroid c, counts the vertices of c's
+        component less those of o[i]'s branch there: those whose path from
+        o[i] meets c first of all centroids, at d(o[i], c) plus their own
+        distance from c.  Two neighbours share every component until one of
+        them is a centroid, so e[i]'s chain is a prefix of o[i]'s.  On
+        those rows a vertex u counted at c lies d(c, u) beyond c from either
+        end, so it is in one of the balls when d(c, u) is within the larger
+        of the two bounds."""
+        ln = self.ch_len[o]
         first = np.cumsum(ln) - ln  # each vertex's first row among the gathered ones
-        at = np.arange(int(first[-1] + ln[-1])) + np.repeat(self.ch_off[p] - first, ln)
+        j = np.arange(int(first[-1] + ln[-1])) - np.repeat(first, ln)  # row within its chain
+        at = np.repeat(self.ch_off[o], ln) + j
+        bound = np.repeat(rho, ln) - self.ch_d[at]
+        both = j < np.repeat(self.ch_len[e], ln)
+        at_e = np.repeat(self.ch_off[e], ln)[both] + j[both]
+        bound[both] = np.maximum(bound[both], np.repeat(rho_e, ln)[both] - self.ch_d[at_e])
         dt, stride = self.dt, self.stride
+        bound = np.minimum(np.maximum(bound, -1), stride - 2)
         cc, bbid = self.ch_c[at].astype(np.intp), self.ch_b[at].astype(np.intp)
-        bound = np.minimum(np.maximum(np.repeat(rho, ln) - self.ch_d[at], -1), stride - 2)
         f = (
             np.searchsorted(self.fulls, cc.astype(dt, copy=False) * stride + bound, side="right")
             - self.full_start[cc]
@@ -798,9 +765,22 @@ class _UnweightedEngine:
             anc = row[cur]
             cur = np.where(dn[anc] > td, anc, cur)
         # only the root lifts to itself; any child of it will do, as the
-        # child's terms cancel
+        # point then sits on the root, the parent end of every such edge
         cur[cur == 1] = self.root_child
         return cur, td
+
+    def edge_point(self, radius: int, v: int) -> EdgePoint:
+        """The EdgePoint of v's critical point at the radius."""
+        (c,), (td,) = self.locate(radius, np.array([v]))
+        g = self.g
+        if td == 0:
+            return vertex_point(g, 1)
+        p, i = int(self.parent[c]), int(self.eid[c])
+        # the offset from the edge's first end, in units of 1/(2*SL)
+        at = int(td - self.depth_np[p])
+        if g.eu[i] != p:
+            at = 2 * g.lengths_int[i] - at
+        return canonical_point(g, i, Fraction(at, self.sc2))
 
     def counts(self, radius: int, verts: np.ndarray | None = None) -> np.ndarray:
         """Coverage count at the radius of the critical point of each vertex
@@ -836,19 +816,16 @@ class _UnweightedEngine:
 
     def _point_counts(self, radius: int, ch: np.ndarray, td: np.ndarray) -> np.ndarray:
         """Coverage count at the radius of the points at depth td[i] on the
-        edge into ch[i], as locate gives them."""
-        m = ch.size
+        edge into ch[i], as locate gives them: a vertex is covered when it
+        lies within the radius less the point's distance to one end of the
+        edge, from that end."""
         p = self.parent[ch].astype(np.intp)
-        dp = self.depth_np[p]
-        b1 = radius + td
-        b3 = radius + 2 * dp - td
-        tq = np.concatenate([self.tout_np[ch], self.tin_np[ch]] * 2, dtype=np.intp)
-        xq = np.concatenate([b1, b1, b3, b3])
-        pr = _prefix_counts(self.blocks, self.level_start, self.level_first, self.stride, tq, xq)
-        e1 = pr[0:m] - pr[m : 2 * m]
-        e3 = pr[2 * m : 3 * m] - pr[3 * m : 4 * m]
-        ball = self._ball(p, radius - (td - dp))
-        return e1 + ball - e3
+        rho_p = radius - (td - self.depth_np[p])
+        rho_ch = radius - (self.depth_np[ch] - td)
+        # the end with the longer chain leads
+        lead = self.ch_len[ch] > self.ch_len[p]
+        o, e = np.where(lead, ch, p), np.where(lead, p, ch)
+        return self._ball(o, np.where(lead, rho_ch, rho_p), e, np.where(lead, rho_p, rho_ch))
 
 
 def solve_unweighted_tree(g: Graph, k: int) -> Solution:
@@ -941,14 +918,7 @@ def _unweighted_solution(
 ) -> Solution:
     """The solution centered at v_star's critical point at the radius, with
     the k vertices nearest to it, ties to the smaller id."""
-    (c,), (td,) = eng.locate(radius, np.array([v_star]))
-    if td == 0:
-        center = vertex_point(g, 1)
-    else:
-        p = int(eng.parent[c])
-        tfp = Fraction(int(td - eng.depth_np[p]), eng.sc2)
-        i = int(eng.eid[c])
-        center = canonical_point(g, i, tfp if g.eu[i] == p else g.length(i) - tfp)
+    center = eng.edge_point(radius, v_star)
     lam = Fraction(radius, eng.sc2)
     # with unit weights the covered subtree is the lam-ball, which holds
     # the k nearest vertices; its distances are in units of 1/(q*SL)

@@ -28,6 +28,7 @@ from ckoc.tree_solver import (
     _id_dtype,
     _least_radius,
     _unweighted_solution,
+    covered_walk,
     is_feasible_tree,
     solve_unweighted_tree,
     solve_weighted_tree,
@@ -436,7 +437,7 @@ def test_unweighted_prime_denominator_path():
     n = 2000
     g = Graph(n, [F(1)] * n, [(v, v + 1, F(1, primes[v % 3])) for v in range(1, n)])
     eng = _UnweightedEngine(g)
-    assert all(a.dtype == object for a in (eng.depth_np, eng.fulls, eng.brs, *eng.levels))
+    assert all(a.dtype == object for a in (eng.depth_np, eng.fulls, eng.brs))
     pre = [F(0)]
     for edge in range(g.m):
         pre.append(pre[-1] + g.length(edge))
@@ -607,7 +608,8 @@ def test_kth_distance_from():
 
     def others_within(v, r):
         rho = np.array([int(r * eng.sc2)], dtype=eng.dt)
-        return int(eng._ball(np.array([v], dtype=np.int64), rho)[0]) - 1
+        p = np.array([v], dtype=np.int64)
+        return int(eng._ball(p, rho, p, rho)[0]) - 1
 
     for v in g.vertices():
         row = sorted(exact_d(dm, v, u) for u in g.vertices() if u != v)
@@ -664,6 +666,20 @@ def test_engine_counts_subsets_and_monotone(g, data):
         sub = np.array(subset, dtype=np.int64)
         for r, cnt in zip(radii, full):
             assert (eng.counts(r, sub) == cnt[sub - 1]).all(), (subset, r)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_unit_trees(shapes=("random", "path", "star", "caterpillar")), hs.data())
+def test_engine_counts_match_covered_walk(g, data):
+    # every vertex's count is the size of its critical point's covered
+    # subtree, walked in exact integers with no engine array
+    eng = _UnweightedEngine(g)
+    top = eng.maxdepth
+    drawn = data.draw(hs.lists(hs.integers(0, top), max_size=4))
+    for r in sorted(set(drawn) | {0, 1, top // 2, top}):
+        lam = F(r, eng.sc2)
+        want = [len(covered_walk(g, eng.edge_point(r, v), lam)) for v in g.vertices()]
+        assert eng.counts(r).tolist() == want, r
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -781,8 +797,9 @@ def _crit9_tree(n):
 def test_engine_memory_per_vertex():
     # the tracemalloc peak of the engine build and its first full count on
     # a 20,000-vertex tree from the generator of acceptance criterion 9:
-    # ~720 bytes per vertex with int32 ids and counts taken in blocks,
-    # ~1,770 with int64 ids and all chains expanded at once
+    # ~540 bytes per vertex with counts from the centroid chains alone,
+    # ~740 with a merge-sort tree over DFS order beside them, ~1,770 with
+    # int64 ids and all chains expanded at once; the bound is 540 + 20%
     n = 20_000
     g = _crit9_tree(n)
     tracemalloc.start()
@@ -792,7 +809,7 @@ def test_engine_memory_per_vertex():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1000 * n, peak / n
+    assert peak < 650 * n, peak / n
 
 
 def _vertexwise_least_radius(eng, k):
