@@ -243,6 +243,8 @@ def _cmd_bench(args) -> int:
 def _cmd_klevel(args) -> int:
     g, k_file = parse_instance(_read_text(args.instance))
     k = args.k if args.k is not None else k_file
+    if not g.m:
+        raise InstanceError("the instance has no edges")
     if not 0 <= args.edge < g.m:
         raise InstanceError(f"edge {args.edge} out of range 0..{g.m - 1}")
     dm = all_pairs_distances(g)

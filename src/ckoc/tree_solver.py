@@ -7,9 +7,11 @@ lam, one of these n points does, so feasibility only ever probes them.
 
 The weighted solver bisects the sorted pair radii w_u w_v d(u,v)/(w_u +
 w_v), one of which is the optimum (see solve_weighted_tree), with the tree
-feasibility test; past the arrangement search's enumeration threshold it
-runs the counting arrangement search over distance lines generated by a
-recursive centroid decomposition instead, whose memory stays bounded.
+feasibility test; their distances come from one table filled in BFS
+order.  Past the arrangement search's enumeration threshold it runs the
+counting arrangement search instead, over the distance lines of each
+vertex from the centroids of its components, whose memory stays bounded.
+Both solvers read one centroid decomposition, _centroid_levels.
 
 The unweighted solver (unit vertex weights, rational lengths) searches
 the optimal radius on an integer grid, between 0 and the k-th distance
@@ -80,6 +82,7 @@ from .graph_core import (
     vertex_point,
 )
 from .tree_engine import (
+    _rooted_arrays,
     binarize,
     build_coverage_arrays,
     query_at_least_k_at,
@@ -100,27 +103,30 @@ _UNIT_WALK_MAX = 16
 
 
 class _TreeContext:
-    """Rooted arrays, depths, ancestor jumps and, above _WALK_MAX
-    vertices, the spine tree of the coverage engine for one tree, shared
-    across repeated feasibility probes.  All come from the binary
-    transform rooted at 1, whose copies hang by zero-length edges."""
+    """The tree rooted at 1 by breadth-first search, as _rooted_arrays
+    gives it: parents, parent-edge ids and lengths, the BFS order, depths
+    and ancestor jumps, shared across repeated feasibility probes; above
+    _WALK_MAX vertices also the spine tree of the coverage engine, built
+    on the binary transform."""
 
     def __init__(self, g: Graph):
         if not g.is_tree:
             raise InstanceError("tree solver requires a tree instance")
         self.g = g
-        bt = binarize(g)
-        self.dd = bt.dd
-        self.parent = parent = [bt.orig[p] for p in bt.parent[: g.n + 1]]
-        self.eid = [-1] * (g.n + 1)
-        for e, c in enumerate(bt.edge_child):
-            self.eid[c] = e
+        parent, plen, self.eid, children = _rooted_arrays(g, 1)
+        self.parent, self.plen = parent, plen
+        self.order = order = [1]
+        for v in order:
+            order.extend(children[v])
+        self.dd = dd = [0] * (g.n + 1)
+        for v in order[1:]:
+            dd[v] = dd[parent[v]] + plen[v]
         up = [parent]
         for _ in range(max(0, g.n.bit_length() - 1)):
             prev = up[-1]
             up.append([prev[prev[v]] for v in range(g.n + 1)])
         self.up = up
-        self.st = spine_decompose(bt) if g.n > _WALK_MAX else None
+        self.st = spine_decompose(binarize(g)) if g.n > _WALK_MAX else None
 
     def point(self, v: int, lam: Fraction) -> tuple[int, int, int]:
         """Critical point of v: on v's root path at distance lam/w_v.
@@ -256,133 +262,48 @@ def _nearest(dist: dict[int, int], k: int) -> list[int]:
 # ---------------------------------------------------------------- weighted
 
 
-def _centroids(n: int, adj):
-    """Recursive centroid decomposition of a tree given as adjacency lists
-    of (neighbor, length), starting from the component of vertex 1.
-
-    Yields (c, bfs, dist, br) per centroid c: the vertices of c's component
-    in BFS order from c, and vertex-indexed arrays with each one's distance
-    from c and branch id (the subtree of c it lies in, numbered from 1
-    across the whole decomposition; 0 for c itself).  dist and br are
-    scratch arrays, overwritten on the next step.  A component's centroid
-    minimizes its largest remaining part, ties to the smaller id.
-    """
-    alive = bytearray([1]) * (n + 1)
-    par_t = [0] * (n + 1)
-    size_t = [0] * (n + 1)
-    heavy_t = [0] * (n + 1)
-    dist_t = [0] * (n + 1)
-    br_t = [0] * (n + 1)
-    seen = [0] * (n + 1)
-    stamp = 0
-    nbid = 1
-    stack = [1]
-    while stack:
-        seed = stack.pop()
-        if not alive[seed]:
-            continue
-        stamp += 1
-        comp = [seed]
-        seen[seed] = stamp
-        par_t[seed] = 0
-        for v in comp:
-            for u, _l in adj[v]:
-                if alive[u] and seen[u] != stamp:
-                    seen[u] = stamp
-                    par_t[u] = v
-                    comp.append(u)
-        for v in comp:
-            size_t[v] = 1
-            heavy_t[v] = 0
-        for v in reversed(comp):
-            p = par_t[v]
-            if p:
-                size_t[p] += size_t[v]
-                if size_t[v] > heavy_t[p]:
-                    heavy_t[p] = size_t[v]
-        total = len(comp)
-        c = comp[0]
-        best = None
-        for v in comp:
-            other = total - size_t[v]
-            score = heavy_t[v] if heavy_t[v] > other else other
-            if best is None or score < best or (score == best and v < c):
-                best, c = score, v
-        stamp += 1
-        seen[c] = stamp
-        dist_t[c] = 0
-        br_t[c] = 0
-        bfs = [c]
-        for v in bfs:
-            for u, l in adj[v]:
-                if alive[u] and seen[u] != stamp:
-                    seen[u] = stamp
-                    dist_t[u] = dist_t[v] + l
-                    if v == c:
-                        br_t[u] = nbid
-                        nbid += 1
-                    else:
-                        br_t[u] = br_t[v]
-                    bfs.append(u)
-        yield c, bfs, dist_t, br_t
-        alive[c] = 0
-        for u, _l in adj[c]:
-            if alive[u]:
-                stack.append(u)
-
-
-def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
-    """Adjacency lists of (neighbor, integer length), as _centroids reads
-    them."""
-    # Both weighted candidate sets walk the Python generator _centroids,
-    # not the unit engine's _centroid_levels: it keeps distances as Python
-    # ints at any length scale, where int64 would overflow, and on trees
-    # with n <= 10, which this solver mostly sees, it costs ~30 us per tree
-    # against ~440 us for the array version.
-    li = g.lengths_int
-    return [[(u, li[i]) for u, i in nb] for nb in g.adj]
-
-
-def _pair_radii(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def _pair_radii(ctx: _TreeContext) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pair radii w_u w_v d(u,v) / (w_u + w_v) over vertices
-    u != v, ascending, as reduced numerators and positive denominators.
+    u != v of ctx's tree, ascending, as reduced numerators and positive
+    denominators.
 
-    Each pair is formed once, at its first separating centroid c, where u
-    and v lie in different branches (or one of them is c) and d(u,v) =
-    d(u,c) + d(c,v).  In integer units the radius is wi_u wi_v (d_u +
-    d_v) / (SW SL (wi_u + wi_v)); the arrays are int64 when those bounds
+    The distances come from one table indexed by BFS position: a vertex's
+    row, up to its own position, is its parent's plus the parent-edge
+    length, mirrored into its column.  In integer units the radius is wi_u
+    wi_v d / (SW SL (wi_u + wi_v)); the arrays are int64 when those bounds
     fit and Python ints in object arrays otherwise, picked once as LineSet
     picks its dtype.
     """
+    g, order = ctx.g, ctx.order
     wi = g.weights_int
     top = max(wi)
     sc = g.weight_scale * g.length_scale
     fits = max(2 * top * top * sum(g.lengths_int), 2 * top * sc) < _INT_LIMIT
     dt = np.dtype(np.int64 if fits else object)
-    # one row per vertex of each centroid's component: the vertex, its
-    # distance from the centroid, its branch, and the end of its
-    # component's rows, which are consecutive
-    vs: list[int] = []
-    ds: list[int] = []
-    bs: list[int] = []
-    ends: list[int] = []
-    for _c, bfs, dist, br in _centroids(g.n, _adjacency(g)):
-        vs += bfs
-        ds += [dist[v] for v in bfs]
-        bs += [br[v] for v in bfs]
-        ends += [len(vs)] * len(bfs)
-    # row r paired with every later row of its component, then the pairs
-    # within one branch dropped
-    end = np.array(ends)
-    later = end - np.arange(1, end.size + 1)
-    i = np.repeat(np.arange(end.size), later)
-    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
-    b = np.array(bs)
-    keep = b[i] != b[j]
-    i, j = i[keep], j[keep]
-    w = np.array(wi, dtype=dt)[vs]
-    d = np.array(ds, dtype=dt)
-    return _sorted_ordinates(w[i] * w[j] * (d[i] + d[j]), (w[i] + w[j]) * sc)[:2]
+    n = g.n
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    dist = np.zeros((n, n), dtype=dt)
+    for i in range(1, n):
+        v = order[i]
+        row = dist[pos[ctx.parent[v]], :i] + ctx.plen[v]
+        dist[i, :i] = row
+        dist[:i, i] = row
+    # every pair once; the table and the indices go before the products
+    i, j = np.triu_indices(n, 1)
+    d = dist[i, j]
+    del dist
+    w = np.array([wi[v] for v in order], dtype=dt)
+    wu, wv = w[i], w[j]
+    del i, j
+    num = wu * wv
+    num *= d
+    del d
+    wu += wv
+    wu *= sc
+    del wv
+    return _sorted_ordinates(num, wu)[:2]
 
 
 def _centroid_lines(g: Graph) -> LineSet:
@@ -390,14 +311,18 @@ def _centroid_lines(g: Graph) -> LineSet:
     with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so
     every pair radius appears as an intersection ordinate.  The counting
     search narrows their arrangement without enumerating it, so its memory
-    stays bounded at any n."""
-    # (slope, intercept) in integer units of 1/SW and 1/(SW*SL), each once
+    stays bounded at any n.  The decomposition is _centroid_levels', with
+    d(c,v) from depths and lca(c,v)."""
+    parent, _eid, tin, tout, depth, _ = _euler_rooting(g, _id_dtype(g.n))
+    # (slope, intercept) in integer units of 1/SW and 1/(SW*SL), each once;
+    # depths are in units of 1/(2*SL)
     wi = g.weights_int
     aff: dict[tuple[int, int], None] = {}
-    for _c, bfs, dist, _br in _centroids(g.n, _adjacency(g)):
-        for v in bfs:
-            w = wi[v]
-            b = w * dist[v]
+    for v, c, _b, a in _centroid_levels(parent, tin, tout):
+        twice = depth[v] + depth[c] - 2 * depth[a]
+        for u, d2 in zip(v.tolist(), twice.tolist()):
+            w = wi[u]
+            b = w * (d2 >> 1)
             aff[(w, b)] = aff[(-w, b)] = None
     return LineSet([m for m, _ in aff], [b for _, b in aff], [], g.weight_scale, g.length_scale)
 
@@ -423,10 +348,11 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
     give w_u d(x,u) = w_u' d(x,u') = lambda* with d(u,u') = d(x,u) +
     d(x,u'), which is lambda* = w_u w_u' d(u,u') / (w_u + w_u').
 
-    search "explicit" bisects the sorted pair radii (_pair_radii) with the
-    feasibility test; "counting" runs the counting arrangement search over
-    the centroid lines (_centroid_lines), whose ordinates include every
-    pair radius; "auto" takes the pair radii while there are at most
+    search "explicit" bisects the sorted pair radii of all n(n-1)/2 pairs
+    (_pair_radii, from a table of every distance) with the feasibility
+    test; "counting" runs the counting arrangement search over the
+    centroid lines (_centroid_lines, from _centroid_levels), whose
+    ordinates include every pair radius; "auto" takes the pair radii while there are at most
     arrangement_search._ENUM_THRESHOLD pairs, the most candidates the
     counting search ever enumerates, and counts above that.
     """
@@ -458,7 +384,7 @@ def solve_weighted_tree(g: Graph, k: int, search: str = "auto") -> Solution:
         return memo[lam]
 
     if search == "explicit":
-        lam = _lowest_accepted(*_pair_radii(g), accept)
+        lam = _lowest_accepted(*_pair_radii(ctx), accept)
     else:
         lam = lowest_feasible_vertex(_centroid_lines(g), accept, strategy="counting")
     if lam is None or best_lam != lam:
@@ -555,17 +481,18 @@ def _euler_rooting(g: Graph, idt: np.dtype):
 
 
 def _centroid_levels(parent, tin, tout):
-    """The centroid decomposition of _centroids, one level at a time, on
-    the tree rooted at 1 given by parent (parent[1] = 0) and DFS entry and
-    exit times (tin[1] = 0), integer arrays.
+    """The recursive centroid decomposition, one level at a time, on the
+    tree rooted at 1 given by parent (parent[1] = 0) and DFS entry and exit
+    times (tin[1] = 0), integer arrays.  Each component's centroid
+    minimizes its largest remaining part, ties to the smaller id.
 
     Yields intp arrays (v, c, b, a) per level, outermost first, with one
     row per vertex v of the component of each centroid c: b is v's branch
     id (the part of the component without c that holds v, numbered from 1
     across the whole decomposition; 0 for c itself) and a = lca(c, v).  A
     vertex has a row on every level up to the one where it is a centroid.
-    It reads no length: the centroids, chosen from the components alone,
-    are those of _centroids; only the branch ids are numbered differently.
+    It reads no length: the centroids are chosen from the components
+    alone, so one decomposition serves every length and weight.
     """
     n = parent.size - 1
     big = n + 1

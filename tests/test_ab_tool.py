@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
 
@@ -26,6 +28,22 @@ def test_ab_smoke_same_tree_agrees():
     for side in ("a", "b"):
         q1, med, q3 = summary[side]["cpu_s"]
         assert 0 < q1 <= med <= q3 and summary[side]["peak_rss_mb"] > 0
+
+
+def test_ab_reports_cpu_per_family():
+    # sweep-small mixes all four solver families; each gets its own CPU
+    # figures, and with one pair the family figures sum to the total
+    done = _ab(ROOT / "src", ROOT / "src", "sweep-small")
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    families = {"unweighted-graph", "weighted-graph", "unweighted-tree", "weighted-tree"}
+    assert set(summary["family_b_over_a"]) == families
+    for side in ("a", "b"):
+        per = summary[side]["family_cpu_s"]
+        assert set(per) == families
+        assert sum(med for _q1, med, _q3 in per.values()) == pytest.approx(summary[side]["cpu_s"][1])
+    for fam in families:
+        assert f"  {fam}: A " in done.stdout, fam
 
 
 def test_ab_fails_when_outputs_differ(tmp_path):

@@ -612,9 +612,9 @@ def test_library_solvers_default_to_auto_search(path5, monkeypatch):
         seen.append(strategy)
         return real(ls, oracle, strategy)
 
-    def pairs_spy(g):
+    def pairs_spy(ctx):
         seen.append("pairs")
-        return real_pairs(g)
+        return real_pairs(ctx)
 
     monkeypatch.setattr(arrangement_search, "lowest_feasible_vertex", spy)
     monkeypatch.setattr(tree_solver, "lowest_feasible_vertex", spy)

@@ -230,6 +230,15 @@ def test_klevel_edge_out_of_range(tmp_path, capsys):
     assert code == 1
 
 
+def test_klevel_without_edges(tmp_path, capsys):
+    # a single vertex has no edge to dump, whatever --edge says
+    f = tmp_path / "i.ckoc"
+    f.write_text("p ckoc 1 0 1 0\n")
+    code, _out, err = run(capsys, ["klevel", str(f)])
+    assert code == 1
+    assert "the instance has no edges" in err and "out of range" not in err
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(capsys, ["bench", "--sizes", "8,12", "--seed", "3", "--tree"])
     assert code == 0

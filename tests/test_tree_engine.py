@@ -511,7 +511,7 @@ def test_large_trees_count_every_critical_point():
     for g in (_path(rng, 400), _caterpillar(rng, 400), random_tree(rng, 400, weighted=True)):
         ctx = _TreeContext(g)
         levels.append(ctx.st.lay.levels)
-        num, den = _pair_radii(g)
+        num, den = _pair_radii(ctx)
         for t in (len(num) // 50, len(num) // 2, 9 * len(num) // 10):
             lam = F(int(num[t]), int(den[t]))
             ca = build_coverage_arrays(ctx.st, lam)

@@ -21,12 +21,13 @@ from ckoc.graph_core import (
 )
 from ckoc.tree_engine import _rooted_arrays
 from ckoc.tree_solver import (
-    _centroids,
+    _centroid_lines,
     _euler_rooting,
     _TreeContext,
     _UnweightedEngine,
     _id_dtype,
     _least_radius,
+    _pair_radii,
     _unweighted_solution,
     covered_walk,
     is_feasible_tree,
@@ -87,7 +88,7 @@ def test_critical_points_on_root_path():
 
 
 def test_context_matches_rooted_tree():
-    # the context reads the tree rooted at 1 off its binary transform
+    # the context keeps the breadth-first rooting at 1, with exact depths
     rng = random.Random(32)
     for trial in range(60):
         g = random_tree(rng, rng.randint(1, 40), weighted=True)
@@ -260,7 +261,7 @@ def test_optimum_is_a_pair_radius_and_searches_agree(g):
         for v in g.vertices()
         if u < v
     }
-    num, den = tree_solver._pair_radii(g)
+    num, den = _pair_radii(_TreeContext(g))
     assert [F(int(a), int(b)) for a, b in zip(num, den)] == sorted(radii)
     for k in range(2, g.n + 1):
         want = oracle.brute_lambda(g, k)
@@ -272,8 +273,62 @@ def test_optimum_is_a_pair_radius_and_searches_agree(g):
 
 
 def test_pair_radii_take_python_ints_past_int64():
-    assert tree_solver._pair_radii(_INT64_PAIRS)[0].dtype == np.int64
-    assert tree_solver._pair_radii(_OBJECT_PAIRS)[0].dtype == object
+    assert _pair_radii(_TreeContext(_INT64_PAIRS))[0].dtype == np.int64
+    assert _pair_radii(_TreeContext(_OBJECT_PAIRS))[0].dtype == object
+
+
+@hs.composite
+def _candidate_trees(draw):
+    """Random trees, paths and stars of 2 to 40 vertices with lengths and
+    weights a/p, a <= 9: p from the small denominators of _PAIR_DENOMS,
+    which keep the pair radii and the centroid lines in int64, or from all
+    of them, which mostly take Python ints."""
+    n = draw(hs.integers(2, 40))
+    shape = draw(hs.sampled_from(("random", "path", "star")))
+    denoms = draw(hs.sampled_from((_PAIR_DENOMS[:6], _PAIR_DENOMS)))
+
+    def rat():
+        return F(draw(hs.integers(1, 9)), draw(hs.sampled_from(denoms)))
+
+    if shape == "random":
+        pairs = [(draw(hs.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    elif shape == "path":
+        pairs = [(v - 1, v) for v in range(2, n + 1)]
+    else:
+        pairs = [(1, v) for v in range(2, n + 1)]
+    return Graph(n, [rat() for _ in range(n)], [(u, v, rat()) for u, v in pairs])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_candidate_trees())
+@example(_INT64_PAIRS)
+@example(_OBJECT_PAIRS)
+def test_candidates_match_brute(g):
+    # the counting search's lines are (+-w_v, w_v d(c,v)) over every
+    # centroid c of the brute-force decomposition and v of its component,
+    # each once, in units of 1/SW and 1/(SW SL); the explicit search's
+    # candidates are every distinct pair radius, ascending
+    sw, sl = g.weight_scale, g.length_scale
+    want = set()
+    for _c, dist, _br in _ref_centroids(g):
+        for v, d in dist.items():
+            m = int(g.weights[v] * sw)
+            b = int(g.weights[v] * sw * d * sl)
+            want |= {(m, b), (-m, b)}
+    ls = _centroid_lines(g)
+    got = list(zip(ls.M.tolist(), ls.B.tolist()))
+    assert len(got) == len(set(got)) and set(got) == want
+    assert ls.M.dtype == (np.int64 if ls.int_ok else object)
+    dm = all_pairs_distances(g)
+    w = g.weights
+    radii = {
+        w[u] * w[v] * exact_d(dm, u, v) / (w[u] + w[v])
+        for u in g.vertices()
+        for v in g.vertices()
+        if u < v
+    }
+    num, den = _pair_radii(_TreeContext(g))
+    assert [F(int(a), int(b)) for a, b in zip(num, den)] == sorted(radii)
 
 
 # ------------------------------------------------ walks against engines
@@ -529,7 +584,7 @@ def test_pruned_search_matches_full_grid_bisection(monkeypatch):
     # path, a star) tie many vertices at the optimum
     rng = random.Random(87)
     clamped = _clamped_spider()
-    c = next(_centroids(clamped.n, _centroid_adj(clamped)))[0]
+    c = next(_ref_centroids(clamped))[0]
     dm = all_pairs_distances(clamped)
     eng = _UnweightedEngine(clamped)
     kth = sorted(exact_d(dm, c, u) for u in clamped.vertices())[clamped.n - 1]
@@ -563,24 +618,61 @@ def test_pruned_search_matches_full_grid_bisection(monkeypatch):
 # ------------------------------------------ centroid distance subsets
 
 
-def _centroid_adj(g):
-    return [[(u, g.length(edge)) for u, edge in nb] for nb in g.adj]
+def _ref_centroids(g):
+    """Brute-force recursive centroid decomposition, kept apart from the
+    solvers' own: per component, the vertex whose largest remaining part
+    is smallest, ties to the smaller id, found in O(n^2) per level.
+    Yields (c, dist, br) per centroid, each component before its parts:
+    dist maps every vertex of c's component to its exact distance from c,
+    br to its branch, the neighbour of c it lies behind (c for c)."""
+    adj = {v: [(u, g.length(edge)) for u, edge in g.adj[v]] for v in g.vertices()}
+
+    def reach(src, comp, cut):
+        dist = {src: F(0)}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            for u, length in adj[v]:
+                if u in comp and u != cut and u not in dist:
+                    dist[u] = dist[v] + length
+                    stack.append(u)
+        return dist
+
+    def parts(c, comp):
+        return {u: set(reach(u, comp, c)) for u, _ in adj[c] if u in comp}
+
+    stack = [set(g.vertices())] if g.n else []
+    while stack:
+        comp = stack.pop()
+        c = min(comp, key=lambda v: (max(map(len, parts(v, comp).values()), default=0), v))
+        br = {c: c}
+        for u, part in parts(c, comp).items():
+            br.update(dict.fromkeys(part, u))
+            stack.append(part)
+        yield c, reach(c, comp, None), br
 
 
 def test_subsets_cover_all_distances():
-    # each pair is split at exactly one centroid, where it lies in two
-    # different branches (or one of the two is the centroid)
+    # each pair is split at exactly one centroid of the engine's chains,
+    # where it lies in two different branches (or one of the two is the
+    # centroid): the count of _ball relies on it
     rng = random.Random(93)
     for trial in range(15):
         n = rng.randint(1, 12)
         g = random_tree(rng, n)
         dm = all_pairs_distances(g)
-        got = {v: [] for v in g.vertices()}
-        for c, bfs, dist, br in _centroids(g.n, _centroid_adj(g)):
-            for v in bfs:
-                got[v].extend(dist[v] + dist[u] for u in bfs if br[u] != br[v])
+        eng = _UnweightedEngine(g)
+        rows = {}
         for v in g.vertices():
-            want = sorted(exact_d(dm, v, u) for u in g.vertices() if u != v)
+            at = slice(eng.ch_off[v], eng.ch_off[v] + eng.ch_len[v])
+            for c, d, b in zip(*(a[at].tolist() for a in (eng.ch_c, eng.ch_d, eng.ch_b))):
+                rows.setdefault(c, []).append((v, d, b))
+        got = {v: [] for v in g.vertices()}
+        for comp in rows.values():
+            for v, dv, bv in comp:
+                got[v].extend(dv + du for _u, du, bu in comp if bu != bv)
+        for v in g.vertices():
+            want = sorted(exact_d(dm, v, u) * eng.sc2 for u in g.vertices() if u != v)
             assert sorted(got[v]) == want, (trial, v)
 
 
@@ -590,8 +682,8 @@ def test_subsets_views_stay_logarithmic():
     bound = 3 * (2 * 64).bit_length()
     for g in (Graph.unit(64, edges), random_tree(rng, 60)):
         views = [0] * (g.n + 1)
-        for _c, bfs, _dist, _br in _centroids(g.n, _centroid_adj(g)):
-            for v in bfs:
+        for _c, dist, _br in _ref_centroids(g):
+            for v in dist:
                 views[v] += 1
         assert max(views) <= bound
         # the packed engine keeps one chain entry per view
@@ -687,16 +779,16 @@ def test_engine_counts_match_covered_walk(g, data):
 @example(Graph.unit(1, []))
 @example(Graph.unit(2, [(1, 2)]))
 def test_level_decomposition_matches_generator(g):
-    # the engine's level-by-level decomposition has the generator's
-    # centroids, chains and distances, and splits each component into the
-    # same branches; only the branch ids may differ
+    # the engine's level-by-level decomposition has the brute-force
+    # generator's centroids, chains and distances, and splits each
+    # component into the same branches; only the branch ids may differ
     eng = _UnweightedEngine(g)
     want_chain = {v: [] for v in g.vertices()}
     want_parts = {}
-    for c, bfs, dist, br in _centroids(g.n, _centroid_adj(g)):
-        for v in bfs:
+    for c, dist, br in _ref_centroids(g):
+        for v in dist:
             want_chain[v].append((c, dist[v] * eng.sc2))
-        want_parts[c] = _partition((br[v], v) for v in bfs if v != c)
+        want_parts[c] = _partition((br[v], v) for v in dist if v != c)
     got_rows = {c: [] for c in eng.ch_c.tolist()}
     for v in g.vertices():
         at = slice(eng.ch_off[v], eng.ch_off[v] + eng.ch_len[v])

@@ -14,11 +14,14 @@ that goes first alternating from pair to pair.
 
 The report gives, per side, the solve CPU seconds as median and
 quartiles, the pairs in which that side took less CPU time and the median
-peak RSS, then one JSON line with the same figures.  The exit status is 1
-when any solution's JSON differs between the sides.  CPU time of a fresh
-process resolves differences that perfbench's wall-clock medians cannot;
-it does not replace perfbench's bounds.  --smoke takes the workload's
-small instances, for a quick check that both sides run and agree.
+peak RSS; then the same CPU figures per solver family (the solver name
+`ckoc solve --algo auto` picks), which sum to the total in each run, as a
+workload such as sweep-small mixes all four; then one JSON line with
+every figure.  The exit status is 1 when any solution's JSON differs
+between the sides.  CPU time of a fresh process resolves differences
+that perfbench's wall-clock medians cannot; it does not replace
+perfbench's bounds.  --smoke takes the workload's small instances, for a
+quick check that both sides run and agree.
 """
 
 from __future__ import annotations
@@ -47,17 +50,23 @@ def child(src: str, workload: str, seed: int, smoke: bool) -> dict:
     where = Path(cli.__file__).resolve()
     if not where.is_relative_to(Path(src).resolve()):
         raise SystemExit(f"ckoc imported from {where}, not from {src}")
-    cpu = 0.0
+    cpu: dict[str, float] = {}
     digests = []
     for inst in workloads.build(workload, seed, smoke):
         g, _ = graph_core.parse_instance(inst.text)
         for k in inst.ks:
             started = time.process_time()
-            sol = cli._dispatch(g, k, cli._pick_algo(g, "auto"), "auto")
-            cpu += time.process_time() - started
+            algo = cli._pick_algo(g, "auto")
+            sol = cli._dispatch(g, k, algo, "auto")
+            cpu[algo] = cpu.get(algo, 0.0) + time.process_time() - started
             digests.append(hashlib.sha256(sol.to_json(g).encode()).hexdigest())
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"cpu_s": cpu, "peak_rss_mb": rss_mb, "digests": digests}
+    return {
+        "cpu_s": sum(cpu.values()),
+        "family_cpu_s": cpu,
+        "peak_rss_mb": rss_mb,
+        "digests": digests,
+    }
 
 
 def run_side(src: str, args) -> dict:
@@ -114,9 +123,21 @@ def main(argv=None) -> int:
         )
         summary[s] = {"src": src, "cpu_s": [q1, med, q3], "wins": wins, "peak_rss_mb": rss}
     summary["b_over_a"] = statistics.median(cpu["b"]) / statistics.median(cpu["a"])
+    print(f"B/A median CPU {summary['b_over_a']:.3f}")
+    print("per solver family, median solve CPU seconds (quartiles):")
+    summary["family_b_over_a"] = {}
+    for fam in sorted(runs["a"][0]["family_cpu_s"]):
+        fig = {}
+        for s in runs:
+            fig[s] = quartiles([r["family_cpu_s"][fam] for r in runs[s]])
+            summary[s].setdefault("family_cpu_s", {})[fam] = list(fig[s])
+        ratio = summary["family_b_over_a"][fam] = fig["b"][1] / fig["a"][1]
+        print(
+            f"  {fam}: A {fig['a'][1]:.3f} ({fig['a'][0]:.3f}-{fig['a'][2]:.3f}), "
+            f"B {fig['b'][1]:.3f} ({fig['b'][0]:.3f}-{fig['b'][2]:.3f}), B/A {ratio:.3f}"
+        )
     summary["solves"] = len(runs["a"][0]["digests"])
     summary["differing_pairs"] = differ
-    print(f"B/A median CPU {summary['b_over_a']:.3f}")
     if differ:
         print(f"solution JSON differs between the sides in pairs {differ}")
     else:
