@@ -12,11 +12,12 @@ Two interchangeable strategies:
 
 * explicit: enumerate every pairwise ordinate, sort, binary search.
   Simple and exact; quadratic in the number of lines.
-* counting: never materializes the full ordinate set.  The number of
-  intersections below a height y equals the number of inversions between
-  the left-to-right order of the lines at y = -inf and at y, so a window
-  (y_lo, y_hi] around the answer is narrowed by probing sampled in-window
-  ordinates until few enough intersections remain to enumerate directly.
+* counting: never materializes the full ordinate set.  The crossings in
+  a window (y_lo, y_hi] are the inversions between the left-to-right
+  orders of the lines at its two ends, so one merge pass per round counts
+  them and draws a uniform sample of them; the window is narrowed by
+  probing the median sampled ordinate until few enough crossings remain
+  for the same pass to list them all.
 
 The lines are integer coefficient arrays (LineSet): int64 when every
 pairwise product fits, Python ints in object arrays otherwise, through the
@@ -51,8 +52,7 @@ from .general_feasibility import FeasibilityResult, FeasibilityTester, trim_witn
 _INT_LIMIT = 1 << 62
 _SEED = 0xC0C5EED
 _ENUM_THRESHOLD = 50_000
-_SAMPLE_BATCH = 1 << 17
-_PIVOT_CHUNK = 1 << 14
+_DRAWS = 1 << 10
 
 
 class LineSet:
@@ -127,84 +127,78 @@ def candidate_lines(g: Graph, dm: DistanceMatrix) -> LineSet:
 
 
 # ---------------------------------------------------------------------------
-# inversion counting between two left-to-right orders
+# inversions between two left-to-right orders
 
 
-def count_inversions(values: np.ndarray) -> int:
-    """Number of pairs i < j with values[i] > values[j].  values must be
-    distinct int64 entries in [0, n)."""
+def merge_inversions(
+    values: np.ndarray, rng: np.random.Generator, draws: int, limit: int
+) -> tuple[int, tuple[np.ndarray, np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]:
+    """One bottom-up merge pass over values, distinct int64 entries in
+    [0, n).  An inversion is a pair i < j with values[i] > values[j],
+    reported as (values[i], values[j]).  Returns the number of inversions;
+    `draws` of them drawn uniformly with replacement (none when there are
+    none); and all of them when there are at most limit, else None.
+
+    At each level a right entry's inversions with its sorted left block are
+    the tail of that block above the entry, one contiguous run, so a level
+    counts them with one searchsorted, draws `draws` of them among its runs
+    and lists them while the running total stays within limit.  The levels'
+    draws are mixed by their totals at the end, so at most draws per level
+    are kept and no level's arrays outlive it."""
     n = len(values)
-    if n <= 1:
-        return 0
-    n2 = 1 << (n - 1).bit_length()
+    n2 = 1 << max(n - 1, 0).bit_length()
     a = np.full(n2, n, dtype=np.int64)
     a[:n] = values
     total = 0
+    totals: list[int] = []
+    drawn: list[tuple[np.ndarray, np.ndarray]] = []
+    listed: Optional[list[tuple[np.ndarray, np.ndarray]]] = [] if limit >= 0 else None
+    # row r is shifted by r*(n+1), so one searchsorted serves every row
+    shift = np.int64(n + 1)
     width = 1
     while width < n2:
         v = a.reshape(-1, 2 * width)
-        nb = v.shape[0]
-        left = v[:, :width]
-        right = v[:, width:]
-        off = (np.arange(nb, dtype=np.int64) * np.int64(2 * n + 2))[:, None]
-        lo = (left + off).ravel()
-        ro = (right + off).ravel()
-        # count of left-block entries <= each right entry, within its row
-        le = np.searchsorted(lo, ro, side="right")
-        base = np.repeat(np.arange(nb, dtype=np.int64) * width, width)
-        total += int((width - (le - base)).sum())
+        rows = v.shape[0]
+        off = np.arange(rows, dtype=np.int64)[:, None] * shift
+        left = (v[:, :width] + off).ravel()
+        right = (v[:, width:] + off).ravel()
+        gt = np.searchsorted(left, right, side="right")
+        ends = np.arange(width, rows * width + 1, width, dtype=np.int64)[:, None]
+        cnt = (ends - gt.reshape(rows, width)).ravel()
+        level = int(cnt.sum())
+        if level:
+            # inversion t of the level pairs right entry r with left entry
+            # gt[r] + t - before[r], where before[r] counts those of r's
+            # predecessors
+            before = np.cumsum(cnt) - cnt
+            u = rng.integers(0, level, size=draws)
+            r = np.searchsorted(before, u, side="right") - 1
+            pos = gt[r] + u - before[r]
+            drawn.append((left[pos] - pos // width * shift, right[r] - r // width * shift))
+            totals.append(level)
+            if listed is not None and total + level <= limit:
+                pos = np.repeat(gt - before, cnt) + np.arange(level)
+                lo = np.repeat(right - np.arange(len(right)) // width * shift, cnt)
+                listed.append((left[pos] - pos // width * shift, lo))
+            else:
+                listed = None
+            total += level
         a = np.sort(v, axis=1).ravel()
         width *= 2
-    return total
-
-
-def inversion_pairs(values: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate every inversion of values, reporting the parallel ids as
-    (earlier-but-larger, later-but-smaller) pairs.  Caller must ensure the
-    total inversion count is small enough to materialize."""
-    n = len(values)
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    if n <= 1:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    n2 = 1 << (n - 1).bit_length()
-    vals = np.full(n2, n, dtype=np.int64)
-    vals[:n] = values
-    pids = np.full(n2, -1, dtype=np.int64)
-    pids[:n] = ids
-    width = 1
-    while width < n2:
-        v = vals.reshape(-1, 2 * width)
-        d = pids.reshape(-1, 2 * width)
-        nb = v.shape[0]
-        left = v[:, :width]
-        lid = d[:, :width]
-        right = v[:, width:]
-        rid = d[:, width:]
-        off = (np.arange(nb, dtype=np.int64) * np.int64(2 * n + 2))[:, None]
-        lo = (left + off).ravel()
-        ro = (right + off).ravel()
-        gt_start = np.searchsorted(lo, ro, side="right")
-        row = np.repeat(np.arange(nb, dtype=np.int64), width)
-        row_end = (row + 1) * width
-        cnt = row_end - gt_start
-        real = rid.ravel() >= 0
-        cnt = np.where(real, cnt, 0)
-        total = int(cnt.sum())
-        if total:
-            starts = np.repeat(gt_start, cnt)
-            csum = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-            offs = np.arange(total, dtype=np.int64) - np.repeat(csum, cnt)
-            src = starts + offs
-            out_i.append(lid.ravel()[src])
-            out_j.append(np.repeat(rid.ravel(), cnt))
-        order = np.argsort(v, axis=1, kind="stable")
-        vals = np.take_along_axis(v, order, axis=1).ravel()
-        pids = np.take_along_axis(d, order, axis=1).ravel()
-        width *= 2
-    if not out_i:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(out_i), np.concatenate(out_j)
+    empty = np.empty(0, dtype=np.int64)
+    take = [0] * len(totals)
+    if total and draws:
+        # each draw picks a level in proportion to its total
+        pick = np.searchsorted(np.cumsum(totals), rng.integers(0, total, size=draws), side="right")
+        take = np.bincount(pick, minlength=len(totals)).tolist()
+    hi = np.concatenate([empty] + [h[:m] for (h, _), m in zip(drawn, take)])
+    lo = np.concatenate([empty] + [x[:m] for (_, x), m in zip(drawn, take)])
+    if listed is not None:
+        listed = (
+            np.concatenate([empty] + [h for h, _ in listed]),
+            np.concatenate([empty] + [x for _, x in listed]),
+        )
+    return total, (hi, lo), listed
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +355,16 @@ def _search_explicit(ls: LineSet, oracle: Callable[[Fraction], bool]) -> Fractio
 
 
 class _CountingSearch:
-    """Narrows a window (y_lo, y_hi] around the lowest feasible ordinate by
-    counting intersections below probe heights with inversion counts."""
+    """Narrows a window (y_lo, y_hi] around the lowest feasible ordinate,
+    keeping the left-to-right line order at both ends (y = -inf, with its
+    order rank_inf, before the first infeasible probe).  Two lines cross
+    inside the window exactly when the two orders disagree on them, so the
+    window's crossings are the inversions of seq = rank_lo[order_hi]: each
+    round one merge pass over seq counts them, draws _DRAWS of them
+    uniformly (Matousek's randomized slope selection samples its window
+    the same way) and, once at most _ENUM_THRESHOLD remain, lists them all
+    for the final bisection.  The probe pivot is the median of the distinct
+    drawn ordinates below y_hi."""
 
     def __init__(self, ls: LineSet, oracle: Callable[[Fraction], bool]):
         self.ls = ls
@@ -387,9 +389,9 @@ class _CountingSearch:
         sec = np.concatenate([np.where(ls.M > 0, -ls.B, ls.B), ls.A])
         idx = np.arange(n, dtype=np.int64)
         sigma_inf = np.lexsort((idx, sec, rank_desc))
+        self.order_inf = sigma_inf
         self.rank_inf = np.empty(n, dtype=np.int64)
         self.rank_inf[sigma_inf] = idx
-        self.count_memo: dict[tuple[Fraction, bool], int] = {}
         self.rng = np.random.default_rng(_SEED)
 
     def probe(self, y: Fraction) -> bool:
@@ -433,14 +435,6 @@ class _CountingSearch:
             key=lambda i: (Fraction(int(num[i]), int(den[i])), int(tie[i]), i),
         )
 
-    def count(self, y: Fraction, strict: bool = False) -> int:
-        """Crossings with ordinate <= y, or < y when strict."""
-        key = (y, strict)
-        if key not in self.count_memo:
-            seq = self.rank_inf[self.order_at(y, strict)]
-            self.count_memo[key] = count_inversions(seq)
-        return self.count_memo[key]
-
     # -- ordinates of specific line pairs, as integer fractions
 
     def _pair_ordinates(
@@ -473,67 +467,36 @@ class _CountingSearch:
             valid[mixed] = True
         return num, den, valid
 
-    def _sample_pivot(self, y_lo: Optional[Fraction], y_hi: Fraction) -> Optional[Fraction]:
-        """Roughly the median of sampled pairwise ordinates strictly inside
-        (y_lo, y_hi).  Floats prefilter; the returned pivot is verified
-        exactly so a probe at it always shrinks the window."""
-        fl_lo = _div(y_lo.numerator, y_lo.denominator) if y_lo is not None else -math.inf
-        fl_hi = _div(y_hi.numerator, y_hi.denominator)
-        for _ in range(4):
-            I = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
-            J = self.rng.integers(0, self.N, size=_SAMPLE_BATCH)
-            keep = I != J
-            I, J = I[keep], J[keep]
-            # in-window ordinates a chunk of pairs at a time, so the
-            # temporaries stay small and reuse the same pages
-            parts = []
-            for a in range(0, len(I), _PIVOT_CHUNK):
-                num, den, valid = self._pair_ordinates(
-                    I[a : a + _PIVOT_CHUNK], J[a : a + _PIVOT_CHUNK]
-                )
-                f = _ratio(num, den)
-                mask = valid & (f >= np.nextafter(fl_lo, -math.inf)) & (
-                    f <= np.nextafter(fl_hi, math.inf)
-                )
-                parts.append((num[mask], den[mask], f[mask]))
-            if not sum(len(p[2]) for p in parts):
-                continue
-            num, den, f = (np.concatenate(col) for col in zip(*parts))
-            order = np.argsort(f, kind="stable")
-            mid = len(order) // 2
-            # walk outward from the median until a candidate verifies exactly
-            for step in range(len(order)):
-                for pos in {mid - step, mid + step}:
-                    if not 0 <= pos < len(order):
-                        continue
-                    t = int(order[pos])
-                    y = Fraction(int(num[t]), int(den[t]))
-                    if (y_lo is None or y > y_lo) and y < y_hi:
-                        return y
-                if step > 64:
-                    break
-        return None
+    def _window(self, rank_lo: np.ndarray, order_hi: np.ndarray):
+        """One merge pass over the window between the orders rank_lo and
+        order_hi: its crossing count, _DRAWS drawn crossings, and every
+        crossing once at most _ENUM_THRESHOLD remain, each crossing a pair
+        of ranks at the window floor."""
+        return merge_inversions(rank_lo[order_hi], self.rng, _DRAWS, _ENUM_THRESHOLD)
 
-    def _window_ordinates(
-        self, y_lo: Optional[Fraction], y_hi: Fraction, open_top: bool = False
+    def _ordinates(
+        self, order_lo: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All distinct ordinates in (y_lo, y_hi] (or (y_lo, y_hi) when
-        open_top), ascending, as reduced numerators and positive
-        denominators.  y_lo None means a window floor below every
-        intersection."""
-        order_hi = self.order_at(y_hi, strict=open_top)
-        if y_lo is None:
-            seq = self.rank_inf[order_hi]
-        else:
-            order_lo = self.order_at(y_lo)
-            rank_lo = np.empty(self.N, dtype=np.int64)
-            rank_lo[order_lo] = np.arange(self.N, dtype=np.int64)
-            seq = rank_lo[order_hi]
-        I, J = inversion_pairs(seq, order_hi)
-        num, den, valid = self._pair_ordinates(I, J)
+        """Distinct ordinates of the crossings named by pairs of ranks at
+        the window floor, ascending, as reduced numerators and positive
+        denominators."""
+        num, den, valid = self._pair_ordinates(order_lo[pairs[0]], order_lo[pairs[1]])
         if not valid.all():
             raise InternalError("swapped pair without a crossing")
         return _sorted_ordinates(num, den)[:2]
+
+    def _pivot(
+        self, order_lo: np.ndarray, drawn: tuple[np.ndarray, np.ndarray], y_hi: Fraction
+    ) -> Optional[Fraction]:
+        """Median of the distinct drawn ordinates below y_hi, or None when
+        every draw sits at y_hi."""
+        num, den = self._ordinates(order_lo, drawn)
+        if len(num) and Fraction(int(num[-1]), int(den[-1])) == y_hi:
+            num, den = num[:-1], den[:-1]
+        if not len(num):
+            return None
+        t = len(num) // 2
+        return Fraction(int(num[t]), int(den[t]))
 
     def run(self) -> Fraction:
         ls = self.ls
@@ -553,58 +516,32 @@ class _CountingSearch:
         ) + 1
         if not self.probe(yb):
             raise ValueError("no intersection ordinate is feasible")
-        y_lo: Optional[Fraction] = None
-        y_hi: Fraction = yb
+        y_hi = yb
+        order_lo, rank_lo = self.order_inf, self.rank_inf
+        order_hi = self.order_at(y_hi)
         for _ in range(300):
-            c_hi = self.count(y_hi)
-            c_lo = self.count(y_lo) if y_lo is not None else 0
-            if c_hi - c_lo <= _ENUM_THRESHOLD:
-                return self._finish(y_lo, y_hi)
-            y_p = self._sample_pivot(y_lo, y_hi)
+            _, drawn, listed = self._window(rank_lo, order_hi)
+            if listed is not None:
+                return self._finish(order_lo, listed)
+            y_p = self._pivot(order_lo, drawn, y_hi)
             if y_p is None:
-                y_p = self._interior_pivot(y_lo, y_hi, c_lo)
-                if y_p is None:
-                    # every in-window crossing sits exactly at y_hi, which
-                    # was probed feasible and is the answer
+                # draw again from the crossings strictly below y_hi; with
+                # none, every in-window crossing sits at y_hi, which was
+                # probed feasible and is the answer
+                inside, drawn, _ = self._window(rank_lo, self.order_at(y_hi, strict=True))
+                if not inside:
                     return y_hi
+                y_p = self._pivot(order_lo, drawn, y_hi)
             if self.probe(y_p):
-                y_hi = y_p
+                y_hi, order_hi = y_p, self.order_at(y_p)
             else:
-                y_lo = y_p
+                order_lo = self.order_at(y_p)
+                rank_lo = np.empty(self.N, dtype=np.int64)
+                rank_lo[order_lo] = np.arange(self.N, dtype=np.int64)
         raise InternalError("ordinate window failed to converge")
 
-    def _interior_pivot(
-        self, y_lo: Optional[Fraction], y_hi: Fraction, c_lo: int
-    ) -> Optional[Fraction]:
-        """Exact fallback when sampling finds nothing strictly inside the
-        window.  Returns an ordinate strictly between y_lo and y_hi, or None
-        when every in-window crossing is at y_hi.  Uses only counting, never
-        the oracle."""
-        top = y_hi
-        for _ in range(500):
-            w_strict = self.count(y_hi, strict=True) - c_lo
-            if w_strict == 0:
-                if y_hi == top:
-                    return None
-                # all inner mass sits exactly at the bisected ceiling, which
-                # therefore is an ordinate strictly inside the real window
-                return y_hi
-            if w_strict <= 4 * _ENUM_THRESHOLD:
-                num, den = self._window_ordinates(y_lo, y_hi, open_top=True)
-                if not len(num):
-                    raise InternalError("interior crossings exist but none found")
-                t = len(num) // 2
-                return Fraction(int(num[t]), int(den[t]))
-            floor = y_lo if y_lo is not None else min(ZERO, y_hi - 1)
-            mid = (floor + y_hi) / 2
-            if self.count(mid) == c_lo:
-                y_lo = mid
-            else:
-                y_hi = mid
-        raise InternalError("interior pivot search failed to converge")
-
-    def _finish(self, y_lo: Optional[Fraction], y_hi: Fraction) -> Fraction:
-        num, den = self._window_ordinates(y_lo, y_hi)
+    def _finish(self, order_lo: np.ndarray, listed: tuple[np.ndarray, np.ndarray]) -> Fraction:
+        num, den = self._ordinates(order_lo, listed)
         if not len(num):
             raise InternalError("empty ordinate window at finish")
         y = _lowest_accepted(num, den, self.probe)

@@ -28,6 +28,8 @@ def test_ab_smoke_same_tree_agrees():
     for side in ("a", "b"):
         q1, med, q3 = summary[side]["cpu_s"]
         assert 0 < q1 <= med <= q3 and summary[side]["peak_rss_mb"] > 0
+        assert summary[side]["minflt"] > 0
+    assert "minor faults median " in done.stdout
 
 
 def test_ab_reports_cpu_per_family():

@@ -4,15 +4,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckoc.arrangement_search import (
     LineSet,
     candidate_lines,
-    count_inversions,
-    inversion_pairs,
     lowest_feasible_vertex,
+    merge_inversions,
     solve_weighted_graph,
     _CountingSearch,
     _explicit_ordinates,
@@ -143,7 +142,7 @@ def test_candidate_lines_are_the_oracles_edge_lines(g):
 
 
 # ---------------------------------------------------------------------------
-# inversion counting utilities
+# the merge pass over inversions
 
 
 def _brute_inversions(a):
@@ -152,13 +151,18 @@ def _brute_inversions(a):
     )
 
 
+def _count(values):
+    rng = np.random.default_rng(0)
+    return merge_inversions(np.array(values, dtype=np.int64), rng, 0, -1)[0]
+
+
 def test_count_inversions_examples():
-    assert count_inversions(np.array([0, 1, 2, 3], dtype=np.int64)) == 0
-    assert count_inversions(np.array([3, 2, 1, 0], dtype=np.int64)) == 6
-    assert count_inversions(np.array([1, 0, 3, 2], dtype=np.int64)) == 2
-    assert count_inversions(np.array([2, 0, 1], dtype=np.int64)) == 2
-    assert count_inversions(np.array([0], dtype=np.int64)) == 0
-    assert count_inversions(np.array([], dtype=np.int64)) == 0
+    assert _count([0, 1, 2, 3]) == 0
+    assert _count([3, 2, 1, 0]) == 6
+    assert _count([1, 0, 3, 2]) == 2
+    assert _count([2, 0, 1]) == 2
+    assert _count([0]) == 0
+    assert _count([]) == 0
 
 
 def test_count_inversions_random():
@@ -167,8 +171,7 @@ def test_count_inversions_random():
         n = rng.randrange(1, 60)
         perm = list(range(n))
         rng.shuffle(perm)
-        a = np.array(perm, dtype=np.int64)
-        assert count_inversions(a) == _brute_inversions(perm)
+        assert _count(perm) == _brute_inversions(perm)
 
 
 def test_inversion_pairs_random():
@@ -178,10 +181,12 @@ def test_inversion_pairs_random():
         perm = list(range(n))
         rng.shuffle(perm)
         ids = [100 + v for v in range(n)]
-        I, J = inversion_pairs(
-            np.array(perm, dtype=np.int64), np.array(ids, dtype=np.int64)
+        # pairs come back as values; each value names its position
+        pos = {v: i for i, v in enumerate(perm)}
+        _, _, (hi, lo) = merge_inversions(
+            np.array(perm, dtype=np.int64), np.random.default_rng(0), 0, n * n
         )
-        got = {(int(a), int(b)) for a, b in zip(I, J)}
+        got = {(ids[pos[int(a)]], ids[pos[int(b)]]) for a, b in zip(hi, lo)}
         want = {
             (ids[i], ids[j])
             for i in range(n)
@@ -189,6 +194,28 @@ def test_inversion_pairs_random():
             if perm[i] > perm[j]
         }
         assert got == want
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@example(list(range(70))[::-1], 1)
+@example(random.Random(33).sample(range(33), 33), 2)
+@given(st.integers(0, 70).flatmap(lambda n: st.permutations(range(n))), st.integers(0, 2**32))
+def test_merge_pass_counts_draws_and_lists(perm, seed):
+    want = {(a, b) for i, a in enumerate(perm) for b in perm[i + 1 :] if a > b}
+    draws = 4000 if len(perm) <= 8 else 300
+    values = np.array(perm, dtype=np.int64)
+    total, (hi, lo), listed = merge_inversions(values, np.random.default_rng(seed), draws, len(want))
+    assert total == len(want)
+    pairs = list(zip(listed[0].tolist(), listed[1].tolist()))
+    assert len(pairs) == len(want) and set(pairs) == want
+    drawn = set(zip(hi.tolist(), lo.tolist()))
+    assert len(hi) == len(lo) == (draws if want else 0)
+    assert drawn <= want
+    if len(perm) <= 8:
+        assert drawn == want
+    # one short of the total, the pass lists nothing
+    if want:
+        assert merge_inversions(values, np.random.default_rng(seed), 0, len(want) - 1)[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +356,10 @@ def test_window_of_everything_is_explicit(ls):
     # a counting window from below every crossing to above every one
     # enumerates the same sorted ordinates as the explicit strategy
     top = max(_all_ordinates(ls), default=F(0)) + 1
-    num, den = _CountingSearch(ls, lambda lam: True)._window_ordinates(None, top)
+    cs = _CountingSearch(ls, lambda lam: True)
+    seq = cs.rank_inf[cs.order_at(top)]
+    _, _, listed = merge_inversions(seq, cs.rng, 0, len(ls) ** 2)
+    num, den = cs._ordinates(cs.order_inf, listed)
     want_num, want_den = _explicit_ordinates(ls)
     assert num.tolist() == want_num.tolist() and den.tolist() == want_den.tolist()
     assert _read((num, den)) == sorted(_all_ordinates(ls))
@@ -479,8 +509,18 @@ def test_counting_agrees_with_explicit_random():
 
 
 def test_counting_forced_pivoting(monkeypatch):
-    # tiny enumeration threshold forces the sampling/narrowing loop
+    # tiny enumeration threshold forces the sampling/narrowing loop, and
+    # with it rounds whose every draw sits at y_hi, which draw again from
+    # the window open at y_hi
     monkeypatch.setattr(arrangement_search, "_ENUM_THRESHOLD", 2)
+    open_tops = []
+    real = _CountingSearch.order_at
+
+    def order_at(self, y, strict=False):
+        open_tops.append(strict)
+        return real(self, y, strict)
+
+    monkeypatch.setattr(_CountingSearch, "order_at", order_at)
     rng = random.Random(71)
     for trial in range(8):
         n = rng.randrange(3, 7)
@@ -490,6 +530,7 @@ def test_counting_forced_pivoting(monkeypatch):
         ls = candidate_lines(g, dm)
         lam = lowest_feasible_vertex(ls, _real_oracle(g, k), strategy="counting")
         assert lam == brute_lambda(g, k)
+    assert True in open_tops
 
 
 def test_solve_counting_strategy(path5, wedge2):

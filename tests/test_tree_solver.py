@@ -904,6 +904,29 @@ def test_engine_memory_per_vertex():
     assert peak < 650 * n, peak / n
 
 
+def test_counting_search_memory():
+    # the tracemalloc peak of the counting search over the centroid lines
+    # of a 2,000-vertex weighted tree (10,180 lines), its lines included:
+    # ~3.6 MB with one merge pass per round that keeps no level's arrays,
+    # ~7.7 MB keeping every level's arrays until the pass ends, and ~9.8 MB
+    # drawing random line pairs 2**17 at a time for each pivot
+    from ckoc import arrangement_search, cli
+    from ckoc.graph_core import parse_instance
+
+    g, _ = parse_instance(cli.generate_instance(1, 2000, 0.0, True, True))
+    lam = solve_weighted_tree(g, g.n // 2, search="counting").lambda_star
+    tracemalloc.start()
+    try:
+        got = arrangement_search.lowest_feasible_vertex(
+            _centroid_lines(g), lambda y: y >= lam, "counting"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == lam
+    assert peak < 5_500_000, peak
+
+
 def _vertexwise_least_radius(eng, k):
     """The radius search that bisects all vertices covering k at its
     upper bracket, counting after each feasible probe those still

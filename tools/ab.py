@@ -8,13 +8,14 @@ as the `src` of a `git archive` of the parent commit and this checkout's
 from one of them, builds the workload's instances with this checkout's
 perfbench/workloads.py, parses them and solves every k once through the
 solver `ckoc solve --algo auto --search auto` picks.  It reports the CPU
-time of its solves (parsing excluded), its peak resident memory and a
-digest of every solution's JSON.  Each pair runs both sides, the side
+time of its solves (parsing excluded), its peak resident memory, its
+minor page faults (`ru_minflt`, the whole process) and a digest of every
+solution's JSON.  Each pair runs both sides, the side
 that goes first alternating from pair to pair.
 
 The report gives, per side, the solve CPU seconds as median and
-quartiles, the pairs in which that side took less CPU time and the median
-peak RSS; then the same CPU figures per solver family (the solver name
+quartiles, the pairs in which that side took less CPU time, the median
+peak RSS and the median count of minor page faults; then the same CPU figures per solver family (the solver name
 `ckoc solve --algo auto` picks), which sum to the total in each run, as a
 workload such as sweep-small mixes all four; then one JSON line with
 every figure.  The exit status is 1 when any solution's JSON differs
@@ -60,11 +61,12 @@ def child(src: str, workload: str, seed: int, smoke: bool) -> dict:
             sol = cli._dispatch(g, k, algo, "auto")
             cpu[algo] = cpu.get(algo, 0.0) + time.process_time() - started
             digests.append(hashlib.sha256(sol.to_json(g).encode()).hexdigest())
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "cpu_s": sum(cpu.values()),
         "family_cpu_s": cpu,
-        "peak_rss_mb": rss_mb,
+        "peak_rss_mb": usage.ru_maxrss / 1024,
+        "minflt": usage.ru_minflt,
         "digests": digests,
     }
 
@@ -116,12 +118,20 @@ def main(argv=None) -> int:
         q1, med, q3 = quartiles(cpu[s])
         wins = sum(x < y for x, y in zip(cpu[s], cpu[other]))
         rss = statistics.median(r["peak_rss_mb"] for r in runs[s])
+        minflt = statistics.median(r["minflt"] for r in runs[s])
         src = getattr(args, s)
         print(
             f"{s.upper()} {src}: median {med:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
-            f"less CPU in {wins}/{args.pairs} pairs, peak RSS median {rss:.1f} MB"
+            f"less CPU in {wins}/{args.pairs} pairs, peak RSS median {rss:.1f} MB, "
+            f"minor faults median {minflt:.0f}"
         )
-        summary[s] = {"src": src, "cpu_s": [q1, med, q3], "wins": wins, "peak_rss_mb": rss}
+        summary[s] = {
+            "src": src,
+            "cpu_s": [q1, med, q3],
+            "wins": wins,
+            "peak_rss_mb": rss,
+            "minflt": minflt,
+        }
     summary["b_over_a"] = statistics.median(cpu["b"]) / statistics.median(cpu["a"])
     print(f"B/A median CPU {summary['b_over_a']:.3f}")
     print("per solver family, median solve CPU seconds (quartiles):")
