@@ -128,7 +128,6 @@ class BinaryTransform:
     plen: list[int]
     children: list[list[int]]
     weight: list[int]
-    orig: list[int]
     marked: list[bool]
     edge_child: list[int]
     dd: list[int]
@@ -159,7 +158,6 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
     plen = [0] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]
     weight = list(g.weights_int)
-    orig = list(range(n + 1))
     marked = [False] + [True] * n
     edge_child = [0] * g.m
     nxt = n
@@ -171,7 +169,6 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
         plen.append(0)
         children.append([])
         weight.append(weight[of])
-        orig.append(of)
         marked.append(False)
         return nxt
 
@@ -201,7 +198,7 @@ def binarize(g: Graph, root: int = 1) -> BinaryTransform:
             dd[c] = dd[v] + plen[c]
             order.append(c)
     return BinaryTransform(
-        g, root, nxt, parent, plen, children, weight, orig, marked, edge_child, dd, order
+        g, root, nxt, parent, plen, children, weight, marked, edge_child, dd, order
     )
 
 

@@ -28,15 +28,19 @@ bisected decides the work, never the radius or the least id found (see
 _least_radius).  A count over more than one block of vertices counts
 each distinct critical point once: near the upper bracket many vertices
 share one, the root above all.  Its engine roots the tree by an Euler
-tour ranked in numpy, builds the centroid decomposition level by level
-(all components of one level at once, from the rooted tree's shape) and
-takes each centroid distance from depths and one lowest common ancestor.
-It keeps ids as int32 while they fit and counts the critical points of a
-probe in fixed blocks of vertices, so a tree of a hundred thousand
-vertices stays in budget in time and in memory.  The engine works at any
-length scale: its depths and packed keys are int64 when the largest key
-fits, and Python ints in numpy object arrays otherwise, through the same
-code.
+tour ranked in numpy and builds the centroid decomposition level by
+level, all components of one level at once, from the rooted tree's shape
+(_centroid_levels).  A level is a fixed number of numpy passes with no
+sort: each component is a run of vertices in DFS order with their
+subtree sizes in it, its centroid is read off those sizes, and the run
+splits at the centroid into the next level's runs by computed offsets.
+Each centroid distance comes from depths and a lowest common ancestor
+that the same run gives.  It keeps ids as int32 while they fit and
+counts the critical points of a probe in fixed blocks of vertices, so a
+tree of a hundred thousand vertices stays in budget in time and in
+memory.  The engine works at any length scale: its depths and packed
+keys are int64 when the largest key fits, and Python ints in numpy
+object arrays otherwise, through the same code.
 
 Both solvers take their witness, the k covered vertices nearest to the
 center, from one walk of the center's covered subtree.
@@ -311,15 +315,14 @@ def _centroid_lines(g: Graph) -> LineSet:
     with centroid c contributes y = w_v (x + d(c,v)) and its mirror, so
     every pair radius appears as an intersection ordinate.  The counting
     search narrows their arrangement without enumerating it, so its memory
-    stays bounded at any n.  The decomposition is _centroid_levels', with
-    d(c,v) from depths and lca(c,v)."""
+    stays bounded at any n.  The decomposition and the distances d(c,v)
+    are _centroid_levels'."""
     parent, _eid, tin, tout, depth, _ = _euler_rooting(g, _id_dtype(g.n))
     # (slope, intercept) in integer units of 1/SW and 1/(SW*SL), each once;
     # depths are in units of 1/(2*SL)
     wi = g.weights_int
     aff: dict[tuple[int, int], None] = {}
-    for v, c, _b, a in _centroid_levels(parent, tin, tout):
-        twice = depth[v] + depth[c] - 2 * depth[a]
+    for v, _c, _b, twice in _centroid_levels(parent, tin, tout, depth):
         for u, d2 in zip(v.tolist(), twice.tolist()):
             w = wi[u]
             b = w * (d2 >> 1)
@@ -480,108 +483,160 @@ def _euler_rooting(g: Graph, idt: np.dtype):
     return parent, eid, tin, tout, depth, int(tail[out[first[1]] ^ 1])
 
 
-def _centroid_levels(parent, tin, tout):
+def _centroid_levels(parent, tin, tout, depth):
     """The recursive centroid decomposition, one level at a time, on the
-    tree rooted at 1 given by parent (parent[1] = 0) and DFS entry and exit
-    times (tin[1] = 0), integer arrays.  Each component's centroid
-    minimizes its largest remaining part, ties to the smaller id.
+    tree rooted at 1 given by parent (parent[1] = 0), DFS entry and exit
+    times (tin[1] = 0), integer arrays of one dtype, and depths.
 
-    Yields intp arrays (v, c, b, a) per level, outermost first, with one
-    row per vertex v of the component of each centroid c: b is v's branch
-    id (the part of the component without c that holds v, numbered from 1
-    across the whole decomposition; 0 for c itself) and a = lca(c, v).  A
+    Yields arrays (v, c, b, d) per level, outermost first, with one row
+    per vertex v of the component of each centroid c: b is v's branch id
+    (the part of the component without c that holds v, numbered from 1
+    across the whole decomposition; 0 for c itself) and d = d(c, v) in
+    the units and dtype of depth; v is intp, c and b have tin's dtype.  A
     vertex has a row on every level up to the one where it is a centroid.
-    It reads no length: the centroids are chosen from the components
-    alone, so one decomposition serves every length and weight.
+    A level's rows run by component, in order of its top vertex's id (the
+    one nearest the root), and in DFS order within one.  The centroids
+    depend on the components alone, so one decomposition serves every
+    length and weight.
+
+    Each component is a run of the live vertices in DFS order, each with
+    its subtree size in the component, taken once from tout - tin.  Its
+    centroid minimizes the largest remaining part, ties to the smaller
+    id: the vertices whose subtree holds more than half of the component
+    form a path from the top, whose deepest (last) vertex leaves no part
+    above half, and only a child of it holding exactly half ties with it.
+    Taking c out lowers only the sizes of its proper ancestors in the
+    component, by c's.  In the run c's subtree is one block, each child
+    of c heading a block of it, and the rest is the part above c, so the
+    next level's runs are placed by offsets in one scatter.  Along the run
+    lca(c, v) changes only at c, at its ancestors and where their
+    subtrees end, so one running maximum over those marks gives it.  A
+    level costs a fixed number of numpy passes over its rows and the ids,
+    with no sort or search.
     """
     n = parent.size - 1
-    big = n + 1
-    table = np.zeros((max(1, n.bit_length()), n), dtype=tin.dtype)
+    idt = tin.dtype
     # gathers run faster on intp indices
     parent, tin, tout = (x.astype(np.intp) for x in (parent, tin, tout))
-    # For tin[u] < tin[v], lca(u, v) is the parent, of least entry time, of
-    # the vertices at DFS positions tin[u]+1 .. tin[v]: all those parents
-    # lie in its subtree and one is itself.  A sparse table of range
-    # minima, in tin's dtype, gives that entry time.
-    order = np.empty(n, dtype=np.intp)
-    order[tin[1:]] = np.arange(1, n + 1)
-    table[0] = tin[parent[order]]
-    for j in range(1, table.shape[0]):
-        h = 1 << (j - 1)
-        table[j, : n - 2 * h + 1] = np.minimum(
-            table[j - 1, : n - 2 * h + 1], table[j - 1, h : n - h + 1]
-        )
-    # a range of k >= 1 positions is covered by two of 2**lg[k]
-    lg = np.frexp(np.arange(n + 1, dtype=np.float64))[1] - 1
-    rem = np.arange(n + 1) - (1 << lg)
-    verts = np.arange(1, n + 1)
-    # each component is labelled by its top vertex, the one nearest the root
-    top = np.ones(n + 1, dtype=np.intp)
-    seen = np.zeros(n + 1, dtype=bool)
+    at = np.arange(n + 1)
+    # the live vertices, one run per component: first and span give the
+    # runs' starts and lengths, size each vertex's subtree in its component
+    verts = np.empty(n, dtype=np.intp)
+    verts[tin[1:]] = at[1:]
+    size = (tout - tin)[verts]
+    first, span = at[:1], np.array([n])
+    # by id: the size of the component a vertex heads next, and an index
+    part = np.zeros(n + 1, dtype=np.intp)
+    slot = np.empty(n + 1, dtype=np.intp)
+
+    def split(verts, size, first, span, nb):
+        """One level's rows, and the next level's runs; the level's
+        temporaries go when it returns, before the caller keeps its rows."""
+        m, k = verts.size, first.size
+        pos = at[:m]
+        half = 2 * size - np.repeat(span, span)
+        at_c = np.maximum.reduceat(np.where(half > 0, pos, 0), first)
+        tie = np.flatnonzero(half == 0)
+        tv = verts[tie]
+        tp = parent[tv]
+        win = tv < tp
+        slot[verts[at_c]] = at[:k]
+        at_c[slot[tp[win]]] = tie[win]
+        c, z = verts[at_c], size[at_c]
+        cr = np.repeat(c.astype(idt), span)
+        cat, zr = np.repeat(at_c, span), np.repeat(z, span)
+        rel = pos - cat
+        below = (rel > 0) & (rel < zr)
+        # c and its ancestors, from the top down
+        path = np.flatnonzero((rel <= 0) & (rel + size > 0))
+        # lca(c, v) is the last of them at or before v, until v leaves the
+        # subtree of one of them (other than the top); from there on it is
+        # that one's parent, the shallowest one's where several subtrees end
+        out, par = path[1:], path[:-1]
+        end = out + size[out]
+        edge = np.zeros(m + 1, dtype=bool)
+        edge[first] = True
+        edge[m] = True
+        leave = ~edge[out] & ~edge[end] & (np.diff(end, prepend=-1) != 0)
+        end, par = end[leave], par[leave]
+        lca = np.zeros(m, dtype=np.intp)
+        lca[path] = path
+        lca[end] = end
+        np.maximum.accumulate(lca, out=lca)
+        hold = np.empty(m, dtype=np.intp)
+        hold[path] = path
+        hold[end] = par
+        dv = depth[verts]
+        d = dv + dv[cat]
+        d -= 2 * dv[hold[lca]]
+        size[path] -= zr[path]
+        # the next runs, by top id: c's children, and the run's top when c
+        # is not it, each with its component's size
+        hp = np.flatnonzero(below & (parent[verts] == cr))
+        up = at_c != first
+        fu, cu = first[up], at_c[up]
+        part[verts[hp]] = size[hp]
+        part[verts[fu]] = (span - z)[up]
+        tops = np.flatnonzero(part)
+        lens = part[tops]
+        part[tops] = 0
+        off = np.cumsum(lens) - lens
+        slot[tops] = at[: tops.size]
+        hr, ur = slot[verts[hp]], slot[verts[fu]]
+        # the rows of one segment (a child's block, the part above c before
+        # and after c's subtree, or c alone) move by one shift and share a
+        # branch; c goes to a slot past the end
+        su = cu + z[up]
+        sm = su < fu + span[up]
+        bnd = np.concatenate((hp, fu, su[sm], at_c))
+        new = np.concatenate((off[hr], off[ur], off[ur[sm]] + (cu - fu)[sm], np.full(k, m - k)))
+        run = np.concatenate((hr, ur, ur[sm], np.full(k, -1 - nb)))
+        seg = np.zeros(m, dtype=np.intp)
+        seg[bnd] = bnd
+        np.maximum.accumulate(seg, out=seg)
+        shift = np.empty(m, dtype=np.intp)
+        shift[bnd] = new - bnd
+        bid = np.empty(m, dtype=idt)
+        bid[bnd] = run + (nb + 1)
+        to = pos + shift[seg]
+        nxt = np.empty(m - k + 1, dtype=np.intp)
+        nxt[to] = verts
+        size_nxt = np.empty_like(nxt)
+        size_nxt[to] = size
+        return (verts, cr, bid[seg], d), (nxt[:-1], size_nxt[:-1], off, lens)
+
+    # branches are numbered by level, and within one by the id of the top
+    # of the component each becomes
     nb = 0
     while verts.size:
-        m = verts.size
-        pos = np.arange(m)
-        key = top[verts] * big + tin[verts]
-        o = np.argsort(key)
-        sv, sk = verts[o], key[o]
-        st = top[sv]
-        # each component is a run of equal tops in DFS order, so v's own
-        # subtree within it runs from v to the first key >= top*big + tout[v]
-        size = np.searchsorted(sk, st * big + tout[sv]) - pos
-        heavy = np.zeros(n + 1, dtype=np.intp)
-        inner = sv != st
-        np.maximum.at(heavy, parent[sv[inner]], size[inner])
-        head = np.empty(m, dtype=bool)
-        head[0] = True
-        np.not_equal(st[1:], st[:-1], out=head[1:])
-        first = np.flatnonzero(head)
-        grp = np.cumsum(head) - 1
-        # the centroid minimizes its largest remaining part, whatever the
-        # rooting, ties to the smaller id; the top's own subtree is its
-        # whole component
-        score = np.maximum(heavy[sv], size[first][grp] - size)
-        c = (np.minimum.reduceat(score * big + sv, first) % big)[grp]
-        # the parts below c are the runs that start at c's children; the
-        # part above c keeps the old top
-        below = (tin[sv] > tin[c]) & (tin[sv] < tout[c])
-        run = np.maximum.accumulate(np.where(parent[sv] == c, pos, 0))
-        newtop = np.where(below, sv[run], st)
-        rest = sv != c
-        seen[:] = False
-        seen[newtop[rest]] = True
-        rank = np.cumsum(seen)
-        b = np.where(rest, nb + rank[newtop], 0)
-        nb += int(rank[-1])
-        a = c.copy()
-        tv, tc = tin[sv[rest]], tin[c[rest]]
-        lo = np.minimum(tv, tc) + 1
-        k = np.abs(tv - tc)
-        j = lg[k]
-        a[rest] = order[np.minimum(table[j, lo], table[j, lo + rem[k]])]
-        yield sv, c, b, a
-        verts = sv[rest]
-        top[verts] = newtop[rest]
+        rows, (verts, size, first, span) = split(verts, size, first, span, nb)
+        nb += first.size
+        yield rows
 
 
 def _centroid_pack(n: int, levels, depth, stride: int, idt: np.dtype):
-    """The rows (v, c, b, a) of _centroid_levels flattened for vectorized
-    ball counts: per-vertex chains (centroid, distance, branch id) from
-    the outermost centroid in, plus the sorted packed keys centroid *
-    stride + distance and branch * stride + distance, with the start of
-    each centroid's and each branch's run.  Ids are stored as idt;
-    distances and keys take the dtype of the depths."""
+    """The rows (v, c, b, d) of _centroid_levels, ids of dtype idt,
+    flattened for vectorized ball counts: per-vertex chains (centroid,
+    distance, branch id) from the outermost centroid in, plus the sorted
+    packed keys centroid * stride + distance and branch * stride +
+    distance, with the start of each centroid's and each branch's run.
+    Distances and keys take the dtype of the depths."""
     # a vertex has one row per level up to its own, so its chain is those
     # rows in level order
     ch_len = np.zeros(n + 1, dtype=idt)
     rows = []
-    for v, c, b, a in levels:
-        ch_len[v] = len(rows) + 1
-        rows.append((v, c.astype(idt), b.astype(idt), depth[v] + depth[c] - 2 * depth[a]))
+    for row in levels:
+        ch_len[row[0]] = len(rows) + 1
+        rows.append(row)
     dt = depth.dtype
+    # the chains follow the outermost level's rows, in DFS order, as every
+    # level's rows do within a component, so each level's rows land in
+    # ascending runs
+    v0 = rows[0][0]
+    lens = ch_len[v0]
     ch_off = np.zeros(n + 1, dtype=idt)
-    np.cumsum(ch_len[:-1], out=ch_off[1:])
-    total = int(ch_off[-1]) + int(ch_len[-1])
+    ch_off[v0] = np.cumsum(lens) - lens
+    total = int(lens.sum())
     ch_c = np.empty(total, dtype=idt)
     ch_b = np.empty(total, dtype=idt)
     ch_d = np.empty(total, dtype=dt)
@@ -641,7 +696,7 @@ class _UnweightedEngine:
             self.full_start,
             self.brs,
             self.br_start,
-        ) = _centroid_pack(n, _centroid_levels(parent, tin, tout), dn, stride, idt)
+        ) = _centroid_pack(n, _centroid_levels(parent, tin, tout, dn), dn, stride, idt)
         ups = [parent]
         for _ in range(max(0, n.bit_length() - 1)):
             ups.append(ups[-1][ups[-1]])

@@ -47,11 +47,14 @@ def test_runner_names_resolve():
 
 def test_solve_path_reaches_traced_names():
     # a traced name that resolves but no longer sits on the solve path
-    # reads 0 in every run; one small weighted graph and one weighted
-    # tree must pass through each of these spans.  The tree has more than
-    # tree_solver._WALK_MAX vertices, as smaller ones probe by walks and
-    # build no coverage arrays
+    # reads 0 in every run; one small weighted graph, one weighted tree
+    # and one unit tree must pass through each of these spans.  The
+    # weighted tree has more than tree_solver._WALK_MAX vertices, as
+    # smaller ones probe by walks and build no coverage arrays, and the
+    # unit tree more than tree_solver._UNIT_WALK_MAX, as smaller ones go
+    # to the weighted solver and build no unit-tree engine
     tree = cli.generate_instance(3, tree_solver._WALK_MAX + 16, 0.0, True, True)
+    unit_tree = cli.generate_instance(5, tree_solver._UNIT_WALK_MAX + 8, 0.0, False, True)
     tracer = spans.Tracer()
     algos = []
     tracer.install()
@@ -60,13 +63,14 @@ def test_solve_path_reaches_traced_names():
             "p ckoc 4 4 3 1\nv 1 2\nv 2 1\nv 3 3/2\nv 4 1\n"
             "e 1 2 1\ne 2 3 2\ne 3 4 1/2\ne 1 4 3\n",
             tree,
+            unit_tree,
         ):
             g, k = graph_core.parse_instance(text)
             algos.append(cli._pick_algo(g, "auto"))
             cli._dispatch(g, k, algos[-1], "auto")
     finally:
         tracer.uninstall()
-    assert algos == ["weighted-graph", "weighted-tree"]
+    assert algos == ["weighted-graph", "weighted-tree", "unweighted-tree"]
     calls = {span[0] for span in tracer.spans}
     for name in (
         "general_feasibility.feasible",
@@ -74,6 +78,8 @@ def test_solve_path_reaches_traced_names():
         "graph_core.edge_profile",
         "arrangement_search.explicit",
         "tree_engine.build_coverage_arrays",
+        "tree_solver.engine_build",
+        "tree_solver.counts",
     ):
         assert name in calls, name
     assert cli.solve_weighted_graph is arrangement_search.solve_weighted_graph

@@ -65,6 +65,16 @@ def _side(g, ca, i):
     return _keys(g, ca, ca.xs[a:b], ca.xd[a:b]), ca.zs[a:b], c - a if c >= 0 else 0
 
 
+def _original(bt, a):
+    """The vertex of the original tree that a stands for: a itself when
+    marked, else the end of its chain of zero-length copies, followed up
+    through the parents."""
+    while not bt.marked[a]:
+        assert bt.plen[a] == 0, a
+        a = bt.parent[a]
+    return a
+
+
 # ---------------------------------------------------------------- binarize
 
 
@@ -77,7 +87,7 @@ def test_binarize_star3(star3):
     bt = binarize(star3)
     assert bt.n_all == 5
     assert bt.parent[5] == 1 and bt.plen[5] == 0
-    assert bt.orig[5] == 1 and not bt.marked[5]
+    assert _original(bt, 5) == 1 and not bt.marked[5]
     assert bt.weight[5] == star3.weights_int[1]
     assert bt.children[1] == [2, 5]
     assert bt.children[5] == [3, 4]
@@ -92,7 +102,7 @@ def test_binarize_four_leaf_star():
     assert bt.n_all == 7
     assert bt.parent[6] == 1 and bt.parent[7] == 6
     assert bt.plen[6] == 0 and bt.plen[7] == 0
-    assert bt.orig[6] == 1 and bt.orig[7] == 1
+    assert _original(bt, 6) == 1 and _original(bt, 7) == 1
     assert bt.children[1] == [2, 6]
     assert bt.children[6] == [3, 7]
     assert bt.children[7] == [4, 5]
@@ -120,8 +130,8 @@ def test_binarize_preserves_distances_and_weights():
             assert bt.dd[v] == dm.rows[1][v]
         for a in range(g.n + 1, bt.n_all + 1):
             assert not bt.marked[a]
-            assert bt.weight[a] == g.weights_int[bt.orig[a]]
-            assert bt.dd[a] == bt.dd[bt.orig[a]]
+            assert bt.weight[a] == g.weights_int[_original(bt, a)]
+            assert bt.dd[a] == bt.dd[_original(bt, a)]
         # breadth-first order: every vertex once, parents first
         assert sorted(bt.order) == list(range(1, bt.n_all + 1))
         pos = {v: i for i, v in enumerate(bt.order)}
@@ -183,7 +193,7 @@ def test_vertex_side_aux_unmarked(star3):
     # 1 only the leaf 4 one unit farther counts
     st, ca = _engine(star3, F(1, 2))
     bt = st.bt
-    assert bt.orig[5] == 1 and not bt.marked[5] and st.left[5] == 4
+    assert _original(bt, 5) == 1 and not bt.marked[5] and st.left[5] == 4
     assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1, 2), 0], [0, 0, 0])
     st, ca = _engine(star3, F(1))
     assert _side(star3, ca, st.leaf_of[5].idx)[:2] == ([None, F(1), 0], [0, 0, 1])

@@ -778,6 +778,14 @@ def test_engine_counts_match_covered_walk(g, data):
 @given(_unit_trees(1, 60, ("random", "path", "star", "caterpillar")))
 @example(Graph.unit(1, []))
 @example(Graph.unit(2, [(1, 2)]))
+# an even path: its two middle vertices tie
+@example(Graph.unit(8, [(v, v + 1) for v in range(1, 8)]))
+# two stars of four joined at their centers, which tie; rooted at 1, the
+# deeper center 2 has the smaller id, then the larger id 3
+@example(Graph.unit(8, [(1, 3), (3, 4), (3, 5), (3, 2), (2, 6), (2, 7), (2, 8)]))
+@example(Graph.unit(8, [(1, 2), (2, 4), (2, 5), (2, 3), (3, 6), (3, 7), (3, 8)]))
+# a broom: a handle of five with seven bristles at its end
+@example(Graph.unit(12, [(v, v + 1) for v in range(1, 5)] + [(5, v) for v in range(6, 13)]))
 def test_level_decomposition_matches_generator(g):
     # the engine's level-by-level decomposition has the brute-force
     # generator's centroids, chains and distances, and splits each
