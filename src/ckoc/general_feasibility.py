@@ -431,6 +431,29 @@ class FeasibilityTester:
             self._kth_bounds[k] = bounds
         return bounds
 
+    def bracket(self, k: int) -> tuple[int, int]:
+        """(lo, hi) with lo <= lambda*(k) <= hi, in _kth_ints' units, from
+        the distances alone.  lo is the least per-edge k-th-distance bound:
+        below it feasible() skips every edge.  hi is the least radius at
+        which some vertex a covers k vertices as a center.  Under the
+        cut rule of PredecessorStructure, v is covered from a from the
+        radius b_v = max(w_v * d(a, v), min over its shortest-path
+        predecessors u of b_u) on, with b_a = 0, so one pass over a's row
+        in distance order gives every b_v, and a covers k from its k-th
+        smallest b_v."""
+        g, rows = self.g, self.dm.rows
+        wi, lengths = g.weights_int, g.lengths_int
+        his = []
+        for a in g.vertices():
+            da = rows[a]
+            b = [0] * (g.n + 1)
+            # a comes first: every other vertex is farther than 0
+            for v in sorted(g.vertices(), key=da.__getitem__)[1:]:
+                via = min(b[u] for u, eid in g.adj[v] if da[u] + lengths[eid] == da[v])
+                b[v] = max(wi[v] * da[v], via)
+            his.append(sorted(b[1:])[k - 1])
+        return min(self._kth_ints(k)), min(his)
+
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:
         g, dm = self.g, self.dm
         if not 1 <= k <= g.n:

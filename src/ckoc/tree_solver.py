@@ -294,20 +294,22 @@ def _pair_radii(ctx: _TreeContext) -> tuple[np.ndarray, np.ndarray]:
         row = dist[pos[ctx.parent[v]], :i] + ctx.plen[v]
         dist[i, :i] = row
         dist[:i, i] = row
-    # every pair once; the table and the indices go before the products
-    i, j = np.triu_indices(n, 1)
-    d = dist[i, j]
+    # every pair once, through a mask of the upper triangle (n*n bytes,
+    # not two index arrays); the table and the mask go before the products
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    d = dist[upper]
     del dist
     w = np.array([wi[v] for v in order], dtype=dt)
-    wu, wv = w[i], w[j]
-    del i, j
+    wu = np.broadcast_to(w[:, None], (n, n))[upper]
+    wv = np.broadcast_to(w, (n, n))[upper]
+    del upper
     num = wu * wv
     num *= d
     del d
     wu += wv
     wu *= sc
     del wv
-    return _sorted_ordinates(num, wu)[:2]
+    return _sorted_ordinates(num, wu, ranked=False)[:2]
 
 
 def _centroid_lines(g: Graph) -> LineSet:

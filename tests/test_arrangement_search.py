@@ -339,6 +339,50 @@ def test_explicit_ordinates_sort_exactly(ls):
     assert [values[r] for r in ranks] == inputs
 
 
+def test_sorted_ordinates_across_blocks(monkeypatch):
+    # in blocks of 5 entries, duplicates meet across block ends and runs
+    # of equal floats hold distinct values (2**53 + 1 and 2**53 round
+    # alike), at int64 and Python-int scales; values and ranks still match
+    # Fraction arithmetic, with and without the ranks
+    monkeypatch.setattr(arrangement_search, "_BLOCK", 5)
+    rng = random.Random(5)
+    for big in (1, 2**70):
+        def draw():
+            return rng.randint(-9, 9) * big, rng.choice((1, 2, 3, -6))
+
+        pool = [(2**53 * big + rng.randint(0, 2), 1), draw()]
+        pairs = [rng.choice(pool) if rng.random() < 0.5 else draw() for _ in range(60)]
+        pairs += [(2**53 * big + t, 1) for t in (0, 1, 2, 1, 0)]
+        rng.shuffle(pairs)
+        dt = np.int64 if big == 1 else object
+        inputs = [F(a, b) for a, b in pairs]
+        want = sorted(set(inputs))
+        for ranked in (True, False):
+            num, den = (np.array(c, dtype=dt) for c in zip(*pairs))
+            num, den, ranks = _sorted_ordinates(num, den, ranked)
+            assert _read((num, den)) == want
+            if ranked:
+                assert [want[r] for r in ranks] == inputs
+            else:
+                assert ranks is None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_tied_line_sets(), st.data())
+def test_explicit_window_keeps_every_ordinate_inside(ls, data):
+    # the float filter may keep a few ordinates just outside the window,
+    # never drops one inside it, at int64 and Python-int scales alike, and
+    # past the float range; the window's ends are integers over SW * SL
+    full = sorted(_all_ordinates(ls))
+    scale = ls.SW * ls.SL
+    ends = [math.floor(y * scale) for y in full] + [math.ceil(y * scale) for y in full]
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(ends or [0]), min_size=2, max_size=2)))
+    got = _read(_explicit_ordinates(ls, (lo, hi)))
+    assert got == sorted(set(got)) and set(got) <= set(full)
+    inside = [y for y in full if lo <= y * scale <= hi]
+    assert [y for y in got if lo <= y * scale <= hi] == inside
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_tied_line_sets())
 def test_slope_ranks_order_inverse_slopes(ls):
@@ -649,9 +693,9 @@ def test_library_solvers_default_to_auto_search(path5, monkeypatch):
     real = arrangement_search.lowest_feasible_vertex
     real_pairs = tree_solver._pair_radii
 
-    def spy(ls, oracle, strategy="explicit"):
+    def spy(ls, oracle, strategy="explicit", bracket=None):
         seen.append(strategy)
-        return real(ls, oracle, strategy)
+        return real(ls, oracle, strategy, bracket)
 
     def pairs_spy(ctx):
         seen.append("pairs")
@@ -666,3 +710,43 @@ def test_library_solvers_default_to_auto_search(path5, monkeypatch):
         monkeypatch.setattr(arrangement_search, "_ENUM_THRESHOLD", threshold)
         assert tree_solver.solve_weighted_tree(path5, 3).lambda_star == F(1)
     assert seen == ["auto", "pairs", "pairs", "counting"]
+
+
+def test_bracket_keeps_answers_with_fewer_feasibility_tests(monkeypatch):
+    # seeded weighted graphs at every k: the explicit search over the
+    # bracket's radii gives the JSON of the search over every crossing,
+    # with at most 0.75x its feasibility tests
+    from ckoc import cli
+    from ckoc.general_feasibility import FeasibilityTester
+
+    calls = [0]
+    real_feasible = FeasibilityTester.feasible
+
+    def counted(self, k, lam):
+        calls[0] += 1
+        return real_feasible(self, k, lam)
+
+    monkeypatch.setattr(FeasibilityTester, "feasible", counted)
+    real = arrangement_search.lowest_feasible_vertex
+
+    def unbracketed(ls, oracle, strategy="explicit", bracket=None):
+        return real(ls, oracle, strategy)
+
+    graphs = []
+    for seed in range(12):
+        n = 4 + seed % 7
+        text = cli.generate_instance(seed, n, (0.2, 0.5)[seed % 2], True, False)
+        graphs.append(parse_instance(text)[0])
+    counts = []
+    for lowest in (real, unbracketed):
+        monkeypatch.setattr(arrangement_search, "lowest_feasible_vertex", lowest)
+        calls[0] = 0
+        out = [
+            solve_weighted_graph(g, k, search="explicit").to_json(g)
+            for g in graphs
+            for k in range(2, g.n + 1)
+        ]
+        counts.append((calls[0], out))
+    (bracketed, got), (whole, want) = counts
+    assert got == want
+    assert bracketed <= 0.75 * whole, (bracketed, whole)

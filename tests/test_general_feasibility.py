@@ -20,7 +20,13 @@ from ckoc.graph_core import (
     canonical_point,
     vertex_point,
 )
-from ckoc.oracle import brute_coverage_count, brute_covered_set, candidate_values
+from ckoc.oracle import (
+    brute_coverage_count,
+    brute_covered_set,
+    brute_lambda,
+    candidate_values,
+    distances,
+)
 
 
 def ps_sets(ps):
@@ -297,3 +303,44 @@ def test_graph_integer_keys_match_brute_at_wide_scales(case):
             if res.feasible:
                 x, covered = res.witness
                 assert covered == brute_covered_set(g, dm, x, lam) and len(covered) >= k
+
+
+@hs.composite
+def _bracket_graphs(draw):
+    """Weighted graphs with n <= 8, small rational weights and lengths, or
+    the wide-scale graphs above, whose keys and lines need Python ints."""
+    if draw(hs.booleans()):
+        return draw(_wide_graphs())
+
+    def rat():
+        return F(draw(hs.integers(1, 8)), draw(hs.sampled_from((1, 2, 4, 3))))
+
+    # lengths from a short list tie many shortest paths, so some vertices
+    # have predecessors that cover them from different radii
+    lengths = draw(hs.sampled_from(((F(1),), (F(1), F(2)), (F(1, 2), F(1), F(3, 2)))))
+    n = draw(hs.integers(2, 8))
+    pairs = [(draw(hs.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    absent = [(u, v) for v in range(2, n + 1) for u in range(1, v) if (u, v) not in pairs]
+    if absent:
+        pairs += draw(hs.lists(hs.sampled_from(absent), max_size=4, unique=True))
+    edges = [(u, v, draw(hs.sampled_from(lengths))) for u, v in pairs]
+    return Graph(n, [rat() for _ in range(n)], edges)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_bracket_graphs())
+def test_bracket_holds_lambda_and_its_top_is_the_best_vertex_center(g):
+    dm = distances(g)
+    tester = FeasibilityTester(g, all_pairs_distances(g))
+    unit = g.weight_scale * g.length_scale
+    centers = [vertex_point(g, a) for a in g.vertices()]
+    # a vertex center's coverage changes only at the radii w_v * d(a, v)
+    radii = sorted({F(g.weights_int[v] * dm.rows[a][v], unit)
+                    for a in g.vertices() for v in g.vertices()})
+    for k in range(2, g.n + 1):
+        lo, hi = (F(b, unit) for b in tester.bracket(k))
+        assert lo <= brute_lambda(g, k) <= hi, k
+        assert max(brute_coverage_count(g, dm, x, hi) for x in centers) >= k, k
+        below = [r for r in radii if r < hi]
+        if below:
+            assert max(brute_coverage_count(g, dm, x, below[-1]) for x in centers) < k, k
