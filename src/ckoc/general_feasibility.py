@@ -8,9 +8,13 @@ vertex are unusable even when they are close enough themselves.
 
 Per edge, the covered-count f(e, t) is a piecewise constant function of
 the offset t.  It is assembled from two one-sided scans (coverage through
-each endpoint) minus an overlap correction at semicircular points, each
-side driven by sorted turning points and incremental removal of expired
-vertices and their newly cut descendants.
+each endpoint) minus an overlap correction at semicircular points.  A
+side scan keys each vertex by its turning point and runs one
+graph_core.bottlenecks pass over the side's shortest-path DAG toward its
+endpoint: tau_v = min(x_v, max over predecessors u of tau_u) is the last
+key at which v is still covered through that endpoint, so the count at a
+key t is #{v : tau_v >= t}.  covered_subtree, edge_profile and the
+bracket's vertex-center radii are the same pass with other x.
 
 The tester runs on exact integers with one denominator per vertex.  At
 lam = p/q, with SL and SW the length and weight scales, W_v the scaled
@@ -31,8 +35,8 @@ breakpoints of a CoverageProfile and the witness offset go out as ones.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,70 +46,13 @@ from .graph_core import (
     EdgePoint,
     Graph,
     InternalError,
+    bottlenecks,
     canonical_point,
     edge_profile,
     kth_bounds,
+    shortest_path_dag,
     vertex_of_point,
 )
-
-
-class PredecessorStructure:
-    """Per-vertex predecessor/successor lists on shortest paths to a root,
-    with incremental removal.
-
-    pred[v] holds every neighbor that starts some shortest path from v to
-    the root; each vertex counts its predecessors still alive, and a
-    vertex whose count drops to zero is cut off (a descendant of the
-    removed set) and is removed in turn, FIFO order.  pred and succ never
-    change, so fresh() copies only the counters and the alive set.
-    """
-
-    def __init__(self, root: int, pred: dict[int, dict[int, None]]):
-        self.root = root
-        self.pred = pred
-        self.succ: dict[int, list[int]] = {v: [] for v in pred}
-        for v, ps in pred.items():
-            for u in ps:
-                self.succ[u].append(v)
-        self.live: dict[int, int] = {v: len(ps) for v, ps in pred.items()}
-        self.alive: dict[int, None] = dict.fromkeys(pred)
-
-    def fresh(self) -> "PredecessorStructure":
-        """A copy with nothing removed yet, sharing pred and succ."""
-        ps = object.__new__(PredecessorStructure)
-        ps.root, ps.pred, ps.succ = self.root, self.pred, self.succ
-        ps.live = self.live.copy()
-        ps.alive = self.alive.copy()
-        return ps
-
-    @property
-    def alive_count(self) -> int:
-        return len(self.alive)
-
-    def remove(self, S) -> tuple[list[int], list[int]]:
-        """Remove S plus everything cut off from the root; returns
-        (all removed in order, the descendants-only part)."""
-        succ, live, alive, root = self.succ, self.live, self.alive, self.root
-        queue: deque[int] = deque()
-        for v in S:
-            if v in alive:
-                del alive[v]
-                queue.append(v)
-        removed = list(queue)
-        desc: list[int] = []
-        while queue:
-            for u in succ[queue.popleft()]:
-                if u in alive:
-                    live[u] -= 1
-                    if not live[u] and u != root:
-                        del alive[u]
-                        desc.append(u)
-                        removed.append(u)
-                        queue.append(u)
-        return removed, desc
-
-
-DUMMY = 0  # stand-in vertex id for an interior point
 
 
 def _scaled_distances(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> tuple[list[int], int, int]:
@@ -121,46 +68,25 @@ def _scaled_distances(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> tuple[list[
     return dist, offset, far
 
 
-def build_predecessor_structure(g: Graph, dm: DistanceMatrix, x: EdgePoint) -> PredecessorStructure:
-    """Predecessor structure of the whole graph toward the point x.
-
-    For an interior point a dummy vertex (id 0) representing x itself is
-    the root; an endpoint offset makes the vertex the root directly.
-    """
-    a = vertex_of_point(g, x)
-    r, s = g.eu[x.edge], g.ev[x.edge]
-    dist, offset, far = _scaled_distances(g, dm, x)
-    q = x.t.denominator
-    lengths = g.lengths_int
-    pred: dict[int, dict[int, None]] = {}
-    if a is None:
-        root = DUMMY
-        pred[DUMMY] = {}
-    else:
-        root = a
-    for v in g.vertices():
-        ps: dict[int, None] = {}
-        if v != root:
-            if a is None and ((v == r and dist[v] == offset) or (v == s and dist[v] == far)):
-                ps[DUMMY] = None
-            for u, eid in g.adj[v]:
-                if dist[u] + q * lengths[eid] == dist[v]:
-                    ps[u] = None
-        pred[v] = ps
-    return PredecessorStructure(root, pred)
-
-
 def covered_subtree(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -> frozenset[int]:
-    """All vertices covered from x at radius lam, after heavy-cut removal."""
+    """All vertices covered from x at radius lam: the light ones (w_v *
+    d(x, v) <= lam) that some shortest path from x reaches through light
+    vertices alone."""
     if x.edge < 0:
         return frozenset({1}) if lam >= 0 else frozenset()
-    ps = build_predecessor_structure(g, dm, x)
-    dist, _, _ = _scaled_distances(g, dm, x)
+    dist, offset, far = _scaled_distances(g, dm, x)
+    q = x.t.denominator
+    order, preds = shortest_path_dag(g, dist, g.vertices(), q)
+    if vertex_of_point(g, x) is None:
+        # an interior x reaches the ends of its edge along the edge itself
+        for v, d in ((g.eu[x.edge], offset), (g.ev[x.edge], far)):
+            if dist[v] == d:
+                preds[order.index(v)] = ()
     # w_v * d(x, v) > lam, both sides times weight_scale * dm.scale * q * lam.q
-    bound = lam.numerator * g.weight_scale * dm.scale * x.t.denominator
+    bound = lam.numerator * g.weight_scale * dm.scale * q
     wi, lq = g.weights_int, lam.denominator
-    ps.remove([v for v in g.vertices() if wi[v] * dist[v] * lq > bound])
-    return frozenset(v for v in ps.alive if v != DUMMY)
+    tau = bottlenecks(preds, [int(wi[v] * dist[v] * lq <= bound) for v in order])
+    return frozenset(v for v, t in zip(order, tau) if t)
 
 
 def trim_witness(
@@ -168,8 +94,6 @@ def trim_witness(
 ) -> frozenset[int]:
     """Pick exactly k covered vertices forming a connected block around x,
     greedily by (distance from x, vertex id)."""
-    import heapq
-
     if x.edge < 0:
         return frozenset({1})
     if len(covered) < k:
@@ -242,19 +166,20 @@ class FeasibilityResult:
 
 
 class _SideTemplate:
-    """Radius-independent data for one edge endpoint: the side's vertex
-    set, its predecessor structure toward the endpoint (each scan removes
-    from a fresh copy), and, aligned with the vertex list, each vertex's
-    distance term and its cap (the edge length, or its semicircular offset
-    in side-local coordinates).  Both are stored as keys at q = 1, so a
-    scan at lam = p/q multiplies them by q; semi maps each vertex with a
-    semicircular point to its cap."""
+    """Radius-independent data for one edge endpoint: the side's vertices
+    in order of distance from the endpoint, with the positions of each
+    one's shortest-path predecessors among them (see
+    graph_core.shortest_path_dag), and, aligned with that order, each
+    vertex's distance term and its cap (the edge length, or its
+    semicircular offset in side-local coordinates).  Both are stored as
+    keys at q = 1, so a scan at lam = p/q multiplies them by q; semi maps
+    the position of each vertex with a semicircular point to its cap."""
 
-    __slots__ = ("structure", "universe", "dist", "caps", "semi")
+    __slots__ = ("order", "preds", "dist", "caps", "semi")
 
-    def __init__(self, structure, universe, dist, caps, semi):
-        self.structure = structure
-        self.universe = universe
+    def __init__(self, order, preds, dist, caps, semi):
+        self.order = order
+        self.preds = preds
         self.dist = dist
         self.caps = caps
         self.semi = semi
@@ -292,34 +217,23 @@ class FeasibilityTester:
         l_int = g.lengths_int[edge]
         root, far = (g.eu[edge], g.ev[edge]) if from_r else (g.ev[edge], g.eu[edge])
         d_root, d_far = rows[root], rows[far]
-        universe: list[int] = []
+        # rising from root over the whole edge, or with a semicircular point
+        universe = [
+            v for v in g.vertices() if offsets[v] is not None or d_far[v] == d_root[v] + l_int
+        ]
+        order, preds = shortest_path_dag(g, d_root, universe)
         caps: list[int] = []
         semi: dict[int, int] = {}
-        for v in g.vertices():
+        for i, v in enumerate(order):
             off = offsets[v]
-            if off is not None:
-                # 2 * SL times the semicircular offset, measured from root
-                cap = (off if from_r else 2 * l_int - off) << s
-                semi[v] = cap
-            elif d_far[v] == d_root[v] + l_int:
-                # rising from root over the whole edge
-                cap = 2 * l_int << s
+            if off is None:
+                caps.append(2 * l_int << s)
             else:
-                continue
-            universe.append(v)
-            caps.append(cap)
-        inset = set(universe)
-        lengths = g.lengths_int
-        pred: dict[int, dict[int, None]] = {}
-        for v in universe:
-            ps: dict[int, None] = {}
-            if v != root:
-                for u, eid in g.adj[v]:
-                    if u in inset and d_root[u] + lengths[eid] == d_root[v]:
-                        ps[u] = None
-            pred[v] = ps
-        dist = [d_root[v] << (s + 1) for v in universe]
-        return _SideTemplate(PredecessorStructure(root, pred), universe, dist, caps, semi)
+                # 2 * SL times the semicircular offset, measured from root
+                semi[i] = cap = (off if from_r else 2 * l_int - off) << s
+                caps.append(cap)
+        dist = [d_root[v] << (s + 1) for v in order]
+        return _SideTemplate(order, preds, dist, caps, semi)
 
     def _bases(self, lam: Fraction) -> tuple[Fraction, int, list[int], list[int]]:
         """(lam, q, floor bases, ceil bases) at lam = p/q: per vertex v the
@@ -346,41 +260,35 @@ class FeasibilityTester:
     def _side_scan(self, edge: int, from_r: bool, lam: Fraction):
         """Step function of covered-through-this-endpoint counts, on the
         keys of side-local offsets (floor keys from r, ceiling keys from
-        s): value[i] holds on (threshold[i-1], threshold[i]].  Also returns
-        the vertices covered exactly up to their own semicircular point."""
+        s): value[i] holds on (threshold[i-1], threshold[i]].  Also maps
+        each vertex covered exactly up to its own semicircular point to
+        that point's key."""
         tpl = self._template(edge, from_r)
         _, q, lo, hi = self._bases(lam)
         base = lo if from_r else hi
-        ps = tpl.structure.fresh()
-        heavy: list[int] = []
-        buckets: dict[int, list[int]] = {}
-        for v, d, cap in zip(tpl.universe, tpl.dist, tpl.caps):
+        # x_v is v's turning key capped at its cap, or -1 when v is heavy
+        xs: list[int] = []
+        for v, d, cap in zip(tpl.order, tpl.dist, tpl.caps):
             x = base[v] - q * d
             cap *= q
-            if x > cap:
-                x = cap
-            elif x < 0:
-                heavy.append(v)
-                continue
-            b = buckets.get(x)
-            if b is None:
-                buckets[x] = [v]
-            else:
-                b.append(v)
-        ps.remove(heavy)
-        semi = tpl.semi
-        flagged: set[int] = set()
-        thresholds = sorted(buckets)
+            xs.append(cap if x > cap else x if x >= 0 else -1)
+        thresholds = sorted(set(xs) - {-1})
+        tau = bottlenecks(tpl.preds, xs)
+        order = tpl.order
+        flagged = {order[i]: c * q for i, c in tpl.semi.items() if tau[i] == c * q}
+        # count the covered vertices down the thresholds, which only lowers
+        # the count; each tau_v is some x_u, so the count ends at none
+        # unless a tau_v >= 0 is missing from them
+        ends: dict[int, int] = {}
+        for t in tau:
+            ends[t] = ends.get(t, 0) + 1
+        alive = len(tau) - ends.get(-1, 0)
         values: list[int] = []
         for t in thresholds:
-            values.append(ps.alive_count)
-            removed, _ = ps.remove(buckets[t])
-            for v in removed:
-                c = semi.get(v)
-                if c is not None and c * q == t:
-                    flagged.add(v)
-        if ps.alive_count:
-            raise InternalError("side scan left vertices alive past their turning points")
+            values.append(alive)
+            alive -= ends.get(t, 0)
+        if alive:
+            raise InternalError("side scan found covering keys outside its thresholds")
         return thresholds, values, flagged
 
     # profile assembly --------------------------------------------------
@@ -395,9 +303,8 @@ class FeasibilityTester:
         far_val = val_s[::-1]
         overlap: dict[int, int] = {}
         if fl_r and fl_s:
-            semi = self._templates[edge, True].semi
-            for v in fl_r & fl_s:
-                t = q * semi[v]
+            for v in fl_r.keys() & fl_s.keys():
+                t = fl_r[v]
                 overlap[t] = overlap.get(t, 0) + 1
         # no threshold lies strictly between two breakpoints, so left of t
         # the r-side counts as at t and the s-side as at the breakpoint
@@ -435,23 +342,19 @@ class FeasibilityTester:
         """(lo, hi) with lo <= lambda*(k) <= hi, in _kth_ints' units, from
         the distances alone.  lo is the least per-edge k-th-distance bound:
         below it feasible() skips every edge.  hi is the least radius at
-        which some vertex a covers k vertices as a center.  Under the
-        cut rule of PredecessorStructure, v is covered from a from the
-        radius b_v = max(w_v * d(a, v), min over its shortest-path
-        predecessors u of b_u) on, with b_a = 0, so one pass over a's row
-        in distance order gives every b_v, and a covers k from its k-th
-        smallest b_v."""
+        which some vertex a covers k vertices as a center.  v is covered
+        from a from the radius b_v = max(w_v * d(a, v), min over its
+        shortest-path predecessors u of b_u) on, with b_a = 0: that is the
+        bottlenecks pass over a's row with x_v = -w_v * d(a, v) and
+        b_v = -tau_v, and a covers k from its k-th smallest b_v."""
         g, rows = self.g, self.dm.rows
-        wi, lengths = g.weights_int, g.lengths_int
+        wi = g.weights_int
         his = []
         for a in g.vertices():
             da = rows[a]
-            b = [0] * (g.n + 1)
-            # a comes first: every other vertex is farther than 0
-            for v in sorted(g.vertices(), key=da.__getitem__)[1:]:
-                via = min(b[u] for u, eid in g.adj[v] if da[u] + lengths[eid] == da[v])
-                b[v] = max(wi[v] * da[v], via)
-            his.append(sorted(b[1:])[k - 1])
+            order, preds = shortest_path_dag(g, da, g.vertices())
+            tau = bottlenecks(preds, [-wi[v] * da[v] for v in order])
+            his.append(-sorted(tau)[-k])
         return min(self._kth_ints(k)), min(his)
 
     def feasible(self, k: int, lam: Fraction) -> FeasibilityResult:

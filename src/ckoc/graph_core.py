@@ -27,7 +27,11 @@ values share that scale compare them as ints and convert to Fraction
 only at their boundary; the k-level sweep of klevel_geometry, for one,
 runs in units of 1/(2 * SL).  So does edge_profile, which gives per edge
 the one fact about a vertex that the distance rows do not: where its
-semicircular point lies, if it has one.
+semicircular point lies, if it has one.  Which vertices stay joined to
+a root along shortest paths once some are cut out is one recurrence,
+bottlenecks, over the predecessor tuples of shortest_path_dag;
+edge_profile and the weighted-graph tester of general_feasibility share
+it.
 """
 
 from __future__ import annotations
@@ -220,16 +224,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def dijkstra_scaled(g: Graph, source: int, banned: int | None = None) -> list[int | None]:
-    """Distances from source in units of 1/g.length_scale; None if unreachable.
-
-    With banned set, that vertex is deleted from the graph for this run,
-    which is how descendant-of-endpoint tests are answered.
-    """
-    dist: list[int | None] = [None] * (g.n + 1)
-    if source == banned:
-        return dist
-    dist[source] = 0
+def dijkstra_scaled(g: Graph, source: int) -> list[int]:
+    """Distances from source to every vertex in units of
+    1/g.length_scale, with 0 at the unused index 0; g is connected, so
+    every vertex is reached."""
+    dist = [-1] * (g.n + 1)
+    dist[0] = dist[source] = 0
     pq: list[tuple[int, int]] = [(0, source)]
     lengths = g.lengths_int
     while pq:
@@ -237,14 +237,53 @@ def dijkstra_scaled(g: Graph, source: int, banned: int | None = None) -> list[in
         if dv != dist[v]:
             continue
         for u, eid in g.adj[v]:
-            if u == banned:
-                continue
             nd = dv + lengths[eid]
             du = dist[u]
-            if du is None or nd < du:
+            if du < 0 or nd < du:
                 dist[u] = nd
                 heapq.heappush(pq, (nd, u))
     return dist
+
+
+def shortest_path_dag(
+    g: Graph, dist: Sequence[int], vertices: Iterable[int], q: int = 1
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The shortest-path DAG toward a root over the given vertices, dist
+    holding their distances from the root in units of 1/(q * SL):
+    (order, preds), the vertices sorted by dist and, per position, the
+    positions of v's predecessors among them, the neighbours u with
+    dist[u] + l(u, v) = dist[v].  Lengths are positive, so every
+    predecessor comes before its vertex."""
+    order = sorted(vertices, key=dist.__getitem__)
+    pos = [-1] * (g.n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    lengths, adj = g.lengths_int, g.adj
+    preds = []
+    for v in order:
+        dv = dist[v]
+        ps = [pos[u] for u, eid in adj[v] if dist[u] + q * lengths[eid] == dv and pos[u] >= 0]
+        preds.append(tuple(ps))
+    return order, preds
+
+
+def bottlenecks(preds: list[tuple[int, ...]], x: list[int]) -> list[int]:
+    """tau_v = min(x_v, max over v's predecessors u of tau_u), over a
+    shortest-path DAG in shortest_path_dag's order; a vertex with no
+    predecessor, a root, keeps x_v.  tau_v is the best, over the shortest
+    paths P from a root to v, of the least x on P, so tau_v >= t exactly
+    when v stays joined to a root after every vertex with x below t is
+    cut out."""
+    tau: list[int] = []
+    append, get = tau.append, tau.__getitem__
+    for ps, xv in zip(preds, x):
+        if ps:
+            # most vertices have one predecessor, and max(map()) costs more
+            best = tau[ps[0]] if len(ps) == 1 else max(map(get, ps))
+            if best < xv:
+                xv = best
+        append(xv)
+    return tau
 
 
 class DistanceMatrix:
@@ -268,8 +307,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     if total >= _INT64_SUM_LIMIT:
         rows: list[list[int]] = [[0] * (g.n + 1)]
         for s in range(1, g.n + 1):
-            dist = dijkstra_scaled(g, s)
-            rows.append([x if x is not None else 0 for x in dist])
+            rows.append(dijkstra_scaled(g, s))
         return DistanceMatrix(rows, g.length_scale)
     # Floyd-Warshall from "total" off the diagonal: the graph is connected
     # and no shortest path is longer than all edges together, so that is
@@ -374,26 +412,31 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
     (d_r = d_s + l), or rises to an interior apex at 2t = d_s - d_r + l,
     which is v's semicircular point.  A rising function has one at s when
     v is r or some shortest path from s to v avoids r, and a falling one
-    at r likewise.  The distance rows alone cannot tell which, so two
-    Dijkstra runs, each with one endpoint deleted, decide it.
+    at r likewise.  The distance rows alone cannot tell which; one
+    bottlenecks pass over s's shortest-path DAG, with x = 0 at r and 1
+    elsewhere, marks the vertices that some shortest path from s reaches
+    without r (and the same from r without s).
     """
     r, s, l = g.eu[edge], g.ev[edge], g.lengths_int[edge]
-    # shortest distances from each endpoint with the other endpoint deleted;
-    # equality with the true distance means the far endpoint is avoidable
-    off_s = dijkstra_scaled(g, r, s)
-    off_r = dijkstra_scaled(g, s, r)
     d_r, d_s = dm.rows[r], dm.rows[s]
     out: list[int | None] = [None] * (g.n + 1)
+    rising: list[int] = []
+    falling: list[int] = []
     for v in range(1, g.n + 1):
         dr, ds = d_r[v], d_s[v]
         if ds == dr + l:
-            if v == r or off_r[v] == ds:
-                out[v] = 2 * l
+            rising.append(v)
         elif dr == ds + l:
-            if v == s or off_s[v] == dr:
-                out[v] = 0
+            falling.append(v)
         else:
             out[v] = ds - dr + l
+    for group, src, cut, off in ((rising, s, r, 2 * l), (falling, r, s, 0)):
+        if group:
+            order, preds = shortest_path_dag(g, dm.rows[src], g.vertices())
+            avoids = dict(zip(order, bottlenecks(preds, [int(v != cut) for v in order])))
+            for v in group:
+                if v == cut or avoids[v]:
+                    out[v] = off
     return out
 
 

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -101,6 +102,48 @@ def point_distance(g: Graph, dm: DistanceMatrix, x: EdgePoint, v: int) -> Fracti
     via_u = ps + q * dm.rows[g.eu[x.edge]][v]
     via_v = q * (g.lengths_int[x.edge] + dm.rows[g.ev[x.edge]][v]) - ps
     return Fraction(min(via_u, via_v), dm.scale * q)
+
+
+def banned_dijkstra(g: Graph, source: int, banned: int) -> list[int | None]:
+    """Distances from source in units of 1/g.length_scale with the vertex
+    banned deleted from g; None where unreachable (and at index 0)."""
+    dist: list[int | None] = [None] * (g.n + 1)
+    if source == banned:
+        return dist
+    dist[source] = 0
+    pq = [(0, source)]
+    while pq:
+        dv, v = heapq.heappop(pq)
+        if dv != dist[v]:
+            continue
+        for u, eid in g.adj[v]:
+            nd = dv + g.lengths_int[eid]
+            if u != banned and (dist[u] is None or nd < dist[u]):
+                dist[u] = nd
+                heapq.heappush(pq, (nd, u))
+    return dist
+
+
+def edge_profile_reference(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
+    """graph_core.edge_profile by two Dijkstra runs, each with one endpoint
+    deleted: a vertex rising over the whole edge has its semicircular
+    point at s when it is r or its distance from s without r is the true
+    one, and a falling vertex at r likewise."""
+    r, s, l = g.eu[edge], g.ev[edge], g.lengths_int[edge]
+    from_s, from_r = banned_dijkstra(g, s, r), banned_dijkstra(g, r, s)
+    d_r, d_s = dm.rows[r], dm.rows[s]
+    out: list[int | None] = [None] * (g.n + 1)
+    for v in g.vertices():
+        dr, ds = d_r[v], d_s[v]
+        if ds == dr + l:
+            if v == r or from_s[v] == ds:
+                out[v] = 2 * l
+        elif dr == ds + l:
+            if v == s or from_r[v] == dr:
+                out[v] = 0
+        else:
+            out[v] = ds - dr + l
+    return out
 
 
 def query_at_least_k(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: int) -> bool:

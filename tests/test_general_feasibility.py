@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import point_distance, random_graph
+from conftest import edge_profile_reference, exact_d, point_distance, random_graph
 from ckoc.general_feasibility import (
     FeasibilityTester,
-    build_predecessor_structure,
     coverage_profile,
     covered_subtree,
     is_feasible_graph,
@@ -17,7 +16,10 @@ from ckoc.graph_core import (
     EdgePoint,
     Graph,
     all_pairs_distances,
+    bottlenecks,
     canonical_point,
+    edge_profile,
+    shortest_path_dag,
     vertex_point,
 )
 from ckoc.oracle import (
@@ -29,75 +31,65 @@ from ckoc.oracle import (
 )
 
 
-def ps_sets(ps):
-    pred = {v: set(us) for v, us in ps.pred.items() if us}
-    succ = {v: set(us) for v, us in ps.succ.items() if us}
-    return pred, succ
+def dag_sets(g, root):
+    """Each vertex's shortest-path predecessors toward root, by vertex id."""
+    order, preds = shortest_path_dag(g, all_pairs_distances(g).rows[root], g.vertices())
+    return {order[i]: {order[j] for j in ps} for i, ps in enumerate(preds) if ps}
+
+
+def joined(g, root, cut):
+    """The vertices that some shortest path from root reaches without
+    passing a vertex of cut: bottlenecks with x = 0 on cut, 1 elsewhere."""
+    order, preds = shortest_path_dag(g, all_pairs_distances(g).rows[root], g.vertices())
+    tau = bottlenecks(preds, [int(v not in cut) for v in order])
+    return {v for v, t in zip(order, tau) if t}
 
 
 def test_predecessors_path_from_endpoint(path3):
-    dm = all_pairs_distances(path3)
-    ps = build_predecessor_structure(path3, dm, vertex_point(path3, 1))
-    pred, succ = ps_sets(ps)
-    assert pred == {2: {1}, 3: {2}}
-    assert succ == {1: {2}, 2: {3}}
+    assert dag_sets(path3, 1) == {2: {1}, 3: {2}}
+    # among a subset of the vertices, only predecessors inside it count
+    dist = all_pairs_distances(path3).rows[1]
+    assert shortest_path_dag(path3, dist, [3, 1]) == ([1, 3], [(), ()])
 
 
 def test_predecessors_two_paths(cycle4):
-    dm = all_pairs_distances(cycle4)
-    ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    pred, _ = ps_sets(ps)
-    assert pred[3] == {2, 4}
+    assert dag_sets(cycle4, 1)[3] == {2, 4}
 
 
 def test_predecessors_interior_dummy(path3):
+    # an interior point reaches both ends of its edge directly: each end
+    # stays covered while the other one is heavy
     dm = all_pairs_distances(path3)
-    ps = build_predecessor_structure(path3, dm, EdgePoint(0, F(1, 2)))
-    pred, _ = ps_sets(ps)
-    assert pred == {1: {0}, 2: {0}, 3: {2}}
-    assert ps.root == 0
+    assert covered_subtree(path3, dm, EdgePoint(0, F(1, 4)), F(1, 4)) == {1}
+    assert covered_subtree(path3, dm, EdgePoint(0, F(3, 4)), F(1, 4)) == {2}
+    assert covered_subtree(path3, dm, EdgePoint(0, F(1, 2)), F(1, 2)) == {1, 2}
+    assert covered_subtree(path3, dm, EdgePoint(0, F(1, 2)), F(3, 2)) == {1, 2, 3}
 
 
 def test_remove_cut_vertex(path3):
-    dm = all_pairs_distances(path3)
-    ps = build_predecessor_structure(path3, dm, vertex_point(path3, 1))
-    removed, desc = ps.remove({2})
-    assert (removed, desc) == ([2, 3], [3])
-    assert set(ps.alive) == {1}
+    assert joined(path3, 1, {2}) == {1}
 
 
 def test_remove_survives_alternate_paths(cycle4):
-    dm = all_pairs_distances(cycle4)
-    ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    removed, desc = ps.remove({2})
-    assert (removed, desc) == ([2], [])
-    assert set(ps.alive) == {1, 3, 4}
+    assert joined(cycle4, 1, {2}) == {1, 3, 4}
 
 
 def test_remove_both_predecessors(cycle4):
-    dm = all_pairs_distances(cycle4)
-    ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    removed, desc = ps.remove({2, 4})
-    assert desc == [3] and set(removed) == {2, 3, 4}
-    assert set(ps.alive) == {1}
+    assert joined(cycle4, 1, {2, 4}) == {1}
+    assert joined(cycle4, 1, {4}) == {1, 2, 3}
 
 
 def test_remove_identity_and_total(cycle4):
-    dm = all_pairs_distances(cycle4)
-    ps = build_predecessor_structure(cycle4, dm, vertex_point(cycle4, 1))
-    assert ps.remove(set()) == ([], [])
-    assert set(ps.alive) == {1, 2, 3, 4}
-    removed, desc = ps.remove({1, 2, 3, 4})
-    assert desc == [] and set(removed) == {1, 2, 3, 4}
-    assert not ps.alive
+    assert joined(cycle4, 1, set()) == {1, 2, 3, 4}
+    assert joined(cycle4, 1, {1, 2, 3, 4}) == set()
 
 
 def test_remove_root_takes_everything(path3):
+    assert joined(path3, 1, {1}) == set()
+    # a heavy root covers nothing: below radius 0 even the center is heavy
     dm = all_pairs_distances(path3)
-    ps = build_predecessor_structure(path3, dm, vertex_point(path3, 1))
-    removed, desc = ps.remove({1})
-    assert (removed, desc) == ([1, 2, 3], [2, 3])
-    assert not ps.alive
+    assert covered_subtree(path3, dm, vertex_point(path3, 1), F(-1)) == frozenset()
+    assert covered_subtree(path3, dm, vertex_point(path3, 1), F(0)) == {1}
 
 
 def test_profile_path3_small_radius(path3):
@@ -235,6 +227,27 @@ def test_covered_subtree_matches_oracle():
         x = EdgePoint(edge, t)
         lam = F(rng.randint(0, 40), 8)
         assert covered_subtree(g, dm, x, lam) == brute_covered_set(g, dm, x, lam)
+    # lengths from a short list tie many shortest paths, so a vertex can
+    # hang off several predecessors that turn heavy at different radii;
+    # every vertex, some interior points and every interior apex, where x
+    # reaches an end of its edge both along the edge and round the graph,
+    # at every radius w_v * d(x, v) where some vertex's coverage changes
+    for _ in range(12):
+        n = rng.randint(2, 8)
+        lengths = rng.choice(((F(1),), (F(1), F(2)), (F(1, 2), F(1), F(3, 2))))
+        g = random_graph(rng, n, extra=rng.randint(0, 5), weighted=True)
+        g = Graph(n, g.weights[1:], [(u, v, rng.choice(lengths)) for u, v in zip(g.eu, g.ev)])
+        dm = all_pairs_distances(g)
+        points = [vertex_point(g, a) for a in g.vertices()]
+        points += [EdgePoint(e, g.length(e) * F(j, 4)) for e in range(g.m) for j in (1, 2, 3)]
+        for e in range(g.m):
+            for v in g.vertices():
+                apex = (exact_d(dm, v, g.ev[e]) - exact_d(dm, v, g.eu[e]) + g.length(e)) / 2
+                if 0 < apex < g.length(e):
+                    points.append(EdgePoint(e, apex))
+        for x in points:
+            for lam in {g.weights[v] * point_distance(g, dm, x, v) for v in g.vertices()}:
+                assert covered_subtree(g, dm, x, lam) == brute_covered_set(g, dm, x, lam), (x, lam)
 
 
 # ---------------------------------------------------------------- wide scales
@@ -344,3 +357,12 @@ def test_bracket_holds_lambda_and_its_top_is_the_best_vertex_center(g):
         below = [r for r in radii if r < hi]
         if below:
             assert max(brute_coverage_count(g, dm, x, below[-1]) for x in centers) < k, k
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_bracket_graphs())
+def test_edge_profile_matches_banned_endpoint_dijkstra(g):
+    # wide-scale graphs keep Python-int distances, the tie-heavy ones int64
+    dm = all_pairs_distances(g)
+    for edge in range(g.m):
+        assert edge_profile(g, dm, edge) == edge_profile_reference(g, dm, edge), edge
