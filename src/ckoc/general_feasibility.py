@@ -10,11 +10,13 @@ Per edge, the covered-count f(e, t) is a piecewise constant function of
 the offset t.  It is assembled from two one-sided scans (coverage through
 each endpoint) minus an overlap correction at semicircular points.  A
 side scan keys each vertex by its turning point and runs one
-graph_core.bottlenecks pass over the side's shortest-path DAG toward its
+graph_core.bottlenecks pass over the shortest-path DAG toward its
 endpoint: tau_v = min(x_v, max over predecessors u of tau_u) is the last
 key at which v is still covered through that endpoint, so the count at a
 key t is #{v : tau_v >= t}.  covered_subtree, edge_profile and the
-bracket's vertex-center radii are the same pass with other x.
+bracket's vertex-center radii are the same pass with other x, and all
+but covered_subtree's, whose root is a point, read the one DAG toward
+each vertex that FeasibilityTester builds, the side scans included.
 
 The tester runs on exact integers with one denominator per vertex.  At
 lam = p/q, with SL and SW the length and weight scales, W_v the scaled
@@ -42,6 +44,7 @@ from fractions import Fraction
 
 from .graph_core import (
     ZERO,
+    Dag,
     DistanceMatrix,
     EdgePoint,
     Graph,
@@ -76,7 +79,7 @@ def covered_subtree(g: Graph, dm: DistanceMatrix, x: EdgePoint, lam: Fraction) -
         return frozenset({1}) if lam >= 0 else frozenset()
     dist, offset, far = _scaled_distances(g, dm, x)
     q = x.t.denominator
-    order, preds = shortest_path_dag(g, dist, g.vertices(), q)
+    order, preds = shortest_path_dag(g, dist, q)
     if vertex_of_point(g, x) is None:
         # an interior x reaches the ends of its edge along the edge itself
         for v, d in ((g.eu[x.edge], offset), (g.ev[x.edge], far)):
@@ -165,75 +168,59 @@ class FeasibilityResult:
     witness: tuple[EdgePoint, frozenset[int]] | None = None
 
 
-class _SideTemplate:
-    """Radius-independent data for one edge endpoint: the side's vertices
-    in order of distance from the endpoint, with the positions of each
-    one's shortest-path predecessors among them (see
-    graph_core.shortest_path_dag), and, aligned with that order, each
-    vertex's distance term and its cap (the edge length, or its
-    semicircular offset in side-local coordinates).  Both are stored as
-    keys at q = 1, so a scan at lam = p/q multiplies them by q; semi maps
-    the position of each vertex with a semicircular point to its cap."""
-
-    __slots__ = ("order", "preds", "dist", "caps", "semi")
-
-    def __init__(self, order, preds, dist, caps, semi):
-        self.order = order
-        self.preds = preds
-        self.dist = dist
-        self.caps = caps
-        self.semi = semi
-
-
 class FeasibilityTester:
-    """Caches per-edge side templates across radius probes for one (g, dm),
-    and the per-vertex key bases of the last radius probed."""
+    """Caches, for one (g, dm), the shortest-path DAG toward each vertex
+    and the caps of each edge side, built on first use and kept across
+    radius probes, and the per-vertex key bases of the last radius."""
 
     def __init__(self, g: Graph, dm: DistanceMatrix):
         self.g = g
         self.dm = dm
         self._wmax = max(g.weights_int)
         self._shift = 2 * self._wmax.bit_length() + 1
-        self._templates: dict[tuple[int, bool], _SideTemplate] = {}
+        self._dags: list[Dag | None] = [None] * (g.n + 1)
+        self._sides: dict[tuple[int, bool], tuple[int, list[int], dict[int, int]]] = {}
         self._kth_bounds: dict[int, list[int]] = {}
         self._radius: tuple[Fraction, int, list[int], list[int]] | None = None
 
-    # side templates ----------------------------------------------------
+    # per-vertex DAGs and side caps -------------------------------------
 
-    def _template(self, edge: int, from_r: bool) -> _SideTemplate:
-        tpl = self._templates.get((edge, from_r))
-        if tpl is None:
-            # every profile scans both sides, so both are built at once
-            semi = edge_profile(self.g, self.dm, edge)
-            for side in (True, False):
-                self._templates[edge, side] = self._side_template(edge, side, semi)
-            tpl = self._templates[edge, from_r]
-        return tpl
+    def _dag(self, v: int) -> Dag:
+        """The shortest-path DAG toward vertex v, built once."""
+        dag = self._dags[v]
+        if dag is None:
+            dag = self._dags[v] = shortest_path_dag(self.g, self.dm.rows[v])
+        return dag
 
-    def _side_template(self, edge: int, from_r: bool, offsets: list[int | None]) -> _SideTemplate:
-        """The template of one side from edge_profile's offsets, which
-        are measured from r in units of 1/(2 * SL)."""
+    def _side(self, edge: int, from_r: bool) -> tuple[int, list[int], dict[int, int]]:
+        """(endpoint, caps, semi) of one side of edge.  caps holds, in the
+        endpoint's DAG order, the key at q = 1 of the edge length, of v's
+        semicircular offset from the endpoint, or -1 for v outside the side
+        (the vertices rising from the endpoint over the whole edge and
+        those with a semicircular point); semi maps those positions to caps."""
+        got = self._sides.get((edge, from_r))
+        if got is not None:
+            return got
         g, rows, s = self.g, self.dm.rows, self._shift
         l_int = g.lengths_int[edge]
-        root, far = (g.eu[edge], g.ev[edge]) if from_r else (g.ev[edge], g.eu[edge])
-        d_root, d_far = rows[root], rows[far]
-        # rising from root over the whole edge, or with a semicircular point
-        universe = [
-            v for v in g.vertices() if offsets[v] is not None or d_far[v] == d_root[v] + l_int
-        ]
-        order, preds = shortest_path_dag(g, d_root, universe)
-        caps: list[int] = []
-        semi: dict[int, int] = {}
-        for i, v in enumerate(order):
-            off = offsets[v]
-            if off is None:
-                caps.append(2 * l_int << s)
-            else:
-                # 2 * SL times the semicircular offset, measured from root
-                semi[i] = cap = (off if from_r else 2 * l_int - off) << s
-                caps.append(cap)
-        dist = [d_root[v] << (s + 1) for v in order]
-        return _SideTemplate(order, preds, dist, caps, semi)
+        # every profile scans both sides, so both are built at once from
+        # offsets measured from r in units of 1/(2 * SL)
+        offsets = edge_profile(g, self.dm, edge, self._dag)
+        for side in (True, False):
+            root, far = (g.eu[edge], g.ev[edge]) if side else (g.ev[edge], g.eu[edge])
+            d_root, d_far = rows[root], rows[far]
+            caps: list[int] = []
+            semi: dict[int, int] = {}
+            for i, v in enumerate(self._dag(root)[0]):
+                off = offsets[v]
+                if off is not None:
+                    # 2 * SL times the semicircular offset, measured from root
+                    semi[i] = cap = (off if side else 2 * l_int - off) << s
+                    caps.append(cap)
+                else:
+                    caps.append(2 * l_int << s if d_far[v] == d_root[v] + l_int else -1)
+            self._sides[edge, side] = root, caps, semi
+        return self._sides[edge, from_r]
 
     def _bases(self, lam: Fraction) -> tuple[Fraction, int, list[int], list[int]]:
         """(lam, q, floor bases, ceil bases) at lam = p/q: per vertex v the
@@ -262,20 +249,33 @@ class FeasibilityTester:
         keys of side-local offsets (floor keys from r, ceiling keys from
         s): value[i] holds on (threshold[i-1], threshold[i]].  Also maps
         each vertex covered exactly up to its own semicircular point to
-        that point's key."""
-        tpl = self._template(edge, from_r)
+        that point's key.
+
+        The pass runs over the endpoint's whole DAG, with x_v = -1 outside
+        the side as for a heavy v, and finds the tau of a pass over the side
+        alone: no tau is below -1, so predecessors outside the side never
+        raise a max, and each vertex of the side but its root has one in
+        it.  A rising vertex's predecessors rise; an apex vertex's rise or
+        have an apex; a falling vertex of the side is the far endpoint,
+        after the root, or follows a vertex of the side on a shortest path
+        from the root that avoids the far endpoint."""
+        root, caps, semi = self._side(edge, from_r)
+        order, preds = self._dag(root)
+        d_root = self.dm.rows[root]
         _, q, lo, hi = self._bases(lam)
         base = lo if from_r else hi
+        # v's distance term, 2 * SL * q * d_v times 2**shift
+        qd = q << (self._shift + 1)
         # x_v is v's turning key capped at its cap, or -1 when v is heavy
+        # or outside the side
         xs: list[int] = []
-        for v, d, cap in zip(tpl.order, tpl.dist, tpl.caps):
-            x = base[v] - q * d
+        for v, cap in zip(order, caps):
+            x = base[v] - qd * d_root[v]
             cap *= q
-            xs.append(cap if x > cap else x if x >= 0 else -1)
+            xs.append(-1 if x < 0 or cap < 0 else cap if x > cap else x)
         thresholds = sorted(set(xs) - {-1})
-        tau = bottlenecks(tpl.preds, xs)
-        order = tpl.order
-        flagged = {order[i]: c * q for i, c in tpl.semi.items() if tau[i] == c * q}
+        tau = bottlenecks(preds, xs)
+        flagged = {order[i]: c * q for i, c in semi.items() if tau[i] == c * q}
         # count the covered vertices down the thresholds, which only lowers
         # the count; each tau_v is some x_u, so the count ends at none
         # unless a tau_v >= 0 is missing from them
@@ -352,7 +352,7 @@ class FeasibilityTester:
         his = []
         for a in g.vertices():
             da = rows[a]
-            order, preds = shortest_path_dag(g, da, g.vertices())
+            order, preds = self._dag(a)
             tau = bottlenecks(preds, [-wi[v] * da[v] for v in order])
             his.append(-sorted(tau)[-k])
         return min(self._kth_ints(k)), min(his)

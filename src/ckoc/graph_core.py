@@ -29,9 +29,10 @@ runs in units of 1/(2 * SL).  So does edge_profile, which gives per edge
 the one fact about a vertex that the distance rows do not: where its
 semicircular point lies, if it has one.  Which vertices stay joined to
 a root along shortest paths once some are cut out is one recurrence,
-bottlenecks, over the predecessor tuples of shortest_path_dag;
-edge_profile and the weighted-graph tester of general_feasibility share
-it.
+bottlenecks, over the predecessor tuples of shortest_path_dag, whose
+DAG toward a vertex depends on that vertex alone; edge_profile reads
+the DAGs its caller built once per vertex, and the weighted-graph
+tester of general_feasibility runs the same recurrence over them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -245,24 +246,24 @@ def dijkstra_scaled(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def shortest_path_dag(
-    g: Graph, dist: Sequence[int], vertices: Iterable[int], q: int = 1
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The shortest-path DAG toward a root over the given vertices, dist
-    holding their distances from the root in units of 1/(q * SL):
-    (order, preds), the vertices sorted by dist and, per position, the
-    positions of v's predecessors among them, the neighbours u with
-    dist[u] + l(u, v) = dist[v].  Lengths are positive, so every
-    predecessor comes before its vertex."""
-    order = sorted(vertices, key=dist.__getitem__)
-    pos = [-1] * (g.n + 1)
+Dag = tuple[list[int], list[tuple[int, ...]]]  # shortest_path_dag's (order, preds)
+
+
+def shortest_path_dag(g: Graph, dist: Sequence[int], q: int = 1) -> Dag:
+    """The shortest-path DAG toward a root, dist holding every vertex's
+    distance from the root in units of 1/(q * SL): (order, preds), the
+    vertices sorted by dist and, per position, the positions of v's
+    predecessors, the neighbours u with dist[u] + l(u, v) = dist[v].
+    Lengths are positive, so every predecessor comes before its vertex."""
+    order = sorted(g.vertices(), key=dist.__getitem__)
+    pos = [0] * (g.n + 1)
     for i, v in enumerate(order):
         pos[v] = i
     lengths, adj = g.lengths_int, g.adj
     preds = []
     for v in order:
         dv = dist[v]
-        ps = [pos[u] for u, eid in adj[v] if dist[u] + q * lengths[eid] == dv and pos[u] >= 0]
+        ps = [pos[u] for u, eid in adj[v] if dist[u] + q * lengths[eid] == dv]
         preds.append(tuple(ps))
     return order, preds
 
@@ -336,19 +337,14 @@ def kth_bounds(g: Graph, dm: DistanceMatrix, k: int) -> list[tuple[int, int]]:
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
     rows, wi = dm.rows, g.weights_int
-    top = max(map(max, rows)) * max(wi)
-    if top >= _INT64_LIMIT:
-        bounds = [
-            sorted(wi[v] * min(rows[v][a], rows[v][b]) for v in g.vertices())[k - 1]
-            for a, b in zip(g.eu, g.ev)
-        ]
-        return sorted(zip(bounds, range(g.m)))
+    # Python ints in object arrays once a product may pass int64
+    dtype = np.int64 if max(map(max, rows)) * max(wi) < _INT64_LIMIT else object
     # rows are symmetric, so row u holds every d(v, u); the edges go in
     # blocks of about _BOUND_BLOCK values, which caps the memory at large m
-    d = np.array(rows, dtype=np.int64)[:, 1:]
-    w = np.array(wi[1:], dtype=np.int64)
+    d = np.array(rows, dtype=dtype)[:, 1:]
+    w = np.array(wi[1:], dtype=dtype)
     u, v = g.eu, g.ev
-    bounds = np.empty(g.m, dtype=np.int64)
+    bounds = np.empty(g.m, dtype=dtype)
     step = max(1, _BOUND_BLOCK // g.n)
     for lo in range(0, g.m, step):
         lows = d[u[lo:lo + step]]
@@ -402,7 +398,9 @@ def vertex_of_point(g: Graph, x: EdgePoint) -> int | None:
     return None
 
 
-def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
+def edge_profile(
+    g: Graph, dm: DistanceMatrix, edge: int, dag: Callable[[int], Dag]
+) -> list[int | None]:
     """The semicircular point of every vertex on one edge, indexed by
     vertex id: its offset from r, the smaller endpoint, in units of
     1/(2 * SL), or None when the vertex has none on this edge.
@@ -415,7 +413,9 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
     at r likewise.  The distance rows alone cannot tell which; one
     bottlenecks pass over s's shortest-path DAG, with x = 0 at r and 1
     elsewhere, marks the vertices that some shortest path from s reaches
-    without r (and the same from r without s).
+    without r (and the same from r without s).  dag(v) gives the DAG
+    toward vertex v, shortest_path_dag over dm.rows[v]; it depends on v
+    alone, so a caller that profiles many edges builds each one once.
     """
     r, s, l = g.eu[edge], g.ev[edge], g.lengths_int[edge]
     d_r, d_s = dm.rows[r], dm.rows[s]
@@ -431,12 +431,11 @@ def edge_profile(g: Graph, dm: DistanceMatrix, edge: int) -> list[int | None]:
         else:
             out[v] = ds - dr + l
     for group, src, cut, off in ((rising, s, r, 2 * l), (falling, r, s, 0)):
-        if group:
-            order, preds = shortest_path_dag(g, dm.rows[src], g.vertices())
-            avoids = dict(zip(order, bottlenecks(preds, [int(v != cut) for v in order])))
-            for v in group:
-                if v == cut or avoids[v]:
-                    out[v] = off
+        order, preds = dag(src)
+        avoids = dict(zip(order, bottlenecks(preds, [int(v != cut) for v in order])))
+        for v in group:
+            if v == cut or avoids[v]:
+                out[v] = off
     return out
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ckoc import tree_solver
-from ckoc.graph_core import DistanceMatrix, EdgePoint, Graph
+from ckoc.graph_core import DistanceMatrix, EdgePoint, Graph, shortest_path_dag
 from ckoc.tree_engine import CoverageArrays, SpineTree, _position, query_at_least_k_at
 
 
@@ -144,6 +144,47 @@ def edge_profile_reference(g: Graph, dm: DistanceMatrix, edge: int) -> list[int 
         else:
             out[v] = ds - dr + l
     return out
+
+
+def side_scan_reference(tester, edge: int, from_r: bool, lam: Fraction):
+    """FeasibilityTester._side_scan over the side's vertices alone: the
+    vertices rising from the endpoint over the whole edge or with a
+    semicircular point (from edge_profile_reference), in a DAG where only
+    predecessors inside the side count, so a vertex whose predecessors
+    all lie outside it is a root of its own."""
+    g, rows, s = tester.g, tester.dm.rows, tester._shift
+    l_int = g.lengths_int[edge]
+    root, far = (g.eu[edge], g.ev[edge]) if from_r else (g.ev[edge], g.eu[edge])
+    d_root, d_far = rows[root], rows[far]
+    offsets = edge_profile_reference(g, tester.dm, edge)
+    side = [v for v in g.vertices() if offsets[v] is not None or d_far[v] == d_root[v] + l_int]
+    order = sorted(side, key=d_root.__getitem__)
+    pos = {v: i for i, v in enumerate(order)}
+    _, q, lo, hi = tester._bases(lam)
+    base = lo if from_r else hi
+    xs, tau, flagged = [], [], {}
+    for i, v in enumerate(order):
+        off = offsets[v]
+        if off is None:
+            cap = q * (2 * l_int << s)
+        else:
+            cap = q * ((off if from_r else 2 * l_int - off) << s)
+        x = base[v] - q * (d_root[v] << (s + 1))
+        xs.append(cap if x > cap else x if x >= 0 else -1)
+        ps = [pos[u] for u, eid in g.adj[v]
+              if u in pos and d_root[u] + g.lengths_int[eid] == d_root[v]]
+        tau.append(min(xs[i], max(tau[j] for j in ps)) if ps else xs[i])
+        if off is not None and tau[i] == cap:
+            flagged[v] = cap
+    thresholds = sorted(set(xs) - {-1})
+    values = [sum(t >= th for t in tau) for th in thresholds]
+    return thresholds, values, flagged
+
+
+def vertex_dags(g: Graph, dm: DistanceMatrix):
+    """The DAG source edge_profile reads: v -> the shortest-path DAG
+    toward vertex v."""
+    return lambda v: shortest_path_dag(g, dm.rows[v])
 
 
 def query_at_least_k(st: SpineTree, ca: CoverageArrays, x: EdgePoint, k: int) -> bool:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from ckoc import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
 
@@ -57,3 +59,20 @@ def test_ab_fails_when_outputs_differ(tmp_path):
     done = _ab(ROOT / "src", tmp_path, "sweep-small")
     assert done.returncode == 1, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["differing_pairs"] == [0]
+
+
+def test_ab_times_instance_files_at_their_own_k(tmp_path):
+    # two weighted graphs larger than sweep-small's, each solved once at
+    # the k its file gives
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"g{seed}.txt"
+        path.write_text(cli.generate_instance(seed, 14, 0.2, True, False))
+        paths += ["--instance", str(path)]
+    cmd = [sys.executable, str(AB), str(ROOT / "src"), str(ROOT / "src"), *paths, "--pairs", "1"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["instances"] == paths[1::2]
+    assert summary["differing_pairs"] == [] and summary["solves"] == 2
+    assert set(summary["family_b_over_a"]) == {"weighted-graph"}

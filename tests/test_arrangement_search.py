@@ -29,7 +29,7 @@ from ckoc.graph_core import (
 from ckoc.oracle import brute_lambda, edge_probe_points
 from ckoc import arrangement_search, oracle, tree_solver
 
-from conftest import point_distance, random_graph
+from conftest import point_distance, random_graph, vertex_dags
 
 
 def _real_oracle(g, k):
@@ -90,10 +90,11 @@ def test_candidate_lines_semicircular_vertical():
     g = Graph.unit(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     dm = all_pairs_distances(g)
     ls = candidate_lines(g, dm)
+    dags = vertex_dags(g, dm)
     semis = {
         F(off, 2 * g.length_scale)
         for edge in range(g.m)
-        for off in edge_profile(g, dm, edge)[1:]
+        for off in edge_profile(g, dm, edge, dags)[1:]
         if off is not None
     }
     assert any(0 < t < F(1) for t in semis)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import edge_profile_reference, exact_d, point_distance, random_graph
+from conftest import (
+    edge_profile_reference,
+    exact_d,
+    point_distance,
+    random_graph,
+    side_scan_reference,
+    vertex_dags,
+)
+from ckoc import cli, general_feasibility, graph_core
+from ckoc.arrangement_search import solve_weighted_graph
 from ckoc.general_feasibility import (
     FeasibilityTester,
     coverage_profile,
@@ -19,6 +28,7 @@ from ckoc.graph_core import (
     bottlenecks,
     canonical_point,
     edge_profile,
+    parse_instance,
     shortest_path_dag,
     vertex_point,
 )
@@ -33,23 +43,20 @@ from ckoc.oracle import (
 
 def dag_sets(g, root):
     """Each vertex's shortest-path predecessors toward root, by vertex id."""
-    order, preds = shortest_path_dag(g, all_pairs_distances(g).rows[root], g.vertices())
+    order, preds = shortest_path_dag(g, all_pairs_distances(g).rows[root])
     return {order[i]: {order[j] for j in ps} for i, ps in enumerate(preds) if ps}
 
 
 def joined(g, root, cut):
     """The vertices that some shortest path from root reaches without
     passing a vertex of cut: bottlenecks with x = 0 on cut, 1 elsewhere."""
-    order, preds = shortest_path_dag(g, all_pairs_distances(g).rows[root], g.vertices())
+    order, preds = shortest_path_dag(g, all_pairs_distances(g).rows[root])
     tau = bottlenecks(preds, [int(v not in cut) for v in order])
     return {v for v, t in zip(order, tau) if t}
 
 
 def test_predecessors_path_from_endpoint(path3):
     assert dag_sets(path3, 1) == {2: {1}, 3: {2}}
-    # among a subset of the vertices, only predecessors inside it count
-    dist = all_pairs_distances(path3).rows[1]
-    assert shortest_path_dag(path3, dist, [3, 1]) == ([1, 3], [(), ()])
 
 
 def test_predecessors_two_paths(cycle4):
@@ -364,5 +371,55 @@ def test_bracket_holds_lambda_and_its_top_is_the_best_vertex_center(g):
 def test_edge_profile_matches_banned_endpoint_dijkstra(g):
     # wide-scale graphs keep Python-int distances, the tie-heavy ones int64
     dm = all_pairs_distances(g)
+    dags = vertex_dags(g, dm)
     for edge in range(g.m):
-        assert edge_profile(g, dm, edge) == edge_profile_reference(g, dm, edge), edge
+        assert edge_profile(g, dm, edge, dags) == edge_profile_reference(g, dm, edge), edge
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_bracket_graphs(), hs.lists(hs.fractions(0, 2), max_size=3))
+def test_side_scan_matches_subset_dag_reference(g, picks):
+    # a side scan over its endpoint's whole DAG against one over the
+    # side's vertices alone: thresholds (the distinct non-heavy keys, not
+    # the distinct tau), values and flagged vertices
+    dm = all_pairs_distances(g)
+    tester = FeasibilityTester(g, dm)
+    unit = g.weight_scale * g.length_scale
+    # exact coverage boundaries w_v * d(x, v), x a vertex or a
+    # semicircular point of v
+    radii = {g.weights[v] * exact_d(dm, a, v) for a in g.vertices() for v in g.vertices()}
+    for edge in range(g.m):
+        for v, off in enumerate(edge_profile_reference(g, dm, edge)):
+            t = F(off, 2 * g.length_scale) if off is not None else None
+            if t is not None and 0 < t < g.length(edge):
+                radii.add(g.weights[v] * point_distance(g, dm, EdgePoint(edge, t), v))
+    top = max(radii)
+    radii |= {F(b, unit) for k in range(2, g.n + 1) for b in tester.bracket(k)}
+    radii |= {top * f for f in picks}
+    for lam in sorted(radii):
+        for edge in range(g.m):
+            for from_r in (True, False):
+                got = tester._side_scan(edge, from_r, lam)
+                assert got == side_scan_reference(tester, edge, from_r, lam), (lam, edge, from_r)
+
+
+@pytest.mark.parametrize("search", ["explicit", "counting"])
+def test_solve_builds_one_dag_per_vertex_and_witness(monkeypatch, search):
+    # counts shortest_path_dag calls in one weighted-graph solve, wherever
+    # they come from; covered_subtree builds one toward each witness point
+    g, _ = parse_instance(cli.generate_instance(11, 40, 2 / 40, True, False))
+    calls = {"dag": 0, "witness": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    dag_spy = counted("dag", shortest_path_dag)
+    monkeypatch.setattr(graph_core, "shortest_path_dag", dag_spy)
+    monkeypatch.setattr(general_feasibility, "shortest_path_dag", dag_spy)
+    monkeypatch.setattr(general_feasibility, "covered_subtree", counted("witness", covered_subtree))
+    solve_weighted_graph(g, g.n // 2, search=search)
+    assert calls["witness"] >= 1
+    assert calls["dag"] <= g.n + calls["witness"], calls

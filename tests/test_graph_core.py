@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_d, point_distance, random_graph, random_tree
+from conftest import exact_d, point_distance, random_graph, random_tree, vertex_dags
 from ckoc import cli, oracle
 from ckoc.general_feasibility import coverage_profile, is_feasible_graph
 from ckoc.graph_core import (
@@ -474,17 +474,19 @@ def test_edge_distance_fn_cases(path3, triangle, cycle4):
     # offsets in units of 1/(2 * SL), and SL = 1 on these graphs
     dt = all_pairs_distances(triangle)
     assert _case(triangle, dt, 0, 3) == "peak"  # apex vertex vs opposite edge
-    assert edge_profile(triangle, dt, 0)[3] == 1  # t = 1/2
+    assert edge_profile(triangle, dt, 0, vertex_dags(triangle, dt))[3] == 1  # t = 1/2
 
     dp = all_pairs_distances(path3)
     assert _case(path3, dp, 1, 1) == "increasing"  # vertex 1 against edge (2,3)
-    assert edge_profile(path3, dp, 1)[1] is None  # every path from 3 to 1 passes 2
+    # every path from 3 to 1 passes 2
+    assert edge_profile(path3, dp, 1, vertex_dags(path3, dp))[1] is None
     lines, _ = oracle._edge_lines(path3, oracle.distances(path3), 1)
     assert lines[1] == ((1, 1),)  # 1 at t = 0, 2 at t = 1
 
     dc = all_pairs_distances(cycle4)
     assert _case(cycle4, dc, 0, 3) == "decreasing"  # vertex 3 against edge (1,2)
-    assert edge_profile(cycle4, dc, 0)[3] == 0  # two distance-2 paths meet at vertex 1
+    # two distance-2 paths meet at vertex 1
+    assert edge_profile(cycle4, dc, 0, vertex_dags(cycle4, dc))[3] == 0
 
 
 def _at(pieces, t):
@@ -501,8 +503,9 @@ def test_edge_distance_fn_endpoint_values_random():
         dm = all_pairs_distances(g)
         odm = oracle.distances(g)
         half = 2 * g.length_scale
+        dags = vertex_dags(g, dm)
         for edge in range(g.m):
-            offs = edge_profile(g, dm, edge)
+            offs = edge_profile(g, dm, edge, dags)
             lines, fixed = oracle._edge_lines(g, odm, edge)
             length = g.length(edge)
             peaks = set()

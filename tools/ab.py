@@ -1,23 +1,29 @@
-"""A/B timing of two ckoc source trees on one perfbench workload.
+"""A/B timing of two ckoc source trees on one perfbench workload or on
+instance files.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC --workload tree-unit --seed 37 --pairs 10
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC --instance a.txt --instance b.txt
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `ckoc` package, such
 as the `src` of a `git archive` of the parent commit and this checkout's
 `src`.  Each run is a fresh subprocess of this script that imports ckoc
 from one of them, builds the workload's instances with this checkout's
 perfbench/workloads.py, parses them and solves every k once through the
-solver `ckoc solve --algo auto --search auto` picks.  It reports the CPU
-time of its solves (parsing excluded), its peak resident memory, its
-minor page faults (`ru_minflt`, the whole process) and a digest of every
-solution's JSON.  Each pair runs both sides, the side
-that goes first alternating from pair to pair.
+solver `ckoc solve --algo auto --search auto` picks.  With --instance
+(repeatable) in place of --workload and --seed, a run reads the given
+instance files instead, such as `ckoc gen` output, and solves each at its
+own k, so graphs larger than any workload's are timed the same way.  A
+run reports the CPU time of its solves (parsing excluded), its peak
+resident memory, its minor page faults (`ru_minflt`, the whole process)
+and a digest of every solution's JSON.  Each pair runs both sides, the
+side that goes first alternating from pair to pair.
 
 The report gives, per side, the solve CPU seconds as median and
 quartiles, the pairs in which that side took less CPU time, the median
-peak RSS and the median count of minor page faults; then the same CPU figures per solver family (the solver name
-`ckoc solve --algo auto` picks), which sum to the total in each run, as a
-workload such as sweep-small mixes all four; then one JSON line with
+peak RSS and the median count of minor page faults; then the same CPU
+figures per solver family (the solver name `ckoc solve --algo auto`
+picks), which sum to the total in each run, as a workload such as
+sweep-small mixes all four; then one JSON line with
 every figure.  The exit status is 1 when any solution's JSON differs
 between the sides.  CPU time of a fresh process resolves differences
 that perfbench's wall-clock medians cannot; it does not replace
@@ -40,8 +46,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def child(src: str, workload: str, seed: int, smoke: bool) -> dict:
-    """Solve the workload once with ckoc imported from src."""
+def child(src: str, args) -> dict:
+    """Solve the workload or the instance files once with ckoc imported
+    from src."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, src)
     import workloads
@@ -51,11 +58,16 @@ def child(src: str, workload: str, seed: int, smoke: bool) -> dict:
     where = Path(cli.__file__).resolve()
     if not where.is_relative_to(Path(src).resolve()):
         raise SystemExit(f"ckoc imported from {where}, not from {src}")
+    if args.workload:
+        insts = workloads.build(args.workload, args.seed, args.smoke)
+        cases = [(inst.text, inst.ks) for inst in insts]
+    else:
+        cases = [(Path(path).read_text(), None) for path in args.instance]
     cpu: dict[str, float] = {}
     digests = []
-    for inst in workloads.build(workload, seed, smoke):
-        g, _ = graph_core.parse_instance(inst.text)
-        for k in inst.ks:
+    for text, ks in cases:
+        g, own_k = graph_core.parse_instance(text)
+        for k in [own_k] if ks is None else ks:
             started = time.process_time()
             algo = cli._pick_algo(g, "auto")
             sol = cli._dispatch(g, k, algo, "auto")
@@ -72,8 +84,12 @@ def child(src: str, workload: str, seed: int, smoke: bool) -> dict:
 
 
 def run_side(src: str, args) -> dict:
-    cmd = [sys.executable, __file__, src, src, "--child", "--workload", args.workload]
-    cmd += ["--seed", str(args.seed)] + (["--smoke"] if args.smoke else [])
+    cmd = [sys.executable, __file__, src, src, "--child"]
+    if args.workload:
+        cmd += ["--workload", args.workload, "--seed", str(args.seed)]
+        cmd += ["--smoke"] if args.smoke else []
+    for path in args.instance or []:
+        cmd += ["--instance", path]
     done = subprocess.run(cmd, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"side {src} failed:\n{done.stderr}")
@@ -91,14 +107,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", help="source tree A (holds the ckoc package)")
     ap.add_argument("b", help="source tree B")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", help="a perfbench workload, with --seed")
+    what.add_argument(
+        "--instance", action="append", help="an instance file, solved at its own k (repeatable)"
+    )
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--smoke", action="store_true", help="the workload's small instances")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.workload and args.seed is None:
+        ap.error("--workload needs --seed")
+    if args.instance and (args.seed is not None or args.smoke):
+        ap.error("--seed and --smoke apply to --workload only")
     if args.child:
-        print(json.dumps(child(args.a, args.workload, args.seed, args.smoke)))
+        print(json.dumps(child(args.a, args)))
         return 0
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -112,8 +136,13 @@ def main(argv=None) -> int:
         if ra["digests"] != rb["digests"]
     ]
     cpu = {s: [r["cpu_s"] for r in runs[s]] for s in runs}
-    summary = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs}
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, solve CPU seconds")
+    if args.workload:
+        summary = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs}
+        label = f"{args.workload} seed {args.seed}"
+    else:
+        summary = {"instances": args.instance, "pairs": args.pairs}
+        label = ", ".join(args.instance)
+    print(f"{label}, {args.pairs} pairs, solve CPU seconds")
     for s, other in (("a", "b"), ("b", "a")):
         q1, med, q3 = quartiles(cpu[s])
         wins = sum(x < y for x, y in zip(cpu[s], cpu[other]))
